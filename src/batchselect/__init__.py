@@ -30,7 +30,6 @@ from .learner import (
     PessimisticPolicy,
     Policy,
     beta_coefficient,
-    extract_pessimistic_policy,
     fit_pessimistic,
 )
 from .linalg import CovarianceMatrix, RidgeFit, SingularMatrixError, ridge_fit
@@ -66,7 +65,6 @@ __all__ = [
     "check_nested",
     "complexity_coverage_policy",
     "dirichlet_behavior",
-    "extract_pessimistic_policy",
     "fit_pessimistic",
     "holdout_select",
     "make_gaussian_instance",

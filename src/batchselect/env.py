@@ -56,6 +56,8 @@ class StateBatch:
             raise ValueError("exactly one of indices/features must be given")
         self.indices = None if indices is None else np.asarray(indices, dtype=int)
         self.features = None if features is None else np.asarray(features, dtype=float)
+        if self.indices is not None and self.indices.size and self.indices.min() < 0:
+            raise ValueError("state indices must be nonnegative")
 
     @property
     def kind(self) -> str:
@@ -148,6 +150,8 @@ class Dataset:
         n = len(states)
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("actions/rewards must have one entry per state")
+        if n and self.actions.min() < 0:
+            raise ValueError("actions must be nonnegative")
 
     @property
     def n(self) -> int:

@@ -3,15 +3,20 @@ lower-bound ratio study, with deterministic seeded trials and CSV output."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .env import (
+    BanditInstance,
+    BehaviorPolicy,
+    StateBatch,
     derive_seed,
     dirichlet_behavior,
     make_gaussian_instance,
@@ -19,13 +24,14 @@ from .env import (
     sample_dataset,
     sample_states,
 )
-from .features import design_matrix, realizable_family, truncation_family
+from .features import ModelClass, design_matrix, realizable_family, truncation_family
 from .hard_instance import ALGORITHMS, RatioResult, ratio_experiment
 from .learner import (
     MAX_DELTA,
     GreedyPolicy,
     OptimalPolicy,
     PessimisticPolicy,
+    beta_coefficient,
     fit_pessimistic,
 )
 from .linalg import ridge_fit
@@ -172,27 +178,47 @@ class ResultRow:
     regret: float
 
 
-def _cc_cell(config: ExperimentConfig, n: int, trial: int, audit: bool):
+@dataclass(frozen=True)
+class _Trial:
+    """What a trial's n-cells share: everything whose seed does not depend on n."""
+
+    instance: BanditInstance
+    classes: list[ModelClass]
+    mu: BehaviorPolicy
+    test_states: StateBatch
+    validation: StateBatch | None = None
+
+
+def _cc_trial(config: ExperimentConfig, trial: int) -> _Trial:
     s = config.cc
     seed = config.seed
     instance = make_tabular_instance(
         s.state_count, s.action_count, derive_seed(seed, "cc-instance", trial)
     )
-    classes = realizable_family(instance, s.hidden_dims, derive_seed(seed, "cc-family", trial))
-    mu = dirichlet_behavior(s.action_count, derive_seed(seed, "cc-behavior", trial))
-    test_states = sample_states(instance, config.n_test, derive_seed(seed, "cc-test", trial))
-    dataset = sample_dataset(instance, mu, n, derive_seed(seed, f"cc-data-{n}", trial))
+    return _Trial(
+        instance,
+        realizable_family(instance, s.hidden_dims, derive_seed(seed, "cc-family", trial)),
+        dirichlet_behavior(s.action_count, derive_seed(seed, "cc-behavior", trial)),
+        sample_states(instance, config.n_test, derive_seed(seed, "cc-test", trial)),
+    )
+
+
+def _cc_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: bool):
+    instance, classes, test_states = ctx.instance, ctx.classes, ctx.test_states
+    dataset = sample_dataset(instance, ctx.mu, n, derive_seed(config.seed, f"cc-data-{n}", trial))
     optimal = OptimalPolicy(instance)
 
     rows, reports = [], []
-    for d_hid, mc in zip(s.hidden_dims, classes):
+    learners = []
+    for d_hid, mc in zip(config.cc.hidden_dims, classes):
         learner = fit_pessimistic(dataset, mc, config.lam, config.delta, config.penalty_scale)
         regret = regret_estimate(instance, optimal, PessimisticPolicy(learner, mc), test_states)
         rows.append(ResultRow(n, f"class_{d_hid}", trial, regret))
-    learners = [
-        fit_pessimistic(dataset, mc, config.lam, config.delta / len(classes), config.penalty_scale)
-        for mc in classes
-    ]
+        # The selector runs each class at confidence delta/M.  beta depends on
+        # (n, d, lambda, delta) only, so the delta and delta/M learners share
+        # one ridge fit and differ in beta alone.
+        beta = beta_coefficient(dataset.n, mc.dim, config.lam, config.delta / len(classes))
+        learners.append(replace(learner, beta=beta))
     policy, report = complexity_coverage_policy(learners, classes, config.delta)
     rows.append(ResultRow(n, "cc", trial, regret_estimate(instance, optimal, policy, test_states)))
     if audit:
@@ -200,19 +226,26 @@ def _cc_cell(config: ExperimentConfig, n: int, trial: int, audit: bool):
     return rows, reports
 
 
-def _ac_cell(config: ExperimentConfig, n: int, trial: int, audit: bool):
+def _ac_trial(config: ExperimentConfig, trial: int) -> _Trial:
     s = config.ac
     seed = config.seed
     instance = make_gaussian_instance(
         s.ambient_dim, s.true_dim, s.action_count, derive_seed(seed, "ac-instance", trial)
     )
-    classes = truncation_family(s.ambient_dim, s.dims)
-    mu = dirichlet_behavior(s.action_count, derive_seed(seed, "ac-behavior", trial))
-    test_states = sample_states(instance, config.n_test, derive_seed(seed, "ac-test", trial))
-    validation = sample_states(
-        instance, config.n_validation, derive_seed(seed, "ac-validation", trial)
+    return _Trial(
+        instance,
+        truncation_family(s.ambient_dim, s.dims),
+        dirichlet_behavior(s.action_count, derive_seed(seed, "ac-behavior", trial)),
+        sample_states(instance, config.n_test, derive_seed(seed, "ac-test", trial)),
+        sample_states(instance, config.n_validation, derive_seed(seed, "ac-validation", trial)),
     )
-    dataset = sample_dataset(instance, mu, n, derive_seed(seed, f"ac-data-{n}", trial))
+
+
+def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: bool):
+    s = config.ac
+    seed = config.seed
+    instance, classes, test_states = ctx.instance, ctx.classes, ctx.test_states
+    dataset = sample_dataset(instance, ctx.mu, n, derive_seed(seed, f"ac-data-{n}", trial))
     optimal = OptimalPolicy(instance)
 
     rows, reports = [], []
@@ -224,7 +257,7 @@ def _ac_cell(config: ExperimentConfig, n: int, trial: int, audit: bool):
         regret = regret_estimate(instance, optimal, GreedyPolicy(fit, mc), test_states)
         rows.append(ResultRow(n, f"class_{mc.dim}", trial, regret))
     slope_policy, slope_report = slope_policy_select(
-        fits, validation, config.delta, config.penalty_scale
+        fits, ctx.validation, config.delta, config.penalty_scale
     )
     rows.append(
         ResultRow(n, "slope", trial, regret_estimate(instance, optimal, slope_policy, test_states))
@@ -243,13 +276,16 @@ def _ac_cell(config: ExperimentConfig, n: int, trial: int, audit: bool):
     return rows, reports
 
 
-def _run_cells(cell_fn, config: ExperimentConfig, threads: int, audit: bool):
-    cells = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(lambda c: cell_fn(config, c[0], c[1], audit), cells))
-    else:
-        outputs = [cell_fn(config, n, t, audit) for n, t in cells]
+def _run_cells(build_trial, cell_fn, config: ExperimentConfig, threads: int, audit: bool):
+    """Build each trial's context once, then run its n-cells, through a
+    thread pool when threads > 1.  Every seed is derived from (seed, purpose,
+    trial), so the rows do not depend on the schedule."""
+    outputs = []
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        mapper = pool.map if pool is not None else map
+        for t in range(config.trials):
+            cell = functools.partial(cell_fn, config, build_trial(config, t), trial=t, audit=audit)
+            outputs.extend(mapper(cell, config.n_grid))
     rows = [row for out, _ in outputs for row in out]
     reports = [rep for _, out in outputs for rep in out]
     rows.sort(key=lambda r: (r.n, r.method, r.trial))
@@ -258,11 +294,11 @@ def _run_cells(cell_fn, config: ExperimentConfig, threads: int, audit: bool):
 
 
 def run_cc(config: ExperimentConfig, threads: int = 1, audit: bool = False):
-    return _run_cells(_cc_cell, config, threads, audit)
+    return _run_cells(_cc_trial, _cc_cell, config, threads, audit)
 
 
 def run_ac(config: ExperimentConfig, threads: int = 1, audit: bool = False):
-    return _run_cells(_ac_cell, config, threads, audit)
+    return _run_cells(_ac_trial, _ac_cell, config, threads, audit)
 
 
 def run_lower_bound(config: ExperimentConfig, threads: int = 1, audit: bool = False):

@@ -52,13 +52,22 @@ def evaluate_features(model_class: ModelClass, state, action: int) -> np.ndarray
     return state.features[action, : model_class.dim]
 
 
+def table_indices(m: TabularMap, states: StateBatch) -> np.ndarray:
+    """State indices of a tabular batch (nonnegative by construction), checked
+    against the table's |X|."""
+    if states.indices is None:
+        raise RepresentationMismatchError("tabular map needs tabular states")
+    idx = states.indices
+    if idx.size and idx.max() >= m.table.shape[0]:
+        raise ValueError(f"state index out of range for a table of {m.table.shape[0]} states")
+    return idx
+
+
 def features_all_actions(model_class: ModelClass, states: StateBatch) -> np.ndarray:
     """phi_k for every (state, action) pair in the batch, shape (m, |A|, d_k)."""
     m = model_class.map
     if isinstance(m, TabularMap):
-        if states.indices is None:
-            raise RepresentationMismatchError("tabular map needs tabular states")
-        return m.table[states.indices]
+        return m.table[table_indices(m, states)]
     if states.features is None:
         raise RepresentationMismatchError("truncation map needs feature states")
     return states.features[:, :, : model_class.dim]
@@ -69,9 +78,11 @@ def design_matrix(model_class: ModelClass, states: StateBatch, actions: np.ndarr
     m = model_class.map
     actions = np.asarray(actions, dtype=int)
     if isinstance(m, TabularMap):
-        if states.indices is None:
-            raise RepresentationMismatchError("tabular map needs tabular states")
-        return m.table[states.indices, actions]
+        idx = table_indices(m, states)
+        n_act = m.table.shape[1]
+        if actions.size and (actions.min() < 0 or actions.max() >= n_act):
+            raise ValueError(f"action out of range for {n_act} actions")
+        return m.table[idx, actions]
     if states.features is None:
         raise RepresentationMismatchError("truncation map needs feature states")
     return states.features[np.arange(len(states)), actions, : model_class.dim]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import BanditInstance, Dataset, StateBatch, TabularModel, derive_seed, rng_stream
-from .features import ModelClass, TabularMap, check_nested
+from .features import ModelClass, TabularMap, check_nested, design_matrix
 from .diagnostics import fixed_design_theta_star
 from .learner import Policy, fit_pessimistic
 from .linalg import ridge_fit
@@ -99,20 +99,16 @@ def _cc_policy(dataset, classes, delta, lam, penalty_scale, seed) -> Policy:
 
 
 def _slope_policy(dataset, classes, delta, lam, penalty_scale, seed) -> Policy:
-    fits = [(ridge_fit_for(dataset, mc, lam), mc) for mc in classes]
+    fits = [
+        (ridge_fit(design_matrix(mc, dataset.states, dataset.actions), dataset.rewards, lam), mc)
+        for mc in classes
+    ]
     states = StateBatch(indices=[0])
     return slope_policy_select(fits, states, delta, penalty_scale)[0]
 
 
 def _holdout_policy(dataset, classes, delta, lam, penalty_scale, seed) -> Policy:
     return holdout_select(dataset, classes, 0.8, lam, seed)[0]
-
-
-def ridge_fit_for(dataset: Dataset, model_class: ModelClass, lam: float):
-    from .features import design_matrix
-
-    phi = design_matrix(model_class, dataset.states, dataset.actions)
-    return ridge_fit(phi, dataset.rewards, lam)
 
 
 ALGORITHMS = {

@@ -7,7 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import BanditInstance, Dataset, StateBatch
-from .features import ModelClass, design_matrix, evaluate_features, features_all_actions
+from .features import (
+    ModelClass,
+    TabularMap,
+    design_matrix,
+    evaluate_features,
+    features_all_actions,
+    table_indices,
+)
 from .linalg import RidgeFit, inv_quad_norm, inv_quad_norms, ridge_fit
 
 MAX_DELTA = 1.0 / math.e
@@ -54,14 +61,28 @@ def fit_pessimistic(
 def pessimistic_values(
     learner: PessimisticLearner, model_class: ModelClass, states: StateBatch
 ) -> np.ndarray:
-    """Penalized value <phi, theta_hat> - scale * beta * |phi|_{V^{-1}}, shape (m, |A|)."""
-    phi = features_all_actions(model_class, states)
-    m, n_act, d = phi.shape
+    """Penalized value <phi, theta_hat> - scale * beta * |phi|_{V^{-1}}, shape (m, |A|).
+
+    For a tabular map over index states the values are computed once on the
+    |X| x |A| table and gathered by state index.  This is exact: each value
+    is a function of its own feature row alone, and the table holds every row
+    the batch can reach, so the gather returns the row-wise values for m*|A|
+    rows at the cost of |X|*|A|.
+    """
+    m = model_class.map
+    if isinstance(m, TabularMap) and states.indices is not None:
+        return _penalized(learner, m.table)[table_indices(m, states)]
+    return _penalized(learner, features_all_actions(model_class, states))
+
+
+def _penalized(learner: PessimisticLearner, phi: np.ndarray) -> np.ndarray:
+    """Pessimistic values of a (rows, |A|, d) feature stack, shape (rows, |A|)."""
+    rows, n_act, d = phi.shape
     flat = phi.reshape(-1, d)
     plain = flat @ learner.fit.theta_hat
     widths = inv_quad_norms(learner.fit.cov, flat)
     values = plain - learner.penalty_scale * learner.beta * widths
-    return values.reshape(m, n_act)
+    return values.reshape(rows, n_act)
 
 
 def pessimistic_value(
@@ -167,9 +188,3 @@ class OptimalPolicy(Policy):
 
     def actions(self, states: StateBatch) -> np.ndarray:
         return np.argmax(self.instance.mean_rewards(states), axis=1)
-
-
-def extract_pessimistic_policy(
-    learner: PessimisticLearner, model_class: ModelClass
-) -> PessimisticPolicy:
-    return PessimisticPolicy(learner, model_class)

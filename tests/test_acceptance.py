@@ -19,8 +19,8 @@ from batchselect.env import (
 from batchselect.features import design_matrix, realizable_family, truncation_family
 from batchselect.learner import (
     OptimalPolicy,
+    PessimisticPolicy,
     beta_coefficient,
-    extract_pessimistic_policy,
     fit_pessimistic,
 )
 from batchselect.linalg import CovarianceMatrix, inv_quad_norms, ridge_fit
@@ -119,7 +119,7 @@ def test_acceptance_3_single_class_bound_validity():
         learner = fit_pessimistic(data, mc, 1.0, 0.05, penalty_scale=1.0)
         test = sample_states(inst, 500, seed + 10**6)
         optimal = OptimalPolicy(inst)
-        policy = extract_pessimistic_policy(learner, mc)
+        policy = PessimisticPolicy(learner, mc)
         regret = regret_estimate(inst, optimal, policy, test)
         phi = design_matrix(mc, test, optimal.actions(test))
         coverage = inv_quad_norms(learner.fit.cov, phi).mean()

@@ -6,7 +6,9 @@ from scipy import stats
 
 from batchselect.env import (
     BehaviorPolicy,
+    Dataset,
     InfiniteCoverageError,
+    StateBatch,
     concentrability,
     dataset_from_csv,
     dataset_to_csv,
@@ -178,3 +180,23 @@ class TestDatasetCsv:
         back = dataset_from_csv(dataset_to_csv(data))
         assert np.array_equal(back.states.features, data.states.features)
         assert np.array_equal(back.rewards, data.rewards)
+
+
+class TestIndexValidation:
+    def test_negative_state_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            StateBatch(indices=[0, -1])
+
+    def test_negative_action_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Dataset(StateBatch(indices=[0, 1]), [0, -1], [0.5, 0.5])
+
+    def test_csv_negative_action_rejected(self):
+        text = "state_id_or_blob,action,reward,true_mean\n0,-1,0.5,\n"
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataset_from_csv(text)
+
+    def test_csv_negative_state_rejected(self):
+        text = "state_id_or_blob,action,reward,true_mean\n-1,0,0.5,\n"
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataset_from_csv(text)

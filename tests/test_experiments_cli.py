@@ -1,12 +1,18 @@
+import hashlib
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import batchselect.experiments as experiments
+import batchselect.learner as learner_module
 from batchselect.cli import main
+from batchselect.hard_instance import ratio_results_to_csv
+from batchselect.learner import fit_pessimistic
 from batchselect.experiments import (
     ConfigError,
     aggregate_rows,
@@ -127,6 +133,133 @@ class TestRunLowerBound:
         small, large = results[0], results[1]
         slack = (small.max_se + large.max_se) / small.denominator
         assert large.ratio >= small.ratio - slack
+
+
+# sha256 of results.csv for the acceptance-8 configs at threads=1, computed
+# before the per-trial context and the table-gather path existed.  A change
+# here is a change of output bits and needs equivalence evidence.
+GOLDEN = {
+    "cc": (
+        {"experiment": "cc", "trials": 2, "n_grid": [100, 250], "seed": 3},
+        run_cc,
+        results_to_csv,
+        "7e662f7c427a4efeb04aa4a5c5cd2cea40cf1f4c6b5780c32cf5a719d7026c1f",
+    ),
+    "ac": (
+        {"experiment": "ac", "trials": 2, "n_grid": [150], "seed": 3},
+        run_ac,
+        results_to_csv,
+        "157f4ebd2a50343155ad7d20d95f468024eea10975c0e35d42ff659a7a17a60f",
+    ),
+    "lower_bound": (
+        {
+            "experiment": "lower_bound",
+            "trials": 20,
+            "seed": 3,
+            "lower_bound": {"n1": [16, 64], "n2": 16, "algorithms": ["cc", "holdout"]},
+        },
+        run_lower_bound,
+        ratio_results_to_csv,
+        "8472da8b43f5d03465ac01c22a3589e5bdad75b466038b96b8941c2c312dd472",
+    ),
+}
+
+
+@pytest.mark.parametrize("study", sorted(GOLDEN))
+def test_golden_results_hash(study):
+    doc, runner, serialize, expected = GOLDEN[study]
+    text = serialize(runner(parse_config(doc), threads=1)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+SMALL_CC = {
+    "experiment": "cc",
+    "trials": 2,
+    "n_grid": [40, 60, 80],
+    "n_test": 30,
+    "cc": {"state_count": 4, "action_count": 3, "hidden_dims": [2, 5, 12]},
+}
+
+
+def test_shared_trial_context_under_thread_stress():
+    # n-cells of one trial share its instance, family and test states across
+    # pool threads; a short switch interval interleaves them as often as it can.
+    config = parse_config({**SMALL_CC, "n_grid": [40, 50, 60, 70, 80, 90]})
+    expected = results_to_csv(run_cc(config, threads=1)[0])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = results_to_csv(run_cc(config, threads=6)[0])
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+class TestDuplicateWork:
+    def test_cc_builds_each_trial_once_and_fits_each_class_once(self, monkeypatch):
+        config = parse_config(SMALL_CC)
+        instances = _count_calls(monkeypatch, experiments, "make_tabular_instance")
+        families = _count_calls(monkeypatch, experiments, "realizable_family")
+        fits = _count_calls(monkeypatch, learner_module, "ridge_fit")
+        run_cc(config)
+        m = len(config.cc.hidden_dims)
+        assert (len(instances), len(families)) == (2, 2)
+        assert len(fits) == 2 * 3 * m
+
+    def test_ac_builds_each_instance_once(self, monkeypatch):
+        config = parse_config(
+            {
+                "experiment": "ac",
+                "trials": 2,
+                "n_grid": [60, 80, 100],
+                "n_test": 20,
+                "n_validation": 20,
+                "ac": {"ambient_dim": 8, "true_dim": 3, "action_count": 3, "dims": [2, 4, 8]},
+            }
+        )
+        instances = _count_calls(monkeypatch, experiments, "make_gaussian_instance")
+        run_ac(config, threads=2)
+        assert len(instances) == 2
+
+    def test_selector_learner_equals_fresh_fit_at_delta_over_m(self, monkeypatch):
+        config = parse_config({**SMALL_CC, "trials": 1, "n_grid": [50]})
+        captured, datasets = [], []
+        select, sample = experiments.complexity_coverage_policy, experiments.sample_dataset
+
+        def capture_select(learners, classes, delta, *args, **kwargs):
+            captured.append((learners, classes))
+            return select(learners, classes, delta, *args, **kwargs)
+
+        def capture_sample(*args, **kwargs):
+            datasets.append(sample(*args, **kwargs))
+            return datasets[-1]
+
+        monkeypatch.setattr(experiments, "complexity_coverage_policy", capture_select)
+        monkeypatch.setattr(experiments, "sample_dataset", capture_sample)
+        run_cc(config)
+        (learners, classes), = captured
+        (dataset,) = datasets
+        m = len(classes)
+        for shared, mc in zip(learners, classes):
+            fresh = fit_pessimistic(
+                dataset, mc, config.lam, config.delta / m, config.penalty_scale
+            )
+            assert np.array_equal(shared.fit.theta_hat, fresh.fit.theta_hat)
+            assert np.array_equal(shared.fit.cov.entries, fresh.fit.cov.entries)
+            assert shared.beta == fresh.beta
+            assert shared.penalty_scale == fresh.penalty_scale
 
 
 class TestAggregate:

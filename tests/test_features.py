@@ -140,3 +140,28 @@ def test_tabular_map_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "state,action,f0,f1,f2"
     assert len(lines) == 1 + 4
+
+
+class TestTableRangeChecks:
+    table = np.arange(24, dtype=float).reshape(3, 4, 2)
+    mc = ModelClass(2, TabularMap(table))
+
+    def test_features_all_actions_state_out_of_range(self):
+        with pytest.raises(ValueError, match="state index"):
+            features_all_actions(self.mc, StateBatch(indices=[0, 3]))
+
+    def test_design_matrix_state_out_of_range(self):
+        with pytest.raises(ValueError, match="state index"):
+            design_matrix(self.mc, StateBatch(indices=[3]), [0])
+
+    def test_design_matrix_action_out_of_range(self):
+        with pytest.raises(ValueError, match="action"):
+            design_matrix(self.mc, StateBatch(indices=[0, 1]), [0, 4])
+
+    def test_design_matrix_negative_action(self):
+        with pytest.raises(ValueError, match="action"):
+            design_matrix(self.mc, StateBatch(indices=[0]), [-1])
+
+    def test_in_range_gather_unchanged(self):
+        got = design_matrix(self.mc, StateBatch(indices=[2, 0]), [3, 1])
+        assert np.array_equal(got, self.table[[2, 0], [3, 1]])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchselect.env import (
     StateBatch,
@@ -11,20 +12,25 @@ from batchselect.env import (
     sample_dataset,
     sample_states,
 )
-from batchselect.features import ModelClass, TabularMap, realizable_family
+from batchselect.features import (
+    ModelClass,
+    TabularMap,
+    features_all_actions,
+    realizable_family,
+)
 from batchselect.learner import (
     CompositePessimisticPolicy,
     FixedPolicy,
     OptimalPolicy,
     PessimisticLearner,
+    PessimisticPolicy,
     beta_coefficient,
-    extract_pessimistic_policy,
     fit_pessimistic,
     pessimistic_value,
     pessimistic_values,
 )
 from batchselect.diagnostics import regret_estimate
-from batchselect.linalg import CovarianceMatrix, RidgeFit
+from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms
 
 
 class TestBetaCoefficient:
@@ -90,17 +96,65 @@ class TestPessimisticValue:
         assert np.all(pess <= plain + 1e-12)
 
 
+def _row_wise_values(learner, model_class, states):
+    """Reference: evaluate every (state, action) row of the batch."""
+    phi = features_all_actions(model_class, states)
+    m, n_act, d = phi.shape
+    flat = phi.reshape(-1, d)
+    widths = inv_quad_norms(learner.fit.cov, flat)
+    plain = flat @ learner.fit.theta_hat
+    return (plain - learner.penalty_scale * learner.beta * widths).reshape(m, n_act)
+
+
+class TestTableGather:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_states=st.integers(1, 6),
+        n_actions=st.integers(2, 5),
+        n=st.integers(3, 60),
+        scale=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_matches_row_wise(self, n_states, n_actions, n, scale, seed, data):
+        inst = make_tabular_instance(n_states, n_actions, seed)
+        ambient = n_states * n_actions
+        classes = realizable_family(inst, sorted({1, min(3, ambient), ambient}), seed)
+        dataset = sample_dataset(inst, dirichlet_behavior(n_actions, seed), n, seed + 1)
+        picked = data.draw(st.lists(st.integers(0, n_states - 1), min_size=1, max_size=40))
+        batches = [
+            StateBatch(indices=picked),  # repeats and missing cells
+            StateBatch(indices=np.arange(n_states)),  # every cell
+            StateBatch(indices=np.arange(n_states)[::-1].repeat(3)),
+        ]
+        for mc in classes:
+            learner = fit_pessimistic(dataset, mc, 1.0, 0.05, scale)
+            for states in batches:
+                got = pessimistic_values(learner, mc, states)
+                ref = _row_wise_values(learner, mc, states)
+                assert got.shape == ref.shape
+                tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=tol)
+                assert np.array_equal(np.argmax(got, axis=1), np.argmax(ref, axis=1))
+
+    def test_out_of_range_state_rejected(self):
+        mc = ModelClass(1, TabularMap(np.ones((2, 3, 1))))
+        learner = _one_dim_learner(1.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="state index"):
+            pessimistic_values(learner, mc, StateBatch(indices=[0, 2]))
+
+
 class TestExtractPessimisticPolicy:
     def test_single_action(self):
         mc = ModelClass(1, TabularMap(np.ones((2, 1, 1))))
         learner = _one_dim_learner(1.0, 1.0, 0.1)
-        policy = extract_pessimistic_policy(learner, mc)
+        policy = PessimisticPolicy(learner, mc)
         assert policy.action(TabularState(1)) == 0
 
     def test_all_equal_ties_to_lowest(self):
         mc = ModelClass(1, TabularMap(np.ones((1, 3, 1))))
         learner = _one_dim_learner(1.0, 1.0, 0.1)
-        policy = extract_pessimistic_policy(learner, mc)
+        policy = PessimisticPolicy(learner, mc)
         assert policy.action(TabularState(0)) == 0
 
     def test_matches_brute_force(self):
@@ -109,7 +163,7 @@ class TestExtractPessimisticPolicy:
         mc = ModelClass(2, TabularMap(table))
         cov = CovarianceMatrix(np.array([[1.5, -0.2], [-0.2, 0.8]]))
         learner = PessimisticLearner(RidgeFit(np.array([0.3, -1.1]), cov, 20, 1.0), 0.4)
-        policy = extract_pessimistic_policy(learner, mc)
+        policy = PessimisticPolicy(learner, mc)
         for x in range(5):
             vals = [pessimistic_value(learner, mc, TabularState(x), a) for a in range(3)]
             assert policy.action(TabularState(x)) == int(np.argmax(vals))
@@ -170,6 +224,6 @@ def test_realizable_consistency_more_data_helps():
         for n in (250, 4000):
             data = sample_dataset(inst, mu, n, seed + 31 * n)
             learner = fit_pessimistic(data, mc, 1.0, 0.05)
-            policy = extract_pessimistic_policy(learner, mc)
+            policy = PessimisticPolicy(learner, mc)
             regrets[n].append(regret_estimate(inst, optimal, policy, test))
     assert np.mean(regrets[4000]) <= np.mean(regrets[250])

@@ -22,7 +22,7 @@ from batchselect.features import (
 )
 from batchselect.learner import (
     PessimisticLearner,
-    extract_pessimistic_policy,
+    PessimisticPolicy,
     fit_pessimistic,
 )
 from batchselect.linalg import CovarianceMatrix, RidgeFit, ridge_fit
@@ -159,7 +159,7 @@ class TestComplexityCoverage:
     def test_single_class_matches_pessimistic_policy(self):
         learners, classes = self._toy(n_classes=1)
         policy, _ = complexity_coverage_policy(learners, classes, 0.05)
-        single = extract_pessimistic_policy(learners[0], classes[0])
+        single = PessimisticPolicy(learners[0], classes[0])
         states = StateBatch(indices=np.arange(4))
         assert np.array_equal(policy.actions(states), single.actions(states))
 
