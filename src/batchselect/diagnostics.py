@@ -99,13 +99,8 @@ def _tabular_design(model_class: ModelClass, instance: BanditInstance):
     n_states, n_actions = instance.model.means.shape
     idx = np.repeat(np.arange(n_states), n_actions)
     acts = np.tile(np.arange(n_actions), n_states)
-    phi = design_matrix(model_class, StateBatchLike(idx), acts)
+    phi = design_matrix(model_class, StateBatch(indices=idx), acts)
     return phi, instance.model.means.reshape(-1)
-
-
-class StateBatchLike(StateBatch):
-    def __init__(self, indices):
-        super().__init__(indices=indices)
 
 
 def alt_approx_errors(
@@ -152,10 +147,6 @@ def alt_approx_errors(
     f = instance.mean_rewards(states)[np.arange(sample_budget), acts]
     theta, _, _, _ = np.linalg.lstsq(phi, f, rcond=PINV_RCOND)
     return float("nan"), float(np.mean((phi @ theta - f) ** 2))
-
-
-def eps_worst_unsupported(instance: BanditInstance) -> bool:
-    return not instance.is_tabular
 
 
 def population_model(

@@ -1,9 +1,10 @@
 """Synthetic contextual-bandit instances, behavior policies, and batch data.
 
-States are represented uniformly through StateHandle / StateBatch so the
-same pipeline runs on finite tabular problems and on infinite state spaces
-with per-action Gaussian feature vectors.  All sampling takes explicit
-seeds and derives independent sub-streams, so trials can run concurrently.
+States are represented uniformly as a columnar StateBatch (state indices or
+per-action feature vectors) so the same pipeline runs on finite tabular
+problems and on infinite state spaces with per-action Gaussian feature
+vectors.  All sampling takes explicit seeds and derives independent
+sub-streams, so trials can run concurrently.
 """
 from __future__ import annotations
 
@@ -17,35 +18,23 @@ import numpy as np
 _SEED_MASK = (1 << 64) - 1
 
 
+def _seed_sequence(seed: int, purpose: str, index: int) -> np.random.SeedSequence:
+    code = zlib.crc32(purpose.encode("utf-8"))
+    return np.random.SeedSequence([int(seed) & _SEED_MASK, code, int(index)])
+
+
 def rng_stream(seed: int, purpose: str, index: int = 0) -> np.random.Generator:
     """Independent generator for a (seed, purpose tag, trial index) tuple."""
-    code = zlib.crc32(purpose.encode("utf-8"))
-    return np.random.default_rng(
-        np.random.SeedSequence([int(seed) & _SEED_MASK, code, int(index)])
-    )
+    return np.random.default_rng(_seed_sequence(seed, purpose, index))
 
 
 def derive_seed(seed: int, purpose: str, index: int = 0) -> int:
     """Stable 64-bit sub-seed for a (seed, purpose, index) tuple."""
-    code = zlib.crc32(purpose.encode("utf-8"))
-    ss = np.random.SeedSequence([int(seed) & _SEED_MASK, code, int(index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, purpose, index).generate_state(1, np.uint64)[0])
 
 
 class InfiniteCoverageError(ValueError):
     """Behavior policy puts zero mass on some action."""
-
-
-@dataclass(frozen=True)
-class TabularState:
-    index: int
-
-
-@dataclass(frozen=True)
-class FeatureState:
-    """Per-action ambient feature vectors, shape (action_count, ambient_dim)."""
-
-    features: np.ndarray
 
 
 class StateBatch:
@@ -59,22 +48,9 @@ class StateBatch:
         if self.indices is not None and self.indices.size and self.indices.min() < 0:
             raise ValueError("state indices must be nonnegative")
 
-    @property
-    def kind(self) -> str:
-        return "tabular" if self.indices is not None else "feature"
-
     def __len__(self) -> int:
         arr = self.indices if self.indices is not None else self.features
         return arr.shape[0]
-
-    def __getitem__(self, i):
-        if self.indices is not None:
-            return TabularState(int(self.indices[i]))
-        return FeatureState(self.features[i])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 @dataclass(frozen=True)

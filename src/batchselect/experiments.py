@@ -8,8 +8,8 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -82,7 +82,14 @@ class ExperimentConfig:
     lower_bound: LowerBoundSettings = field(default_factory=LowerBoundSettings)
 
 
-def _take(raw: dict, allowed: dict, where: str) -> dict:
+# JSON config keys are the settings' field names, except these.
+_CONFIG_KEYS = {"lam": "lambda"}
+_BLOCKS = {"cc": CcSettings, "ac": AcSettings, "lower_bound": LowerBoundSettings}
+
+
+def _take(raw: dict, cls, where: str) -> dict:
+    """Keyword arguments for `cls` from a JSON block keyed by its field names."""
+    allowed = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
@@ -96,31 +103,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Strict JSON-document parsing: unknown keys are errors, not warnings."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    top = {
-        "experiment": "experiment",
-        "trials": "trials",
-        "n_grid": "n_grid",
-        "n_test": "n_test",
-        "n_validation": "n_validation",
-        "delta": "delta",
-        "lambda": "lam",
-        "penalty_scale": "penalty_scale",
-        "seed": "seed",
-        "cc": "cc",
-        "ac": "ac",
-        "lower_bound": "lower_bound",
-    }
-    kwargs = _take(raw, top, "config")
+    kwargs = _take(raw, ExperimentConfig, "config")
     if "experiment" not in kwargs:
         raise ConfigError("config must set 'experiment'")
-    blocks = {
-        "cc": (CcSettings, {"state_count": "state_count", "action_count": "action_count", "hidden_dims": "hidden_dims"}),
-        "ac": (AcSettings, {"ambient_dim": "ambient_dim", "true_dim": "true_dim", "action_count": "action_count", "dims": "dims", "holdout_split": "holdout_split"}),
-        "lower_bound": (LowerBoundSettings, {"n1": "n1", "n2": "n2", "algorithms": "algorithms"}),
-    }
-    for name, (cls, fields) in blocks.items():
+    for name, cls in _BLOCKS.items():
         if name in kwargs:
-            kwargs[name] = cls(**_take(dict(kwargs[name]), fields, name))
+            kwargs[name] = cls(**_take(dict(kwargs[name]), cls, name))
     config = ExperimentConfig(**kwargs)
     _validate(config)
     return config
@@ -276,13 +264,22 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     return rows, reports
 
 
+@contextmanager
+def _mapper(threads: int):
+    """An ordered `map`, through a thread pool when threads > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
 def _run_cells(build_trial, cell_fn, config: ExperimentConfig, threads: int, audit: bool):
     """Build each trial's context once, then run its n-cells, through a
     thread pool when threads > 1.  Every seed is derived from (seed, purpose,
     trial), so the rows do not depend on the schedule."""
     outputs = []
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        mapper = pool.map if pool is not None else map
+    with _mapper(threads) as mapper:
         for t in range(config.trials):
             cell = functools.partial(cell_fn, config, build_trial(config, t), trial=t, audit=audit)
             outputs.extend(mapper(cell, config.n_grid))
@@ -318,11 +315,8 @@ def run_lower_bound(config: ExperimentConfig, threads: int = 1, audit: bool = Fa
             penalty_scale=config.penalty_scale,
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, cells))
-    else:
-        results = [one(c) for c in cells]
+    with _mapper(threads) as mapper:
+        results = list(mapper(one, cells))
     results.sort(key=lambda r: (r.algorithm, r.n1, r.n2))
     return results, []
 

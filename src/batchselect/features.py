@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import BanditInstance, FeatureState, StateBatch, TabularState, rng_stream
+from .env import BanditInstance, StateBatch, rng_stream
 
 REALIZABILITY_TOL = 1e-8
 
@@ -40,52 +40,55 @@ class ModelClass:
     map: object  # TabularMap or TruncationMap
 
 
-def evaluate_features(model_class: ModelClass, state, action: int) -> np.ndarray:
-    """phi_k(x, a) for a single state handle."""
+def feature_source(model_class: ModelClass, states: StateBatch):
+    """The (rows, |A|, d_k) array a batch reads its features from, and each
+    state's row in it.
+
+    A tabular map reads its |X| x |A| x d_k table; the rows are the batch's
+    state indices, range-checked against |X|.  A truncation map reads the
+    first d_k coordinates of the batch's own per-action features, as a view;
+    the rows are the identity selector `slice(None)`.  So
+    `source[rows]` is phi_k for every (state, action) pair of the batch, and
+    any row-wise function of the features, computed on `source` and then
+    indexed by `rows`, equals the same function computed on that stack:
+    indexing only copies values, so the gather is exact.
+    """
     m = model_class.map
     if isinstance(m, TabularMap):
-        if not isinstance(state, TabularState):
-            raise RepresentationMismatchError("tabular map needs a tabular state")
-        return m.table[state.index, action]
-    if not isinstance(state, FeatureState):
-        raise RepresentationMismatchError("truncation map needs a feature state")
-    return state.features[action, : model_class.dim]
-
-
-def table_indices(m: TabularMap, states: StateBatch) -> np.ndarray:
-    """State indices of a tabular batch (nonnegative by construction), checked
-    against the table's |X|."""
-    if states.indices is None:
-        raise RepresentationMismatchError("tabular map needs tabular states")
-    idx = states.indices
-    if idx.size and idx.max() >= m.table.shape[0]:
-        raise ValueError(f"state index out of range for a table of {m.table.shape[0]} states")
-    return idx
+        if states.indices is None:
+            raise RepresentationMismatchError("tabular map needs tabular states")
+        idx = states.indices
+        if idx.size and idx.max() >= m.table.shape[0]:
+            raise ValueError(f"state index out of range for a table of {m.table.shape[0]} states")
+        return m.table, idx
+    if states.features is None:
+        raise RepresentationMismatchError("truncation map needs feature states")
+    width = states.features.shape[-1]
+    if width != m.ambient_dim:
+        raise RepresentationMismatchError(
+            f"truncation map over {m.ambient_dim} ambient coordinates given {width}-wide features"
+        )
+    return states.features[:, :, : model_class.dim], slice(None)
 
 
 def features_all_actions(model_class: ModelClass, states: StateBatch) -> np.ndarray:
     """phi_k for every (state, action) pair in the batch, shape (m, |A|, d_k)."""
-    m = model_class.map
-    if isinstance(m, TabularMap):
-        return m.table[table_indices(m, states)]
-    if states.features is None:
-        raise RepresentationMismatchError("truncation map needs feature states")
-    return states.features[:, :, : model_class.dim]
+    source, rows = feature_source(model_class, states)
+    return source[rows]
 
 
 def design_matrix(model_class: ModelClass, states: StateBatch, actions: np.ndarray) -> np.ndarray:
     """Feature rows phi_k(x_i, a_i), shape (n, d_k)."""
-    m = model_class.map
+    source, rows = feature_source(model_class, states)
     actions = np.asarray(actions, dtype=int)
-    if isinstance(m, TabularMap):
-        idx = table_indices(m, states)
-        n_act = m.table.shape[1]
-        if actions.size and (actions.min() < 0 or actions.max() >= n_act):
-            raise ValueError(f"action out of range for {n_act} actions")
-        return m.table[idx, actions]
-    if states.features is None:
-        raise RepresentationMismatchError("truncation map needs feature states")
-    return states.features[np.arange(len(states)), actions, : model_class.dim]
+    n_act = source.shape[1]
+    if actions.shape != (len(states),):
+        raise ValueError("design_matrix needs one action per state")
+    if actions.size and (actions.min() < 0 or actions.max() >= n_act):
+        raise ValueError(f"action out of range for {n_act} actions")
+    # pairing state i with action i needs explicit rows, also for the identity
+    state_rows = np.arange(len(states)) if isinstance(rows, slice) else rows
+    return source[state_rows, actions]
 
 
 def realizable_family(

@@ -7,15 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import BanditInstance, Dataset, StateBatch
-from .features import (
-    ModelClass,
-    TabularMap,
-    design_matrix,
-    evaluate_features,
-    features_all_actions,
-    table_indices,
-)
-from .linalg import RidgeFit, inv_quad_norm, inv_quad_norms, ridge_fit
+from .features import ModelClass, design_matrix, feature_source, features_all_actions
+from .linalg import RidgeFit, inv_quad_norms, ridge_fit
 
 MAX_DELTA = 1.0 / math.e
 
@@ -63,16 +56,13 @@ def pessimistic_values(
 ) -> np.ndarray:
     """Penalized value <phi, theta_hat> - scale * beta * |phi|_{V^{-1}}, shape (m, |A|).
 
-    For a tabular map over index states the values are computed once on the
-    |X| x |A| table and gathered by state index.  This is exact: each value
-    is a function of its own feature row alone, and the table holds every row
-    the batch can reach, so the gather returns the row-wise values for m*|A|
-    rows at the cost of |X|*|A|.
+    The values are computed once on the batch's feature source (see
+    `feature_source`) and gathered by row.  For a tabular map that costs
+    |X| * |A| rows instead of m * |A|; it is exact because each value is a
+    function of its own feature row alone.
     """
-    m = model_class.map
-    if isinstance(m, TabularMap) and states.indices is not None:
-        return _penalized(learner, m.table)[table_indices(m, states)]
-    return _penalized(learner, features_all_actions(model_class, states))
+    source, rows = feature_source(model_class, states)
+    return _penalized(learner, source)[rows]
 
 
 def _penalized(learner: PessimisticLearner, phi: np.ndarray) -> np.ndarray:
@@ -85,26 +75,11 @@ def _penalized(learner: PessimisticLearner, phi: np.ndarray) -> np.ndarray:
     return values.reshape(rows, n_act)
 
 
-def pessimistic_value(
-    learner: PessimisticLearner, model_class: ModelClass, state, action: int
-) -> float:
-    phi = evaluate_features(model_class, state, action)
-    plain = float(phi @ learner.fit.theta_hat)
-    return plain - learner.penalty_scale * learner.beta * inv_quad_norm(learner.fit.cov, phi)
-
-
 class Policy:
     """Deterministic decision rule; ties always break to the lowest action index."""
 
     def actions(self, states: StateBatch) -> np.ndarray:
         raise NotImplementedError
-
-    def action(self, state) -> int:
-        if hasattr(state, "index"):
-            batch = StateBatch(indices=[state.index])
-        else:
-            batch = StateBatch(features=state.features[None])
-        return int(self.actions(batch)[0])
 
 
 class PessimisticPolicy(Policy):

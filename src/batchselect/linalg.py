@@ -115,16 +115,6 @@ def ridge_fit(features: np.ndarray, rewards: np.ndarray, lam: float) -> RidgeFit
     return RidgeFit(theta, cov, n, lam)
 
 
-def inv_quad_norm(cov: CovarianceMatrix, x: np.ndarray) -> float:
-    """Mahalanobis norm sqrt(x^T V^{-1} x) via the cached factorization."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (cov.dim,):
-        raise ValueError(f"vector of length {x.shape} incompatible with dim {cov.dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite vector entries")
-    return float(np.sqrt(max(x @ cov.solve(x), 0.0)))
-
-
 def inv_quad_norms(cov: CovarianceMatrix, rows: np.ndarray) -> np.ndarray:
     """Row-wise Mahalanobis norms for a stack of vectors of shape (m, d)."""
     rows = np.asarray(rows, dtype=float)

@@ -20,16 +20,6 @@ from .linalg import CovarianceMatrix, inv_quad_norms, inv_sqrt_spectral_norm, ri
 
 
 @dataclass(frozen=True)
-class Interval:
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError("interval lower bound exceeds upper bound")
-
-
-@dataclass(frozen=True)
 class SlopeInputs:
     values: np.ndarray
     widths: np.ndarray

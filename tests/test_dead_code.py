@@ -1,0 +1,75 @@
+"""Static check that the library ships no public code that only tests call.
+
+Every public module-level function and class in src/batchselect must be
+referenced by some other top-level statement of the package (a function,
+class, or the CLI's `__main__` block).  A re-export from `__init__.py` is not
+a use.  The names that remain test-only are listed below, each with the
+ROADMAP item that decides whether it gains a caller or is deleted.
+"""
+import ast
+from pathlib import Path
+
+import batchselect
+
+PACKAGE = Path(batchselect.__file__).resolve().parent
+
+ALLOWLIST = {
+    # ROADMAP item 5: wire the ground-truth diagnostics into a run, or delete them.
+    "diagnostics.approx_error_eps",
+    "diagnostics.alt_approx_errors",
+    "diagnostics.population_model",
+    "diagnostics.coverage_terms",
+    "diagnostics.oracle_bound",
+    "diagnostics.make_error_decomposition",
+    "diagnostics.decompositions_to_csv",
+    # ROADMAP item 2 (test-only public names): give each a caller or delete it.
+    "env.dataset_to_csv",
+    "env.dataset_from_csv",
+    "features.tabular_map_to_csv",
+    "learner.FixedPolicy",
+}
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def unreferenced(package: Path) -> set[str]:
+    """`module.name` of each public top-level def or class no other statement uses."""
+    defined, uses = {}, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defined[f"{path.stem}.{stmt.name}"] = stmt
+            if path.name != "__init__.py":
+                uses.append((stmt, _referenced(stmt)))
+    return {
+        qual
+        for qual, stmt in defined.items()
+        if not any(other is not stmt and qual.split(".")[1] in names for other, names in uses)
+    }
+
+
+def test_no_unreferenced_public_code():
+    dead = unreferenced(PACKAGE)
+    assert dead - ALLOWLIST == set(), "public code that no library module calls"
+
+
+def test_allowlist_is_current():
+    assert ALLOWLIST - unreferenced(PACKAGE) == set(), "allowlisted names now have a caller"
+
+
+def test_detects_an_unused_function(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return 1\n\n\ndef unused():\n    return used()\n"
+    )
+    assert unreferenced(tmp_path) == {"mod.unused"}

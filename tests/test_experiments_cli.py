@@ -45,6 +45,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="oops"):
             parse_config({"experiment": "ac", "ac": {"oops": 3}})
 
+    def test_lambda_is_the_only_renamed_key(self):
+        assert parse_config({"experiment": "cc", "lambda": 2.5}).lam == 2.5
+        with pytest.raises(ConfigError, match="lam"):
+            parse_config({"experiment": "cc", "lam": 2.5})
+
     def test_missing_experiment(self):
         with pytest.raises(ConfigError):
             parse_config({"trials": 5})
@@ -161,6 +166,19 @@ GOLDEN = {
         run_lower_bound,
         ratio_results_to_csv,
         "8472da8b43f5d03465ac01c22a3589e5bdad75b466038b96b8941c2c312dd472",
+    ),
+    # The same study with SLOPE, whose policy reads a one-state tabular batch;
+    # computed at the commit before the scalar state path was deleted.
+    "lower_bound_slope": (
+        {
+            "experiment": "lower_bound",
+            "trials": 20,
+            "seed": 3,
+            "lower_bound": {"n1": [16, 64], "n2": 16, "algorithms": ["cc", "slope", "holdout"]},
+        },
+        run_lower_bound,
+        ratio_results_to_csv,
+        "39ac615e0e34a0ddad5bd1411be0f22a44e1658fc6cab87ef4aad9acc4b7d86b",
     ),
 }
 

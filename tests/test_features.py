@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from batchselect.env import (
-    FeatureState,
+    Dataset,
     StateBatch,
-    TabularState,
     dirichlet_behavior,
     make_gaussian_instance,
     make_tabular_instance,
@@ -18,38 +18,64 @@ from batchselect.features import (
     TruncationMap,
     check_nested,
     design_matrix,
-    evaluate_features,
     features_all_actions,
     realizable_family,
     tabular_map_to_csv,
     truncation_family,
 )
-from batchselect.linalg import inv_quad_norms, ridge_fit
+from batchselect.learner import PessimisticLearner, fit_pessimistic, pessimistic_values
+from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms, ridge_fit
 
 
 class TestEvaluateFeatures:
+    states = StateBatch(features=np.array([[[3.0, 1.0, 4.0, 1.0], [5.0, 9.0, 2.0, 6.0]]]))
+
     def test_truncation_identity_at_full_dim(self):
         mc = ModelClass(4, TruncationMap(4))
-        state = FeatureState(np.array([[3.0, 1.0, 4.0, 1.0]]))
-        assert np.array_equal(evaluate_features(mc, state, 0), [3.0, 1.0, 4.0, 1.0])
+        assert np.array_equal(features_all_actions(mc, self.states), self.states.features)
+        assert np.array_equal(design_matrix(mc, self.states, [1]), [[5.0, 9.0, 2.0, 6.0]])
 
     def test_truncation_prefix(self):
         mc = ModelClass(2, TruncationMap(4))
-        state = FeatureState(np.array([[3.0, 1.0, 4.0, 1.0]]))
-        assert np.array_equal(evaluate_features(mc, state, 0), [3.0, 1.0])
+        assert np.array_equal(features_all_actions(mc, self.states), [[[3.0, 1.0], [5.0, 9.0]]])
+        assert np.array_equal(design_matrix(mc, self.states, [0]), [[3.0, 1.0]])
+
+    def test_truncation_reads_a_view(self):
+        mc = ModelClass(2, TruncationMap(4))
+        assert np.shares_memory(features_all_actions(mc, self.states), self.states.features)
 
     def test_tabular_lookup_bit_exact(self):
         table = np.arange(24, dtype=float).reshape(2, 3, 4)
         mc = ModelClass(4, TabularMap(table))
-        assert np.array_equal(evaluate_features(mc, TabularState(1), 2), table[1, 2])
+        states = StateBatch(indices=[1, 0, 1])
+        assert np.array_equal(features_all_actions(mc, states), table[[1, 0, 1]])
+        assert np.array_equal(design_matrix(mc, states, [2, 0, 1]), table[[1, 0, 1], [2, 0, 1]])
 
     def test_representation_mismatch(self):
         mc = ModelClass(2, TruncationMap(4))
         with pytest.raises(RepresentationMismatchError):
-            evaluate_features(mc, TabularState(0), 0)
-        tab = ModelClass(2, TabularMap(np.zeros((1, 1, 2))))
+            features_all_actions(mc, StateBatch(indices=[0]))
         with pytest.raises(RepresentationMismatchError):
-            evaluate_features(tab, FeatureState(np.zeros((1, 2))), 0)
+            design_matrix(mc, StateBatch(indices=[0]), [0])
+        tab = ModelClass(2, TabularMap(np.zeros((1, 1, 2))))
+        feats = StateBatch(features=np.zeros((1, 1, 2)))
+        with pytest.raises(RepresentationMismatchError):
+            features_all_actions(tab, feats)
+        with pytest.raises(RepresentationMismatchError):
+            design_matrix(tab, feats, [0])
+
+    def test_truncation_width_mismatch(self):
+        # a class over 100 ambient coordinates must not read 30-wide features
+        # (a d=50 fit would otherwise get 30 columns and a beta for d=50)
+        mc = ModelClass(50, TruncationMap(100))
+        states = StateBatch(features=np.ones((5, 3, 30)))
+        actions = np.zeros(5, dtype=int)
+        with pytest.raises(RepresentationMismatchError, match="30-wide"):
+            features_all_actions(mc, states)
+        with pytest.raises(RepresentationMismatchError):
+            design_matrix(mc, states, actions)
+        with pytest.raises(RepresentationMismatchError):
+            fit_pessimistic(Dataset(states, actions, np.zeros(5)), mc, 1.0, 0.05)
 
 
 class TestRealizableFamily:
@@ -165,3 +191,69 @@ class TestTableRangeChecks:
     def test_in_range_gather_unchanged(self):
         got = design_matrix(self.mc, StateBatch(indices=[2, 0]), [3, 1])
         assert np.array_equal(got, self.table[[2, 0], [3, 1]])
+
+
+class TestFeatureActionChecks:
+    states = StateBatch(features=np.arange(24, dtype=float).reshape(2, 4, 3))
+    mc = ModelClass(2, TruncationMap(3))
+
+    def test_action_out_of_range(self):
+        with pytest.raises(ValueError, match="action"):
+            design_matrix(self.mc, self.states, [0, 4])
+
+    def test_negative_action(self):
+        # numpy would wrap -1 to the last arm
+        with pytest.raises(ValueError, match="action"):
+            design_matrix(self.mc, self.states, [0, -1])
+
+    def test_one_action_per_state(self):
+        with pytest.raises(ValueError, match="one action per state"):
+            design_matrix(self.mc, self.states, [0])
+
+
+def _random_class(data, n_actions):
+    """A random tabular or truncation class and a batch it reads."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    m = data.draw(st.integers(1, 12))
+    d = data.draw(st.integers(1, 5))
+    if data.draw(st.booleans()):
+        n_states = data.draw(st.integers(1, 6))
+        mc = ModelClass(d, TabularMap(rng.standard_normal((n_states, n_actions, d))))
+        states = StateBatch(indices=rng.integers(n_states, size=m))
+    else:
+        ambient = d + data.draw(st.integers(0, 3))
+        mc = ModelClass(d, TruncationMap(ambient))
+        states = StateBatch(features=rng.standard_normal((m, n_actions, ambient)))
+    return mc, states, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_actions=st.integers(1, 5), data=st.data())
+def test_design_matrix_is_gather_of_all_actions(n_actions, data):
+    mc, states, rng = _random_class(data, n_actions)
+    actions = rng.integers(n_actions, size=len(states))
+    got = design_matrix(mc, states, actions)
+    ref = features_all_actions(mc, states)[np.arange(len(states)), actions]
+    assert got.shape == (len(states), mc.dim)
+    assert np.array_equal(got, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_actions=st.integers(1, 5), scale=st.floats(0.01, 2.0), data=st.data())
+def test_pessimistic_values_match_row_wise_formula(n_actions, scale, data):
+    mc, states, rng = _random_class(data, n_actions)
+    d = mc.dim
+    g = rng.standard_normal((d, d))
+    cov = CovarianceMatrix(g @ g.T + 0.5 * np.eye(d))
+    learner = PessimisticLearner(RidgeFit(rng.standard_normal(d), cov, 10, 1.0), 0.7, scale)
+    got = pessimistic_values(learner, mc, states)
+    inv = np.linalg.inv(cov.entries)
+    phi = features_all_actions(mc, states)
+    ref = np.empty(got.shape)
+    for i in range(len(states)):
+        for a in range(n_actions):
+            row = phi[i, a]
+            width = np.sqrt(row @ inv @ row)
+            ref[i, a] = row @ learner.fit.theta_hat - scale * 0.7 * width
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=tol)

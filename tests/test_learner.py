@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from batchselect.env import (
     StateBatch,
-    TabularState,
     dirichlet_behavior,
     make_tabular_instance,
     sample_dataset,
@@ -26,7 +25,6 @@ from batchselect.learner import (
     PessimisticPolicy,
     beta_coefficient,
     fit_pessimistic,
-    pessimistic_value,
     pessimistic_values,
 )
 from batchselect.diagnostics import regret_estimate
@@ -65,22 +63,27 @@ def _one_dim_learner(v, theta, beta, scale=1.0):
     return PessimisticLearner(fit, beta, scale)
 
 
+def _one_value(learner, model_class, x, a):
+    """pessimistic_values of the one-state batch [x] at action a."""
+    return float(pessimistic_values(learner, model_class, StateBatch(indices=[x]))[0, a])
+
+
 class TestPessimisticValue:
     def test_zero_feature(self):
         mc = ModelClass(1, TabularMap(np.zeros((1, 1, 1))))
         learner = _one_dim_learner(2.0, 1.0, 0.5)
-        assert pessimistic_value(learner, mc, TabularState(0), 0) == 0.0
+        assert _one_value(learner, mc, 0, 0) == 0.0
 
     def test_zero_beta_is_plain_prediction(self):
         mc = ModelClass(1, TabularMap(np.array([[[3.0]]])))
         learner = _one_dim_learner(2.0, 1.5, 0.0)
-        assert pessimistic_value(learner, mc, TabularState(0), 0) == pytest.approx(4.5)
+        assert _one_value(learner, mc, 0, 0) == pytest.approx(4.5)
 
     def test_hand_value(self):
         # V=[2], theta=1, phi=1, beta=0.5: 1 - 0.5/sqrt(2)
         mc = ModelClass(1, TabularMap(np.array([[[1.0]]])))
         learner = _one_dim_learner(2.0, 1.0, 0.5)
-        got = pessimistic_value(learner, mc, TabularState(0), 0)
+        got = _one_value(learner, mc, 0, 0)
         assert got == pytest.approx(1 - 0.5 / math.sqrt(2), abs=1e-12)
         assert got == pytest.approx(0.64645, abs=1e-5)
 
@@ -144,18 +147,28 @@ class TestTableGather:
             pessimistic_values(learner, mc, StateBatch(indices=[0, 2]))
 
 
+def _hand_value(learner, phi):
+    """phi theta - s * beta * |phi|_{V^{-1}} with an explicit inverse."""
+    width = math.sqrt(phi @ np.linalg.inv(learner.fit.cov.entries) @ phi)
+    return float(phi @ learner.fit.theta_hat) - learner.penalty_scale * learner.beta * width
+
+
+def _one_action(policy, x):
+    return int(policy.actions(StateBatch(indices=[x]))[0])
+
+
 class TestExtractPessimisticPolicy:
     def test_single_action(self):
         mc = ModelClass(1, TabularMap(np.ones((2, 1, 1))))
         learner = _one_dim_learner(1.0, 1.0, 0.1)
         policy = PessimisticPolicy(learner, mc)
-        assert policy.action(TabularState(1)) == 0
+        assert _one_action(policy, 1) == 0
 
     def test_all_equal_ties_to_lowest(self):
         mc = ModelClass(1, TabularMap(np.ones((1, 3, 1))))
         learner = _one_dim_learner(1.0, 1.0, 0.1)
         policy = PessimisticPolicy(learner, mc)
-        assert policy.action(TabularState(0)) == 0
+        assert _one_action(policy, 0) == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(4)
@@ -165,8 +178,8 @@ class TestExtractPessimisticPolicy:
         learner = PessimisticLearner(RidgeFit(np.array([0.3, -1.1]), cov, 20, 1.0), 0.4)
         policy = PessimisticPolicy(learner, mc)
         for x in range(5):
-            vals = [pessimistic_value(learner, mc, TabularState(x), a) for a in range(3)]
-            assert policy.action(TabularState(x)) == int(np.argmax(vals))
+            vals = [_hand_value(learner, table[x, a]) for a in range(3)]
+            assert _one_action(policy, x) == int(np.argmax(vals))
 
     def test_argmax_invariant_to_constant_shift(self):
         rng = np.random.default_rng(6)

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from batchselect.linalg import (
     CovarianceMatrix,
     SingularMatrixError,
-    inv_quad_norm,
     inv_quad_norms,
     inv_sqrt_spectral_norm,
     ridge_fit,
@@ -61,26 +60,33 @@ class TestRidgeFit:
         assert resid <= 1e-8 * (1 + np.linalg.norm(fit.theta_hat))
 
 
+def _norm(cov, x):
+    """inv_quad_norms of the one-row stack [x]."""
+    return float(inv_quad_norms(cov, np.asarray(x, dtype=float)[None])[0])
+
+
 class TestInvQuadNorm:
     def test_scaled_identity(self):
         cov = CovarianceMatrix(2.0 * np.eye(2))
-        assert inv_quad_norm(cov, np.array([1.0, 1.0])) == pytest.approx(1.0)
+        assert _norm(cov, [1.0, 1.0]) == pytest.approx(1.0)
 
     def test_zero_vector(self):
         cov = CovarianceMatrix(np.array([[3.0, 1.0], [1.0, 2.0]]))
-        assert inv_quad_norm(cov, np.zeros(2)) == 0.0
+        assert _norm(cov, np.zeros(2)) == 0.0
 
     def test_against_explicit_inverse(self):
         phi = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         fit = ridge_fit(phi, np.array([1.0, 2.0, 3.0]), 0.5)
         x = np.array([1.0, 1.0])
         expected = np.sqrt(x @ np.linalg.inv(fit.cov.entries) @ x)
-        assert inv_quad_norm(fit.cov, x) == pytest.approx(expected, rel=1e-12)
+        assert _norm(fit.cov, x) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         cov = CovarianceMatrix(np.eye(2))
         with pytest.raises(ValueError):
-            inv_quad_norm(cov, np.ones(3))
+            inv_quad_norms(cov, np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            inv_quad_norms(cov, np.ones(2))
 
     def test_batched_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -88,16 +94,18 @@ class TestInvQuadNorm:
         cov = CovarianceMatrix(g @ g.T + 0.5 * np.eye(5))
         rows = rng.standard_normal((20, 5))
         batched = inv_quad_norms(cov, rows)
+        inv = np.linalg.inv(cov.entries)
         for i in range(20):
-            assert batched[i] == pytest.approx(inv_quad_norm(cov, rows[i]), rel=1e-10)
+            assert batched[i] == pytest.approx(np.sqrt(rows[i] @ inv @ rows[i]), rel=1e-10)
+            assert batched[i] == pytest.approx(_norm(cov, rows[i]), rel=1e-10)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=-100.0, max_value=100.0))
     def test_homogeneity(self, c):
         cov = CovarianceMatrix(np.array([[3.0, 1.0], [1.0, 2.0]]))
         x = np.array([0.7, -1.3])
-        base = inv_quad_norm(cov, x)
-        assert inv_quad_norm(cov, c * x) == pytest.approx(abs(c) * base, rel=1e-12, abs=1e-12)
+        base = _norm(cov, x)
+        assert _norm(cov, c * x) == pytest.approx(abs(c) * base, rel=1e-12, abs=1e-12)
 
 
 class TestInvSqrtSpectralNorm:
