@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .env import BanditInstance, BehaviorPolicy, StateBatch, concentrability, rng_stream
 from .features import ModelClass, design_matrix, features_all_actions
@@ -124,6 +123,9 @@ def alt_approx_errors(
             "sup-norm approximation error requires an enumerable tabular instance"
         )
     if instance.is_tabular:
+        # imported here: scipy.optimize costs every CLI start-up about 0.25 s
+        from scipy.optimize import linprog
+
         phi, f = _tabular_design(model_class, instance)
         n_rows, d = phi.shape
         # min t  s.t.  -t <= phi theta - f <= t

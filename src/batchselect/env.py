@@ -133,14 +133,6 @@ class Dataset:
     def n(self) -> int:
         return len(self.states)
 
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        if self.states.indices is not None:
-            sub_states = StateBatch(indices=self.states.indices[idx])
-        else:
-            sub_states = StateBatch(features=self.states.features[idx])
-        tm = None if self.true_means is None else self.true_means[idx]
-        return Dataset(sub_states, self.actions[idx], self.rewards[idx], tm)
-
 
 def dirichlet_behavior(action_count: int, rng_seed: int) -> BehaviorPolicy:
     """Behavior probabilities drawn from Dirichlet(1, ..., 1)."""

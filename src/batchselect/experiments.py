@@ -3,13 +3,16 @@ lower-bound ratio study, with deterministic seeded trials and CSV output."""
 from __future__ import annotations
 
 import csv
+import ctypes
 import functools
 import io
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -264,14 +267,88 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     return rows, reports
 
 
+# The (get, set) thread-count symbols an OpenBLAS build may export.
+_OPENBLAS_SYMBOLS = [
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("openblas_", "scipy_openblas_")
+    for suffix in ("", "64_")
+]
+
+
+def _openblas_controls() -> list:
+    """The (get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found through /proc/self/maps.  Empty where there is no /proc or
+    the loaded BLAS is not OpenBLAS."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return []
+    paths = sorted(
+        {
+            line.split(maxsplit=5)[-1]
+            for line in maps.splitlines()
+            if "openblas" in line and ".so" in line
+        }
+    )
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+                break
+    return controls
+
+
+class _OneBlasThread:
+    """Holds every loaded OpenBLAS at one thread while any study of this
+    process runs, and restores the previous counts when the last one ends."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._users == 0:
+                self._saved = [(set_, get()) for get, set_ in _openblas_controls()]
+                for set_, _ in self._saved:
+                    set_(1)
+            self._users += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                for set_, count in self._saved:
+                    set_(count)
+                self._saved = []
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 @contextmanager
 def _mapper(threads: int):
-    """An ordered `map`, through a thread pool when threads > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield pool.map
-    else:
-        yield map
+    """An ordered `map`, through a thread pool when threads > 1.
+
+    BLAS runs single-threaded meanwhile, so `threads` is the run's only
+    parallelism: at d <= 200 OpenBLAS's own threads cost more than they give,
+    and under a pool they oversubscribe the cores.  The output bytes do not
+    depend on the BLAS thread count."""
+    with _ONE_BLAS_THREAD:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                yield pool.map
+        else:
+            yield map
 
 
 def _run_cells(build_trial, cell_fn, config: ExperimentConfig, threads: int, audit: bool):

@@ -39,6 +39,17 @@ class ModelClass:
     dim: int
     map: object  # TabularMap or TruncationMap
 
+    def __post_init__(self):
+        m = self.map
+        if isinstance(m, TabularMap) and self.dim != m.table.shape[-1]:
+            raise ValueError(
+                f"tabular class of dim {self.dim} given a {m.table.shape[-1]}-wide table"
+            )
+        if isinstance(m, TruncationMap) and not 1 <= self.dim <= m.ambient_dim:
+            raise ValueError(
+                f"truncation class needs 1 <= dim <= ambient_dim {m.ambient_dim}, got {self.dim}"
+            )
+
 
 def feature_source(model_class: ModelClass, states: StateBatch):
     """The (rows, |A|, d_k) array a batch reads its features from, and each

@@ -1,8 +1,11 @@
+import ctypes
 import hashlib
 import json
 import math
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +226,77 @@ def test_shared_trial_context_under_thread_stress():
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+def _loaded_openblas():
+    """(get, set) thread-count functions of each OpenBLAS this process has loaded."""
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        return []
+    paths = {line.split(maxsplit=5)[-1] for line in maps.read_text().splitlines()
+             if "openblas" in line and ".so" in line}
+    controls = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix in ("openblas_", "scipy_openblas_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    set_.restype, set_.argtypes = None, [ctypes.c_int]
+                    controls.append((get, set_))
+    return controls
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def blas_at_two(self):
+        controls = _loaded_openblas()
+        if not controls:
+            pytest.skip("no OpenBLAS thread-count symbol in this process")
+        before = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        yield [get for get, _ in controls]
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cells_run_with_one_blas_thread(self, monkeypatch, blas_at_two, threads):
+        seen = []
+        cell = experiments._cc_cell
+
+        def recording_cell(*args, **kwargs):
+            seen.append([get() for get in blas_at_two])
+            return cell(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_cc_cell", recording_cell)
+        run_cc(parse_config(SMALL_CC), threads=threads)
+        assert len(seen) == 2 * len(SMALL_CC["n_grid"])
+        assert all(counts == [1] * len(blas_at_two) for counts in seen)
+        assert [get() for get in blas_at_two] == [2] * len(blas_at_two)
+
+    def test_overlapping_runs_restore_after_the_last(self, blas_at_two):
+        ones, twos = [1] * len(blas_at_two), [2] * len(blas_at_two)
+        first, second = experiments._mapper(1), experiments._mapper(2)
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert [get() for get in blas_at_two] == ones
+        second.__exit__(None, None, None)
+        assert [get() for get in blas_at_two] == twos
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, batchselect.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestDuplicateWork:

@@ -103,6 +103,18 @@ class TestRealizableFamily:
             realizable_family(make_gaussian_instance(4, 2, 2, 0), [1], 0)
 
 
+class TestModelClassDim:
+    @pytest.mark.parametrize("dim", [0, 101, 150])
+    def test_truncation_dim_outside_ambient(self, dim):
+        with pytest.raises(ValueError):
+            ModelClass(dim, TruncationMap(100))
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_tabular_dim_not_table_width(self, dim):
+        with pytest.raises(ValueError):
+            ModelClass(dim, TabularMap(np.zeros((4, 2, 3))))
+
+
 class TestTruncationFamily:
     def test_paper_dims(self):
         classes = truncation_family(100, [15, 20, 30, 50, 75, 100])

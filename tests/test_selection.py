@@ -318,13 +318,38 @@ class TestHoldoutSelect:
 
         perm = rng_stream(5, "holdout-split").permutation(1000)
         n_in = math.ceil(0.8 * 1000)
-        d_in, d_out = data.subset(perm[:n_in]), data.subset(perm[n_in:])
+        halves = []
+        for rows in (perm[:n_in], perm[n_in:]):
+            states = StateBatch(features=data.states.features[rows])
+            halves.append((states, data.actions[rows], data.rewards[rows]))
+        (s_in, a_in, r_in), (s_out, a_out, r_out) = halves
         for k, mc in enumerate(classes):
-            fit = ridge_fit(design_matrix(mc, d_in.states, d_in.actions), d_in.rewards, 1.0)
-            pred = design_matrix(mc, d_out.states, d_out.actions) @ fit.theta_hat
-            loss = np.mean((pred - d_out.rewards) ** 2)
+            fit = ridge_fit(design_matrix(mc, s_in, a_in), r_in, 1.0)
+            pred = design_matrix(mc, s_out, a_out) @ fit.theta_hat
+            loss = np.mean((pred - r_out) ** 2)
             assert report.audit["losses"][k] == pytest.approx(loss, rel=1e-12)
         assert report.chosen == int(np.argmin(report.audit["losses"]))
+
+    def test_rounding_does_not_break_ties(self):
+        # Hard pair, n1 = 16, n2 = 3: when no arm-1 row is held out, both
+        # classes predict every held-out row by the same arm-0 ridge mean,
+        # so their losses agree up to rounding and class 0 must be chosen.
+        from batchselect.env import Dataset, rng_stream
+        from batchselect.hard_instance import build_hard_pair
+        from batchselect.selection import HOLDOUT_TIE_RTOL
+
+        pair = build_hard_pair(16, 3)
+        actions = pair.fixed_actions()
+        means = pair.instances[0].model.means[0][actions]
+        noise = np.random.default_rng(1).standard_normal(pair.n)
+        data = Dataset(StateBatch(indices=np.zeros(pair.n, dtype=int)), actions, means + noise)
+        perm = rng_stream(0, "holdout-split").permutation(pair.n)
+        assert not actions[perm[math.ceil(0.8 * pair.n):]].any()
+        _, report = holdout_select(data, list(pair.classes), 0.8, 1.0, 0)
+        losses = report.audit["losses"]
+        assert losses[1] != losses[0]
+        assert abs(losses[1] - losses[0]) <= HOLDOUT_TIE_RTOL * losses.min()
+        assert report.chosen == 0
 
     def test_split_validation(self):
         inst = make_gaussian_instance(4, 2, 2, 0)
