@@ -123,8 +123,13 @@ def alt_approx_errors(
             "sup-norm approximation error requires an enumerable tabular instance"
         )
     if instance.is_tabular:
-        # imported here: scipy.optimize costs every CLI start-up about 0.25 s
-        from scipy.optimize import linprog
+        # scipy is an optional extra: no run of the CLI imports it
+        try:
+            from scipy.optimize import linprog
+        except ImportError as exc:
+            raise ImportError(
+                "alt_approx_errors needs scipy: pip install 'batchselect[diagnostics]'"
+            ) from exc
 
         phi, f = _tabular_design(model_class, instance)
         n_rows, d = phi.shape

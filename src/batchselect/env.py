@@ -8,8 +8,6 @@ sub-streams, so trials can run concurrently.
 """
 from __future__ import annotations
 
-import csv
-import io
 import zlib
 from dataclasses import dataclass
 
@@ -216,50 +214,3 @@ def concentrability(mu: BehaviorPolicy) -> float:
     if np.any(probs <= 0):
         raise InfiniteCoverageError("behavior policy has a zero-probability action")
     return float(1.0 / probs.min())
-
-
-def dataset_to_csv(dataset: Dataset) -> str:
-    """Serialize rows as `state_id_or_blob,action,reward,true_mean`.
-
-    Feature states are hex blobs of little-endian float64 values, prefixed
-    with their (action_count x dim) shape.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["state_id_or_blob", "action", "reward", "true_mean"])
-    tabular = dataset.states.indices is not None
-    for i in range(dataset.n):
-        if tabular:
-            blob = str(int(dataset.states.indices[i]))
-        else:
-            feats = dataset.states.features[i]
-            blob = "{}x{}:{}".format(
-                feats.shape[0], feats.shape[1], feats.astype("<f8").tobytes().hex()
-            )
-        mean = "" if dataset.true_means is None else repr(float(dataset.true_means[i]))
-        writer.writerow([blob, int(dataset.actions[i]), repr(float(dataset.rewards[i])), mean])
-    return buf.getvalue()
-
-
-def dataset_from_csv(text: str) -> Dataset:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != ["state_id_or_blob", "action", "reward", "true_mean"]:
-        raise ValueError("unexpected dataset CSV header")
-    blobs, actions, rewards, means = [], [], [], []
-    for row in reader:
-        blobs.append(row[0])
-        actions.append(int(row[1]))
-        rewards.append(float(row[2]))
-        means.append(float(row[3]) if row[3] else None)
-    true_means = None if any(m is None for m in means) else np.array(means)
-    if blobs and ":" in blobs[0]:
-        feats = []
-        for blob in blobs:
-            shape, hexdata = blob.split(":")
-            n_act, dim = (int(v) for v in shape.split("x"))
-            feats.append(np.frombuffer(bytes.fromhex(hexdata), dtype="<f8").reshape(n_act, dim))
-        states = StateBatch(features=np.array(feats))
-    else:
-        states = StateBatch(indices=np.array([int(b) for b in blobs]))
-    return Dataset(states, actions, rewards, true_means)

@@ -8,10 +8,11 @@ import functools
 import io
 import json
 import math
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,15 +91,38 @@ _CONFIG_KEYS = {"lam": "lambda"}
 _BLOCKS = {"cc": CcSettings, "ac": AcSettings, "lower_bound": LowerBoundSettings}
 
 
+def _check_type(value, default, key: str):
+    """Refuse a value of another JSON type than the field's default: integer
+    fields take integers (not bools or floats), number fields finite numbers,
+    and list fields non-empty lists of their default's entry type."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{key} must be a non-empty list, got {value!r}")
+        for entry in value:
+            _check_type(entry, default[0], f"{key} entry")
+        return
+    if isinstance(default, int):
+        kind, ok = "an integer", isinstance(value, numbers.Integral)
+    elif isinstance(default, float):
+        kind, ok = "a finite number", isinstance(value, numbers.Real) and math.isfinite(value)
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if isinstance(value, bool) or not ok:
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
 def _take(raw: dict, cls, where: str) -> dict:
     """Keyword arguments for `cls` from a JSON block keyed by its field names."""
-    allowed = {_CONFIG_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+    allowed = {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(cls)}
     unknown = set(raw) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
     out = {}
     for key, value in raw.items():
-        out[allowed[key]] = tuple(value) if isinstance(value, list) else value
+        default = allowed[key].default
+        if default is not MISSING:
+            _check_type(value, default, key if where == "config" else f"{where}.{key}")
+        out[allowed[key].name] = tuple(value) if isinstance(value, list) else value
     return out
 
 
@@ -111,6 +135,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config must set 'experiment'")
     for name, cls in _BLOCKS.items():
         if name in kwargs:
+            if not isinstance(kwargs[name], dict):
+                raise ConfigError(f"{name} must be a JSON object")
             kwargs[name] = cls(**_take(dict(kwargs[name]), cls, name))
     config = ExperimentConfig(**kwargs)
     _validate(config)

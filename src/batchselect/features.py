@@ -1,8 +1,6 @@
 """Linear model classes: feature maps, nested families, and nestedness checks."""
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,17 +174,3 @@ def check_nested(classes, probe_states: StateBatch | None = None, probe_count: i
         else:
             return False
     return True
-
-
-def tabular_map_to_csv(model_class: ModelClass) -> str:
-    """Flat CSV of a tabular map: state, action, then d_k feature values."""
-    if not isinstance(model_class.map, TabularMap):
-        raise ValueError("only tabular maps serialize to CSV")
-    table = model_class.map.table
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["state", "action"] + [f"f{i}" for i in range(model_class.dim)])
-    for x in range(table.shape[0]):
-        for a in range(table.shape[1]):
-            writer.writerow([x, a] + [repr(float(v)) for v in table[x, a]])
-    return buf.getvalue()

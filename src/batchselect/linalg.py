@@ -1,16 +1,20 @@
 """Dense symmetric positive-definite linear algebra shared by all modules.
 
-Every application of an inverse covariance goes through a cached Cholesky
-factorization; explicit inverses are never materialized.
+V^{-1} is applied through the inverse L^{-1} of V's lower Cholesky factor,
+computed once per matrix: V^{-1} x = L^{-T} (L^{-1} x) and ||x||_{V^{-1}} =
+||L^{-1} x||, one or two matrix products each.  The explicit triangular
+inverse is sound because every fit's V >= (lambda/n) I bounds the condition
+number of L (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14).
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 SYMMETRY_RTOL = 1e-12
 SINGULARITY_RTOL = 1e-12
 RESIDUAL_TOL = 1e-8
+FLOOR_ATOL = 1e-9  # lambda_min may undercut the ridge floor by FLOOR_ATOL * max(|lambda_max|, 1)
+TRIANGLE_BLOCK = 32  # triangles up to this order are inverted directly, larger ones by halves
 
 
 class SingularMatrixError(ValueError):
@@ -25,11 +29,27 @@ class SingularMatrixError(ValueError):
         self.min_eig = min_eig
 
 
+def _lower_inverse(tri: np.ndarray) -> np.ndarray:
+    """Inverse of a lower triangle, by halves:
+    [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]."""
+    d = tri.shape[0]
+    if d <= TRIANGLE_BLOCK:
+        return np.tril(np.linalg.inv(tri))
+    h = d // 2
+    head, tail = _lower_inverse(tri[:h, :h]), _lower_inverse(tri[h:, h:])
+    return np.block([[head, np.zeros((h, d - h))], [-(tail @ (tri[h:, :h] @ head)), tail]])
+
+
 class CovarianceMatrix:
     """Regularized empirical covariance V = (lambda/n) I + (1/n) sum phi phi^T.
 
-    The matrix is symmetrized on construction and eigen-bounds are computed
-    once.  `ridge_floor` records the lambda/n term folded into the entries.
+    The matrix is symmetrized on construction; `ridge_floor` records the
+    lambda/n term folded into the entries.  The eigen-bounds are computed on
+    first use.  The floor and singularity checks need them only when a
+    Cholesky certificate fails: if V - shift I is positive definite for
+    shift = ridge_floor - FLOOR_ATOL / 2, then lambda_min > shift clears the
+    floor with half its slack to spare for rounding, and it rules out
+    singularity when shift > 2 SINGULARITY_RTOL trace(V) >= lambda_max.
     """
 
     def __init__(self, entries: np.ndarray, ridge_floor: float = 0.0):
@@ -46,29 +66,51 @@ class CovarianceMatrix:
         self.entries = (entries + entries.T) / 2.0
         self.dim = entries.shape[0]
         self.ridge_floor = float(ridge_floor)
-        eigs = np.linalg.eigvalsh(self.entries)
-        self.min_eig = float(eigs[0])
-        self.max_eig = float(eigs[-1])
-        if self.min_eig < self.ridge_floor - 1e-9 * max(abs(self.max_eig), 1.0):
-            raise ValueError(
-                f"smallest eigenvalue {self.min_eig:.3e} below ridge floor "
-                f"{self.ridge_floor:.3e}"
-            )
-        self._chol = None
+        self._eigs = self._inv_chol = None
+        shift = self.ridge_floor - FLOOR_ATOL / 2
+        try:
+            np.linalg.cholesky(self.entries - shift * np.eye(self.dim))
+        except np.linalg.LinAlgError:
+            self._nonsingular_certified = False
+            if self.min_eig < self.ridge_floor - FLOOR_ATOL * max(abs(self.max_eig), 1.0):
+                raise ValueError(
+                    f"smallest eigenvalue {self.min_eig:.3e} below ridge floor "
+                    f"{self.ridge_floor:.3e}"
+                ) from None
+        else:
+            self._nonsingular_certified = shift > 2 * SINGULARITY_RTOL * np.trace(self.entries)
+
+    def _eigenvalues(self) -> np.ndarray:
+        if self._eigs is None:
+            self._eigs = np.linalg.eigvalsh(self.entries)
+        return self._eigs
+
+    @property
+    def min_eig(self) -> float:
+        return float(self._eigenvalues()[0])
+
+    @property
+    def max_eig(self) -> float:
+        return float(self._eigenvalues()[-1])
 
     def _is_singular(self) -> bool:
         return self.min_eig <= SINGULARITY_RTOL * max(abs(self.max_eig), 1e-300)
 
-    def _factor(self):
-        if self._chol is None:
-            if self._is_singular():
+    def inv_chol(self) -> np.ndarray:
+        """L^{-1} for the lower Cholesky factor L of V, computed once."""
+        if self._inv_chol is None:
+            if not self._nonsingular_certified and self._is_singular():
                 raise SingularMatrixError(self.dim, self.min_eig)
-            self._chol = sla.cho_factor(self.entries, lower=True)
-        return self._chol
+            try:
+                self._inv_chol = _lower_inverse(np.linalg.cholesky(self.entries))
+            except np.linalg.LinAlgError:
+                raise SingularMatrixError(self.dim, self.min_eig) from None
+        return self._inv_chol
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Apply V^{-1} to a vector or to the columns of a matrix."""
-        return sla.cho_solve(self._factor(), np.asarray(rhs, dtype=float))
+        inv_chol = self.inv_chol()
+        return inv_chol.T @ (inv_chol @ np.asarray(rhs, dtype=float))
 
 
 class RidgeFit:
@@ -88,8 +130,8 @@ class RidgeFit:
 def ridge_fit(features: np.ndarray, rewards: np.ndarray, lam: float) -> RidgeFit:
     """Fit V = (lam/n)I + (1/n) Phi^T Phi and theta_hat = V^{-1}(1/n) Phi^T y.
 
-    Solved through the SPD factorization of V; raises SingularMatrixError
-    when lam = 0 and the Gram matrix is rank deficient.
+    Solved through the cached inverse Cholesky factor of V; raises
+    SingularMatrixError when lam = 0 and the Gram matrix is rank deficient.
     """
     features = np.asarray(features, dtype=float)
     rewards = np.asarray(rewards, dtype=float)
@@ -120,9 +162,8 @@ def inv_quad_norms(cov: CovarianceMatrix, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != cov.dim:
         raise ValueError("rows must have shape (m, dim)")
-    solved = cov.solve(rows.T)
-    quad = np.einsum("md,dm->m", rows, solved)
-    return np.sqrt(np.maximum(quad, 0.0))
+    whitened = rows @ cov.inv_chol().T
+    return np.sqrt(np.einsum("md,md->m", whitened, whitened))
 
 
 def inv_sqrt_spectral_norm(cov: CovarianceMatrix) -> float:

@@ -22,11 +22,6 @@ ALLOWLIST = {
     "diagnostics.oracle_bound",
     "diagnostics.make_error_decomposition",
     "diagnostics.decompositions_to_csv",
-    # ROADMAP item 2 (test-only public names): give each a caller or delete it.
-    "env.dataset_to_csv",
-    "env.dataset_from_csv",
-    "features.tabular_map_to_csv",
-    "learner.FixedPolicy",
 }
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from batchselect.features import (
     realizable_family,
     truncation_family,
 )
-from batchselect.learner import FixedPolicy, OptimalPolicy
+from batchselect.learner import OptimalPolicy
 from batchselect.linalg import CovarianceMatrix, RidgeFit, ridge_fit
 from batchselect.diagnostics import (
     ErrorDecomposition,
@@ -41,6 +42,7 @@ from batchselect.diagnostics import (
     regret_estimate,
 )
 from batchselect.hard_instance import build_hard_pair
+from policies import FixedPolicy
 
 
 class TestFixedDesignThetaStar:
@@ -144,6 +146,13 @@ class TestAltApproxErrors:
         mu = dirichlet_behavior(3, 1)
         worst, sq = alt_approx_errors(mc, inst, mu)
         assert worst >= math.sqrt(sq) - 1e-9  # weighted L2 <= sup
+
+    def test_missing_scipy_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # import fails
+        inst = make_tabular_instance(3, 2, 2)
+        mc = realizable_family(inst, [2], 2)[0]
+        with pytest.raises(ImportError, match=r"batchselect\[diagnostics\]"):
+            alt_approx_errors(mc, inst, dirichlet_behavior(2, 0))
 
 
 class TestPopulationModel:

@@ -10,8 +10,6 @@ from batchselect.env import (
     InfiniteCoverageError,
     StateBatch,
     concentrability,
-    dataset_from_csv,
-    dataset_to_csv,
     dirichlet_behavior,
     make_gaussian_instance,
     make_tabular_instance,
@@ -164,24 +162,6 @@ class TestRngStreams:
         assert np.array_equal(a, b)
 
 
-class TestDatasetCsv:
-    def test_tabular_round_trip(self):
-        inst = make_tabular_instance(4, 3, 0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 0), 25, 1)
-        back = dataset_from_csv(dataset_to_csv(data))
-        assert np.array_equal(back.states.indices, data.states.indices)
-        assert np.array_equal(back.actions, data.actions)
-        assert np.array_equal(back.rewards, data.rewards)
-        assert np.array_equal(back.true_means, data.true_means)
-
-    def test_feature_round_trip_bit_exact(self):
-        inst = make_gaussian_instance(5, 2, 3, 0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 0), 10, 1)
-        back = dataset_from_csv(dataset_to_csv(data))
-        assert np.array_equal(back.states.features, data.states.features)
-        assert np.array_equal(back.rewards, data.rewards)
-
-
 class TestIndexValidation:
     def test_negative_state_index_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -190,13 +170,3 @@ class TestIndexValidation:
     def test_negative_action_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Dataset(StateBatch(indices=[0, 1]), [0, -1], [0.5, 0.5])
-
-    def test_csv_negative_action_rejected(self):
-        text = "state_id_or_blob,action,reward,true_mean\n0,-1,0.5,\n"
-        with pytest.raises(ValueError, match="nonnegative"):
-            dataset_from_csv(text)
-
-    def test_csv_negative_state_rejected(self):
-        text = "state_id_or_blob,action,reward,true_mean\n-1,0,0.5,\n"
-        with pytest.raises(ValueError, match="nonnegative"):
-            dataset_from_csv(text)

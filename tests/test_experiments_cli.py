@@ -288,18 +288,25 @@ class TestBlasThreads:
         assert [get() for get in blas_at_two] == twos
 
 
-def test_cli_import_leaves_out_scipy_optimize():
+def test_cli_import_leaves_out_scipy():
     src = str(Path(experiments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, batchselect.cli; print('scipy.optimize' in sys.modules)"
+    probe = "import sys, batchselect.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestDuplicateWork:
+    def test_cc_runs_no_eigendecomposition(self, monkeypatch):
+        # the ridge-floor and singularity checks of every fit are settled by
+        # Cholesky certificates at lambda = 1; cc reads no eigen-bound
+        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        run_cc(parse_config(SMALL_CC))
+        assert calls == []
+
     def test_cc_builds_each_trial_once_and_fits_each_class_once(self, monkeypatch):
         config = parse_config(SMALL_CC)
         instances = _count_calls(monkeypatch, experiments, "make_tabular_instance")
@@ -402,6 +409,26 @@ class TestCli:
         self._write_config(cfg, {"experiment": "cc", "bogus": True})
         result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"trials": 1.5},
+            {"n_grid": [100.7]},
+            {"lambda": float("nan")},
+            {"delta": "0.1"},
+            {"penalty_scale": float("inf")},
+            {"trials": True},
+        ],
+        ids=["float_trials", "float_n", "nan_lambda", "string_delta", "infinite_scale", "bool_trials"],
+    )
+    def test_badly_typed_value_is_a_config_error(self, tmp_path, override):
+        cfg = tmp_path / "bad.json"
+        self._write_config(cfg, {"experiment": "cc", "trials": 1, "n_grid": [100], **override})
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "config error" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -20,7 +20,6 @@ from batchselect.features import (
     design_matrix,
     features_all_actions,
     realizable_family,
-    tabular_map_to_csv,
     truncation_family,
 )
 from batchselect.learner import PessimisticLearner, fit_pessimistic, pessimistic_values
@@ -170,14 +169,6 @@ def test_coverage_monotone_on_nested_fits():
         norms.append(inv_quad_norms(fit.cov, phi))
     for small, large in zip(norms, norms[1:]):
         assert np.all(small <= large + 1e-9)
-
-
-def test_tabular_map_csv_shape():
-    table = np.arange(12, dtype=float).reshape(2, 2, 3)
-    text = tabular_map_to_csv(ModelClass(3, TabularMap(table)))
-    lines = text.strip().split("\n")
-    assert lines[0] == "state,action,f0,f1,f2"
-    assert len(lines) == 1 + 4
 
 
 class TestTableRangeChecks:

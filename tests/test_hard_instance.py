@@ -12,7 +12,7 @@ from batchselect.hard_instance import (
     ratio_experiment,
     ratio_results_to_csv,
 )
-from batchselect.learner import FixedPolicy
+from policies import FixedPolicy
 
 
 class TestBuildHardPair:

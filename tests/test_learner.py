@@ -19,7 +19,6 @@ from batchselect.features import (
 )
 from batchselect.learner import (
     CompositePessimisticPolicy,
-    FixedPolicy,
     OptimalPolicy,
     PessimisticLearner,
     PessimisticPolicy,
@@ -29,6 +28,7 @@ from batchselect.learner import (
 )
 from batchselect.diagnostics import regret_estimate
 from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms
+from policies import FixedPolicy
 
 
 class TestBetaCoefficient:

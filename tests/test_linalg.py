@@ -157,3 +157,125 @@ def test_nested_quadratic_form_monotonicity():
         full = x @ np.linalg.solve(m, x)
         head = x[:split] @ np.linalg.solve(m[:split, :split], x[:split])
         assert full >= head - 1e-9
+
+
+def _gram_plus_ridge(rng, n, d, lam):
+    """(lam/n) I + Phi^T Phi / n for Gaussian Phi with varied column scales."""
+    phi = rng.standard_normal((n, d)) * rng.uniform(0.2, 2.0, size=d)
+    return phi.T @ phi / n + (lam / n) * np.eye(d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 60),
+    n=st.integers(1, 120),
+    lam=st.floats(0.05, 10.0),
+)
+def test_solve_and_norms_match_dense_solve(seed, d, n, lam):
+    # V >= (lam/n) I, rank-deficient Gram included (n < d)
+    rng = np.random.default_rng(seed)
+    entries = _gram_plus_ridge(rng, n, d, lam)
+    cov = CovarianceMatrix(entries, ridge_floor=lam / n)
+    rhs = rng.standard_normal((d, 3))
+    expected = np.linalg.solve(cov.entries, rhs)
+    got = cov.solve(rhs)
+    for k in range(3):
+        assert np.linalg.norm(got[:, k] - expected[:, k]) <= 1e-10 * np.linalg.norm(expected[:, k])
+    vec = cov.solve(rhs[:, 0])
+    assert np.linalg.norm(vec - expected[:, 0]) <= 1e-10 * np.linalg.norm(expected[:, 0])
+    rows = rng.standard_normal((7, d))
+    reference = np.sqrt(np.einsum("md,dm->m", rows, np.linalg.solve(cov.entries, rows.T)))
+    assert np.all(np.abs(inv_quad_norms(cov, rows) - reference) <= 1e-10 * reference)
+
+
+def _eager_verdict(entries, ridge_floor):
+    """The construction and solve checks by the full spectrum, as the rules state them."""
+    eigs = np.linalg.eigvalsh((entries + entries.T) / 2.0)
+    low, high = eigs[0], eigs[-1]
+    if low < ridge_floor - 1e-9 * max(abs(high), 1.0):
+        return "below floor"
+    if low <= 1e-12 * max(abs(high), 1e-300):
+        return "singular"
+    return "accepted"
+
+
+def _verdict(entries, ridge_floor):
+    try:
+        cov = CovarianceMatrix(entries, ridge_floor=ridge_floor)
+    except SingularMatrixError:
+        return "singular at construction"
+    except ValueError:
+        return "below floor"
+    try:
+        cov.solve(np.ones(cov.dim))
+    except SingularMatrixError:
+        return "singular"
+    return "accepted"
+
+
+def _spectrum_matrix(rng, eigs):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
+    return (q * eigs) @ q.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 40),
+    kind=st.sampled_from(
+        ["ridge", "ridge_at_zero", "below_floor", "near_singular", "indefinite", "tiny_scale"]
+    ),
+)
+def test_verdicts_equal_eager_eigenvalue_rules(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 2 * d + 2))
+    lam = float(rng.uniform(0.01, 5.0))
+    if kind == "ridge":  # what ridge_fit builds: floor lam/n, Gram of any rank
+        entries, floor = _gram_plus_ridge(rng, n, d, lam), lam / n
+    elif kind == "ridge_at_zero":  # lambda = 0: singular whenever n < d
+        entries, floor = _gram_plus_ridge(rng, n, d, 0.0), 0.0
+    elif kind == "below_floor":  # floor set above lambda_min, by up to a factor of 2
+        entries = _gram_plus_ridge(rng, n, d, lam)
+        floor = lam / n * float(rng.uniform(0.5, 2.0))
+    elif kind == "near_singular":  # lambda_min / lambda_max around SINGULARITY_RTOL
+        high = 10.0 ** rng.uniform(-3, 3)
+        eigs = high * 10.0 ** rng.uniform(-15, 0, size=d)
+        eigs[0] = high * 10.0 ** rng.uniform(-14, -10)
+        entries, floor = _spectrum_matrix(rng, eigs), float(rng.choice([0.0, eigs.min() / 2]))
+    elif kind == "indefinite":  # eigenvalues of both signs, some within the floor slack
+        eigs = rng.standard_normal(d) * 10.0 ** rng.uniform(-12, 1, size=d)
+        entries, floor = _spectrum_matrix(rng, eigs), 0.0
+    else:  # all entries far below 1, where the floor slack is 1e-9 absolute
+        entries = _gram_plus_ridge(rng, n, d, lam) * 1e-8
+        floor = lam / n * 1e-8 * float(rng.choice([1.0, 0.9, 1.1]))
+    assert _verdict(entries, floor) == _eager_verdict(entries, floor)
+
+
+class TestLazyEigenBounds:
+    def test_ridge_fit_runs_no_eigendecomposition(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        rng = np.random.default_rng(4)
+        fit = ridge_fit(rng.standard_normal((5, 20)), rng.standard_normal(5), lam=1.0)
+        inv_quad_norms(fit.cov, rng.standard_normal((3, 20)))
+        assert calls == []
+        assert fit.cov.min_eig == pytest.approx(0.2)
+        assert fit.cov.max_eig > fit.cov.min_eig
+        assert inv_sqrt_spectral_norm(fit.cov) == pytest.approx(0.2**-0.5)
+        assert len(calls) == 1
+
+    def test_failed_factorization_is_singular(self, monkeypatch):
+        cov = CovarianceMatrix(np.eye(2))
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(SingularMatrixError):
+            cov.solve(np.ones(2))
+
+    def test_floor_error_names_the_smallest_eigenvalue(self):
+        with pytest.raises(ValueError, match="smallest eigenvalue 1.000e-01 below ridge floor"):
+            CovarianceMatrix(np.diag([1.0, 0.1]), ridge_floor=0.2)
