@@ -1,14 +1,14 @@
 """Record a parent/change performance pair as two BENCH_<label>.json files.
 
-    python3 scripts/bench_trajectory.py run --parent DIR --change DIR --log runs.jsonl \
-        [--pairs 10] [--seed 21] [--seconds 12]
+    python3 scripts/bench_trajectory.py run --parent DIR --change DIR --log runs.jsonl
     python3 scripts/bench_trajectory.py summarize --log runs.jsonl \
         --parent-label SHA --change-label SHA [--out-dir .]
 
 DIR is a checkout of one commit (for example `git archive SHA | tar -x -C DIR`).
 `run` alternates the two checkouts, which side goes first flipping every pair:
-`perfbench/run.py --trace 0` on every workload, pair i with seed `--seed + i`
-on both sides; then one `--trace 1` run per workload and side, the in-process
+`perfbench/run.py --trace 0` on every workload, pair i with seed SEED + i on
+both sides, each run as long as BENCHMARK.json's `run_seconds`; then one
+`--trace 1` run per workload and side, the in-process
 `run_cc`/`run_ac` times at threads 1 and 2, and the tier-1 suite.  Each
 result is appended to the log as one JSON line, so an interrupted run loses
 nothing.  `summarize` reshapes the log into one file per side: per-workload
@@ -30,6 +30,11 @@ from pathlib import Path
 
 WORKLOADS = ("cc", "ac", "lower_bound")
 LOWER_IS_BETTER = {"wall_s", "wall_s_threads2", "setup_s", "peak_rss_mb"}
+PAIRS = 10
+SEED = 21
+INPROCESS_REPEATS = 6
+RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())[
+    "run_seconds"]
 
 INPROCESS = """
 import json, sys, time
@@ -51,9 +56,9 @@ def _child_env(checkout: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(checkout / "src")}
 
 
-def perfbench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=600)
     lines = out.stdout.strip().splitlines() or [""]
     try:
@@ -97,18 +102,19 @@ def run(args):
             log.write(json.dumps(record, sort_keys=True) + "\n")
             log.flush()
 
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for workload in WORKLOADS:
                 for side in order:
-                    rec = perfbench(sides[side], workload, args.seed + i, args.seconds, 0)
-                    emit(kind="trace0", side=side, pair=i, workload=workload, seed=args.seed + i,
-                         **rec)
+                    rec = perfbench(sides[side], workload, SEED + i, 0)
+                    emit(kind="trace0", side=side, pair=i, workload=workload, seed=SEED + i,
+                         run_seconds=RUN_SECONDS, **rec)
         for workload in WORKLOADS:
             for side in sides:
-                rec = perfbench(sides[side], workload, args.seed, args.seconds, 1)
-                emit(kind="trace1", side=side, workload=workload, seed=args.seed, **rec)
-        for i in range(args.inprocess_repeats):
+                rec = perfbench(sides[side], workload, SEED, 1)
+                emit(kind="trace1", side=side, workload=workload, seed=SEED,
+                     run_seconds=RUN_SECONDS, **rec)
+        for i in range(INPROCESS_REPEATS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 emit(kind="inprocess", side=side, repeat=i,
@@ -136,6 +142,7 @@ def summarize(args):
         doc = {"label": label, "role": side, "vs": labels[other],
                "method": "alternating parent/change pairs of perfbench/run.py --trace 0; each pair "
                          "runs one seed on both sides; each value is one run's median",
+               "run_seconds": sorted({r["run_seconds"] for r in records if "run_seconds" in r}),
                "environment": next(r["environment"] for r in mine if "environment" in r),
                "workloads": {}}
         for workload in WORKLOADS:
@@ -188,10 +195,6 @@ def main(argv=None):
     p.add_argument("--parent", required=True)
     p.add_argument("--change", required=True)
     p.add_argument("--log", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=21)
-    p.add_argument("--seconds", type=float, default=12.0)
-    p.add_argument("--inprocess-repeats", type=int, default=6)
     s = sub.add_parser("summarize")
     s.add_argument("--log", required=True)
     s.add_argument("--parent-label", required=True)

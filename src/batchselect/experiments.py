@@ -156,9 +156,9 @@ def _validate(c: ExperimentConfig):
     if c.experiment not in ("cc", "ac", "lower_bound"):
         raise ConfigError(f"experiment must be cc, ac, or lower_bound, got {c.experiment!r}")
     for name in ("trials", "n_test", "n_validation"):
-        if int(getattr(c, name)) < 1:
+        if getattr(c, name) < 1:
             raise ConfigError(f"{name} must be positive")
-    if any(int(n) < 1 for n in c.n_grid) or not c.n_grid:
+    if any(n < 1 for n in c.n_grid) or not c.n_grid:
         raise ConfigError("n_grid entries must be positive")
     if not (0 < c.delta <= MAX_DELTA + 1e-15):
         raise ConfigError("delta must lie in (0, 1/e]")
@@ -180,7 +180,7 @@ def _validate(c: ExperimentConfig):
         raise ConfigError("ac.dims must be strictly ascending")
     if c.ac.dims[-1] > c.ac.ambient_dim:
         raise ConfigError("ac.dims may not exceed ambient_dim")
-    if any(int(v) < 1 for v in c.lower_bound.n1) or int(c.lower_bound.n2) < 1:
+    if any(v < 1 for v in c.lower_bound.n1) or c.lower_bound.n2 < 1:
         raise ConfigError("lower_bound sample counts must be positive")
     for algo in c.lower_bound.algorithms:
         if algo not in ALGORITHMS:
