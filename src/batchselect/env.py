@@ -90,9 +90,13 @@ class BanditInstance:
         if self.is_tabular:
             idx = rng.choice(len(self.model.state_probs), size=count, p=self.model.state_probs)
             return StateBatch(indices=idx)
-        n_act, d, _ = self.model.chol_factors.shape
-        z = rng.standard_normal((count, n_act, d))
-        feats = np.einsum("adk,mak->mad", self.model.chol_factors, z)
+        chols = self.model.chol_factors
+        z = rng.standard_normal((count, chols.shape[0], chols.shape[1]))
+        # one GEMM per action, written in place: feature_source's truncation views
+        # and the reshape(-1, d) of the fits need a C-contiguous (count, |A|, d) array
+        feats = np.empty_like(z)
+        for a, chol in enumerate(chols):
+            np.matmul(z[:, a], chol.T, out=feats[:, a])
         return StateBatch(features=feats)
 
 

@@ -29,7 +29,7 @@ from .env import (
     sample_states,
 )
 from .features import ModelClass, design_matrix, realizable_family, truncation_family
-from .hard_instance import ALGORITHMS, RatioResult, ratio_experiment
+from .hard_instance import ALGORITHMS, HOLDOUT_SPLIT, RatioResult, ratio_experiment
 from .learner import (
     MAX_DELTA,
     GreedyPolicy,
@@ -39,7 +39,12 @@ from .learner import (
     fit_pessimistic,
 )
 from .linalg import ridge_fit
-from .selection import complexity_coverage_policy, holdout_select, slope_policy_select
+from .selection import (
+    complexity_coverage_policy,
+    holdout_select,
+    holdout_split_sizes,
+    slope_policy_select,
+)
 from .diagnostics import regret_estimate
 
 
@@ -185,6 +190,26 @@ def _validate(c: ExperimentConfig):
     for algo in c.lower_bound.algorithms:
         if algo not in ALGORITHMS:
             raise ConfigError(f"unknown lower_bound algorithm {algo!r}")
+    # a repeated entry would write rows with the same key twice
+    for key, values in (
+        ("n_grid", c.n_grid),
+        ("cc.hidden_dims", c.cc.hidden_dims),
+        ("lower_bound.n1", c.lower_bound.n1),
+        ("lower_bound.algorithms", c.lower_bound.algorithms),
+    ):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{key} has duplicate entries")
+    # hold-out must leave rows on both sides of its split at every sample size
+    splits = []
+    if c.experiment == "ac":
+        splits = [(n, c.ac.holdout_split) for n in c.n_grid]
+    elif c.experiment == "lower_bound" and "holdout" in c.lower_bound.algorithms:
+        splits = [(n1 + c.lower_bound.n2, HOLDOUT_SPLIT) for n1 in c.lower_bound.n1]
+    for n, split in splits:
+        try:
+            holdout_split_sizes(n, split)
+        except ValueError as exc:
+            raise ConfigError(f"hold-out at n = {n}, split {split}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -378,14 +403,17 @@ def _mapper(threads: int):
 
 
 def _run_cells(build_trial, cell_fn, config: ExperimentConfig, threads: int, audit: bool):
-    """Build each trial's context once, then run its n-cells, through a
-    thread pool when threads > 1.  Every seed is derived from (seed, purpose,
-    trial), so the rows do not depend on the schedule."""
+    """Build each trial's context once, then run its n-cells, largest n first
+    so that a pool's threads finish together, through a thread pool when
+    threads > 1.  Every seed is derived from (seed, purpose, trial), and rows
+    and reports are sorted afterwards, so the output does not depend on the
+    schedule."""
     outputs = []
+    n_order = sorted(config.n_grid, reverse=True)
     with _mapper(threads) as mapper:
         for t in range(config.trials):
             cell = functools.partial(cell_fn, config, build_trial(config, t), trial=t, audit=audit)
-            outputs.extend(mapper(cell, config.n_grid))
+            outputs.extend(mapper(cell, n_order))
     rows = [row for out, _ in outputs for row in out]
     reports = [rep for _, out in outputs for rep in out]
     rows.sort(key=lambda r: (r.n, r.method, r.trial))

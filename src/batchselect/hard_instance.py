@@ -22,6 +22,8 @@ from .linalg import ridge_fit
 from .selection import complexity_coverage_policy, holdout_select, slope_policy_select
 
 THETA_TOL = 1e-10
+# Fraction of the hard pair's rows that hold-out fits on.
+HOLDOUT_SPLIT = 0.8
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def _slope_policy(dataset, classes, delta, lam, penalty_scale, seed) -> Policy:
 
 
 def _holdout_policy(dataset, classes, delta, lam, penalty_scale, seed) -> Policy:
-    return holdout_select(dataset, classes, 0.8, lam, seed)[0]
+    return holdout_select(dataset, classes, HOLDOUT_SPLIT, lam, seed)[0]
 
 
 ALGORITHMS = {

@@ -197,6 +197,18 @@ def slope_policy_select(
     return policies[chosen_l], report
 
 
+def holdout_split_sizes(n: int, split_fraction: float) -> tuple[int, int]:
+    """(fit, held-out) row counts of hold-out's split of n rows.  Raises
+    ValueError when either side would be empty."""
+    if not (0 < split_fraction < 1):
+        raise ValueError("split_fraction must lie in (0, 1)")
+    n_in = math.ceil(split_fraction * n)
+    n_out = n - n_in
+    if n_in < 1 or n_out < 1:
+        raise ValueError("degenerate hold-out split")
+    return n_in, n_out
+
+
 def holdout_select(
     dataset: Dataset,
     classes: list[ModelClass],
@@ -210,13 +222,8 @@ def holdout_select(
     the held-out rows; losses within a relative HOLDOUT_TIE_RTOL of the
     minimum tie, and ties break to the lowest class index.
     """
-    if not (0 < split_fraction < 1):
-        raise ValueError("split_fraction must lie in (0, 1)")
     n = dataset.n
-    n_in = math.ceil(split_fraction * n)
-    n_out = n - n_in
-    if n_in < 1 or n_out < 1:
-        raise ValueError("degenerate hold-out split")
+    n_in, n_out = holdout_split_sizes(n, split_fraction)
     perm = rng_stream(rng_seed, "holdout-split").permutation(n)
     rows_in, rows_out = perm[:n_in], perm[n_in:]
     rewards_in, rewards_out = dataset.rewards[rows_in], dataset.rewards[rows_out]

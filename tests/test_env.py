@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from batchselect.env import (
+    BanditInstance,
     BehaviorPolicy,
     Dataset,
+    GaussianModel,
     InfiniteCoverageError,
     StateBatch,
     concentrability,
@@ -128,6 +131,36 @@ class TestSampleStates:
     def test_deterministic(self):
         inst = make_tabular_instance(6, 2, 0)
         assert np.array_equal(sample_states(inst, 50, 3).indices, sample_states(inst, 50, 3).indices)
+
+
+class TestGaussianStateSampler:
+    """The per-action GEMM sampler against the einsum reference it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        actions=st.integers(1, 12),
+        d=st.integers(1, 100),
+        count=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(actions=10, d=100, count=1, seed=0)
+    @example(actions=1, d=1, count=1, seed=1)
+    def test_matches_einsum_reference(self, actions, d, count, seed):
+        factor_rng = np.random.default_rng(seed)
+        chols = np.tril(factor_rng.standard_normal((actions, d, d)))
+        instance = BanditInstance(actions, GaussianModel(chols, np.zeros(d), 1))
+
+        rng, reference_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        feats = instance.sample_state_batch(count, rng).features
+        z = reference_rng.standard_normal((count, actions, d))
+        reference = np.einsum("adk,mak->mad", chols, z)
+        scale = np.einsum("adk,mak->mad", np.abs(chols), np.abs(z))
+
+        assert feats.shape == (count, actions, d)
+        assert feats.flags.c_contiguous
+        assert np.all(np.abs(feats - reference) <= 1e-12 * scale)
+        # the draw consumes exactly one (count, |A|, d) normal block
+        assert np.array_equal(rng.standard_normal(4), reference_rng.standard_normal(4))
 
 
 class TestConcentrability:

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import batchselect.experiments as experiments
 import batchselect.learner as learner_module
 from batchselect.cli import main
+from batchselect.env import BanditInstance, StateBatch
 from batchselect.hard_instance import ratio_results_to_csv
 from batchselect.learner import fit_pessimistic
 from batchselect.experiments import (
@@ -64,6 +65,11 @@ class TestParseConfig:
     def test_bad_split(self):
         with pytest.raises(ConfigError):
             parse_config({"experiment": "ac", "ac": {"holdout_split": 1.0}})
+
+    def test_split_check_only_when_holdout_runs(self):
+        # two rows leave hold-out nothing to hold out, but cc and SLOPE run
+        lb = {"n1": [1], "n2": 1, "algorithms": ["cc", "slope"]}
+        assert parse_config({"experiment": "lower_bound", "lower_bound": lb}).lower_bound.n1 == (1,)
 
     def test_non_ascending_dims(self):
         with pytest.raises(ConfigError):
@@ -145,7 +151,10 @@ class TestRunLowerBound:
 
 # sha256 of results.csv for the acceptance-8 configs at threads=1, computed
 # before the per-trial context and the table-gather path existed.  A change
-# here is a change of output bits and needs equivalence evidence.
+# here is a change of output bits and needs equivalence evidence.  The ac
+# hash was re-pinned (from 157f4ebd...) when Gaussian states moved from one
+# einsum to one GEMM per action; test_ac_matches_the_einsum_sampler holds the
+# evidence.
 GOLDEN = {
     "cc": (
         {"experiment": "cc", "trials": 2, "n_grid": [100, 250], "seed": 3},
@@ -157,7 +166,7 @@ GOLDEN = {
         {"experiment": "ac", "trials": 2, "n_grid": [150], "seed": 3},
         run_ac,
         results_to_csv,
-        "157f4ebd2a50343155ad7d20d95f468024eea10975c0e35d42ff659a7a17a60f",
+        "ff610c4701b17e3d51555599396b5c237faf1fe6939367591bc3a8ab5d2af2bf",
     ),
     "lower_bound": (
         {
@@ -191,6 +200,41 @@ def test_golden_results_hash(study):
     doc, runner, serialize, expected = GOLDEN[study]
     text = serialize(runner(parse_config(doc), threads=1)[0])
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def _einsum_state_batch(self, count, rng):
+    """The Gaussian state sampler as it was before the per-action GEMM."""
+    chols = self.model.chol_factors
+    z = rng.standard_normal((count, chols.shape[0], chols.shape[1]))
+    return StateBatch(features=np.einsum("adk,mak->mad", chols, z))
+
+
+def test_ac_matches_the_einsum_sampler(monkeypatch):
+    # The GEMM sampler moves only the last bits of each feature: every
+    # regret stays within 1e-12 relative and every selection is the same.
+    config = parse_config(GOLDEN["ac"][0])
+    rows, reports = run_ac(config, audit=True)
+    monkeypatch.setattr(BanditInstance, "sample_state_batch", _einsum_state_batch)
+    ref_rows, ref_reports = run_ac(config, audit=True)
+    assert [(r.n, r.method, r.trial) for r in rows] == [
+        (r.n, r.method, r.trial) for r in ref_rows
+    ]
+    for row, ref in zip(rows, ref_rows):
+        assert row.regret == pytest.approx(ref.regret, rel=1e-12, abs=0)
+    assert [r["report"]["chosen"] for r in reports] == [r["report"]["chosen"] for r in ref_reports]
+
+
+def test_cells_run_largest_n_first(monkeypatch):
+    seen = []
+    cell = experiments._cc_cell
+
+    def recording_cell(config, ctx, n, **kwargs):
+        seen.append(n)
+        return cell(config, ctx, n, **kwargs)
+
+    monkeypatch.setattr(experiments, "_cc_cell", recording_cell)
+    run_cc(parse_config(SMALL_CC), threads=1)
+    assert seen == [80, 60, 40] * 2
 
 
 def _count_calls(monkeypatch, module, name):
@@ -423,12 +467,42 @@ class TestCli:
         ids=["float_trials", "float_n", "nan_lambda", "string_delta", "infinite_scale", "bool_trials"],
     )
     def test_badly_typed_value_is_a_config_error(self, tmp_path, override):
+        self._refused(tmp_path, {"experiment": "cc", "trials": 1, "n_grid": [100], **override})
+
+    def _refused(self, tmp_path, doc) -> str:
+        """Run `doc` through the CLI, expect a config error, return its output."""
         cfg = tmp_path / "bad.json"
-        self._write_config(cfg, {"experiment": "cc", "trials": 1, "n_grid": [100], **override})
+        self._write_config(cfg, doc)
         result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert "config error" in result.output
         assert not (tmp_path / "o").exists()
+        return result.output
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"experiment": "cc", "n_grid": [50, 50]},
+            {"experiment": "cc", "cc": {"hidden_dims": [2, 2]}},
+            {"experiment": "lower_bound", "lower_bound": {"n1": [16, 16]}},
+            {"experiment": "lower_bound", "lower_bound": {"algorithms": ["cc", "cc"]}},
+        ],
+        ids=["n_grid", "hidden_dims", "n1", "algorithms"],
+    )
+    def test_duplicate_entry_is_a_config_error(self, tmp_path, doc):
+        assert "duplicate" in self._refused(tmp_path, {"trials": 1, **doc})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"experiment": "ac", "n_grid": [1]},
+            {"experiment": "ac", "n_grid": [3], "ac": {"holdout_split": 0.9}},
+            {"experiment": "lower_bound", "lower_bound": {"n1": [1], "n2": 1}},
+        ],
+        ids=["ac_one_row", "ac_wide_split", "lower_bound_two_rows"],
+    )
+    def test_degenerate_holdout_split_is_a_config_error(self, tmp_path, doc):
+        assert "degenerate hold-out split" in self._refused(tmp_path, {"trials": 1, **doc})
 
     def test_invalid_json_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"
