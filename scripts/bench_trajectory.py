@@ -9,12 +9,14 @@ DIR is a checkout of one commit (for example `git archive SHA | tar -x -C DIR`).
 `perfbench/run.py --trace 0` on every workload, pair i with seed SEED + i on
 both sides, each run as long as BENCHMARK.json's `run_seconds`; then one
 `--trace 1` run per workload and side, the in-process
-`run_cc`/`run_ac` times at threads 1 and 2, and the tier-1 suite.  Each
-result is appended to the log as one JSON line, so an interrupted run loses
-nothing.  `summarize` reshapes the log into one file per side: per-workload
+`run_cc`/`run_ac`/`run_lower_bound` times at threads 1 and 2, and the tier-1
+suite.  Each result is appended to the log as one JSON line, so an
+interrupted run loses nothing.  `summarize` reshapes the log into one file per side: per-workload
 medians and quartiles with the pair count, the change's wins over the parent,
-the results.csv sha256s by seed, the traced layer shares, the tier-1 wall
-time with its four slowest tests, and the thread timings.
+the results.csv sha256s by seed, the traced run's verdict, exit code and layer
+shares, the tier-1 wall time with its four slowest tests, and the thread
+timings.  `summarize` exits 1, after writing both files, when any perfbench
+run was not correct, naming its workload, side and seed.
 """
 from __future__ import annotations
 
@@ -36,11 +38,16 @@ INPROCESS_REPEATS = 6
 RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())[
     "run_seconds"]
 
+# argv: the thread counts in order ("12" or "21"), then the checkout's
+# perfbench/ directory, whose lower_bound workload is the benchmark's config.
 INPROCESS = """
 import json, sys, time
-from batchselect.experiments import parse_config, run_ac, run_cc
+sys.path.insert(0, sys.argv[2])
+from run import WORKLOADS
+from batchselect.experiments import parse_config, run_ac, run_cc, run_lower_bound
 studies = {"run_cc": (run_cc, {"experiment": "cc", "trials": 4}),
-           "run_ac": (run_ac, {"experiment": "ac", "trials": 1})}
+           "run_ac": (run_ac, {"experiment": "ac", "trials": 1}),
+           "run_lower_bound": (run_lower_bound, WORKLOADS["lower_bound"])}
 run_cc(parse_config({"experiment": "cc", "trials": 1, "n_grid": [100]}))  # warm-up
 out = {}
 for name, (runner, doc) in studies.items():
@@ -77,7 +84,8 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def inprocess(checkout: Path, order: str) -> dict:
-    out = subprocess.run([sys.executable, "-c", INPROCESS, order], env=_child_env(checkout),
+    argv = [sys.executable, "-B", "-c", INPROCESS, order, str(checkout / "perfbench")]
+    out = subprocess.run(argv, env=_child_env(checkout),
                          capture_output=True, text=True, timeout=600, check=True)
     return json.loads(out.stdout)
 
@@ -165,6 +173,8 @@ def summarize(args):
             trace = [r for r in mine if r["kind"] == "trace1" and r["workload"] == workload]
             if trace:
                 m = trace[-1]["metrics"]
+                entry["trace_correct"] = trace[-1]["correct"]
+                entry["trace_exit_code"] = trace[-1]["exit_code"]
                 entry["trace"] = {k: v for k, v in sorted(m.items())
                                   if k.startswith("trace.") or (k.endswith(".self_pct") and v)
                                   or (k.endswith(".calls") and v)}
@@ -175,7 +185,7 @@ def summarize(args):
                 for k, v in r["times"].items():
                     times.setdefault(k, []).append(v)
         doc["inprocess_threads"] = {k: _spread(v) for k, v in sorted(times.items())}
-        for study in ("run_cc", "run_ac"):
+        for study in ("run_cc", "run_ac", "run_lower_bound"):
             t1, t2 = times.get(f"{study}.threads1"), times.get(f"{study}.threads2")
             if t1 and t2:
                 doc["inprocess_threads"][f"{study}.speedup_threads2"] = (
@@ -186,6 +196,11 @@ def summarize(args):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")
+    failed = [r for r in records if r["kind"] in ("trace0", "trace1") and not r.get("correct")]
+    for r in failed:
+        print(f"{r['kind']} run not correct: workload {r['workload']}, side {r['side']}, "
+              f"seed {r['seed']}, exit code {r['exit_code']}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv=None):
@@ -203,9 +218,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.command == "run":
         run(args)
-    else:
-        summarize(args)
+        return 0
+    return summarize(args)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -95,9 +95,11 @@ def design_matrix(model_class: ModelClass, states: StateBatch, actions: np.ndarr
         raise ValueError("design_matrix needs one action per state")
     if actions.size and (actions.min() < 0 or actions.max() >= n_act):
         raise ValueError(f"action out of range for {n_act} actions")
-    # pairing state i with action i needs explicit rows, also for the identity
-    state_rows = np.arange(len(states)) if isinstance(rows, slice) else rows
-    return source[state_rows, actions]
+    if isinstance(rows, slice):  # pairing state i with action i needs explicit rows
+        return source[np.arange(len(states)), actions]
+    # one gather from the flattened (|X| * |A|, d_k) table copies the same
+    # rows as source[rows, actions], faster than two-index fancy indexing
+    return np.take(source.reshape(-1, model_class.dim), rows * n_act + actions, axis=0)
 
 
 def realizable_family(

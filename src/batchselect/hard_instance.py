@@ -17,8 +17,8 @@ import numpy as np
 from .env import BanditInstance, Dataset, StateBatch, TabularModel, derive_seed, rng_stream
 from .features import ModelClass, TabularMap, check_nested, design_matrix
 from .diagnostics import fixed_design_theta_star
-from .learner import Policy, fit_pessimistic
-from .linalg import ridge_fit
+from .learner import PessimisticLearner, Policy, beta_coefficient
+from .linalg import ridge_covariance, ridge_fit
 from .selection import complexity_coverage_policy, holdout_select, slope_policy_select
 
 THETA_TOL = 1e-10
@@ -92,24 +92,31 @@ def oracle_denominator(pair: HardInstancePair, which_instance: int) -> float:
     return min(terms)
 
 
-def _cc_policy(dataset, classes, delta, lam, penalty_scale, seed) -> Policy:
+# Each adapter maps one trial's dataset to a policy.  For the algorithms in
+# FIXED_DESIGN, `designs` holds each class's (design, ridge covariance) on the
+# fixed covariates, built once per `ratio_experiment` call, so a trial's fits
+# read only its rewards; for the others it is None.
+def _cc_policy(dataset, classes, delta, lam, penalty_scale, seed, designs) -> Policy:
     learners = [
-        fit_pessimistic(dataset, mc, lam, delta / len(classes), penalty_scale)
-        for mc in classes
+        PessimisticLearner(
+            ridge_fit(phi, dataset.rewards, lam, cov),
+            beta_coefficient(dataset.n, mc.dim, lam, delta / len(classes)),
+            penalty_scale,
+        )
+        for mc, (phi, cov) in zip(classes, designs)
     ]
     return complexity_coverage_policy(learners, classes, delta)[0]
 
 
-def _slope_policy(dataset, classes, delta, lam, penalty_scale, seed) -> Policy:
+def _slope_policy(dataset, classes, delta, lam, penalty_scale, seed, designs) -> Policy:
     fits = [
-        (ridge_fit(design_matrix(mc, dataset.states, dataset.actions), dataset.rewards, lam), mc)
-        for mc in classes
+        (ridge_fit(phi, dataset.rewards, lam, cov), mc) for mc, (phi, cov) in zip(classes, designs)
     ]
     states = StateBatch(indices=[0])
     return slope_policy_select(fits, states, delta, penalty_scale)[0]
 
 
-def _holdout_policy(dataset, classes, delta, lam, penalty_scale, seed) -> Policy:
+def _holdout_policy(dataset, classes, delta, lam, penalty_scale, seed, designs) -> Policy:
     return holdout_select(dataset, classes, HOLDOUT_SPLIT, lam, seed)[0]
 
 
@@ -118,6 +125,8 @@ ALGORITHMS = {
     "slope": _slope_policy,
     "holdout": _holdout_policy,
 }
+# Hold-out fits a fresh random split in each trial, so it gets no designs.
+FIXED_DESIGN = frozenset({"cc", "slope"})
 
 
 @dataclass(frozen=True)
@@ -156,8 +165,9 @@ def ratio_experiment(
 ) -> RatioResult:
     """Mean regret of one algorithm on both instances over seeded reward draws.
 
-    Covariates stay fixed; only rewards are resampled per trial.  The ratio
-    divides the worse of the two mean regrets by the larger closed-form
+    Covariates stay fixed; only rewards are resampled per trial, so the
+    algorithms in FIXED_DESIGN fit against designs built once per call.  The
+    ratio divides the worse of the two mean regrets by the larger closed-form
     denominator.
     """
     if trials < 1:
@@ -169,16 +179,23 @@ def ratio_experiment(
     actions = pair.fixed_actions()
     states = StateBatch(indices=np.zeros(pair.n, dtype=int))
     single = StateBatch(indices=[0])
+    designs = None
+    if algorithm in FIXED_DESIGN:
+        phis = [design_matrix(mc, states, actions) for mc in pair.classes]
+        designs = [(phi, ridge_covariance(phi, lam)) for phi in phis]
     mean_regrets, se_regrets = [], []
     for i, inst in enumerate(pair.instances):
         means = inst.model.means[0][actions]
         best = inst.model.means[0].max()
         regrets = np.empty(trials)
         for t in range(trials):
-            noise = rng_stream(rng_seed, f"lb-rewards-nu{i + 1}", t).standard_normal(pair.n)
-            dataset = Dataset(states, actions, means + noise, true_means=means)
+            rewards = rng_stream(rng_seed, f"lb-rewards-nu{i + 1}", t).standard_normal(pair.n)
+            rewards += means  # in place; IEEE addition commutes, so equal to means + noise
+            dataset = Dataset(states, actions, rewards, true_means=means)
             trial_seed = derive_seed(rng_seed, f"lb-algo-nu{i + 1}", t)
-            policy = run(dataset, list(pair.classes), delta, lam, penalty_scale, trial_seed)
+            policy = run(
+                dataset, list(pair.classes), delta, lam, penalty_scale, trial_seed, designs
+            )
             act = int(policy.actions(single)[0])
             regrets[t] = best - inst.model.means[0][act]
         mean_regrets.append(float(regrets.mean()))

@@ -127,28 +127,59 @@ class RidgeFit:
         self.dim = cov.dim
 
 
-def ridge_fit(features: np.ndarray, rewards: np.ndarray, lam: float) -> RidgeFit:
-    """Fit V = (lam/n)I + (1/n) Phi^T Phi and theta_hat = V^{-1}(1/n) Phi^T y.
-
-    Solved through the cached inverse Cholesky factor of V; raises
-    SingularMatrixError when lam = 0 and the Gram matrix is rank deficient.
-    """
+def _checked_design(features: np.ndarray, lam: float) -> np.ndarray:
     features = np.asarray(features, dtype=float)
-    rewards = np.asarray(rewards, dtype=float)
     if features.ndim != 2:
         raise ValueError("features must be an n x d matrix")
-    n, d = features.shape
-    if n < 1:
+    if features.shape[0] < 1:
         raise ValueError("need at least one sample")
-    if rewards.shape != (n,):
-        raise ValueError("rewards length must match feature rows")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if not (np.all(np.isfinite(features)) and np.all(np.isfinite(rewards))):
+    if not np.all(np.isfinite(features)):
         raise ValueError("non-finite values in ridge inputs")
+    return features
+
+
+def _covariance(features: np.ndarray, lam: float) -> CovarianceMatrix:
+    n, d = features.shape
     gram = features.T @ features / n
-    entries = gram + (lam / n) * np.eye(d)
-    cov = CovarianceMatrix(entries, ridge_floor=lam / n)
+    return CovarianceMatrix(gram + (lam / n) * np.eye(d), ridge_floor=lam / n)
+
+
+def ridge_covariance(features: np.ndarray, lam: float) -> CovarianceMatrix:
+    """V = (lam/n)I + (1/n) Phi^T Phi of an n x d design, as `ridge_fit` builds it.
+
+    A design fit against many reward vectors needs V once: pass it to
+    `ridge_fit` as `cov`.
+    """
+    return _covariance(_checked_design(features, lam), lam)
+
+
+def ridge_fit(
+    features: np.ndarray, rewards: np.ndarray, lam: float, cov: CovarianceMatrix | None = None
+) -> RidgeFit:
+    """Fit V = (lam/n)I + (1/n) Phi^T Phi and theta_hat = V^{-1}(1/n) Phi^T y.
+
+    `cov`, if given, is `ridge_covariance(features, lam)` built beforehand
+    and is used in place of V; a `cov` of another width or ridge floor
+    raises ValueError.  Solved through the cached inverse Cholesky factor
+    of V; raises SingularMatrixError when lam = 0 and the Gram matrix is
+    rank deficient.
+    """
+    features = _checked_design(features, lam)
+    rewards = np.asarray(rewards, dtype=float)
+    n, d = features.shape
+    if rewards.shape != (n,):
+        raise ValueError("rewards length must match feature rows")
+    if not np.all(np.isfinite(rewards)):
+        raise ValueError("non-finite values in ridge inputs")
+    if cov is None:
+        cov = _covariance(features, lam)
+    elif cov.dim != d or cov.ridge_floor != lam / n:
+        raise ValueError(
+            f"cov of dim {cov.dim} and ridge floor {cov.ridge_floor!r} does not match "
+            f"a {n} x {d} design at lambda {lam!r}"
+        )
     target = features.T @ rewards / n
     theta = cov.solve(target)
     residual = np.linalg.norm(cov.entries @ theta - target)

@@ -260,3 +260,25 @@ def test_pessimistic_values_match_row_wise_formula(n_actions, scale, data):
             ref[i, a] = row @ learner.fit.theta_hat - scale * 0.7 * width
     tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 4)),
+    n=st.integers(0, 50),
+    prefix=st.booleans(),
+)
+def test_tabular_design_matches_two_index_gather(seed, shape, n, prefix):
+    # design_matrix gathers from the flattened table; the reference indexes
+    # (state, action) pairs directly.  `prefix` reads a non-contiguous view,
+    # as nested tabular classes do.
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((*shape[:2], shape[2] + 1))
+    table = table[:, :, : shape[2]] if prefix else table[:, :, 1:].copy()
+    states = StateBatch(indices=rng.integers(0, shape[0], size=n))
+    actions = rng.integers(0, shape[1], size=n)
+    got = design_matrix(ModelClass(shape[2], TabularMap(table)), states, actions)
+    want = table[states.indices, actions]
+    assert got.shape == want.shape == (n, shape[2])
+    assert got.tobytes() == want.tobytes()

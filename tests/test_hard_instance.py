@@ -1,17 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from batchselect import features, hard_instance, learner, linalg, selection
 from batchselect.env import StateBatch
-from batchselect.features import check_nested
+from batchselect.features import check_nested, design_matrix
 from batchselect.hard_instance import (
     ALGORITHMS,
+    HOLDOUT_SPLIT,
     build_hard_pair,
     oracle_denominator,
     ratio_experiment,
     ratio_results_to_csv,
 )
+from batchselect.learner import fit_pessimistic
+from batchselect.linalg import ridge_fit
+from batchselect.selection import complexity_coverage_policy, holdout_select, slope_policy_select
 from policies import FixedPolicy
 
 
@@ -113,3 +119,76 @@ def test_ratio_csv_schema():
     assert lines[0] == "algorithm,n1,n2,trials,mean_regret_nu1,mean_regret_nu2,denominator,ratio"
     assert len(lines) == 2
     assert lines[1].startswith("cc,8,8,3,")
+
+
+# The per-trial adapters that rebuild every design and covariance from the
+# trial's dataset: the reference for the fixed-design cells.
+def _per_trial_cc(dataset, classes, delta, lam, penalty_scale, seed):
+    learners = [
+        fit_pessimistic(dataset, mc, lam, delta / len(classes), penalty_scale) for mc in classes
+    ]
+    return complexity_coverage_policy(learners, classes, delta)[0]
+
+
+def _per_trial_slope(dataset, classes, delta, lam, penalty_scale, seed):
+    fits = [
+        (ridge_fit(design_matrix(mc, dataset.states, dataset.actions), dataset.rewards, lam), mc)
+        for mc in classes
+    ]
+    return slope_policy_select(fits, StateBatch(indices=[0]), delta, penalty_scale)[0]
+
+
+def _per_trial_holdout(dataset, classes, delta, lam, penalty_scale, seed):
+    return holdout_select(dataset, classes, HOLDOUT_SPLIT, lam, seed)[0]
+
+
+PER_TRIAL = {"cc": _per_trial_cc, "slope": _per_trial_slope, "holdout": _per_trial_holdout}
+
+
+@pytest.mark.parametrize("algorithm", sorted(PER_TRIAL))
+@pytest.mark.parametrize("n1, n2", [(16, 16), (1024, 16)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fixed_design_cells_equal_per_trial_fits(monkeypatch, algorithm, n1, n2, seed):
+    reference = PER_TRIAL[algorithm]
+    monkeypatch.setitem(ALGORITHMS, "per_trial", lambda *args: reference(*args[:6]))
+    kwargs = dict(trials=5, rng_seed=seed, penalty_scale=0.5)
+    want = ratio_experiment("per_trial", n1, n2, **kwargs)
+    got = ratio_experiment(algorithm, n1, n2, **kwargs)
+    assert got == dataclasses.replace(want, algorithm=algorithm)
+
+
+def _count_builds(monkeypatch):
+    """Count CovarianceMatrix constructions and design_matrix calls at every alias."""
+    counts = {"cov": 0, "design": 0, "design_in_hard_instance": 0}
+    init = linalg.CovarianceMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["cov"] += 1
+        init(self, *args, **kwargs)
+
+    def counting(key):
+        def design(*args, **kwargs):
+            counts[key] += 1
+            return features.design_matrix(*args, **kwargs)
+
+        return design
+
+    monkeypatch.setattr(linalg.CovarianceMatrix, "__init__", counting_init)
+    for module in (learner, selection):
+        monkeypatch.setattr(module, "design_matrix", counting("design"))
+    monkeypatch.setattr(hard_instance, "design_matrix", counting("design_in_hard_instance"))
+    return counts
+
+
+@pytest.mark.parametrize("algorithm", ["cc", "slope"])
+def test_fixed_design_cell_builds_each_class_once(monkeypatch, algorithm):
+    # 5 trials on each of 2 instances, 2 classes: 20 builds if rebuilt per trial
+    counts = _count_builds(monkeypatch)
+    ratio_experiment(algorithm, 64, 16, trials=5, rng_seed=0)
+    assert counts == {"cov": 2, "design": 0, "design_in_hard_instance": 2}
+
+
+def test_holdout_cell_builds_no_design_up_front(monkeypatch):
+    counts = _count_builds(monkeypatch)
+    ratio_experiment("holdout", 64, 16, trials=5, rng_seed=0)
+    assert counts == {"cov": 20, "design": 20, "design_in_hard_instance": 0}

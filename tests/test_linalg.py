@@ -7,6 +7,7 @@ from batchselect.linalg import (
     SingularMatrixError,
     inv_quad_norms,
     inv_sqrt_spectral_norm,
+    ridge_covariance,
     ridge_fit,
 )
 
@@ -282,3 +283,65 @@ class TestLazyEigenBounds:
     def test_floor_error_names_the_smallest_eigenvalue(self):
         with pytest.raises(ValueError, match="smallest eigenvalue 1.000e-01 below ridge floor"):
             CovarianceMatrix(np.diag([1.0, 0.1]), ridge_floor=0.2)
+
+
+def _assert_same_fit(phi, y, lam):
+    """A fit on a covariance built beforehand equals the fit that builds its own."""
+    cov = ridge_covariance(phi, lam)
+    given_cov, own_cov = ridge_fit(phi, y, lam, cov), ridge_fit(phi, y, lam)
+    assert given_cov.cov is cov
+    assert given_cov.theta_hat.tobytes() == own_cov.theta_hat.tobytes()
+    assert cov.entries.tobytes() == own_cov.cov.entries.tobytes()
+    assert cov.inv_chol().tobytes() == own_cov.cov.inv_chol().tobytes()
+    assert (given_cov.n, given_cov.lam, given_cov.dim) == (own_cov.n, own_cov.lam, own_cov.dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    d=st.integers(1, 12),
+    lam=st.floats(0.01, 10.0),
+    one_hot=st.booleans(),
+)
+def test_fit_on_a_given_covariance_is_bit_identical(seed, n, d, lam, one_hot):
+    rng = np.random.default_rng(seed)
+    if one_hot:  # 0/1 rows, as tabular classes and the hard pair build them
+        phi = np.eye(d)[rng.integers(0, d, size=n)]
+    else:
+        phi = rng.standard_normal((n, d)) * rng.uniform(0.2, 2.0, size=d)
+    y = rng.standard_normal(n)
+    _assert_same_fit(phi, y, lam)
+    cov = ridge_covariance(phi, lam)
+    wider = np.hstack([phi, rng.standard_normal((n, 1))])
+    for other in (
+        ridge_covariance(wider, lam),  # another width
+        ridge_covariance(phi, 2.0 * lam),  # another lambda
+        ridge_covariance(np.vstack([phi, phi[:1]]), lam),  # another n
+    ):
+        with pytest.raises(ValueError, match="does not match"):
+            ridge_fit(phi, y, lam, other)
+    with pytest.raises(ValueError, match="does not match"):
+        ridge_fit(wider, y, lam, cov)
+
+
+def test_fit_on_a_given_covariance_at_hard_pair_scale():
+    # the lower-bound study's largest design: 65,536 rows of arm 0, 16 of arm 1
+    phi = np.eye(2)[np.repeat([0, 1], [65536, 16])]
+    y = np.random.default_rng(11).standard_normal(len(phi))
+    _assert_same_fit(phi, y, 1.0)
+    _assert_same_fit(phi[:, :1], y, 1.0)
+
+
+def test_ridge_covariance_checks_its_design():
+    with pytest.raises(ValueError):
+        ridge_covariance(np.ones(3), 1.0)
+    with pytest.raises(ValueError):
+        ridge_covariance(np.ones((0, 2)), 1.0)
+    with pytest.raises(ValueError):
+        ridge_covariance(np.ones((3, 2)), -1.0)
+    with pytest.raises(ValueError):
+        ridge_covariance(np.array([[np.inf]]), 1.0)
+    cov = ridge_covariance(np.ones((4, 1)), 1.0)
+    with pytest.raises(ValueError):  # a given covariance does not excuse bad rewards
+        ridge_fit(np.ones((4, 1)), np.array([1.0, np.nan, 0.0, 0.0]), 1.0, cov)
