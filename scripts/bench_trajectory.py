@@ -11,12 +11,12 @@ both sides, each run as long as BENCHMARK.json's `run_seconds`; then one
 `--trace 1` run per workload and side, the in-process
 `run_cc`/`run_ac`/`run_lower_bound` times at threads 1 and 2, and the tier-1
 suite.  Each result is appended to the log as one JSON line, so an
-interrupted run loses nothing.  `summarize` reshapes the log into one file per side: per-workload
-medians and quartiles with the pair count, the change's wins over the parent,
-the results.csv sha256s by seed, the traced run's verdict, exit code and layer
-shares, the tier-1 wall time with its four slowest tests, and the thread
-timings.  `summarize` exits 1, after writing both files, when any perfbench
-run was not correct, naming its workload, side and seed.
+interrupted run loses nothing.  `summarize` reshapes the log into one file
+per side: per-workload medians and quartiles with the pair count, the
+change's wins over the parent, the results.csv sha256s by seed, the traced
+run's verdict, exit code and layer shares, the tier-1 wall time with its four
+slowest tests, and the thread timings.  It exits 1, after writing both files,
+when any perfbench run was not correct, naming its workload, side and seed.
 """
 from __future__ import annotations
 
