@@ -2,7 +2,7 @@
 
 Core surface: pessimistic single-class learning (`learner`), the three
 selection methods (`selection`), synthetic environments (`env`, `features`),
-ground-truth diagnostics (`diagnostics`), the minimax hard pair
+regret against the true means (`diagnostics`), the minimax hard pair
 (`hard_instance`), and the experiment harness (`experiments`, `cli`).
 """
 

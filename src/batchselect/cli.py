@@ -8,7 +8,6 @@ import sys
 
 import click
 
-from .diagnostics import IllPosedPopulationError
 from .experiments import (
     ConfigError,
     aggregate_to_csv,
@@ -54,7 +53,7 @@ def run(config_path, out_dir, seed, threads, audit):
 
     try:
         results, reports = RUNNERS[config.experiment](config, threads=threads, audit=audit)
-    except (SingularMatrixError, IllPosedPopulationError, ArithmeticError) as exc:
+    except (SingularMatrixError, ArithmeticError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL_ERROR)
 

@@ -211,10 +211,3 @@ def sample_dataset(
     rewards = means + instance.noise_scale * noise_rng.standard_normal(n)
     return Dataset(states, actions, rewards, true_means=means)
 
-
-def concentrability(mu: BehaviorPolicy) -> float:
-    """Worst-case density ratio sup pi(a|x)/mu(a|x) = 1 / min_a mu(a)."""
-    probs = mu.action_probs
-    if np.any(probs <= 0):
-        raise InfiniteCoverageError("behavior policy has a zero-probability action")
-    return float(1.0 / probs.min())

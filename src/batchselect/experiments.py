@@ -318,7 +318,8 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     return rows, reports
 
 
-# The (get, set) thread-count symbols an OpenBLAS build may export.
+# The (get, set) thread-count symbols an OpenBLAS build may export.  numpy's
+# wheels bundle the scipy-openblas build, whose symbols carry that prefix.
 _OPENBLAS_SYMBOLS = [
     (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
     for prefix in ("openblas_", "scipy_openblas_")

@@ -8,6 +8,8 @@ import numpy as np
 from .env import BanditInstance, StateBatch, rng_stream
 
 REALIZABILITY_TOL = 1e-8
+# Feature-map nestedness is checked on this many (state, action) pairs.
+NESTED_PROBE_COUNT = 256
 
 
 class RepresentationMismatchError(TypeError):
@@ -148,11 +150,11 @@ def truncation_family(ambient_dim: int, dims) -> list[ModelClass]:
     return [ModelClass(d, TruncationMap(ambient_dim)) for d in dims]
 
 
-def check_nested(classes, probe_states: StateBatch | None = None, probe_count: int = 256) -> bool:
+def check_nested(classes, probe_states: StateBatch | None = None) -> bool:
     """True iff each phi_{k+1} extends phi_k coordinate-wise.
 
     Tabular maps are compared over all (state, action) pairs; feature maps
-    over `probe_count` sampled pairs from `probe_states`.
+    over the first NESTED_PROBE_COUNT sampled pairs from `probe_states`.
     """
     if len(classes) < 1:
         raise ValueError("need at least one class")
@@ -169,8 +171,8 @@ def check_nested(classes, probe_states: StateBatch | None = None, probe_count: i
             if probe_states is not None:
                 feats_small = features_all_actions(small, probe_states)
                 feats_large = features_all_actions(large, probe_states)
-                flat_s = feats_small.reshape(-1, small.dim)[:probe_count]
-                flat_l = feats_large.reshape(-1, large.dim)[:probe_count]
+                flat_s = feats_small.reshape(-1, small.dim)[:NESTED_PROBE_COUNT]
+                flat_l = feats_large.reshape(-1, large.dim)[:NESTED_PROBE_COUNT]
                 if not np.array_equal(flat_s, flat_l[:, : small.dim]):
                     return False
         else:

@@ -34,8 +34,8 @@ class SlopeInputs:
         widths = np.asarray(self.widths, dtype=float)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "widths", widths)
-        if values.shape != widths.shape or values.ndim != 1:
-            raise ValueError("values and widths must be vectors of equal length")
+        if values.shape != widths.shape or values.ndim != 1 or values.size == 0:
+            raise ValueError("values and widths must be nonempty vectors of equal length")
         if not (np.all(np.isfinite(widths)) and np.all(widths >= 0)):
             raise ValueError("widths must be finite and nonnegative")
 
@@ -104,7 +104,6 @@ def complexity_coverage_policy(
     learners: list[PessimisticLearner],
     classes: list[ModelClass],
     delta: float,
-    audit_states: StateBatch | None = None,
 ) -> tuple[Policy, SelectionReport]:
     """Algorithm: pessimistic per (action, class), optimistic across classes.
 
@@ -117,11 +116,6 @@ def complexity_coverage_policy(
         raise ValueError("one learner per class required")
     policy = CompositePessimisticPolicy(learners, classes)
     audit: dict = {"delta": delta, "dims": [mc.dim for mc in classes]}
-    if audit_states is not None:
-        acts, chosen_k = policy.actions_and_classes(audit_states)
-        audit["audit_actions"] = acts
-        audit["audit_chosen_class"] = chosen_k
-        audit["audit_value_stack"] = policy.value_stack(audit_states)
     report = SelectionReport("ComplexityCoverage", "per-state", audit)
     return policy, report
 
@@ -131,15 +125,12 @@ def slope_policy_select(
     validation_states: StateBatch,
     delta: float,
     penalty_scale: float = 1.0,
-    state_weights: np.ndarray | None = None,
 ) -> tuple[Policy, SelectionReport]:
     """SLOPE selection over greedy per-class policies.
 
     `learners_greedy` holds (RidgeFit, ModelClass) pairs fit on the same
     dataset; classes must be nested.  Expectations over states are empirical
-    means over `validation_states`; passing `state_weights` (e.g. the exact
-    state distribution over an enumerated tabular state space) turns them
-    into weighted means.
+    means over `validation_states`.
     """
     if len(learners_greedy) == 0:
         raise ValueError("need at least one fitted class")
@@ -151,14 +142,7 @@ def slope_policy_select(
         raise ValueError("SLOPE requires a nested collection of model classes")
     m_classes = len(classes)
     n_states = len(validation_states)
-    if state_weights is None:
-        weights = np.full(n_states, 1.0 / n_states)
-    else:
-        weights = np.asarray(state_weights, dtype=float)
-        if weights.shape != (n_states,) or np.any(weights < 0):
-            raise ValueError("state_weights must be a nonnegative vector per state")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("state_weights must sum to one")
+    weights = np.full(n_states, 1.0 / n_states)
 
     policies = [GreedyPolicy(fit, mc) for fit, mc in learners_greedy]
     policy_actions = [p.actions(validation_states) for p in policies]

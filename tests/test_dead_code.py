@@ -3,8 +3,9 @@
 Every public module-level function and class in src/batchselect must be
 referenced by some other top-level statement of the package (a function,
 class, or the CLI's `__main__` block).  A re-export from `__init__.py` is not
-a use.  The names that remain test-only are listed below, each with the
-ROADMAP item that decides whether it gains a caller or is deleted.
+a use.  A name allowed to stay test-only goes in ALLOWLIST with the ROADMAP
+item that decides whether it gains a caller or is deleted.  No module may
+import scipy, which only the tests depend on.
 """
 import ast
 from pathlib import Path
@@ -13,16 +14,7 @@ import batchselect
 
 PACKAGE = Path(batchselect.__file__).resolve().parent
 
-ALLOWLIST = {
-    # ROADMAP item 5: wire the ground-truth diagnostics into a run, or delete them.
-    "diagnostics.approx_error_eps",
-    "diagnostics.alt_approx_errors",
-    "diagnostics.population_model",
-    "diagnostics.coverage_terms",
-    "diagnostics.oracle_bound",
-    "diagnostics.make_error_decomposition",
-    "diagnostics.decompositions_to_csv",
-}
+ALLOWLIST = set()
 
 
 def _referenced(node: ast.AST) -> set[str]:
@@ -61,6 +53,21 @@ def test_no_unreferenced_public_code():
 
 def test_allowlist_is_current():
     assert ALLOWLIST - unreferenced(PACKAGE) == set(), "allowlisted names now have a caller"
+
+
+def test_no_module_imports_scipy():
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                importers.add(path.name)
+    assert importers == set()
 
 
 def test_detects_an_unused_function(tmp_path):

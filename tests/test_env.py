@@ -12,7 +12,6 @@ from batchselect.env import (
     GaussianModel,
     InfiniteCoverageError,
     StateBatch,
-    concentrability,
     dirichlet_behavior,
     make_gaussian_instance,
     make_tabular_instance,
@@ -163,16 +162,7 @@ class TestGaussianStateSampler:
         assert np.array_equal(rng.standard_normal(4), reference_rng.standard_normal(4))
 
 
-class TestConcentrability:
-    def test_uniform_ten(self):
-        assert concentrability(BehaviorPolicy(np.full(10, 0.1))) == pytest.approx(10.0)
-
-    def test_even_pair(self):
-        assert concentrability(BehaviorPolicy(np.array([0.5, 0.5]))) == pytest.approx(2.0)
-
-    def test_skewed_pair(self):
-        assert concentrability(BehaviorPolicy(np.array([0.9, 0.1]))) == pytest.approx(10.0)
-
+class TestBehaviorPolicy:
     def test_zero_mass_action(self):
         with pytest.raises(InfiniteCoverageError):
             BehaviorPolicy(np.array([1.0, 0.0]))

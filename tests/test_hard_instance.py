@@ -16,7 +16,7 @@ from batchselect.hard_instance import (
     ratio_results_to_csv,
 )
 from batchselect.learner import fit_pessimistic
-from batchselect.linalg import ridge_fit
+from batchselect.linalg import inv_quad_norms, ridge_fit
 from batchselect.selection import complexity_coverage_policy, holdout_select, slope_policy_select
 from policies import FixedPolicy
 
@@ -60,6 +60,18 @@ class TestBuildHardPair:
         with pytest.raises(ValueError):
             build_hard_pair(0, 4)
 
+    def test_hard_pair_arm_one_norm_bound(self):
+        # n1 samples of arm 0: |phi_1(a_0)|_{V^{-1}} <= sqrt(n/n1)
+        pair = build_hard_pair(n1=8, n2=24)
+        actions = pair.fixed_actions()
+        states = StateBatch(indices=np.zeros(pair.n, dtype=int))
+        mc1 = pair.classes[0]
+        phi = design_matrix(mc1, states, actions)
+        means = pair.instances[0].model.means[0][actions]
+        fit = ridge_fit(phi, means, lam=1e-12)
+        arm_zero = design_matrix(mc1, StateBatch(indices=[0]), np.array([0]))
+        assert inv_quad_norms(fit.cov, arm_zero)[0] <= math.sqrt(pair.n / pair.n1) + 1e-9
+
 
 class TestOracleDenominator:
     def test_nu2_class_one_term(self):
@@ -81,6 +93,11 @@ class TestOracleDenominator:
     def test_bad_instance_index(self):
         with pytest.raises(ValueError):
             oracle_denominator(build_hard_pair(2, 2), 2)
+
+    def test_hard_pair_nu2_bound(self):
+        pair = build_hard_pair(n1=100, n2=25)
+        # closed-form terms from the construction: min(1/sqrt(n1), sqrt(2/n2))
+        assert oracle_denominator(pair, 1) <= 2 / math.sqrt(pair.n1) + math.sqrt(2 / pair.n2)
 
 
 class TestRatioExperiment:

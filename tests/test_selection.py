@@ -38,8 +38,9 @@ from batchselect.selection import (
 
 class TestSlopeInputs:
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            SlopeInputs(np.zeros(3), np.zeros(2))
+        for values, widths in ((np.zeros(3), np.zeros(2)), ([], [])):
+            with pytest.raises(ValueError):
+                SlopeInputs(values, widths)
 
     def test_negative_width(self):
         with pytest.raises(ValueError):
