@@ -118,13 +118,12 @@ class BehaviorPolicy:
 class Dataset:
     """Batch of logged (state, action, reward) rows, stored as arrays."""
 
-    def __init__(self, states: StateBatch, actions, rewards, true_means=None):
+    def __init__(self, states: StateBatch, actions, rewards):
         self.states = states
         self.actions = np.asarray(actions, dtype=int)
         self.rewards = np.asarray(rewards, dtype=float)
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
-        self.true_means = None if true_means is None else np.asarray(true_means, dtype=float)
         n = len(states)
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("actions/rewards must have one entry per state")
@@ -209,5 +208,5 @@ def sample_dataset(
     noise_rng = rng_stream(rng_seed, "dataset-noise")
     means = instance.mean_rewards(states)[np.arange(n), actions]
     rewards = means + instance.noise_scale * noise_rng.standard_normal(n)
-    return Dataset(states, actions, rewards, true_means=means)
+    return Dataset(states, actions, rewards)
 

@@ -291,9 +291,10 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     optimal = OptimalPolicy(instance)
 
     rows, reports = [], []
+    # each class's design, built once for its greedy fit and for hold-out
+    designs = [design_matrix(mc, dataset.states, dataset.actions) for mc in classes]
     fits = []
-    for mc in classes:
-        phi = design_matrix(mc, dataset.states, dataset.actions)
+    for mc, phi in zip(classes, designs):
         fit = ridge_fit(phi, dataset.rewards, config.lam)
         fits.append((fit, mc))
         regret = regret_estimate(instance, optimal, GreedyPolicy(fit, mc), test_states)
@@ -304,8 +305,9 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     rows.append(
         ResultRow(n, "slope", trial, regret_estimate(instance, optimal, slope_policy, test_states))
     )
+    ho_seed = derive_seed(seed, f"ac-holdout-{n}", trial)
     ho_policy, ho_report = holdout_select(
-        dataset, classes, s.holdout_split, config.lam, derive_seed(seed, f"ac-holdout-{n}", trial)
+        designs, dataset.rewards, classes, s.holdout_split, config.lam, ho_seed
     )
     rows.append(
         ResultRow(n, "holdout", trial, regret_estimate(instance, optimal, ho_policy, test_states))
@@ -432,7 +434,8 @@ def run_ac(config: ExperimentConfig, threads: int = 1, audit: bool = False):
 
 def run_lower_bound(config: ExperimentConfig, threads: int = 1, audit: bool = False):
     s = config.lower_bound
-    cells = [(algo, int(n1)) for algo in s.algorithms for n1 in s.n1]
+    # largest n1 first, as in _run_cells; the results are sorted afterwards
+    cells = [(algo, int(n1)) for n1 in sorted(s.n1, reverse=True) for algo in s.algorithms]
 
     def one(cell):
         algo, n1 = cell

@@ -3,7 +3,7 @@
 Two nested classes over one state: phi_1 indicates arm 0, phi_2 is one-hot
 over both arms.  The dataset has fixed covariates (n1 rows of arm 0, n2 of
 arm 1) and unit Gaussian reward noise, and the two instances differ only in
-the mean of arm 1.
+the mean of arm 1.  Each class's design on them is built once, with the pair.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import BanditInstance, Dataset, StateBatch, TabularModel, derive_seed, rng_stream
+from .env import BanditInstance, StateBatch, TabularModel, derive_seed, rng_stream
 from .features import ModelClass, TabularMap, check_nested, design_matrix
 from .diagnostics import fixed_design_theta_star
 from .learner import PessimisticLearner, Policy, beta_coefficient
@@ -33,6 +33,7 @@ class HardInstancePair:
     n2: int
     instances: tuple[BanditInstance, BanditInstance]
     classes: tuple[ModelClass, ModelClass]
+    designs: tuple[np.ndarray, np.ndarray]  # each class's (n, d_k) design
 
     @property
     def n(self) -> int:
@@ -43,8 +44,9 @@ class HardInstancePair:
 
 
 def build_hard_pair(n1: int, n2: int) -> HardInstancePair:
-    """Construct the pair with gap Delta = 1/(2 sqrt(n2)) and verify the
-    fixed-design parameters of both classes on both instances."""
+    """Construct the pair with gap Delta = 1/(2 sqrt(n2)), build each class's
+    design on the fixed covariates, and verify the fixed-design parameters of
+    both classes on both instances on those designs."""
     if n1 < 1 or n2 < 1:
         raise ValueError("n1 and n2 must be positive")
     delta_gap = 1.0 / (2.0 * math.sqrt(n2))
@@ -59,19 +61,18 @@ def build_hard_pair(n1: int, n2: int) -> HardInstancePair:
     )
     if not check_nested(list(classes)):
         raise AssertionError("hard-pair classes must be nested")
-    pair = HardInstancePair(delta_gap, n1, n2, (nu1, nu2), classes)
-
-    actions = pair.fixed_actions()
-    phi_full = table_2[0][actions]  # (n, 2)
+    actions = np.repeat([0, 1], [n1, n2])  # as pair.fixed_actions()
+    states = StateBatch(indices=np.zeros(n1 + n2, dtype=int))
+    phi_1, phi_2 = (design_matrix(mc, states, actions) for mc in classes)
     for inst, theta2_expect in ((nu1, (-delta_gap, -2.0 * delta_gap)), (nu2, (-delta_gap, 0.0))):
         f = inst.model.means[0][actions]
-        theta1 = fixed_design_theta_star(phi_full[:, :1], f)
-        theta2 = fixed_design_theta_star(phi_full, f)
+        theta1 = fixed_design_theta_star(phi_1, f)
+        theta2 = fixed_design_theta_star(phi_2, f)
         if abs(theta1[0] + delta_gap) > THETA_TOL:
             raise AssertionError(f"theta_1* = {theta1[0]!r}, expected {-delta_gap!r}")
         if np.max(np.abs(theta2 - np.array(theta2_expect))) > THETA_TOL:
             raise AssertionError(f"theta_2* = {theta2!r}, expected {theta2_expect!r}")
-    return pair
+    return HardInstancePair(delta_gap, n1, n2, (nu1, nu2), classes, (phi_1, phi_2))
 
 
 def oracle_denominator(pair: HardInstancePair, which_instance: int) -> float:
@@ -92,15 +93,14 @@ def oracle_denominator(pair: HardInstancePair, which_instance: int) -> float:
     return min(terms)
 
 
-# Each adapter maps one trial's dataset to a policy.  For the algorithms in
-# FIXED_DESIGN, `designs` holds each class's (design, ridge covariance) on the
-# fixed covariates, built once per `ratio_experiment` call, so a trial's fits
-# read only its rewards; for the others it is None.
-def _cc_policy(dataset, classes, delta, lam, penalty_scale, seed, designs) -> Policy:
+# Each adapter maps one trial's rewards to a policy.  `designs` holds each
+# class's (design, ridge covariance) on the pair's fixed covariates, built once
+# per `ratio_experiment` call, so a trial's fits read only its rewards.
+def _cc_policy(rewards, designs, classes, delta, lam, penalty_scale, seed) -> Policy:
     learners = [
         PessimisticLearner(
-            ridge_fit(phi, dataset.rewards, lam, cov),
-            beta_coefficient(dataset.n, mc.dim, lam, delta / len(classes)),
+            ridge_fit(phi, rewards, lam, cov),
+            beta_coefficient(len(rewards), mc.dim, lam, delta / len(classes)),
             penalty_scale,
         )
         for mc, (phi, cov) in zip(classes, designs)
@@ -108,16 +108,15 @@ def _cc_policy(dataset, classes, delta, lam, penalty_scale, seed, designs) -> Po
     return complexity_coverage_policy(learners, classes, delta)[0]
 
 
-def _slope_policy(dataset, classes, delta, lam, penalty_scale, seed, designs) -> Policy:
-    fits = [
-        (ridge_fit(phi, dataset.rewards, lam, cov), mc) for mc, (phi, cov) in zip(classes, designs)
-    ]
+def _slope_policy(rewards, designs, classes, delta, lam, penalty_scale, seed) -> Policy:
+    fits = [(ridge_fit(phi, rewards, lam, cov), mc) for mc, (phi, cov) in zip(classes, designs)]
     states = StateBatch(indices=[0])
     return slope_policy_select(fits, states, delta, penalty_scale)[0]
 
 
-def _holdout_policy(dataset, classes, delta, lam, penalty_scale, seed, designs) -> Policy:
-    return holdout_select(dataset, classes, HOLDOUT_SPLIT, lam, seed)[0]
+def _holdout_policy(rewards, designs, classes, delta, lam, penalty_scale, seed) -> Policy:
+    phis = [phi for phi, _ in designs]  # each trial splits anew, so no covariance is reused
+    return holdout_select(phis, rewards, classes, HOLDOUT_SPLIT, lam, seed)[0]
 
 
 ALGORITHMS = {
@@ -125,8 +124,6 @@ ALGORITHMS = {
     "slope": _slope_policy,
     "holdout": _holdout_policy,
 }
-# Hold-out fits a fresh random split in each trial, so it gets no designs.
-FIXED_DESIGN = frozenset({"cc", "slope"})
 
 
 @dataclass(frozen=True)
@@ -165,10 +162,10 @@ def ratio_experiment(
 ) -> RatioResult:
     """Mean regret of one algorithm on both instances over seeded reward draws.
 
-    Covariates stay fixed; only rewards are resampled per trial, so the
-    algorithms in FIXED_DESIGN fit against designs built once per call.  The
-    ratio divides the worse of the two mean regrets by the larger closed-form
-    denominator.
+    Covariates stay fixed; only rewards are resampled per trial, so every
+    algorithm reads the pair's designs, and cc and SLOPE the ridge
+    covariances built on them once per call.  The ratio divides the worse of
+    the two mean regrets by the larger closed-form denominator.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -177,12 +174,9 @@ def ratio_experiment(
     run = ALGORITHMS[algorithm]
     pair = build_hard_pair(n1, n2)
     actions = pair.fixed_actions()
-    states = StateBatch(indices=np.zeros(pair.n, dtype=int))
     single = StateBatch(indices=[0])
-    designs = None
-    if algorithm in FIXED_DESIGN:
-        phis = [design_matrix(mc, states, actions) for mc in pair.classes]
-        designs = [(phi, ridge_covariance(phi, lam)) for phi in phis]
+    classes = list(pair.classes)
+    designs = [(phi, ridge_covariance(phi, lam)) for phi in pair.designs]
     mean_regrets, se_regrets = [], []
     for i, inst in enumerate(pair.instances):
         means = inst.model.means[0][actions]
@@ -191,11 +185,8 @@ def ratio_experiment(
         for t in range(trials):
             rewards = rng_stream(rng_seed, f"lb-rewards-nu{i + 1}", t).standard_normal(pair.n)
             rewards += means  # in place; IEEE addition commutes, so equal to means + noise
-            dataset = Dataset(states, actions, rewards, true_means=means)
             trial_seed = derive_seed(rng_seed, f"lb-algo-nu{i + 1}", t)
-            policy = run(
-                dataset, list(pair.classes), delta, lam, penalty_scale, trial_seed, designs
-            )
+            policy = run(rewards, designs, classes, delta, lam, penalty_scale, trial_seed)
             act = int(policy.actions(single)[0])
             regrets[t] = best - inst.model.means[0][act]
         mean_regrets.append(float(regrets.mean()))

@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import Dataset, StateBatch, rng_stream
-from .features import ModelClass, check_nested, design_matrix, features_all_actions
+from .env import StateBatch, rng_stream
+from .features import ModelClass, check_nested, features_all_actions
 from .learner import (
     MAX_DELTA,
     CompositePessimisticPolicy,
@@ -194,7 +194,8 @@ def holdout_split_sizes(n: int, split_fraction: float) -> tuple[int, int]:
 
 
 def holdout_select(
-    dataset: Dataset,
+    designs: list[np.ndarray],
+    rewards: np.ndarray,
     classes: list[ModelClass],
     split_fraction: float,
     lam: float,
@@ -202,21 +203,26 @@ def holdout_select(
 ) -> tuple[Policy, SelectionReport]:
     """Fit on a shuffled prefix split, select by out-of-sample squared loss.
 
-    Returns the greedy policy of the class minimizing the empirical loss on
-    the held-out rows; losses within a relative HOLDOUT_TIE_RTOL of the
-    minimum tie, and ties break to the lowest class index.
+    `designs[k]` is class k's design phi_k(x_i, a_i) on the logged rows,
+    shape (n, d_k) with n = len(rewards).  Returns the greedy policy of the
+    class minimizing the empirical loss on the held-out rows; losses within a
+    relative HOLDOUT_TIE_RTOL of the minimum tie, and ties break to the lowest
+    class index.
     """
-    n = dataset.n
+    n = len(rewards)
+    shapes = [np.shape(phi) for phi in designs]
+    if shapes != [(n, mc.dim) for mc in classes]:
+        dims = [mc.dim for mc in classes]
+        raise ValueError(f"need one ({n}, d_k) design per class of dims {dims}, got {shapes}")
     n_in, n_out = holdout_split_sizes(n, split_fraction)
     perm = rng_stream(rng_seed, "holdout-split").permutation(n)
     rows_in, rows_out = perm[:n_in], perm[n_in:]
-    rewards_in, rewards_out = dataset.rewards[rows_in], dataset.rewards[rows_out]
+    rewards_in, rewards_out = rewards[rows_in], rewards[rows_out]
 
     losses = np.empty(len(classes))
     fits = []
-    for k, mc in enumerate(classes):
+    for k, phi in enumerate(designs):
         # np.take gathers rows faster than fancy indexing on tall, narrow designs
-        phi = design_matrix(mc, dataset.states, dataset.actions)
         fit = ridge_fit(np.take(phi, rows_in, axis=0), rewards_in, lam)
         fits.append(fit)
         residual = np.take(phi, rows_out, axis=0) @ fit.theta_hat - rewards_out

@@ -83,7 +83,8 @@ class TestSampleDataset:
         inst = dataclasses.replace(make_tabular_instance(4, 3, 0), noise_scale=0.0)
         mu = dirichlet_behavior(3, 0)
         data = sample_dataset(inst, mu, 50, 1)
-        assert np.array_equal(data.rewards, data.true_means)
+        means = inst.mean_rewards(data.states)[np.arange(data.n), data.actions]
+        assert np.array_equal(data.rewards, means)
 
     def test_action_frequencies_match_mu(self):
         inst = make_tabular_instance(3, 4, 0)
@@ -103,8 +104,11 @@ class TestSampleDataset:
         d1 = sample_dataset(inst, dirichlet_behavior(4, 1), 200, 9)
         d2 = sample_dataset(inst, dirichlet_behavior(4, 2), 200, 9)
         assert np.array_equal(d1.states.indices, d2.states.indices)
+        rows = np.arange(200)
+        m1 = inst.mean_rewards(d1.states)[rows, d1.actions]
+        m2 = inst.mean_rewards(d2.states)[rows, d2.actions]
         # recover noise by subtraction; equality only up to float round-off
-        assert np.allclose(d1.rewards - d1.true_means, d2.rewards - d2.true_means, atol=1e-12)
+        assert np.allclose(d1.rewards - m1, d2.rewards - m2, atol=1e-12)
 
     def test_deterministic(self):
         inst = make_gaussian_instance(6, 3, 2, 0)

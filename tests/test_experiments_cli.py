@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import batchselect.experiments as experiments
+import batchselect.features as features_module
 import batchselect.learner as learner_module
 from batchselect.cli import main
 from batchselect.env import BanditInstance, StateBatch
@@ -237,6 +238,22 @@ def test_cells_run_largest_n_first(monkeypatch):
     assert seen == [80, 60, 40] * 2
 
 
+def test_lower_bound_cells_run_largest_n1_first(monkeypatch):
+    seen = []
+    ratio = experiments.ratio_experiment
+
+    def recording_ratio(algorithm, n1, *args, **kwargs):
+        seen.append((algorithm, n1))
+        return ratio(algorithm, n1, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ratio_experiment", recording_ratio)
+    lower_bound = {"n1": [16, 64, 32], "n2": 16, "algorithms": ["holdout", "cc"]}
+    config = parse_config({"experiment": "lower_bound", "trials": 2, "lower_bound": lower_bound})
+    results, _ = run_lower_bound(config, threads=1)
+    assert [n1 for _, n1 in seen] == [64, 64, 32, 32, 16, 16]
+    assert [(r.algorithm, r.n1) for r in results] == sorted(seen)
+
+
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
@@ -375,6 +392,28 @@ class TestDuplicateWork:
         instances = _count_calls(monkeypatch, experiments, "make_gaussian_instance")
         run_ac(config, threads=2)
         assert len(instances) == 2
+
+    def test_ac_builds_each_design_once_per_cell(self, monkeypatch):
+        # the greedy fits and hold-out read the same design of each class
+        config = parse_config(
+            {
+                "experiment": "ac",
+                "trials": 2,
+                "n_grid": [60, 80],
+                "n_test": 20,
+                "n_validation": 20,
+                "ac": {"ambient_dim": 8, "true_dim": 3, "action_count": 3, "dims": [2, 4, 8]},
+            }
+        )
+        design_matrix = features_module.design_matrix
+        calls = [
+            _count_calls(monkeypatch, module, "design_matrix")
+            for name, module in list(sys.modules.items())
+            if name.startswith("batchselect.")
+            and getattr(module, "design_matrix", None) is design_matrix
+        ]
+        run_ac(config)
+        assert sum(len(c) for c in calls) == 2 * 2 * 3
 
     def test_selector_learner_equals_fresh_fit_at_delta_over_m(self, monkeypatch):
         config = parse_config({**SMALL_CC, "trials": 1, "n_grid": [50]})

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from batchselect import features, hard_instance, learner, linalg, selection
-from batchselect.env import StateBatch
+from batchselect import features, hard_instance, learner, linalg
+from batchselect.env import Dataset, StateBatch
 from batchselect.features import check_nested, design_matrix
 from batchselect.hard_instance import (
     ALGORITHMS,
@@ -156,7 +156,8 @@ def _per_trial_slope(dataset, classes, delta, lam, penalty_scale, seed):
 
 
 def _per_trial_holdout(dataset, classes, delta, lam, penalty_scale, seed):
-    return holdout_select(dataset, classes, HOLDOUT_SPLIT, lam, seed)[0]
+    designs = [design_matrix(mc, dataset.states, dataset.actions) for mc in classes]
+    return holdout_select(designs, dataset.rewards, classes, HOLDOUT_SPLIT, lam, seed)[0]
 
 
 PER_TRIAL = {"cc": _per_trial_cc, "slope": _per_trial_slope, "holdout": _per_trial_holdout}
@@ -167,7 +168,14 @@ PER_TRIAL = {"cc": _per_trial_cc, "slope": _per_trial_slope, "holdout": _per_tri
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fixed_design_cells_equal_per_trial_fits(monkeypatch, algorithm, n1, n2, seed):
     reference = PER_TRIAL[algorithm]
-    monkeypatch.setitem(ALGORITHMS, "per_trial", lambda *args: reference(*args[:6]))
+    pair = build_hard_pair(n1, n2)
+    states, actions = StateBatch(indices=np.zeros(pair.n, dtype=int)), pair.fixed_actions()
+
+    def per_trial(rewards, designs, classes, *args):
+        # drop the cell's designs and rebuild the trial's dataset instead
+        return reference(Dataset(states, actions, rewards), classes, *args)
+
+    monkeypatch.setitem(ALGORITHMS, "per_trial", per_trial)
     kwargs = dict(trials=5, rng_seed=seed, penalty_scale=0.5)
     want = ratio_experiment("per_trial", n1, n2, **kwargs)
     got = ratio_experiment(algorithm, n1, n2, **kwargs)
@@ -175,7 +183,8 @@ def test_fixed_design_cells_equal_per_trial_fits(monkeypatch, algorithm, n1, n2,
 
 
 def _count_builds(monkeypatch):
-    """Count CovarianceMatrix constructions and design_matrix calls at every alias."""
+    """Count CovarianceMatrix constructions, and design_matrix calls at each alias that
+    a ratio_experiment call reaches."""
     counts = {"cov": 0, "design": 0, "design_in_hard_instance": 0}
     init = linalg.CovarianceMatrix.__init__
 
@@ -191,21 +200,22 @@ def _count_builds(monkeypatch):
         return design
 
     monkeypatch.setattr(linalg.CovarianceMatrix, "__init__", counting_init)
-    for module in (learner, selection):
-        monkeypatch.setattr(module, "design_matrix", counting("design"))
+    monkeypatch.setattr(learner, "design_matrix", counting("design"))
     monkeypatch.setattr(hard_instance, "design_matrix", counting("design_in_hard_instance"))
     return counts
 
 
-@pytest.mark.parametrize("algorithm", ["cc", "slope"])
+# CovarianceMatrix builds per cell of 5 trials on each of 2 instances with 2
+# classes: one per class up front; hold-out also fits each trial's split, 20 in all
+COVARIANCE_BUILDS = {"cc": 2, "slope": 2, "holdout": 2 + 20}
+
+
+@pytest.mark.parametrize("algorithm", ["cc", "slope", "holdout"])
 def test_fixed_design_cell_builds_each_class_once(monkeypatch, algorithm):
-    # 5 trials on each of 2 instances, 2 classes: 20 builds if rebuilt per trial
+    # 20 design builds if rebuilt per trial; hold-out's split changes every
+    # trial, but it gathers both sides of the split from the pair's designs
     counts = _count_builds(monkeypatch)
     ratio_experiment(algorithm, 64, 16, trials=5, rng_seed=0)
-    assert counts == {"cov": 2, "design": 0, "design_in_hard_instance": 2}
-
-
-def test_holdout_cell_builds_no_design_up_front(monkeypatch):
-    counts = _count_builds(monkeypatch)
-    ratio_experiment("holdout", 64, 16, trials=5, rng_seed=0)
-    assert counts == {"cov": 20, "design": 20, "design_in_hard_instance": 0}
+    assert counts == {
+        "cov": COVARIANCE_BUILDS[algorithm], "design": 0, "design_in_hard_instance": 2
+    }

@@ -289,13 +289,19 @@ class TestSlopePolicySelect:
         assert abs(vhat - true_value) <= 5 * np.min(np.array(psi) + widths) + 0.02
 
 
+def _holdout(data, classes, split_fraction, lam, seed):
+    """holdout_select on each class's design over the dataset's rows."""
+    designs = [design_matrix(mc, data.states, data.actions) for mc in classes]
+    return holdout_select(designs, data.rewards, classes, split_fraction, lam, seed)
+
+
 class TestHoldoutSelect:
     def test_zero_rewards_tie_to_first(self):
         inst = make_gaussian_instance(6, 3, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 100, 0)
         data.rewards[:] = 0.0
         classes = truncation_family(6, [2, 4, 6])
-        _, report = holdout_select(data, classes, 0.8, 1.0, 0)
+        _, report = _holdout(data, classes, 0.8, 1.0, 0)
         assert report.chosen == 0
         assert np.allclose(report.audit["losses"], report.audit["losses"][0])
 
@@ -305,7 +311,7 @@ class TestHoldoutSelect:
         inst = dataclasses.replace(make_gaussian_instance(6, 6, 3, 1), noise_scale=0.0)
         data = sample_dataset(inst, dirichlet_behavior(3, 1), 300, 1)
         classes = truncation_family(6, [2, 6])
-        _, report = holdout_select(data, classes, 0.8, 1e-8, 0)
+        _, report = _holdout(data, classes, 0.8, 1e-8, 0)
         losses = report.audit["losses"]
         assert losses[1] < losses[0]
         assert report.chosen == 1
@@ -314,7 +320,7 @@ class TestHoldoutSelect:
         inst = make_gaussian_instance(9, 4, 3, 2)
         data = sample_dataset(inst, dirichlet_behavior(3, 2), 1000, 2)
         classes = truncation_family(9, [3, 6, 9])
-        _, report = holdout_select(data, classes, 0.8, 1.0, 5)
+        _, report = _holdout(data, classes, 0.8, 1.0, 5)
         from batchselect.env import rng_stream
 
         perm = rng_stream(5, "holdout-split").permutation(1000)
@@ -335,7 +341,7 @@ class TestHoldoutSelect:
         # Hard pair, n1 = 16, n2 = 3: when no arm-1 row is held out, both
         # classes predict every held-out row by the same arm-0 ridge mean,
         # so their losses agree up to rounding and class 0 must be chosen.
-        from batchselect.env import Dataset, rng_stream
+        from batchselect.env import rng_stream
         from batchselect.hard_instance import build_hard_pair
         from batchselect.selection import HOLDOUT_TIE_RTOL
 
@@ -343,10 +349,10 @@ class TestHoldoutSelect:
         actions = pair.fixed_actions()
         means = pair.instances[0].model.means[0][actions]
         noise = np.random.default_rng(1).standard_normal(pair.n)
-        data = Dataset(StateBatch(indices=np.zeros(pair.n, dtype=int)), actions, means + noise)
         perm = rng_stream(0, "holdout-split").permutation(pair.n)
         assert not actions[perm[math.ceil(0.8 * pair.n):]].any()
-        _, report = holdout_select(data, list(pair.classes), 0.8, 1.0, 0)
+        designs = list(pair.designs)
+        _, report = holdout_select(designs, means + noise, list(pair.classes), 0.8, 1.0, 0)
         losses = report.audit["losses"]
         assert losses[1] != losses[0]
         assert abs(losses[1] - losses[0]) <= HOLDOUT_TIE_RTOL * losses.min()
@@ -357,15 +363,36 @@ class TestHoldoutSelect:
         data = sample_dataset(inst, dirichlet_behavior(2, 0), 10, 0)
         classes = truncation_family(4, [4])
         with pytest.raises(ValueError):
-            holdout_select(data, classes, 1.0, 1.0, 0)
+            _holdout(data, classes, 1.0, 1.0, 0)
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda designs: designs[:1],
+            lambda designs: designs + designs[:1],
+            lambda designs: [designs[0], np.vstack([designs[1], designs[1][:1]])],
+            lambda designs: [designs[0], designs[1][:-1]],
+            lambda designs: [designs[0], designs[1][:, :-1]],
+        ],
+        ids=["fewer_designs", "more_designs", "extra_row", "missing_row", "narrow_design"],
+    )
+    def test_mismatched_designs_rejected(self, mangle):
+        # an extra row would otherwise be cut off silently, an extra design
+        # dropped, and a missing one leave a class unscored
+        inst = make_gaussian_instance(4, 2, 3, 0)
+        data = sample_dataset(inst, dirichlet_behavior(3, 0), 20, 0)
+        classes = truncation_family(4, [2, 4])
+        designs = [design_matrix(mc, data.states, data.actions) for mc in classes]
+        with pytest.raises(ValueError, match="design"):
+            holdout_select(mangle(designs), data.rewards, classes, 0.8, 1.0, 0)
 
     def test_out_sample_loss_permutation_invariant(self):
         # the loss is a mean over D_out; row order inside D_out cannot matter
         inst = make_gaussian_instance(5, 2, 3, 4)
         data = sample_dataset(inst, dirichlet_behavior(3, 4), 500, 4)
         classes = truncation_family(5, [2, 5])
-        _, r1 = holdout_select(data, classes, 0.8, 1.0, 11)
-        _, r2 = holdout_select(data, classes, 0.8, 1.0, 11)
+        _, r1 = _holdout(data, classes, 0.8, 1.0, 11)
+        _, r2 = _holdout(data, classes, 0.8, 1.0, 11)
         assert np.array_equal(r1.audit["losses"], r2.audit["losses"])
 
 
