@@ -34,9 +34,11 @@ from .learner import (
 )
 from .linalg import CovarianceMatrix, RidgeFit, SingularMatrixError, ridge_fit
 from .selection import (
+    Cells,
     SelectionReport,
     complexity_coverage_policy,
     holdout_select,
+    row_split,
     slope_policy_select,
     slope_select,
     zeta_coefficient,
@@ -48,6 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BanditInstance",
     "BehaviorPolicy",
+    "Cells",
     "CovarianceMatrix",
     "Dataset",
     "GreedyPolicy",
@@ -73,6 +76,7 @@ __all__ = [
     "ratio_experiment",
     "realizable_family",
     "ridge_fit",
+    "row_split",
     "sample_dataset",
     "sample_states",
     "slope_policy_select",

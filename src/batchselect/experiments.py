@@ -29,7 +29,13 @@ from .env import (
     sample_states,
 )
 from .features import ModelClass, design_matrix, realizable_family, truncation_family
-from .hard_instance import ALGORITHMS, HOLDOUT_SPLIT, RatioResult, ratio_experiment
+from .hard_instance import (
+    ALGORITHMS,
+    HOLDOUT_SPLIT,
+    MAX_HOLDOUT_ROWS,
+    RatioResult,
+    ratio_experiment,
+)
 from .learner import (
     MAX_DELTA,
     GreedyPolicy,
@@ -43,6 +49,7 @@ from .selection import (
     complexity_coverage_policy,
     holdout_select,
     holdout_split_sizes,
+    row_split,
     slope_policy_select,
 )
 from .diagnostics import regret_estimate
@@ -205,6 +212,11 @@ def _validate(c: ExperimentConfig):
         splits = [(n, c.ac.holdout_split) for n in c.n_grid]
     elif c.experiment == "lower_bound" and "holdout" in c.lower_bound.algorithms:
         splits = [(n1 + c.lower_bound.n2, HOLDOUT_SPLIT) for n1 in c.lower_bound.n1]
+        if max(n for n, _ in splits) >= MAX_HOLDOUT_ROWS:
+            raise ConfigError(
+                f"hold-out draws its split of the lower_bound rows from numpy's hypergeometric, "
+                f"which needs n1 + n2 < {MAX_HOLDOUT_ROWS}"
+            )
     for n, split in splits:
         try:
             holdout_split_sizes(n, split)
@@ -305,10 +317,10 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     rows.append(
         ResultRow(n, "slope", trial, regret_estimate(instance, optimal, slope_policy, test_states))
     )
-    ho_seed = derive_seed(seed, f"ac-holdout-{n}", trial)
-    ho_policy, ho_report = holdout_select(
-        designs, dataset.rewards, classes, s.holdout_split, config.lam, ho_seed
+    fit_on, score_on = row_split(
+        dataset.rewards, s.holdout_split, derive_seed(seed, f"ac-holdout-{n}", trial)
     )
+    ho_policy, ho_report = holdout_select(designs, fit_on, score_on, classes, config.lam)
     rows.append(
         ResultRow(n, "holdout", trial, regret_estimate(instance, optimal, ho_policy, test_states))
     )

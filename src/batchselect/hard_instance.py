@@ -1,29 +1,55 @@
 """Single-state two-arm hard instance pair and the minimax ratio experiment.
 
 Two nested classes over one state: phi_1 indicates arm 0, phi_2 is one-hot
-over both arms.  The dataset has fixed covariates (n1 rows of arm 0, n2 of
-arm 1) and unit Gaussian reward noise, and the two instances differ only in
-the mean of arm 1.  Each class's design on them is built once, with the pair.
+over both arms.  The logged data hold n1 rows of arm 0 and n2 of arm 1 with
+Gaussian reward noise, and the two instances differ only in the mean of
+arm 1.  Every fit reads the data only through each arm cell's row count and
+mean reward, so each class enters as its 2 x d_k cell table with counts
+(n1, n2), and a trial draws the cell statistics directly.  The draws are
+exact in distribution, and a trial's work does not depend on n1 or n2.
+
+Trial t on instance i draws from rng_stream(seed, "lb-cells-nu<i>", t), in
+this order:
+- cc and SLOPE: two standard normals z, one per arm; arm a's mean reward is
+  mu_a + sigma z_a / sqrt(c_a).
+- hold-out: the fit side's arm-0 count, Hypergeometric(n1, n2, n_in) with
+  n_in from `holdout_split_sizes`, the arm-1 count being the rest; two
+  standard normals for the fit side's cell means and two for the held-out
+  side's, each mean drawn as above (an empty cell's mean is 0.0); then, if
+  df = sum_a max(c_a - 1, 0) over the held-out cells is positive, one
+  chi-square draw with df degrees of freedom, times sigma^2, for the held-out
+  rows' squared deviations from their cell means.  A uniformly random
+  permutation splits the rows with these counts, and given the counts the
+  cell means and the deviations are independent.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import BanditInstance, StateBatch, TabularModel, derive_seed, rng_stream
-from .features import ModelClass, TabularMap, check_nested, design_matrix
+from .env import BanditInstance, StateBatch, TabularModel, rng_stream
+from .features import ModelClass, TabularMap, check_nested
 from .diagnostics import fixed_design_theta_star
 from .learner import PessimisticLearner, Policy, beta_coefficient
-from .linalg import ridge_covariance, ridge_fit
-from .selection import complexity_coverage_policy, holdout_select, slope_policy_select
+from .linalg import CovarianceMatrix, ridge_covariance, ridge_fit
+from .selection import (
+    Cells,
+    complexity_coverage_policy,
+    holdout_select,
+    holdout_split_sizes,
+    slope_policy_select,
+)
 
 THETA_TOL = 1e-10
 # Fraction of the hard pair's rows that hold-out fits on.
 HOLDOUT_SPLIT = 0.8
+# numpy's hypergeometric draw takes fewer than 10**9 rows of each arm.
+MAX_HOLDOUT_ROWS = 10**9
+_STATE = StateBatch(indices=[0])  # the pair's one state
 
 
 @dataclass(frozen=True)
@@ -33,20 +59,32 @@ class HardInstancePair:
     n2: int
     instances: tuple[BanditInstance, BanditInstance]
     classes: tuple[ModelClass, ModelClass]
-    designs: tuple[np.ndarray, np.ndarray]  # each class's (n, d_k) design
+    tables: tuple[np.ndarray, np.ndarray]  # each class's (2, d_k) cell table, one row per arm
+    _covariances: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.n1 + self.n2
 
-    def fixed_actions(self) -> np.ndarray:
-        return np.concatenate([np.zeros(self.n1, dtype=int), np.ones(self.n2, dtype=int)])
+    @property
+    def counts(self) -> np.ndarray:
+        """Logged rows per arm cell."""
+        return np.array([self.n1, self.n2])
+
+    def covariances(self, lam: float) -> list[CovarianceMatrix]:
+        """Each class's ridge covariance at the pair's counts, built on first use."""
+        if lam not in self._covariances:
+            self._covariances[lam] = [ridge_covariance(t, lam, self.counts) for t in self.tables]
+        return self._covariances[lam]
 
 
 def build_hard_pair(n1: int, n2: int) -> HardInstancePair:
-    """Construct the pair with gap Delta = 1/(2 sqrt(n2)), build each class's
-    design on the fixed covariates, and verify the fixed-design parameters of
-    both classes on both instances on those designs."""
+    """Construct the pair with gap Delta = 1/(2 sqrt(n2)) and verify the
+    fixed-design parameters of both classes on both instances.
+
+    Least squares over the logged rows is least squares over the cell table
+    with row a weighted by sqrt(c_a), so theta* is checked on that 2 x d_k
+    system."""
     if n1 < 1 or n2 < 1:
         raise ValueError("n1 and n2 must be positive")
     delta_gap = 1.0 / (2.0 * math.sqrt(n2))
@@ -61,18 +99,18 @@ def build_hard_pair(n1: int, n2: int) -> HardInstancePair:
     )
     if not check_nested(list(classes)):
         raise AssertionError("hard-pair classes must be nested")
-    actions = np.repeat([0, 1], [n1, n2])  # as pair.fixed_actions()
-    states = StateBatch(indices=np.zeros(n1 + n2, dtype=int))
-    phi_1, phi_2 = (design_matrix(mc, states, actions) for mc in classes)
+    tables = tuple(mc.map.table.reshape(-1, mc.dim) for mc in classes)
+    weights = np.sqrt([n1, n2])
+    phi_1, phi_2 = (weights[:, None] * table for table in tables)
     for inst, theta2_expect in ((nu1, (-delta_gap, -2.0 * delta_gap)), (nu2, (-delta_gap, 0.0))):
-        f = inst.model.means[0][actions]
+        f = weights * inst.model.means[0]
         theta1 = fixed_design_theta_star(phi_1, f)
         theta2 = fixed_design_theta_star(phi_2, f)
         if abs(theta1[0] + delta_gap) > THETA_TOL:
             raise AssertionError(f"theta_1* = {theta1[0]!r}, expected {-delta_gap!r}")
         if np.max(np.abs(theta2 - np.array(theta2_expect))) > THETA_TOL:
             raise AssertionError(f"theta_2* = {theta2!r}, expected {theta2_expect!r}")
-    return HardInstancePair(delta_gap, n1, n2, (nu1, nu2), classes, (phi_1, phi_2))
+    return HardInstancePair(delta_gap, n1, n2, (nu1, nu2), classes, tables)
 
 
 def oracle_denominator(pair: HardInstancePair, which_instance: int) -> float:
@@ -93,30 +131,68 @@ def oracle_denominator(pair: HardInstancePair, which_instance: int) -> float:
     return min(terms)
 
 
-# Each adapter maps one trial's rewards to a policy.  `designs` holds each
-# class's (design, ridge covariance) on the pair's fixed covariates, built once
-# per `ratio_experiment` call, so a trial's fits read only its rewards.
-def _cc_policy(rewards, designs, classes, delta, lam, penalty_scale, seed) -> Policy:
+def _draw_means(rng: np.random.Generator, counts: np.ndarray, instance: BanditInstance):
+    """Each arm cell's mean reward over its counts[a] rows; 0.0 for an empty cell."""
+    noise = instance.noise_scale * rng.standard_normal(2) / np.sqrt(np.maximum(counts, 1))
+    return np.where(counts > 0, instance.model.means[0] + noise, 0.0)
+
+
+def _draw_split(rng: np.random.Generator, pair: HardInstancePair, instance: BanditInstance):
+    """Hold-out's (fit, held-out) cells of a shuffled prefix split of the rows."""
+    n_in, _ = holdout_split_sizes(pair.n, HOLDOUT_SPLIT)
+    arm_0 = int(rng.hypergeometric(pair.n1, pair.n2, n_in))
+    counts_in = np.array([arm_0, n_in - arm_0])
+    counts_out = pair.counts - counts_in
+    means_in = _draw_means(rng, counts_in, instance)
+    means_out = _draw_means(rng, counts_out, instance)
+    df = int(np.maximum(counts_out - 1, 0).sum())
+    within = instance.noise_scale**2 * float(rng.chisquare(df)) if df > 0 else 0.0
+    return Cells(means_in, counts=counts_in), Cells(means_out, counts=counts_out, within=within)
+
+
+# Each selector maps one trial's cell statistics to a policy; cc and SLOPE
+# read every arm cell's mean reward, hold-out its split of them.
+def _fits(means, pair: HardInstancePair, lam: float):
+    return [
+        ridge_fit(table, means, lam, cov, pair.counts)
+        for table, cov in zip(pair.tables, pair.covariances(lam))
+    ]
+
+
+def _cc_select(means, pair, delta, lam, penalty_scale) -> Policy:
+    classes = list(pair.classes)
     learners = [
         PessimisticLearner(
-            ridge_fit(phi, rewards, lam, cov),
-            beta_coefficient(len(rewards), mc.dim, lam, delta / len(classes)),
-            penalty_scale,
+            fit, beta_coefficient(fit.n, mc.dim, lam, delta / len(classes)), penalty_scale
         )
-        for mc, (phi, cov) in zip(classes, designs)
+        for fit, mc in zip(_fits(means, pair, lam), classes)
     ]
     return complexity_coverage_policy(learners, classes, delta)[0]
 
 
-def _slope_policy(rewards, designs, classes, delta, lam, penalty_scale, seed) -> Policy:
-    fits = [(ridge_fit(phi, rewards, lam, cov), mc) for mc, (phi, cov) in zip(classes, designs)]
-    states = StateBatch(indices=[0])
-    return slope_policy_select(fits, states, delta, penalty_scale)[0]
+def _slope_select(means, pair, delta, lam, penalty_scale) -> Policy:
+    fits = list(zip(_fits(means, pair, lam), pair.classes))
+    return slope_policy_select(fits, _STATE, delta, penalty_scale)[0]
 
 
-def _holdout_policy(rewards, designs, classes, delta, lam, penalty_scale, seed) -> Policy:
-    phis = [phi for phi, _ in designs]  # each trial splits anew, so no covariance is reused
-    return holdout_select(phis, rewards, classes, HOLDOUT_SPLIT, lam, seed)[0]
+def _holdout_select(split, pair, delta, lam, penalty_scale) -> Policy:
+    fit_on, score_on = split
+    return holdout_select(list(pair.tables), fit_on, score_on, list(pair.classes), lam)[0]
+
+
+# Each adapter draws one trial's statistics from the trial's generator, in
+# the order of the module docstring, and selects on them.
+def _cc_policy(rng, pair, instance, delta, lam, penalty_scale) -> Policy:
+    return _cc_select(_draw_means(rng, pair.counts, instance), pair, delta, lam, penalty_scale)
+
+
+def _slope_policy(rng, pair, instance, delta, lam, penalty_scale) -> Policy:
+    return _slope_select(_draw_means(rng, pair.counts, instance), pair, delta, lam, penalty_scale)
+
+
+def _holdout_policy(rng, pair, instance, delta, lam, penalty_scale) -> Policy:
+    split = _draw_split(rng, pair, instance)
+    return _holdout_select(split, pair, delta, lam, penalty_scale)
 
 
 ALGORITHMS = {
@@ -160,12 +236,13 @@ def ratio_experiment(
     lam: float = 1.0,
     penalty_scale: float = 1.0,
 ) -> RatioResult:
-    """Mean regret of one algorithm on both instances over seeded reward draws.
+    """Mean regret of one algorithm on both instances over seeded trials.
 
-    Covariates stay fixed; only rewards are resampled per trial, so every
-    algorithm reads the pair's designs, and cc and SLOPE the ridge
-    covariances built on them once per call.  The ratio divides the worse of
-    the two mean regrets by the larger closed-form denominator.
+    Each trial draws the per-arm cell statistics of n1 rows of arm 0 and n2
+    of arm 1 (see the module docstring), so its cost does not depend on n1 or
+    n2; cc and SLOPE fit them on ridge covariances built once per call.  The
+    ratio divides the worse of the two mean regrets by the larger closed-form
+    denominator.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -173,22 +250,14 @@ def ratio_experiment(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     run = ALGORITHMS[algorithm]
     pair = build_hard_pair(n1, n2)
-    actions = pair.fixed_actions()
-    single = StateBatch(indices=[0])
-    classes = list(pair.classes)
-    designs = [(phi, ridge_covariance(phi, lam)) for phi in pair.designs]
     mean_regrets, se_regrets = [], []
     for i, inst in enumerate(pair.instances):
-        means = inst.model.means[0][actions]
-        best = inst.model.means[0].max()
+        arm_means = inst.model.means[0]
         regrets = np.empty(trials)
         for t in range(trials):
-            rewards = rng_stream(rng_seed, f"lb-rewards-nu{i + 1}", t).standard_normal(pair.n)
-            rewards += means  # in place; IEEE addition commutes, so equal to means + noise
-            trial_seed = derive_seed(rng_seed, f"lb-algo-nu{i + 1}", t)
-            policy = run(rewards, designs, classes, delta, lam, penalty_scale, trial_seed)
-            act = int(policy.actions(single)[0])
-            regrets[t] = best - inst.model.means[0][act]
+            rng = rng_stream(rng_seed, f"lb-cells-nu{i + 1}", t)
+            policy = run(rng, pair, inst, delta, lam, penalty_scale)
+            regrets[t] = arm_means.max() - arm_means[int(policy.actions(_STATE)[0])]
         mean_regrets.append(float(regrets.mean()))
         se_regrets.append(float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)
     denominator = max(oracle_denominator(pair, 0), oracle_denominator(pair, 1))

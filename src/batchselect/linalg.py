@@ -140,47 +140,83 @@ def _checked_design(features: np.ndarray, lam: float) -> np.ndarray:
     return features
 
 
-def _covariance(features: np.ndarray, lam: float) -> CovarianceMatrix:
-    n, d = features.shape
-    gram = features.T @ features / n
+def checked_counts(counts, cells: int) -> np.ndarray:
+    """`counts` as floats, refused unless it holds one whole, finite,
+    nonnegative row count per cell and totals at least one row."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (cells,):
+        raise ValueError(f"need one count per cell, {cells} in all, got shape {counts.shape}")
+    if not (np.all(np.isfinite(counts)) and np.all(counts >= 0) and np.all(counts % 1 == 0)):
+        raise ValueError("counts must be finite nonnegative whole numbers")
+    if counts.sum() < 1:
+        raise ValueError("counts must total at least one row")
+    return counts
+
+
+def _covariance(features: np.ndarray, lam: float, counts: np.ndarray | None) -> CovarianceMatrix:
+    if counts is None:
+        n, d = features.shape
+        gram = features.T @ features / n
+    else:
+        n, d = counts.sum(), features.shape[1]
+        gram = (features.T * counts) @ features / n
     return CovarianceMatrix(gram + (lam / n) * np.eye(d), ridge_floor=lam / n)
 
 
-def ridge_covariance(features: np.ndarray, lam: float) -> CovarianceMatrix:
-    """V = (lam/n)I + (1/n) Phi^T Phi of an n x d design, as `ridge_fit` builds it.
+def ridge_covariance(features: np.ndarray, lam: float, counts=None) -> CovarianceMatrix:
+    """V = (lam/n)I + (1/n) Phi^T diag(c) Phi of a design, as `ridge_fit` builds it.
 
     A design fit against many reward vectors needs V once: pass it to
-    `ridge_fit` as `cov`.
+    `ridge_fit` as `cov`.  `counts` is as in `ridge_fit`.
     """
-    return _covariance(_checked_design(features, lam), lam)
+    features = _checked_design(features, lam)
+    if counts is not None:
+        counts = checked_counts(counts, features.shape[0])
+    return _covariance(features, lam, counts)
 
 
 def ridge_fit(
-    features: np.ndarray, rewards: np.ndarray, lam: float, cov: CovarianceMatrix | None = None
+    features: np.ndarray,
+    rewards: np.ndarray,
+    lam: float,
+    cov: CovarianceMatrix | None = None,
+    counts=None,
 ) -> RidgeFit:
     """Fit V = (lam/n)I + (1/n) Phi^T Phi and theta_hat = V^{-1}(1/n) Phi^T y.
 
-    `cov`, if given, is `ridge_covariance(features, lam)` built beforehand
-    and is used in place of V; a `cov` of another width or ridge floor
-    raises ValueError.  Solved through the cached inverse Cholesky factor
-    of V; raises SingularMatrixError when lam = 0 and the Gram matrix is
-    rank deficient.
+    With `counts`, row j of `features` is a cell that stands for
+    `counts[j]` logged rows of that feature vector, and `rewards[j]` is
+    their mean reward: n = sum(counts), V = (lam/n)I + (1/n) Phi^T diag(c) Phi
+    and the target is (1/n) Phi^T (c * y), so an empty cell adds nothing.
+    Without it every row counts once.  Counts that are negative, non-finite,
+    fractional, of another shape or below one row in total raise ValueError.
+
+    `cov`, if given, is `ridge_covariance(features, lam, counts)` built
+    beforehand and is used in place of V; a `cov` of another width or ridge
+    floor raises ValueError.  Solved through the cached inverse Cholesky
+    factor of V; raises SingularMatrixError when lam = 0 and the Gram matrix
+    is rank deficient.
     """
     features = _checked_design(features, lam)
     rewards = np.asarray(rewards, dtype=float)
-    n, d = features.shape
-    if rewards.shape != (n,):
+    rows, d = features.shape
+    if rewards.shape != (rows,):
         raise ValueError("rewards length must match feature rows")
     if not np.all(np.isfinite(rewards)):
         raise ValueError("non-finite values in ridge inputs")
+    if counts is None:
+        n, weighted = rows, features.T
+    else:
+        counts = checked_counts(counts, rows)
+        n, weighted = counts.sum(), features.T * counts
     if cov is None:
-        cov = _covariance(features, lam)
+        cov = _covariance(features, lam, counts)
     elif cov.dim != d or cov.ridge_floor != lam / n:
         raise ValueError(
             f"cov of dim {cov.dim} and ridge floor {cov.ridge_floor!r} does not match "
-            f"a {n} x {d} design at lambda {lam!r}"
+            f"a {n:g}-row design of width {d} at lambda {lam!r}"
         )
-    target = features.T @ rewards / n
+    target = weighted @ rewards / n
     theta = cov.solve(target)
     residual = np.linalg.norm(cov.entries @ theta - target)
     if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(theta)):

@@ -16,7 +16,13 @@ from .learner import (
     PessimisticLearner,
     Policy,
 )
-from .linalg import CovarianceMatrix, inv_quad_norms, inv_sqrt_spectral_norm, ridge_fit
+from .linalg import (
+    CovarianceMatrix,
+    checked_counts,
+    inv_quad_norms,
+    inv_sqrt_spectral_norm,
+    ridge_fit,
+)
 
 # Hold-out losses this close to the minimum, relative to it, count as tied.
 # Classes that fit the same values (nested classes on data that cannot tell
@@ -193,49 +199,100 @@ def holdout_split_sizes(n: int, split_fraction: float) -> tuple[int, int]:
     return n_in, n_out
 
 
+@dataclass(frozen=True)
+class Cells:
+    """One side of a hold-out split, as per-cell reward statistics.
+
+    Cell j is row `rows[j]` of every class's design (row j when `rows` is
+    None) and holds `counts[j]` logged rows (one when `counts` is None) whose
+    mean reward is `means[j]`; `within` is the sum over all those rows of the
+    squared deviation of each reward from its cell's mean.
+    """
+
+    means: np.ndarray
+    rows: np.ndarray | None = None
+    counts: np.ndarray | None = None
+    within: float = 0.0
+
+    def __post_init__(self):
+        means = np.asarray(self.means, dtype=float)
+        object.__setattr__(self, "means", means)
+        if means.ndim != 1 or not np.all(np.isfinite(means)):
+            raise ValueError("cell means must be a finite vector")
+        if self.rows is not None and np.shape(self.rows) != means.shape:
+            raise ValueError("need one design row per cell")
+        if self.counts is not None:
+            object.__setattr__(self, "counts", checked_counts(self.counts, len(means)))
+        elif len(means) < 1:
+            raise ValueError("need at least one row")
+        if not (math.isfinite(self.within) and self.within >= 0):
+            raise ValueError("within-cell sum of squares must be finite and nonnegative")
+
+    @property
+    def n(self) -> int:
+        return len(self.means) if self.counts is None else int(self.counts.sum())
+
+    def features(self, design: np.ndarray) -> np.ndarray:
+        """The cells' rows of one class's design."""
+        # np.take gathers rows faster than fancy indexing on tall, narrow designs
+        return design if self.rows is None else np.take(design, self.rows, axis=0)
+
+    def mean_squared_error(self, predictions: np.ndarray) -> float:
+        """(sum_j c_j (p_j - ybar_j)^2 + within) / n: the mean squared error of
+        predicting p_j on every row of cell j."""
+        squares = (predictions - self.means) ** 2
+        if self.counts is not None:
+            squares = self.counts * squares
+        return float(np.sum(squares) + self.within) / self.n
+
+
+def row_split(rewards: np.ndarray, split_fraction: float, rng_seed: int) -> tuple[Cells, Cells]:
+    """Hold-out's (fit, held-out) split of logged rows by a seeded shuffle:
+    a prefix of `holdout_split_sizes` rows and the rest, each row a cell."""
+    n_in, _ = holdout_split_sizes(len(rewards), split_fraction)
+    perm = rng_stream(rng_seed, "holdout-split").permutation(len(rewards))
+    rows_in, rows_out = perm[:n_in], perm[n_in:]
+    return Cells(rewards[rows_in], rows_in), Cells(rewards[rows_out], rows_out)
+
+
 def holdout_select(
     designs: list[np.ndarray],
-    rewards: np.ndarray,
+    fit_on: Cells,
+    score_on: Cells,
     classes: list[ModelClass],
-    split_fraction: float,
     lam: float,
-    rng_seed: int,
 ) -> tuple[Policy, SelectionReport]:
-    """Fit on a shuffled prefix split, select by out-of-sample squared loss.
+    """Fit each class on `fit_on`'s cells, select by out-of-sample squared loss.
 
-    `designs[k]` is class k's design phi_k(x_i, a_i) on the logged rows,
-    shape (n, d_k) with n = len(rewards).  Returns the greedy policy of the
-    class minimizing the empirical loss on the held-out rows; losses within a
-    relative HOLDOUT_TIE_RTOL of the minimum tie, and ties break to the lowest
-    class index.
+    `designs[k]` is class k's design, shape (m, d_k), the same m for every
+    class, whose rows the cells of both sides name.  Each class is ridge-fit
+    on `fit_on` (weighted by its counts) and scored by its mean squared
+    error over `score_on`'s rows.  Returns the greedy policy of the class
+    minimizing that loss; losses within a relative HOLDOUT_TIE_RTOL of the
+    minimum tie, and ties break to the lowest class index.
     """
-    n = len(rewards)
     shapes = [np.shape(phi) for phi in designs]
-    if shapes != [(n, mc.dim) for mc in classes]:
+    m = shapes[0][0] if shapes and shapes[0] else 0
+    if shapes != [(m, mc.dim) for mc in classes]:
         dims = [mc.dim for mc in classes]
-        raise ValueError(f"need one ({n}, d_k) design per class of dims {dims}, got {shapes}")
-    n_in, n_out = holdout_split_sizes(n, split_fraction)
-    perm = rng_stream(rng_seed, "holdout-split").permutation(n)
-    rows_in, rows_out = perm[:n_in], perm[n_in:]
-    rewards_in, rewards_out = rewards[rows_in], rewards[rows_out]
+        raise ValueError(f"need one (m, d_k) design per class of dims {dims}, got {shapes}")
+    if any(side.rows is None and len(side.means) != m for side in (fit_on, score_on)):
+        raise ValueError(f"cells without rows need one cell per row of the {m}-row designs")
 
     losses = np.empty(len(classes))
     fits = []
     for k, phi in enumerate(designs):
-        # np.take gathers rows faster than fancy indexing on tall, narrow designs
-        fit = ridge_fit(np.take(phi, rows_in, axis=0), rewards_in, lam)
+        fit = ridge_fit(fit_on.features(phi), fit_on.means, lam, counts=fit_on.counts)
         fits.append(fit)
-        residual = np.take(phi, rows_out, axis=0) @ fit.theta_hat - rewards_out
-        losses[k] = float(np.mean(residual**2))
+        losses[k] = score_on.mean_squared_error(score_on.features(phi) @ fit.theta_hat)
     chosen = int(np.flatnonzero(losses <= losses.min() * (1 + HOLDOUT_TIE_RTOL))[0])
     report = SelectionReport(
         "HoldOut",
         chosen,
         {
             "losses": losses,
-            "n_in": n_in,
-            "n_out": n_out,
-            "split_fraction": split_fraction,
+            "n_in": fit_on.n,
+            "n_out": score_on.n,
             "dims": [mc.dim for mc in classes],
         },
     )

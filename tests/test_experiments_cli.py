@@ -72,6 +72,13 @@ class TestParseConfig:
         lb = {"n1": [1], "n2": 1, "algorithms": ["cc", "slope"]}
         assert parse_config({"experiment": "lower_bound", "lower_bound": lb}).lower_bound.n1 == (1,)
 
+    def test_row_limit_only_when_holdout_runs(self):
+        # cc and SLOPE draw no hypergeometric split, so any n1 is theirs
+        lb = {"n1": [2**40], "n2": 16, "algorithms": ["cc", "slope"]}
+        assert parse_config({"experiment": "lower_bound", "lower_bound": lb}).lower_bound.n1 == (2**40,)
+        with pytest.raises(ConfigError, match="hypergeometric"):
+            parse_config({"experiment": "lower_bound", "lower_bound": {**lb, "algorithms": ["holdout"]}})
+
     def test_non_ascending_dims(self):
         with pytest.raises(ConfigError):
             parse_config({"experiment": "ac", "ac": {"dims": [20, 15]}})
@@ -155,7 +162,11 @@ class TestRunLowerBound:
 # here is a change of output bits and needs equivalence evidence.  The ac
 # hash was re-pinned (from 157f4ebd...) when Gaussian states moved from one
 # einsum to one GEMM per action; test_ac_matches_the_einsum_sampler holds the
-# evidence.
+# evidence.  The lower_bound and lower_bound_slope hashes were re-pinned (from
+# 8472da8b... and 39ac615e...) when hard-pair trials moved from reward rows
+# to drawn per-cell statistics; tests/test_hard_instance.py keeps the row
+# path, which still gives those hashes, and scripts/compare_cell_draws.py
+# compares the two in distribution.
 GOLDEN = {
     "cc": (
         {"experiment": "cc", "trials": 2, "n_grid": [100, 250], "seed": 3},
@@ -178,7 +189,7 @@ GOLDEN = {
         },
         run_lower_bound,
         ratio_results_to_csv,
-        "8472da8b43f5d03465ac01c22a3589e5bdad75b466038b96b8941c2c312dd472",
+        "471ae907c978b7854bea308e88301299924f9afe4530266802ea4a407dfcb5c0",
     ),
     # The same study with SLOPE, whose policy reads a one-state tabular batch;
     # computed at the commit before the scalar state path was deleted.
@@ -191,7 +202,7 @@ GOLDEN = {
         },
         run_lower_bound,
         ratio_results_to_csv,
-        "39ac615e0e34a0ddad5bd1411be0f22a44e1658fc6cab87ef4aad9acc4b7d86b",
+        "ae29288fbd00c8f174bcc50c0a44b81fc084946b9660c02ed74eb409f43ae004",
     ),
 }
 
@@ -542,6 +553,13 @@ class TestCli:
     )
     def test_degenerate_holdout_split_is_a_config_error(self, tmp_path, doc):
         assert "degenerate hold-out split" in self._refused(tmp_path, {"trials": 1, **doc})
+
+    def test_holdout_beyond_the_hypergeometric_range_is_a_config_error(self, tmp_path):
+        # numpy's hypergeometric refuses 10**9 rows of an arm, which would
+        # otherwise fail the run at its first hold-out trial
+        lower_bound = {"n1": [16, 10**9 - 16], "n2": 16, "algorithms": ["cc", "holdout"]}
+        doc = {"experiment": "lower_bound", "trials": 1, "lower_bound": lower_bound}
+        assert "n1 + n2 < 1000000000" in self._refused(tmp_path, doc)
 
     def test_invalid_json_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.json"

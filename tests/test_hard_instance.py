@@ -1,23 +1,33 @@
-import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from batchselect import features, hard_instance, learner, linalg
-from batchselect.env import Dataset, StateBatch
+from batchselect import experiments, features, hard_instance, learner, linalg
+from batchselect.env import StateBatch, derive_seed, rng_stream
 from batchselect.features import check_nested, design_matrix
 from batchselect.hard_instance import (
     ALGORITHMS,
     HOLDOUT_SPLIT,
+    RatioResult,
     build_hard_pair,
     oracle_denominator,
     ratio_experiment,
     ratio_results_to_csv,
 )
-from batchselect.learner import fit_pessimistic
-from batchselect.linalg import inv_quad_norms, ridge_fit
-from batchselect.selection import complexity_coverage_policy, holdout_select, slope_policy_select
+from batchselect.learner import PessimisticLearner, beta_coefficient
+from batchselect.linalg import inv_quad_norms, ridge_covariance, ridge_fit
+from batchselect.selection import (
+    Cells,
+    complexity_coverage_policy,
+    holdout_select,
+    holdout_split_sizes,
+    row_split,
+    slope_policy_select,
+)
 from policies import FixedPolicy
 
 
@@ -39,7 +49,7 @@ class TestBuildHardPair:
         for _ in range(10):
             n1, n2 = int(rng.integers(1, 50)), int(rng.integers(1, 50))
             pair = build_hard_pair(n1, n2)
-            actions = pair.fixed_actions()
+            actions = np.repeat([0, 1], [n1, n2])
             phi = np.eye(2)[actions]
             for inst, expect in (
                 (pair.instances[0], [-pair.delta_gap, -2 * pair.delta_gap]),
@@ -60,10 +70,17 @@ class TestBuildHardPair:
         with pytest.raises(ValueError):
             build_hard_pair(0, 4)
 
+    def test_cell_tables_and_counts(self):
+        pair = build_hard_pair(7, 3)
+        assert [t.tolist() for t in pair.tables] == [[[1.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]]]
+        assert pair.counts.tolist() == [7, 3]
+        for table, mc in zip(pair.tables, pair.classes):  # row a is arm a's feature vector
+            assert np.array_equal(table, design_matrix(mc, StateBatch(indices=[0, 0]), [0, 1]))
+
     def test_hard_pair_arm_one_norm_bound(self):
         # n1 samples of arm 0: |phi_1(a_0)|_{V^{-1}} <= sqrt(n/n1)
         pair = build_hard_pair(n1=8, n2=24)
-        actions = pair.fixed_actions()
+        actions = np.repeat([0, 1], [pair.n1, pair.n2])
         states = StateBatch(indices=np.zeros(pair.n, dtype=int))
         mc1 = pair.classes[0]
         phi = design_matrix(mc1, states, actions)
@@ -138,84 +155,227 @@ def test_ratio_csv_schema():
     assert lines[1].startswith("cc,8,8,3,")
 
 
-# The per-trial adapters that rebuild every design and covariance from the
-# trial's dataset: the reference for the fixed-design cells.
-def _per_trial_cc(dataset, classes, delta, lam, penalty_scale, seed):
+def test_trial_draws_count_every_row():
+    pair = build_hard_pair(40, 9)
+    n_in, n_out = holdout_split_sizes(pair.n, HOLDOUT_SPLIT)
+    for t in range(50):
+        fit_on, score_on = hard_instance._draw_split(rng_stream(2, "t", t), pair, pair.instances[1])
+        assert (fit_on.n, score_on.n) == (n_in, n_out)
+        assert np.array_equal(fit_on.counts + score_on.counts, pair.counts)
+        assert fit_on.within == 0.0
+        empty = np.concatenate([fit_on.counts, score_on.counts]) == 0
+        assert np.all(np.concatenate([fit_on.means, score_on.means])[empty] == 0.0)
+    # a held-out side of one row per arm has no within-cell spread
+    _, score_on = hard_instance._draw_split(rng_stream(0, "t"), build_hard_pair(4, 4), pair.instances[0])
+    assert score_on.n == 1 and score_on.within == 0.0
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_trial_memory_does_not_grow_with_n1(algorithm):
+    # 2**29 rows of arm 0 would take gigabytes as a design or as reward draws
+    ratio_experiment(algorithm, 16, 16, trials=1, rng_seed=0)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        result = ratio_experiment(algorithm, 2**29, 16, trials=3, rng_seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert result.denominator > 0
+
+
+# The row-level hard pair, as the study ran before trials drew per-cell
+# statistics: a trial draws all n1 + n2 reward rows, fits each class on its
+# (n, d_k) design, and hold-out splits the rows by a seeded permutation.  It
+# is the reference for the cell path: test_row_reference_reproduces_its_goldens
+# pins it to that path's results.csv bytes, the tests below check that the
+# cell selectors only reorder its arithmetic, and scripts/compare_cell_draws.py
+# compares the two draws in distribution.
+def row_designs(pair):
+    """The logged rows' actions, n1 of arm 0 then n2 of arm 1, and each class's design on them."""
+    actions = np.repeat([0, 1], [pair.n1, pair.n2])
+    return actions, [table[actions] for table in pair.tables]
+
+
+def row_trial(pair, actions, i, t, rng_seed):
+    """Trial t's reward rows on instance i, and hold-out's split seed."""
+    rewards = rng_stream(rng_seed, f"lb-rewards-nu{i + 1}", t).standard_normal(pair.n)
+    rewards += pair.instances[i].model.means[0][actions]
+    return rewards, derive_seed(rng_seed, f"lb-algo-nu{i + 1}", t)
+
+
+def _row_fits(designs, covs, rewards, lam):
+    return [ridge_fit(phi, rewards, lam, cov) for phi, cov in zip(designs, covs)]
+
+
+def _row_cc(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):
     learners = [
-        fit_pessimistic(dataset, mc, lam, delta / len(classes), penalty_scale) for mc in classes
+        PessimisticLearner(
+            fit, beta_coefficient(len(rewards), mc.dim, lam, delta / len(classes)), penalty_scale
+        )
+        for fit, mc in zip(_row_fits(designs, covs, rewards, lam), classes)
     ]
     return complexity_coverage_policy(learners, classes, delta)[0]
 
 
-def _per_trial_slope(dataset, classes, delta, lam, penalty_scale, seed):
-    fits = [
-        (ridge_fit(design_matrix(mc, dataset.states, dataset.actions), dataset.rewards, lam), mc)
-        for mc in classes
-    ]
+def _row_slope(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):
+    fits = list(zip(_row_fits(designs, covs, rewards, lam), classes))
     return slope_policy_select(fits, StateBatch(indices=[0]), delta, penalty_scale)[0]
 
 
-def _per_trial_holdout(dataset, classes, delta, lam, penalty_scale, seed):
-    designs = [design_matrix(mc, dataset.states, dataset.actions) for mc in classes]
-    return holdout_select(designs, dataset.rewards, classes, HOLDOUT_SPLIT, lam, seed)[0]
+def _row_holdout(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):
+    fit_on, score_on = row_split(rewards, HOLDOUT_SPLIT, split_seed)
+    return holdout_select(designs, fit_on, score_on, classes, lam)[0]
 
 
-PER_TRIAL = {"cc": _per_trial_cc, "slope": _per_trial_slope, "holdout": _per_trial_holdout}
+ROW_SELECT = {"cc": _row_cc, "slope": _row_slope, "holdout": _row_holdout}
 
 
-@pytest.mark.parametrize("algorithm", sorted(PER_TRIAL))
+def row_ratio_experiment(
+    algorithm, n1, n2, trials, rng_seed, delta=0.05, lam=1.0, penalty_scale=1.0
+) -> RatioResult:
+    """`ratio_experiment` on the row-level path."""
+    pair = build_hard_pair(n1, n2)
+    actions, designs = row_designs(pair)
+    covs = [ridge_covariance(phi, lam) for phi in designs]
+    classes = list(pair.classes)
+    mean_regrets, se_regrets = [], []
+    for i, inst in enumerate(pair.instances):
+        arm_means = inst.model.means[0]
+        regrets = np.empty(trials)
+        for t in range(trials):
+            rewards, split_seed = row_trial(pair, actions, i, t, rng_seed)
+            policy = ROW_SELECT[algorithm](
+                designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale
+            )
+            regrets[t] = arm_means.max() - arm_means[int(policy.actions(StateBatch(indices=[0]))[0])]
+        mean_regrets.append(float(regrets.mean()))
+        se_regrets.append(float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)
+    denominator = max(oracle_denominator(pair, 0), oracle_denominator(pair, 1))
+    return RatioResult(
+        algorithm, n1, n2, trials, *mean_regrets, denominator, max(mean_regrets) / denominator,
+        *se_regrets,
+    )
+
+
+def reduce_rows(pair, actions, rewards, split_seed):
+    """The row trial as cell statistics: each arm's mean reward, and hold-out's
+    (fit, held-out) cells of the same permutation split, deviations included."""
+    means = np.array([rewards[actions == a].mean() for a in (0, 1)])
+    if math.ceil(HOLDOUT_SPLIT * pair.n) == pair.n:  # no split to reduce
+        return means, None
+    sides = []
+    for side in row_split(rewards, HOLDOUT_SPLIT, split_seed):
+        arms = actions[side.rows]
+        rows = [side.means[arms == a] for a in (0, 1)]
+        cell_means = np.array([r.mean() if r.size else 0.0 for r in rows])
+        within = float(sum(((r - m) ** 2).sum() for r, m in zip(rows, cell_means)))
+        sides.append(Cells(cell_means, counts=[r.size for r in rows], within=within))
+    return means, tuple(sides)
+
+
+CELL_SELECT = {
+    "cc": hard_instance._cc_select,
+    "slope": hard_instance._slope_select,
+    "holdout": hard_instance._holdout_select,
+}
+
+
+def _thetas(policy):
+    learners = getattr(policy, "learners", None)
+    return [lr.fit.theta_hat for lr in learners] if learners else [policy.fit.theta_hat]
+
+
+def assert_cells_reorder_rows(algorithm, pair, i, t, rng_seed, penalty_scale):
+    """The cell selector on the reduced row trial picks the row selector's
+    action, with theta within 1e-12 relative to its largest entry."""
+    actions, designs = row_designs(pair)
+    covs = [ridge_covariance(phi, 1.0) for phi in designs]
+    rewards, split_seed = row_trial(pair, actions, i, t, rng_seed)
+    args = (0.05, 1.0, penalty_scale)
+    want = ROW_SELECT[algorithm](designs, covs, rewards, split_seed, list(pair.classes), *args)
+    means, split = reduce_rows(pair, actions, rewards, split_seed)
+    got = CELL_SELECT[algorithm](split if algorithm == "holdout" else means, pair, *args)
+    state = StateBatch(indices=[0])
+    assert got.actions(state).tolist() == want.actions(state).tolist()
+    for theta, ref in zip(_thetas(got), _thetas(want), strict=True):
+        scale = np.abs(ref).max()
+        np.testing.assert_allclose(theta, ref, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("algorithm", sorted(CELL_SELECT))
 @pytest.mark.parametrize("n1, n2", [(16, 16), (1024, 16)])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_fixed_design_cells_equal_per_trial_fits(monkeypatch, algorithm, n1, n2, seed):
-    reference = PER_TRIAL[algorithm]
+def test_fixed_design_cells_equal_per_trial_fits(algorithm, n1, n2, seed):
     pair = build_hard_pair(n1, n2)
-    states, actions = StateBatch(indices=np.zeros(pair.n, dtype=int)), pair.fixed_actions()
+    for i in (0, 1):
+        for t in range(5):
+            assert_cells_reorder_rows(algorithm, pair, i, t, seed, penalty_scale=0.5)
 
-    def per_trial(rewards, designs, classes, *args):
-        # drop the cell's designs and rebuild the trial's dataset instead
-        return reference(Dataset(states, actions, rewards), classes, *args)
 
-    monkeypatch.setitem(ALGORITHMS, "per_trial", per_trial)
-    kwargs = dict(trials=5, rng_seed=seed, penalty_scale=0.5)
-    want = ratio_experiment("per_trial", n1, n2, **kwargs)
-    got = ratio_experiment(algorithm, n1, n2, **kwargs)
-    assert got == dataclasses.replace(want, algorithm=algorithm)
+@settings(max_examples=150, deadline=None)
+@given(
+    algorithm=st.sampled_from(sorted(CELL_SELECT)),
+    n1=st.integers(1, 200),
+    n2=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+    instance=st.sampled_from([0, 1]),
+    penalty_scale=st.sampled_from([0.1, 1.0]),
+)
+def test_cell_selectors_reorder_the_row_arithmetic(
+    algorithm, n1, n2, seed, instance, penalty_scale
+):
+    pair = build_hard_pair(n1, n2)
+    assume(algorithm != "holdout" or math.ceil(HOLDOUT_SPLIT * pair.n) < pair.n)
+    assert_cells_reorder_rows(algorithm, pair, instance, 0, seed, penalty_scale)
+
+
+# The lower_bound goldens of tests/test_experiments_cli.py as the row-level path pinned them.
+ROW_GOLDEN = [
+    (["cc", "holdout"], "8472da8b43f5d03465ac01c22a3589e5bdad75b466038b96b8941c2c312dd472"),
+    (["cc", "slope", "holdout"], "39ac615e0e34a0ddad5bd1411be0f22a44e1658fc6cab87ef4aad9acc4b7d86b"),
+]
+
+
+@pytest.mark.parametrize("algorithms, digest", ROW_GOLDEN)
+def test_row_reference_reproduces_its_goldens(monkeypatch, algorithms, digest):
+    monkeypatch.setattr(experiments, "ratio_experiment", row_ratio_experiment)
+    lower_bound = {"n1": [16, 64], "n2": 16, "algorithms": algorithms}
+    config = experiments.parse_config(
+        {"experiment": "lower_bound", "trials": 20, "seed": 3, "lower_bound": lower_bound}
+    )
+    text = ratio_results_to_csv(experiments.run_lower_bound(config, threads=1)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _count_builds(monkeypatch):
-    """Count CovarianceMatrix constructions, and design_matrix calls at each alias that
-    a ratio_experiment call reaches."""
-    counts = {"cov": 0, "design": 0, "design_in_hard_instance": 0}
+    """Count CovarianceMatrix constructions and design_matrix calls."""
+    counts = {"cov": 0, "design": 0}
     init = linalg.CovarianceMatrix.__init__
+    design = features.design_matrix
 
     def counting_init(self, *args, **kwargs):
         counts["cov"] += 1
         init(self, *args, **kwargs)
 
-    def counting(key):
-        def design(*args, **kwargs):
-            counts[key] += 1
-            return features.design_matrix(*args, **kwargs)
-
-        return design
+    def counting_design(*args, **kwargs):
+        counts["design"] += 1
+        return design(*args, **kwargs)
 
     monkeypatch.setattr(linalg.CovarianceMatrix, "__init__", counting_init)
-    monkeypatch.setattr(learner, "design_matrix", counting("design"))
-    monkeypatch.setattr(hard_instance, "design_matrix", counting("design_in_hard_instance"))
+    for module in (features, learner, experiments):
+        monkeypatch.setattr(module, "design_matrix", counting_design)
     return counts
 
 
 # CovarianceMatrix builds per cell of 5 trials on each of 2 instances with 2
-# classes: one per class up front; hold-out also fits each trial's split, 20 in all
-COVARIANCE_BUILDS = {"cc": 2, "slope": 2, "holdout": 2 + 20}
+# classes: cc and SLOPE build each class's once, on first use; hold-out builds
+# none up front and fits each trial's split, 20 in all
+COVARIANCE_BUILDS = {"cc": 2, "slope": 2, "holdout": 20}
 
 
 @pytest.mark.parametrize("algorithm", ["cc", "slope", "holdout"])
 def test_fixed_design_cell_builds_each_class_once(monkeypatch, algorithm):
-    # 20 design builds if rebuilt per trial; hold-out's split changes every
-    # trial, but it gathers both sides of the split from the pair's designs
     counts = _count_builds(monkeypatch)
     ratio_experiment(algorithm, 64, 16, trials=5, rng_seed=0)
-    assert counts == {
-        "cov": COVARIANCE_BUILDS[algorithm], "design": 0, "design_in_hard_instance": 2
-    }
+    assert counts == {"cov": COVARIANCE_BUILDS[algorithm], "design": 0}

@@ -345,3 +345,65 @@ def test_ridge_covariance_checks_its_design():
     cov = ridge_covariance(np.ones((4, 1)), 1.0)
     with pytest.raises(ValueError):  # a given covariance does not excuse bad rewards
         ridge_fit(np.ones((4, 1)), np.array([1.0, np.nan, 0.0, 0.0]), 1.0, cov)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.lists(st.integers(0, 60), min_size=1, max_size=8).filter(lambda c: sum(c) > 0),
+    d=st.integers(1, 6),
+    lam=st.floats(0.01, 10.0),
+    one_hot=st.booleans(),
+)
+def test_fit_on_counted_cells_equals_fit_on_their_rows(seed, counts, d, lam, one_hot):
+    rng = np.random.default_rng(seed)
+    cells = len(counts)
+    if one_hot:
+        table = np.eye(d)[rng.integers(0, d, size=cells)]
+    else:
+        table = rng.standard_normal((cells, d))
+    rows = [rng.standard_normal(c) + rng.standard_normal() for c in counts]
+    means = np.array([r.mean() if r.size else 0.0 for r in rows])
+    counted = ridge_fit(table, means, lam, counts=counts)
+    repeated = ridge_fit(np.repeat(table, counts, axis=0), np.concatenate(rows), lam)
+    assert counted.n == repeated.n == sum(counts)
+    # V is summed in another order; theta also carries that rounding through
+    # V^{-1}, so beyond a condition number of 100 its bound grows with it
+    v_want = repeated.cov.entries
+    np.testing.assert_allclose(counted.cov.entries, v_want, rtol=1e-12, atol=1e-12 * np.abs(v_want).max())
+    rtol = 1e-14 * max(np.linalg.cond(v_want), 100.0)
+    theta_want = repeated.theta_hat
+    np.testing.assert_allclose(
+        counted.theta_hat, theta_want, rtol=rtol, atol=rtol * np.abs(theta_want).max()
+    )
+    given_cov = ridge_fit(table, means, lam, ridge_covariance(table, lam, counts), counts)
+    assert given_cov.theta_hat.tobytes() == counted.theta_hat.tobytes()
+
+
+def test_empty_cell_adds_nothing():
+    table = np.array([[1.0, 0.5], [0.2, 1.0], [3.0, -1.0]])
+    means = np.array([0.3, -1.2, 0.0])
+    with_empty = ridge_fit(table, means, 1.0, counts=[4, 7, 0])
+    without = ridge_fit(table[:2], means[:2], 1.0, counts=[4, 7])
+    assert with_empty.n == without.n == 11
+    np.testing.assert_allclose(with_empty.theta_hat, without.theta_hat, rtol=1e-15)
+    np.testing.assert_allclose(with_empty.cov.entries, without.cov.entries, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[1, -1], [1, np.nan], [1, np.inf], [1, 2, 3], [[1, 2]], [0, 0], [0.5, 0.25], [1.5, 2]],
+    ids=["negative", "nan", "infinite", "too_many", "matrix", "no_rows", "below_one", "fraction"],
+)
+def test_bad_counts_rejected(counts):
+    table, means = np.eye(2), np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="count"):
+        ridge_fit(table, means, 1.0, counts=counts)
+    with pytest.raises(ValueError, match="count"):
+        ridge_covariance(table, 1.0, counts)
+
+
+def test_counts_reject_a_covariance_of_other_counts():
+    table, means = np.eye(2), np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="does not match"):
+        ridge_fit(table, means, 1.0, ridge_covariance(table, 1.0, [3, 3]), counts=[3, 4])

@@ -27,9 +27,11 @@ from batchselect.learner import (
 )
 from batchselect.linalg import CovarianceMatrix, RidgeFit, ridge_fit
 from batchselect.selection import (
+    Cells,
     SlopeInputs,
     complexity_coverage_policy,
     holdout_select,
+    row_split,
     slope_policy_select,
     slope_select,
     zeta_coefficient,
@@ -290,9 +292,10 @@ class TestSlopePolicySelect:
 
 
 def _holdout(data, classes, split_fraction, lam, seed):
-    """holdout_select on each class's design over the dataset's rows."""
+    """holdout_select on each class's design over the dataset's rows, split as ac splits them."""
     designs = [design_matrix(mc, data.states, data.actions) for mc in classes]
-    return holdout_select(designs, data.rewards, classes, split_fraction, lam, seed)
+    fit_on, score_on = row_split(data.rewards, split_fraction, seed)
+    return holdout_select(designs, fit_on, score_on, classes, lam)
 
 
 class TestHoldoutSelect:
@@ -346,13 +349,14 @@ class TestHoldoutSelect:
         from batchselect.selection import HOLDOUT_TIE_RTOL
 
         pair = build_hard_pair(16, 3)
-        actions = pair.fixed_actions()
+        actions = np.repeat([0, 1], [16, 3])
         means = pair.instances[0].model.means[0][actions]
         noise = np.random.default_rng(1).standard_normal(pair.n)
         perm = rng_stream(0, "holdout-split").permutation(pair.n)
         assert not actions[perm[math.ceil(0.8 * pair.n):]].any()
-        designs = list(pair.designs)
-        _, report = holdout_select(designs, means + noise, list(pair.classes), 0.8, 1.0, 0)
+        designs = [table[actions] for table in pair.tables]
+        fit_on, score_on = row_split(means + noise, 0.8, 0)
+        _, report = holdout_select(designs, fit_on, score_on, list(pair.classes), 1.0)
         losses = report.audit["losses"]
         assert losses[1] != losses[0]
         assert abs(losses[1] - losses[0]) <= HOLDOUT_TIE_RTOL * losses.min()
@@ -384,7 +388,7 @@ class TestHoldoutSelect:
         classes = truncation_family(4, [2, 4])
         designs = [design_matrix(mc, data.states, data.actions) for mc in classes]
         with pytest.raises(ValueError, match="design"):
-            holdout_select(mangle(designs), data.rewards, classes, 0.8, 1.0, 0)
+            holdout_select(mangle(designs), *row_split(data.rewards, 0.8, 0), classes, 1.0)
 
     def test_out_sample_loss_permutation_invariant(self):
         # the loss is a mean over D_out; row order inside D_out cannot matter
@@ -394,6 +398,60 @@ class TestHoldoutSelect:
         _, r1 = _holdout(data, classes, 0.8, 1.0, 11)
         _, r2 = _holdout(data, classes, 0.8, 1.0, 11)
         assert np.array_equal(r1.audit["losses"], r2.audit["losses"])
+
+
+class TestCells:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 600))
+    def test_count_one_cells_score_as_rows(self, seed, m):
+        # rows entering as cells of count one keep the bits of the row formula
+        rng = np.random.default_rng(seed)
+        predictions, rewards = rng.standard_normal(m), rng.standard_normal(m)
+        row_loss = float(np.mean((predictions - rewards) ** 2))
+        assert Cells(rewards).mean_squared_error(predictions) == row_loss
+        assert Cells(rewards, counts=np.ones(m)).mean_squared_error(predictions) == row_loss
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        counts=st.lists(st.integers(0, 40), min_size=1, max_size=6).filter(lambda c: sum(c) > 0),
+    )
+    def test_counted_cells_score_as_their_rows(self, seed, counts):
+        rng = np.random.default_rng(seed)
+        predictions = rng.standard_normal(len(counts))
+        rows = [rng.standard_normal(c) + rng.standard_normal() for c in counts]
+        means = np.array([r.mean() if r.size else 0.0 for r in rows])
+        within = float(sum(((r - m) ** 2).sum() for r, m in zip(rows, means)))
+        cells = Cells(means, counts=counts, within=within)
+        row_predictions = np.repeat(predictions, counts)
+        row_loss = float(np.mean((row_predictions - np.concatenate(rows)) ** 2))
+        assert cells.n == sum(counts)
+        assert cells.mean_squared_error(predictions) == pytest.approx(row_loss, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"means": [np.nan]},
+            {"means": []},
+            {"means": [1.0], "counts": [-1]},
+            {"means": [1.0], "counts": [0.5]},
+            {"means": [1.0], "counts": [np.inf]},
+            {"means": [1.0], "counts": [0]},
+            {"means": [1.0, 2.0], "counts": [1]},
+            {"means": [1.0, 2.0], "rows": [0]},
+            {"means": [1.0], "within": -1.0},
+            {"means": [1.0], "within": np.inf},
+        ],
+    )
+    def test_bad_cells_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            Cells(**kwargs)
+
+    def test_cells_without_rows_need_one_per_design_row(self):
+        classes = truncation_family(3, [3])
+        designs = [np.eye(3)]
+        with pytest.raises(ValueError, match="one cell per row"):
+            holdout_select(designs, Cells([1.0, 2.0]), Cells([1.0, 2.0, 3.0]), classes, 1.0)
 
 
 def test_selection_report_json_round_trip():
