@@ -35,9 +35,9 @@ MAX_SE = 3.0
 def pooled(results) -> list[tuple[float, float]]:
     """(mean, standard error) of each instance's regret over equal-sized seeds."""
     out = []
-    for mean_key, se_key in (("mean_regret_nu1", "se_regret_nu1"), ("mean_regret_nu2", "se_regret_nu2")):
-        means = [getattr(r, mean_key) for r in results]
-        ses = [getattr(r, se_key) for r in results]
+    for i in (1, 2):
+        means = [getattr(r, f"mean_regret_nu{i}") for r in results]
+        ses = [getattr(r, f"se_regret_nu{i}") for r in results]
         out.append((sum(means) / len(means), math.sqrt(sum(se * se for se in ses)) / len(ses)))
     return out
 
@@ -65,7 +65,8 @@ def main() -> int:
                         for seed in seeds
                     ]
                 )
-            for i, ((row_mean, row_se), (cell_mean, cell_se)) in enumerate(zip(runs["row"], runs["cell"])):
+            pairs = zip(runs["row"], runs["cell"])
+            for i, ((row_mean, row_se), (cell_mean, cell_se)) in enumerate(pairs):
                 diff, se = cell_mean - row_mean, math.hypot(row_se, cell_se)
                 z = abs(diff) / se if se > 0 else (0.0 if diff == 0 else math.inf)
                 worst = max(worst, z)

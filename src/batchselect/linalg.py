@@ -153,14 +153,20 @@ def checked_counts(counts, cells: int) -> np.ndarray:
     return counts
 
 
-def _covariance(features: np.ndarray, lam: float, counts: np.ndarray | None) -> CovarianceMatrix:
+def _weighted(features: np.ndarray, counts) -> tuple[np.ndarray, float]:
+    """(Phi^T diag(c), n) of a checked design: Phi^T and its row count
+    without `counts`."""
     if counts is None:
-        n, d = features.shape
-        gram = features.T @ features / n
-    else:
-        n, d = counts.sum(), features.shape[1]
-        gram = (features.T * counts) @ features / n
-    return CovarianceMatrix(gram + (lam / n) * np.eye(d), ridge_floor=lam / n)
+        return features.T, features.shape[0]
+    counts = checked_counts(counts, features.shape[0])
+    return features.T * counts, counts.sum()
+
+
+def _covariance(
+    features: np.ndarray, weighted: np.ndarray, n: float, lam: float
+) -> CovarianceMatrix:
+    gram = weighted @ features / n
+    return CovarianceMatrix(gram + (lam / n) * np.eye(features.shape[1]), ridge_floor=lam / n)
 
 
 def ridge_covariance(features: np.ndarray, lam: float, counts=None) -> CovarianceMatrix:
@@ -170,9 +176,7 @@ def ridge_covariance(features: np.ndarray, lam: float, counts=None) -> Covarianc
     `ridge_fit` as `cov`.  `counts` is as in `ridge_fit`.
     """
     features = _checked_design(features, lam)
-    if counts is not None:
-        counts = checked_counts(counts, features.shape[0])
-    return _covariance(features, lam, counts)
+    return _covariance(features, *_weighted(features, counts), lam)
 
 
 def ridge_fit(
@@ -204,13 +208,9 @@ def ridge_fit(
         raise ValueError("rewards length must match feature rows")
     if not np.all(np.isfinite(rewards)):
         raise ValueError("non-finite values in ridge inputs")
-    if counts is None:
-        n, weighted = rows, features.T
-    else:
-        counts = checked_counts(counts, rows)
-        n, weighted = counts.sum(), features.T * counts
+    weighted, n = _weighted(features, counts)
     if cov is None:
-        cov = _covariance(features, lam, counts)
+        cov = _covariance(features, weighted, n, lam)
     elif cov.dim != d or cov.ridge_floor != lam / n:
         raise ValueError(
             f"cov of dim {cov.dim} and ridge floor {cov.ridge_floor!r} does not match "

@@ -75,9 +75,11 @@ class TestParseConfig:
     def test_row_limit_only_when_holdout_runs(self):
         # cc and SLOPE draw no hypergeometric split, so any n1 is theirs
         lb = {"n1": [2**40], "n2": 16, "algorithms": ["cc", "slope"]}
-        assert parse_config({"experiment": "lower_bound", "lower_bound": lb}).lower_bound.n1 == (2**40,)
+        config = parse_config({"experiment": "lower_bound", "lower_bound": lb})
+        assert config.lower_bound.n1 == (2**40,)
+        holdout = {**lb, "algorithms": ["holdout"]}
         with pytest.raises(ConfigError, match="hypergeometric"):
-            parse_config({"experiment": "lower_bound", "lower_bound": {**lb, "algorithms": ["holdout"]}})
+            parse_config({"experiment": "lower_bound", "lower_bound": holdout})
 
     def test_non_ascending_dims(self):
         with pytest.raises(ConfigError):

@@ -166,7 +166,8 @@ def test_trial_draws_count_every_row():
         empty = np.concatenate([fit_on.counts, score_on.counts]) == 0
         assert np.all(np.concatenate([fit_on.means, score_on.means])[empty] == 0.0)
     # a held-out side of one row per arm has no within-cell spread
-    _, score_on = hard_instance._draw_split(rng_stream(0, "t"), build_hard_pair(4, 4), pair.instances[0])
+    small = build_hard_pair(4, 4)
+    _, score_on = hard_instance._draw_split(rng_stream(0, "t"), small, small.instances[0])
     assert score_on.n == 1 and score_on.within == 0.0
 
 
@@ -248,7 +249,8 @@ def row_ratio_experiment(
             policy = ROW_SELECT[algorithm](
                 designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale
             )
-            regrets[t] = arm_means.max() - arm_means[int(policy.actions(StateBatch(indices=[0]))[0])]
+            act = int(policy.actions(StateBatch(indices=[0]))[0])
+            regrets[t] = arm_means.max() - arm_means[act]
         mean_regrets.append(float(regrets.mean()))
         se_regrets.append(float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)
     denominator = max(oracle_denominator(pair, 0), oracle_denominator(pair, 1))
@@ -333,7 +335,10 @@ def test_cell_selectors_reorder_the_row_arithmetic(
 # The lower_bound goldens of tests/test_experiments_cli.py as the row-level path pinned them.
 ROW_GOLDEN = [
     (["cc", "holdout"], "8472da8b43f5d03465ac01c22a3589e5bdad75b466038b96b8941c2c312dd472"),
-    (["cc", "slope", "holdout"], "39ac615e0e34a0ddad5bd1411be0f22a44e1658fc6cab87ef4aad9acc4b7d86b"),
+    (
+        ["cc", "slope", "holdout"],
+        "39ac615e0e34a0ddad5bd1411be0f22a44e1658fc6cab87ef4aad9acc4b7d86b",
+    ),
 ]
 
 

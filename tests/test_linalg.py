@@ -370,7 +370,9 @@ def test_fit_on_counted_cells_equals_fit_on_their_rows(seed, counts, d, lam, one
     # V is summed in another order; theta also carries that rounding through
     # V^{-1}, so beyond a condition number of 100 its bound grows with it
     v_want = repeated.cov.entries
-    np.testing.assert_allclose(counted.cov.entries, v_want, rtol=1e-12, atol=1e-12 * np.abs(v_want).max())
+    np.testing.assert_allclose(
+        counted.cov.entries, v_want, rtol=1e-12, atol=1e-12 * np.abs(v_want).max()
+    )
     rtol = 1e-14 * max(np.linalg.cond(v_want), 100.0)
     theta_want = repeated.theta_hat
     np.testing.assert_allclose(
