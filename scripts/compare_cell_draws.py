@@ -1,9 +1,9 @@
 """Compare the lower_bound study's per-cell draws with the row draws they replaced.
 
-    python3 scripts/compare_cell_draws.py [--trials 100] [--first-seed 101] [--seeds 20]
+    python3 scripts/compare_cell_draws.py
 
 Runs the benchmark's lower_bound config (`WORKLOADS` in perfbench/run.py) at
---trials trials per cell on each of --seeds seeds, once on the library's
+TRIALS trials per cell on each of SEEDS, once on the library's
 path, which draws each trial's per-arm counts and mean rewards directly, and
 once on the row-level reference kept in tests/test_hard_instance.py, which
 draws all n1 + n2 reward rows and splits hold-out's rows by a permutation.
@@ -14,7 +14,6 @@ It exits 1 when any difference exceeds 3 combined standard errors.
 """
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
@@ -29,6 +28,8 @@ from batchselect.hard_instance import ratio_experiment  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 from test_hard_instance import row_ratio_experiment  # noqa: E402
 
+TRIALS = 100
+SEEDS = range(101, 121)
 MAX_SE = 3.0
 
 
@@ -43,15 +44,9 @@ def pooled(results) -> list[tuple[float, float]]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--seeds", type=int, default=20)
-    args = parser.parse_args()
-    seeds = range(args.first_seed, args.first_seed + args.seeds)
-    config = parse_config({**WORKLOADS["lower_bound"], "trials": args.trials})
+    config = parse_config({**WORKLOADS["lower_bound"], "trials": TRIALS})
     s = config.lower_bound
-    print(f"lower_bound, {args.trials} trials on seeds {seeds.start}-{seeds.stop - 1}")
+    print(f"lower_bound, {TRIALS} trials on seeds {SEEDS.start}-{SEEDS.stop - 1}")
     print("algorithm  n1     instance  row_mean  cell_mean  diff      combined_se  diff/se")
     worst = 0.0
     for algo in s.algorithms:
@@ -62,7 +57,7 @@ def main() -> int:
                     [
                         run(algo, n1, s.n2, config.trials, derive_seed(seed, f"lb-{algo}-{n1}"),
                             delta=config.delta, lam=config.lam, penalty_scale=config.penalty_scale)
-                        for seed in seeds
+                        for seed in SEEDS
                     ]
                 )
             pairs = zip(runs["row"], runs["cell"])

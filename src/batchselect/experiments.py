@@ -321,6 +321,7 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
         dataset.rewards, s.holdout_split, derive_seed(seed, f"ac-holdout-{n}", trial)
     )
     ho_policy, ho_report = holdout_select(designs, fit_on, score_on, classes, config.lam)
+    ho_report.audit["split_fraction"] = s.holdout_split  # row_split, not holdout_select, reads it
     rows.append(
         ResultRow(n, "holdout", trial, regret_estimate(instance, optimal, ho_policy, test_states))
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .env import BanditInstance, StateBatch, TabularModel, rng_stream
 from .features import ModelClass, TabularMap, check_nested
 from .diagnostics import fixed_design_theta_star
 from .learner import PessimisticLearner, Policy, beta_coefficient
-from .linalg import CovarianceMatrix, ridge_covariance, ridge_fit
+from .linalg import ridge_covariance, ridge_fit
 from .selection import (
     Cells,
     complexity_coverage_policy,
@@ -60,7 +60,6 @@ class HardInstancePair:
     instances: tuple[BanditInstance, BanditInstance]
     classes: tuple[ModelClass, ModelClass]
     tables: tuple[np.ndarray, np.ndarray]  # each class's (2, d_k) cell table, one row per arm
-    _covariances: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -70,12 +69,6 @@ class HardInstancePair:
     def counts(self) -> np.ndarray:
         """Logged rows per arm cell."""
         return np.array([self.n1, self.n2])
-
-    def covariances(self, lam: float) -> list[CovarianceMatrix]:
-        """Each class's ridge covariance at the pair's counts, built on first use."""
-        if lam not in self._covariances:
-            self._covariances[lam] = [ridge_covariance(t, lam, self.counts) for t in self.tables]
-        return self._covariances[lam]
 
 
 def build_hard_pair(n1: int, n2: int) -> HardInstancePair:
@@ -151,48 +144,49 @@ def _draw_split(rng: np.random.Generator, pair: HardInstancePair, instance: Band
 
 
 # Each selector maps one trial's cell statistics to a policy; cc and SLOPE
-# read every arm cell's mean reward, hold-out its split of them.
-def _fits(means, pair: HardInstancePair, lam: float):
-    return [
-        ridge_fit(table, means, lam, cov, pair.counts)
-        for table, cov in zip(pair.tables, pair.covariances(lam))
-    ]
+# read every arm cell's mean reward, hold-out its split of them.  `covs` holds
+# each class's ridge covariance at the pair's counts, built once per
+# `ratio_experiment` call.
+def _fits(means, pair: HardInstancePair, covs, lam: float):
+    return [ridge_fit(table, means, lam, cov, pair.counts) for table, cov in zip(pair.tables, covs)]
 
 
-def _cc_select(means, pair, delta, lam, penalty_scale) -> Policy:
+def _cc_select(means, pair, covs, delta, lam, penalty_scale) -> Policy:
     classes = list(pair.classes)
     learners = [
         PessimisticLearner(
             fit, beta_coefficient(fit.n, mc.dim, lam, delta / len(classes)), penalty_scale
         )
-        for fit, mc in zip(_fits(means, pair, lam), classes)
+        for fit, mc in zip(_fits(means, pair, covs, lam), classes)
     ]
     return complexity_coverage_policy(learners, classes, delta)[0]
 
 
-def _slope_select(means, pair, delta, lam, penalty_scale) -> Policy:
-    fits = list(zip(_fits(means, pair, lam), pair.classes))
+def _slope_select(means, pair, covs, delta, lam, penalty_scale) -> Policy:
+    fits = list(zip(_fits(means, pair, covs, lam), pair.classes))
     return slope_policy_select(fits, _STATE, delta, penalty_scale)[0]
 
 
-def _holdout_select(split, pair, delta, lam, penalty_scale) -> Policy:
-    fit_on, score_on = split
+def _holdout_select(split, pair, covs, delta, lam, penalty_scale) -> Policy:
+    fit_on, score_on = split  # each trial splits anew, so no covariance is reused
     return holdout_select(list(pair.tables), fit_on, score_on, list(pair.classes), lam)[0]
 
 
 # Each adapter draws one trial's statistics from the trial's generator, in
 # the order of the module docstring, and selects on them.
-def _cc_policy(rng, pair, instance, delta, lam, penalty_scale) -> Policy:
-    return _cc_select(_draw_means(rng, pair.counts, instance), pair, delta, lam, penalty_scale)
+def _cc_policy(rng, pair, covs, instance, delta, lam, penalty_scale) -> Policy:
+    means = _draw_means(rng, pair.counts, instance)
+    return _cc_select(means, pair, covs, delta, lam, penalty_scale)
 
 
-def _slope_policy(rng, pair, instance, delta, lam, penalty_scale) -> Policy:
-    return _slope_select(_draw_means(rng, pair.counts, instance), pair, delta, lam, penalty_scale)
+def _slope_policy(rng, pair, covs, instance, delta, lam, penalty_scale) -> Policy:
+    means = _draw_means(rng, pair.counts, instance)
+    return _slope_select(means, pair, covs, delta, lam, penalty_scale)
 
 
-def _holdout_policy(rng, pair, instance, delta, lam, penalty_scale) -> Policy:
+def _holdout_policy(rng, pair, covs, instance, delta, lam, penalty_scale) -> Policy:
     split = _draw_split(rng, pair, instance)
-    return _holdout_select(split, pair, delta, lam, penalty_scale)
+    return _holdout_select(split, pair, covs, delta, lam, penalty_scale)
 
 
 ALGORITHMS = {
@@ -250,13 +244,14 @@ def ratio_experiment(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     run = ALGORITHMS[algorithm]
     pair = build_hard_pair(n1, n2)
+    covs = [ridge_covariance(table, lam, pair.counts) for table in pair.tables]
     mean_regrets, se_regrets = [], []
     for i, inst in enumerate(pair.instances):
         arm_means = inst.model.means[0]
         regrets = np.empty(trials)
         for t in range(trials):
             rng = rng_stream(rng_seed, f"lb-cells-nu{i + 1}", t)
-            policy = run(rng, pair, inst, delta, lam, penalty_scale)
+            policy = run(rng, pair, covs, inst, delta, lam, penalty_scale)
             regrets[t] = arm_means.max() - arm_means[int(policy.actions(_STATE)[0])]
         mean_regrets.append(float(regrets.mean()))
         se_regrets.append(float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)

@@ -265,19 +265,29 @@ def holdout_select(
     """Fit each class on `fit_on`'s cells, select by out-of-sample squared loss.
 
     `designs[k]` is class k's design, shape (m, d_k), the same m for every
-    class, whose rows the cells of both sides name.  Each class is ridge-fit
-    on `fit_on` (weighted by its counts) and scored by its mean squared
-    error over `score_on`'s rows.  Returns the greedy policy of the class
-    minimizing that loss; losses within a relative HOLDOUT_TIE_RTOL of the
-    minimum tie, and ties break to the lowest class index.
+    class, whose rows the cells of both sides name.  When both sides are
+    uncounted rows they must hold m rows between them, so no design row is
+    left out.  Each class is ridge-fit on `fit_on` (weighted by its counts)
+    and scored by its mean squared error over `score_on`'s rows.  Returns the
+    greedy policy of the class minimizing that loss; losses within a relative
+    HOLDOUT_TIE_RTOL of the minimum tie, and ties break to the lowest class
+    index.
     """
     shapes = [np.shape(phi) for phi in designs]
     m = shapes[0][0] if shapes and shapes[0] else 0
     if shapes != [(m, mc.dim) for mc in classes]:
         dims = [mc.dim for mc in classes]
         raise ValueError(f"need one (m, d_k) design per class of dims {dims}, got {shapes}")
-    if any(side.rows is None and len(side.means) != m for side in (fit_on, score_on)):
+    sides = (fit_on, score_on)
+    if any(side.rows is None and len(side.means) != m for side in sides):
         raise ValueError(f"cells without rows need one cell per row of the {m}-row designs")
+    if any(
+        side.rows is not None and not np.all((0 <= side.rows) & (side.rows < m)) for side in sides
+    ):
+        raise ValueError(f"cell rows must lie in the {m}-row designs")
+    rows_only = all(side.rows is not None and side.counts is None for side in sides)
+    if rows_only and fit_on.n + score_on.n != m:
+        raise ValueError(f"the split's {fit_on.n + score_on.n} rows must cover the {m}-row designs")
 
     losses = np.empty(len(classes))
     fits = []

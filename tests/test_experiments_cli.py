@@ -123,6 +123,15 @@ class TestRunAc:
         expected = {f"class_{d}" for d in (15, 20, 30, 50, 75, 100)} | {"slope", "holdout"}
         assert {r.method for r in rows} == expected
 
+    def test_holdout_audit_keys(self):
+        c = parse_config(
+            {"experiment": "ac", "trials": 1, "n_grid": [200], "seed": 2, "ac": {"holdout_split": 0.7}}
+        )
+        _, reports = run_ac(c, audit=True)
+        (audit,) = [r["report"]["audit"] for r in reports if r["method"] == "holdout"]
+        assert sorted(audit) == ["dims", "losses", "n_in", "n_out", "split_fraction"]
+        assert (audit["split_fraction"], audit["n_in"], audit["n_out"]) == (0.7, 140, 60)
+
     def test_deterministic(self):
         c = parse_config({"experiment": "ac", "trials": 1, "n_grid": [150], "seed": 3})
         assert results_to_csv(run_ac(c)[0]) == results_to_csv(run_ac(c, threads=2)[0])

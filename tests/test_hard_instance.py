@@ -297,7 +297,9 @@ def assert_cells_reorder_rows(algorithm, pair, i, t, rng_seed, penalty_scale):
     args = (0.05, 1.0, penalty_scale)
     want = ROW_SELECT[algorithm](designs, covs, rewards, split_seed, list(pair.classes), *args)
     means, split = reduce_rows(pair, actions, rewards, split_seed)
-    got = CELL_SELECT[algorithm](split if algorithm == "holdout" else means, pair, *args)
+    cell_covs = [ridge_covariance(table, 1.0, pair.counts) for table in pair.tables]
+    stats = split if algorithm == "holdout" else means
+    got = CELL_SELECT[algorithm](stats, pair, cell_covs, *args)
     state = StateBatch(indices=[0])
     assert got.actions(state).tolist() == want.actions(state).tolist()
     for theta, ref in zip(_thetas(got), _thetas(want), strict=True):
@@ -374,9 +376,9 @@ def _count_builds(monkeypatch):
 
 
 # CovarianceMatrix builds per cell of 5 trials on each of 2 instances with 2
-# classes: cc and SLOPE build each class's once, on first use; hold-out builds
-# none up front and fits each trial's split, 20 in all
-COVARIANCE_BUILDS = {"cc": 2, "slope": 2, "holdout": 20}
+# classes: each class's once per call, which cc and SLOPE reuse; hold-out also
+# fits each trial's split, 2 + 20 in all
+COVARIANCE_BUILDS = {"cc": 2, "slope": 2, "holdout": 22}
 
 
 @pytest.mark.parametrize("algorithm", ["cc", "slope", "holdout"])

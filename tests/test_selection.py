@@ -377,8 +377,18 @@ class TestHoldoutSelect:
             lambda designs: [designs[0], np.vstack([designs[1], designs[1][:1]])],
             lambda designs: [designs[0], designs[1][:-1]],
             lambda designs: [designs[0], designs[1][:, :-1]],
+            lambda designs: [np.vstack([phi, phi[:1]]) for phi in designs],
+            lambda designs: [phi[:-1] for phi in designs],
         ],
-        ids=["fewer_designs", "more_designs", "extra_row", "missing_row", "narrow_design"],
+        ids=[
+            "fewer_designs",
+            "more_designs",
+            "extra_row",
+            "missing_row",
+            "narrow_design",
+            "extra_row_all",
+            "missing_row_all",
+        ],
     )
     def test_mismatched_designs_rejected(self, mangle):
         # an extra row would otherwise be cut off silently, an extra design
@@ -446,6 +456,14 @@ class TestCells:
     def test_bad_cells_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Cells(**kwargs)
+
+    @pytest.mark.parametrize("rows", [[0, -1], [0, 3]], ids=["negative", "past_the_end"])
+    def test_cell_rows_must_lie_in_the_designs(self, rows):
+        # np.take would wrap a negative row and fail on one past the end
+        classes = truncation_family(3, [3])
+        fit_on = Cells([1.0, 2.0], rows=np.array(rows), counts=[1, 1])
+        with pytest.raises(ValueError, match="rows must lie"):
+            holdout_select([np.eye(3)], fit_on, Cells([3.0], rows=np.array([1])), classes, 1.0)
 
     def test_cells_without_rows_need_one_per_design_row(self):
         classes = truncation_family(3, [3])
