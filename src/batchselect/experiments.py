@@ -2,17 +2,15 @@
 lower-bound ratio study, with deterministic seeded trials and CSV output."""
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
-import io
 import json
 import math
 import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +32,7 @@ from .hard_instance import (
     HOLDOUT_SPLIT,
     MAX_HOLDOUT_ROWS,
     RatioResult,
+    csv_text,
     ratio_experiment,
 )
 from .learner import (
@@ -41,7 +40,6 @@ from .learner import (
     GreedyPolicy,
     OptimalPolicy,
     PessimisticPolicy,
-    beta_coefficient,
     fit_pessimistic,
 )
 from .linalg import ridge_fit
@@ -263,17 +261,13 @@ def _cc_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     optimal = OptimalPolicy(instance)
 
     rows, reports = [], []
-    learners = []
+    fits = []
     for d_hid, mc in zip(config.cc.hidden_dims, classes):
         learner = fit_pessimistic(dataset, mc, config.lam, config.delta, config.penalty_scale)
         regret = regret_estimate(instance, optimal, PessimisticPolicy(learner, mc), test_states)
         rows.append(ResultRow(n, f"class_{d_hid}", trial, regret))
-        # The selector runs each class at confidence delta/M.  beta depends on
-        # (n, d, lambda, delta) only, so the delta and delta/M learners share
-        # one ridge fit and differ in beta alone.
-        beta = beta_coefficient(dataset.n, mc.dim, config.lam, config.delta / len(classes))
-        learners.append(replace(learner, beta=beta))
-    policy, report = complexity_coverage_policy(learners, classes, config.delta)
+        fits.append(learner.fit)
+    policy, report = complexity_coverage_policy(fits, classes, config.delta, config.penalty_scale)
     rows.append(ResultRow(n, "cc", trial, regret_estimate(instance, optimal, policy, test_states)))
     if audit:
         reports.append({"n": n, "trial": trial, "method": "cc", "report": json.loads(report.to_json())})
@@ -446,36 +440,33 @@ def run_ac(config: ExperimentConfig, threads: int = 1, audit: bool = False):
 
 
 def run_lower_bound(config: ExperimentConfig, threads: int = 1, audit: bool = False):
+    """The ratio study's (algorithm, n1) cells, run one after another whatever
+    `threads` is: a cell's trials are short stretches of Python that hold the
+    interpreter lock, so a thread pool only adds contention."""
     s = config.lower_bound
-    # largest n1 first, as in _run_cells; the results are sorted afterwards
-    cells = [(algo, int(n1)) for n1 in sorted(s.n1, reverse=True) for algo in s.algorithms]
-
-    def one(cell):
-        algo, n1 = cell
-        return ratio_experiment(
-            algo,
-            n1,
-            int(s.n2),
-            config.trials,
-            derive_seed(config.seed, f"lb-{algo}-{n1}"),
-            delta=config.delta,
-            lam=config.lam,
-            penalty_scale=config.penalty_scale,
-        )
-
-    with _mapper(threads) as mapper:
-        results = list(mapper(one, cells))
+    with _ONE_BLAS_THREAD:
+        results = [
+            ratio_experiment(
+                algo,
+                int(n1),
+                int(s.n2),
+                config.trials,
+                derive_seed(config.seed, f"lb-{algo}-{n1}"),
+                delta=config.delta,
+                lam=config.lam,
+                penalty_scale=config.penalty_scale,
+            )
+            for algo in s.algorithms
+            for n1 in s.n1
+        ]
     results.sort(key=lambda r: (r.algorithm, r.n1, r.n2))
     return results, []
 
 
 def results_to_csv(rows: list[ResultRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "method", "trial", "regret"])
-    for r in rows:
-        writer.writerow([r.n, r.method, r.trial, repr(r.regret)])
-    return buf.getvalue()
+    return csv_text(
+        ["n", "method", "trial", "regret"], [(r.n, r.method, r.trial, r.regret) for r in rows]
+    )
 
 
 def aggregate_rows(rows: list[ResultRow]) -> list[tuple]:
@@ -491,22 +482,17 @@ def aggregate_rows(rows: list[ResultRow]) -> list[tuple]:
     return out
 
 
+AGGREGATE_HEADER = ["n", "method", "mean_regret", "stderr"]
+
+
 def aggregate_to_csv(rows: list[ResultRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "method", "mean_regret", "stderr"])
-    for n, method, mean, se in aggregate_rows(rows):
-        writer.writerow([n, method, repr(mean), repr(se)])
-    return buf.getvalue()
+    return csv_text(AGGREGATE_HEADER, aggregate_rows(rows))
 
 
 def lower_bound_aggregate_to_csv(results: list[RatioResult]) -> str:
     """Lower-bound runs reuse the aggregate schema with n = n1 and the
     max-over-instances mean regret; the full detail lives in results.csv."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "method", "mean_regret", "stderr"])
     entries = sorted(results, key=lambda r: (r.n1, r.algorithm))
-    for r in entries:
-        writer.writerow([r.n1, r.algorithm, repr(r.max_mean_regret), repr(r.max_se)])
-    return buf.getvalue()
+    return csv_text(
+        AGGREGATE_HEADER, [(r.n1, r.algorithm, r.max_mean_regret, r.max_se) for r in entries]
+    )

@@ -8,8 +8,6 @@ import numpy as np
 from .env import BanditInstance, StateBatch, rng_stream
 
 REALIZABILITY_TOL = 1e-8
-# Feature-map nestedness is checked on this many (state, action) pairs.
-NESTED_PROBE_COUNT = 256
 
 
 class RepresentationMismatchError(TypeError):
@@ -150,11 +148,11 @@ def truncation_family(ambient_dim: int, dims) -> list[ModelClass]:
     return [ModelClass(d, TruncationMap(ambient_dim)) for d in dims]
 
 
-def check_nested(classes, probe_states: StateBatch | None = None) -> bool:
+def check_nested(classes) -> bool:
     """True iff each phi_{k+1} extends phi_k coordinate-wise.
 
-    Tabular maps are compared over all (state, action) pairs; feature maps
-    over the first NESTED_PROBE_COUNT sampled pairs from `probe_states`.
+    Tabular maps are compared over all (state, action) pairs.  Truncation
+    maps are nested by construction when they share an ambient dimension.
     """
     if len(classes) < 1:
         raise ValueError("need at least one class")
@@ -168,13 +166,6 @@ def check_nested(classes, probe_states: StateBatch | None = None) -> bool:
         elif isinstance(sm, TruncationMap) and isinstance(lm, TruncationMap):
             if sm.ambient_dim != lm.ambient_dim:
                 return False
-            if probe_states is not None:
-                feats_small = features_all_actions(small, probe_states)
-                feats_large = features_all_actions(large, probe_states)
-                flat_s = feats_small.reshape(-1, small.dim)[:NESTED_PROBE_COUNT]
-                flat_l = feats_large.reshape(-1, large.dim)[:NESTED_PROBE_COUNT]
-                if not np.array_equal(flat_s, flat_l[:, : small.dim]):
-                    return False
         else:
             return False
     return True

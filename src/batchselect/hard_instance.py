@@ -34,7 +34,7 @@ import numpy as np
 from .env import BanditInstance, StateBatch, TabularModel, rng_stream
 from .features import ModelClass, TabularMap, check_nested
 from .diagnostics import fixed_design_theta_star
-from .learner import PessimisticLearner, Policy, beta_coefficient
+from .learner import Policy
 from .linalg import ridge_covariance, ridge_fit
 from .selection import (
     Cells,
@@ -130,6 +130,11 @@ def _draw_means(rng: np.random.Generator, counts: np.ndarray, instance: BanditIn
     return np.where(counts > 0, instance.model.means[0] + noise, 0.0)
 
 
+def _draw_arms(rng: np.random.Generator, pair: HardInstancePair, instance: BanditInstance):
+    """Each arm cell's mean reward over all of the pair's rows."""
+    return _draw_means(rng, pair.counts, instance)
+
+
 def _draw_split(rng: np.random.Generator, pair: HardInstancePair, instance: BanditInstance):
     """Hold-out's (fit, held-out) cells of a shuffled prefix split of the rows."""
     n_in, _ = holdout_split_sizes(pair.n, HOLDOUT_SPLIT)
@@ -140,26 +145,19 @@ def _draw_split(rng: np.random.Generator, pair: HardInstancePair, instance: Band
     means_out = _draw_means(rng, counts_out, instance)
     df = int(np.maximum(counts_out - 1, 0).sum())
     within = instance.noise_scale**2 * float(rng.chisquare(df)) if df > 0 else 0.0
-    return Cells(means_in, counts=counts_in), Cells(means_out, counts=counts_out, within=within)
+    return Cells(means_in, counts_in), Cells(means_out, counts_out, within)
 
 
-# Each selector maps one trial's cell statistics to a policy; cc and SLOPE
-# read every arm cell's mean reward, hold-out its split of them.  `covs` holds
-# each class's ridge covariance at the pair's counts, built once per
-# `ratio_experiment` call.
+# Each selector maps one trial's draw to a policy.  `covs` holds each class's
+# ridge covariance at the pair's counts, built once per `ratio_experiment`
+# call; hold-out, whose split changes every trial, does not read it.
 def _fits(means, pair: HardInstancePair, covs, lam: float):
     return [ridge_fit(table, means, lam, cov, pair.counts) for table, cov in zip(pair.tables, covs)]
 
 
 def _cc_select(means, pair, covs, delta, lam, penalty_scale) -> Policy:
-    classes = list(pair.classes)
-    learners = [
-        PessimisticLearner(
-            fit, beta_coefficient(fit.n, mc.dim, lam, delta / len(classes)), penalty_scale
-        )
-        for fit, mc in zip(_fits(means, pair, covs, lam), classes)
-    ]
-    return complexity_coverage_policy(learners, classes, delta)[0]
+    fits = _fits(means, pair, covs, lam)
+    return complexity_coverage_policy(fits, list(pair.classes), delta, penalty_scale)[0]
 
 
 def _slope_select(means, pair, covs, delta, lam, penalty_scale) -> Policy:
@@ -168,31 +166,16 @@ def _slope_select(means, pair, covs, delta, lam, penalty_scale) -> Policy:
 
 
 def _holdout_select(split, pair, covs, delta, lam, penalty_scale) -> Policy:
-    fit_on, score_on = split  # each trial splits anew, so no covariance is reused
+    fit_on, score_on = split
     return holdout_select(list(pair.tables), fit_on, score_on, list(pair.classes), lam)[0]
 
 
-# Each adapter draws one trial's statistics from the trial's generator, in
-# the order of the module docstring, and selects on them.
-def _cc_policy(rng, pair, covs, instance, delta, lam, penalty_scale) -> Policy:
-    means = _draw_means(rng, pair.counts, instance)
-    return _cc_select(means, pair, covs, delta, lam, penalty_scale)
-
-
-def _slope_policy(rng, pair, covs, instance, delta, lam, penalty_scale) -> Policy:
-    means = _draw_means(rng, pair.counts, instance)
-    return _slope_select(means, pair, covs, delta, lam, penalty_scale)
-
-
-def _holdout_policy(rng, pair, covs, instance, delta, lam, penalty_scale) -> Policy:
-    split = _draw_split(rng, pair, instance)
-    return _holdout_select(split, pair, covs, delta, lam, penalty_scale)
-
-
+# Each algorithm's (draw, select): the draw takes one trial's statistics from
+# the trial's generator, in the order of the module docstring.
 ALGORITHMS = {
-    "cc": _cc_policy,
-    "slope": _slope_policy,
-    "holdout": _holdout_policy,
+    "cc": (_draw_arms, _cc_select),
+    "slope": (_draw_arms, _slope_select),
+    "holdout": (_draw_split, _holdout_select),
 }
 
 
@@ -242,7 +225,7 @@ def ratio_experiment(
         raise ValueError("trials must be positive")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    run = ALGORITHMS[algorithm]
+    draw, select = ALGORITHMS[algorithm]
     pair = build_hard_pair(n1, n2)
     covs = [ridge_covariance(table, lam, pair.counts) for table in pair.tables]
     mean_regrets, se_regrets = [], []
@@ -251,7 +234,7 @@ def ratio_experiment(
         regrets = np.empty(trials)
         for t in range(trials):
             rng = rng_stream(rng_seed, f"lb-cells-nu{i + 1}", t)
-            policy = run(rng, pair, covs, inst, delta, lam, penalty_scale)
+            policy = select(draw(rng, pair, inst), pair, covs, delta, lam, penalty_scale)
             regrets[t] = arm_means.max() - arm_means[int(policy.actions(_STATE)[0])]
         mean_regrets.append(float(regrets.mean()))
         se_regrets.append(float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)
@@ -270,32 +253,19 @@ def ratio_experiment(
     )
 
 
-def ratio_results_to_csv(results: list[RatioResult]) -> str:
+def csv_text(header, rows) -> str:
+    """A header line and one line per row, as the studies' CSV files hold them;
+    a float is written by its repr, so it reads back to the same value."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "algorithm",
-            "n1",
-            "n2",
-            "trials",
-            "mean_regret_nu1",
-            "mean_regret_nu2",
-            "denominator",
-            "ratio",
-        ]
-    )
-    for r in results:
-        writer.writerow(
-            [
-                r.algorithm,
-                r.n1,
-                r.n2,
-                r.trials,
-                repr(r.mean_regret_nu1),
-                repr(r.mean_regret_nu2),
-                repr(r.denominator),
-                repr(r.ratio),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+RATIO_COLUMNS = ("algorithm", "n1", "n2", "trials", "mean_regret_nu1", "mean_regret_nu2",
+                 "denominator", "ratio")
+
+
+def ratio_results_to_csv(results: list[RatioResult]) -> str:
+    return csv_text(RATIO_COLUMNS, [[getattr(r, c) for c in RATIO_COLUMNS] for r in results])

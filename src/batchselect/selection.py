@@ -15,9 +15,11 @@ from .learner import (
     GreedyPolicy,
     PessimisticLearner,
     Policy,
+    beta_coefficient,
 )
 from .linalg import (
     CovarianceMatrix,
+    RidgeFit,
     checked_counts,
     inv_quad_norms,
     inv_sqrt_spectral_norm,
@@ -107,19 +109,27 @@ def slope_select(inputs: SlopeInputs) -> tuple[int, float]:
 
 
 def complexity_coverage_policy(
-    learners: list[PessimisticLearner],
+    fits: list[RidgeFit],
     classes: list[ModelClass],
     delta: float,
+    penalty_scale: float = 1.0,
 ) -> tuple[Policy, SelectionReport]:
     """Algorithm: pessimistic per (action, class), optimistic across classes.
 
-    Learners must be fit on the same dataset with beta computed at
-    confidence delta/M.
+    `fits` holds one ridge fit per class, all on the same dataset; each class
+    runs at confidence delta/M, so its pessimism width is
+    penalty_scale * beta(n, d_k, lambda, delta/M).
     """
-    if len(learners) == 0:
-        raise ValueError("need at least one learner")
-    if len(learners) != len(classes):
-        raise ValueError("one learner per class required")
+    if len(fits) == 0:
+        raise ValueError("need at least one fitted class")
+    if len(fits) != len(classes):
+        raise ValueError("one fit per class required")
+    learners = [
+        PessimisticLearner(
+            fit, beta_coefficient(fit.n, mc.dim, fit.lam, delta / len(classes)), penalty_scale
+        )
+        for fit, mc in zip(fits, classes)
+    ]
     policy = CompositePessimisticPolicy(learners, classes)
     audit: dict = {"delta": delta, "dims": [mc.dim for mc in classes]}
     report = SelectionReport("ComplexityCoverage", "per-state", audit)
@@ -144,7 +154,7 @@ def slope_policy_select(
         raise ValueError("validation states must be nonempty")
     fits = [fit for fit, _ in learners_greedy]
     classes = [mc for _, mc in learners_greedy]
-    if not check_nested(classes, probe_states=validation_states):
+    if not check_nested(classes):
         raise ValueError("SLOPE requires a nested collection of model classes")
     m_classes = len(classes)
     n_states = len(validation_states)
@@ -203,15 +213,15 @@ def holdout_split_sizes(n: int, split_fraction: float) -> tuple[int, int]:
 class Cells:
     """One side of a hold-out split, as per-cell reward statistics.
 
-    Cell j is row `rows[j]` of every class's design (row j when `rows` is
-    None) and holds `counts[j]` logged rows (one when `counts` is None) whose
-    mean reward is `means[j]`; `within` is the sum over all those rows of the
-    squared deviation of each reward from its cell's mean.
+    Cell j is row j of every class's design and holds `counts[j]` logged
+    rows whose mean reward is `means[j]`; a cell of count 0 adds nothing to a
+    fit or a loss, whatever finite mean it holds.  `within` is the sum over
+    all those rows of the squared deviation of each reward from its cell's
+    mean.
     """
 
     means: np.ndarray
-    rows: np.ndarray | None = None
-    counts: np.ndarray | None = None
+    counts: np.ndarray
     within: float = 0.0
 
     def __post_init__(self):
@@ -219,40 +229,29 @@ class Cells:
         object.__setattr__(self, "means", means)
         if means.ndim != 1 or not np.all(np.isfinite(means)):
             raise ValueError("cell means must be a finite vector")
-        if self.rows is not None and np.shape(self.rows) != means.shape:
-            raise ValueError("need one design row per cell")
-        if self.counts is not None:
-            object.__setattr__(self, "counts", checked_counts(self.counts, len(means)))
-        elif len(means) < 1:
-            raise ValueError("need at least one row")
+        object.__setattr__(self, "counts", checked_counts(self.counts, len(means)))
         if not (math.isfinite(self.within) and self.within >= 0):
             raise ValueError("within-cell sum of squares must be finite and nonnegative")
 
     @property
     def n(self) -> int:
-        return len(self.means) if self.counts is None else int(self.counts.sum())
-
-    def features(self, design: np.ndarray) -> np.ndarray:
-        """The cells' rows of one class's design."""
-        # np.take gathers rows faster than fancy indexing on tall, narrow designs
-        return design if self.rows is None else np.take(design, self.rows, axis=0)
+        return int(self.counts.sum())
 
     def mean_squared_error(self, predictions: np.ndarray) -> float:
         """(sum_j c_j (p_j - ybar_j)^2 + within) / n: the mean squared error of
         predicting p_j on every row of cell j."""
-        squares = (predictions - self.means) ** 2
-        if self.counts is not None:
-            squares = self.counts * squares
-        return float(np.sum(squares) + self.within) / self.n
+        return float(np.sum(self.counts * (predictions - self.means) ** 2) + self.within) / self.n
 
 
 def row_split(rewards: np.ndarray, split_fraction: float, rng_seed: int) -> tuple[Cells, Cells]:
     """Hold-out's (fit, held-out) split of logged rows by a seeded shuffle:
-    a prefix of `holdout_split_sizes` rows and the rest, each row a cell."""
+    a prefix of `holdout_split_sizes` rows and the rest.  Each side has one
+    cell per row, of count 1 on its own rows and 0 on the other side's."""
     n_in, _ = holdout_split_sizes(len(rewards), split_fraction)
     perm = rng_stream(rng_seed, "holdout-split").permutation(len(rewards))
-    rows_in, rows_out = perm[:n_in], perm[n_in:]
-    return Cells(rewards[rows_in], rows_in), Cells(rewards[rows_out], rows_out)
+    counts_in = np.zeros(len(rewards))
+    counts_in[perm[:n_in]] = 1.0
+    return Cells(rewards, counts_in), Cells(rewards, 1.0 - counts_in)
 
 
 def holdout_select(
@@ -265,36 +264,28 @@ def holdout_select(
     """Fit each class on `fit_on`'s cells, select by out-of-sample squared loss.
 
     `designs[k]` is class k's design, shape (m, d_k), the same m for every
-    class, whose rows the cells of both sides name.  When both sides are
-    uncounted rows they must hold m rows between them, so no design row is
-    left out.  Each class is ridge-fit on `fit_on` (weighted by its counts)
-    and scored by its mean squared error over `score_on`'s rows.  Returns the
-    greedy policy of the class minimizing that loss; losses within a relative
+    class, and each side holds one cell per design row.  Each class is
+    ridge-fit on its whole design weighted by `fit_on`'s counts and scored by
+    its mean squared error over `score_on`'s cells.  Returns the greedy
+    policy of the class minimizing that loss; losses within a relative
     HOLDOUT_TIE_RTOL of the minimum tie, and ties break to the lowest class
     index.
     """
     shapes = [np.shape(phi) for phi in designs]
-    m = shapes[0][0] if shapes and shapes[0] else 0
-    if shapes != [(m, mc.dim) for mc in classes]:
+    m = len(fit_on.means)
+    if shapes != [(m, mc.dim) for mc in classes] or len(score_on.means) != m:
         dims = [mc.dim for mc in classes]
-        raise ValueError(f"need one (m, d_k) design per class of dims {dims}, got {shapes}")
-    sides = (fit_on, score_on)
-    if any(side.rows is None and len(side.means) != m for side in sides):
-        raise ValueError(f"cells without rows need one cell per row of the {m}-row designs")
-    if any(
-        side.rows is not None and not np.all((0 <= side.rows) & (side.rows < m)) for side in sides
-    ):
-        raise ValueError(f"cell rows must lie in the {m}-row designs")
-    rows_only = all(side.rows is not None and side.counts is None for side in sides)
-    if rows_only and fit_on.n + score_on.n != m:
-        raise ValueError(f"the split's {fit_on.n + score_on.n} rows must cover the {m}-row designs")
+        raise ValueError(
+            f"need one (m, d_k) design per class of dims {dims} and m cells on each side, "
+            f"got designs {shapes} and {m} + {len(score_on.means)} cells"
+        )
 
     losses = np.empty(len(classes))
     fits = []
     for k, phi in enumerate(designs):
-        fit = ridge_fit(fit_on.features(phi), fit_on.means, lam, counts=fit_on.counts)
+        fit = ridge_fit(phi, fit_on.means, lam, counts=fit_on.counts)
         fits.append(fit)
-        losses[k] = score_on.mean_squared_error(score_on.features(phi) @ fit.theta_hat)
+        losses[k] = score_on.mean_squared_error(phi @ fit.theta_hat)
     chosen = int(np.flatnonzero(losses <= losses.min() * (1 + HOLDOUT_TIE_RTOL))[0])
     report = SelectionReport(
         "HoldOut",

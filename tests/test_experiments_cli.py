@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +261,7 @@ def test_cells_run_largest_n_first(monkeypatch):
     assert seen == [80, 60, 40] * 2
 
 
-def test_lower_bound_cells_run_largest_n1_first(monkeypatch):
+def test_lower_bound_results_are_sorted(monkeypatch):
     seen = []
     ratio = experiments.ratio_experiment
 
@@ -271,9 +272,25 @@ def test_lower_bound_cells_run_largest_n1_first(monkeypatch):
     monkeypatch.setattr(experiments, "ratio_experiment", recording_ratio)
     lower_bound = {"n1": [16, 64, 32], "n2": 16, "algorithms": ["holdout", "cc"]}
     config = parse_config({"experiment": "lower_bound", "trials": 2, "lower_bound": lower_bound})
-    results, _ = run_lower_bound(config, threads=1)
-    assert [n1 for _, n1 in seen] == [64, 64, 32, 32, 16, 16]
+    results, _ = run_lower_bound(config, threads=2)
     assert [(r.algorithm, r.n1) for r in results] == sorted(seen)
+    assert len(seen) == 6
+
+
+def test_lower_bound_cells_run_on_the_calling_thread(monkeypatch):
+    # a cell's trials hold the interpreter lock, so a pool would only contend
+    threads = []
+    ratio = experiments.ratio_experiment
+
+    def recording_ratio(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return ratio(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ratio_experiment", recording_ratio)
+    lower_bound = {"n1": [16, 32], "n2": 16, "algorithms": ["holdout", "cc"]}
+    config = parse_config({"experiment": "lower_bound", "trials": 2, "lower_bound": lower_bound})
+    run_lower_bound(config, threads=2)
+    assert threads == [threading.get_ident()] * 4
 
 
 def _count_calls(monkeypatch, module, name):
@@ -442,9 +459,9 @@ class TestDuplicateWork:
         captured, datasets = [], []
         select, sample = experiments.complexity_coverage_policy, experiments.sample_dataset
 
-        def capture_select(learners, classes, delta, *args, **kwargs):
-            captured.append((learners, classes))
-            return select(learners, classes, delta, *args, **kwargs)
+        def capture_select(*args, **kwargs):
+            captured.append(select(*args, **kwargs))
+            return captured[-1]
 
         def capture_sample(*args, **kwargs):
             datasets.append(sample(*args, **kwargs))
@@ -453,10 +470,10 @@ class TestDuplicateWork:
         monkeypatch.setattr(experiments, "complexity_coverage_policy", capture_select)
         monkeypatch.setattr(experiments, "sample_dataset", capture_sample)
         run_cc(config)
-        (learners, classes), = captured
+        ((policy, _),) = captured
         (dataset,) = datasets
-        m = len(classes)
-        for shared, mc in zip(learners, classes):
+        m = len(policy.classes)
+        for shared, mc in zip(policy.learners, policy.classes, strict=True):
             fresh = fit_pessimistic(
                 dataset, mc, config.lam, config.delta / m, config.penalty_scale
             )

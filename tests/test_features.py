@@ -134,9 +134,9 @@ class TestTruncationFamily:
 
 class TestCheckNested:
     def test_truncation_family_nested(self):
-        inst = make_gaussian_instance(8, 3, 2, 0)
-        probe = sample_states(inst, 30, 0)
-        assert check_nested(truncation_family(8, [2, 5, 8]), probe_states=probe)
+        # truncations of one ambient space are nested; of two, they are not
+        assert check_nested(truncation_family(8, [2, 5, 8]))
+        assert not check_nested([ModelClass(2, TruncationMap(8)), ModelClass(5, TruncationMap(9))])
 
     def test_independent_realizable_classes_not_nested(self):
         inst = make_tabular_instance(4, 3, 0)

@@ -18,7 +18,6 @@ from batchselect.hard_instance import (
     ratio_experiment,
     ratio_results_to_csv,
 )
-from batchselect.learner import PessimisticLearner, beta_coefficient
 from batchselect.linalg import inv_quad_norms, ridge_covariance, ridge_fit
 from batchselect.selection import (
     Cells,
@@ -121,7 +120,7 @@ class TestRatioExperiment:
     def test_fixed_arm_zero_algorithm(self):
         # always playing arm 0 in nu_2 (means (-Delta, 0)) loses the exact
         # deterministic gap Delta per round, with zero variance
-        ALGORITHMS["const0"] = lambda *args: FixedPolicy(action=0)
+        ALGORITHMS["const0"] = (lambda *args: None, lambda *args: FixedPolicy(action=0))
         try:
             result = ratio_experiment("const0", 8, 4, trials=5, rng_seed=0)
         finally:
@@ -210,13 +209,8 @@ def _row_fits(designs, covs, rewards, lam):
 
 
 def _row_cc(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):
-    learners = [
-        PessimisticLearner(
-            fit, beta_coefficient(len(rewards), mc.dim, lam, delta / len(classes)), penalty_scale
-        )
-        for fit, mc in zip(_row_fits(designs, covs, rewards, lam), classes)
-    ]
-    return complexity_coverage_policy(learners, classes, delta)[0]
+    fits = _row_fits(designs, covs, rewards, lam)
+    return complexity_coverage_policy(fits, classes, delta, penalty_scale)[0]
 
 
 def _row_slope(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):
@@ -268,19 +262,14 @@ def reduce_rows(pair, actions, rewards, split_seed):
         return means, None
     sides = []
     for side in row_split(rewards, HOLDOUT_SPLIT, split_seed):
-        arms = actions[side.rows]
-        rows = [side.means[arms == a] for a in (0, 1)]
+        rows = [side.means[(side.counts > 0) & (actions == a)] for a in (0, 1)]
         cell_means = np.array([r.mean() if r.size else 0.0 for r in rows])
         within = float(sum(((r - m) ** 2).sum() for r, m in zip(rows, cell_means)))
         sides.append(Cells(cell_means, counts=[r.size for r in rows], within=within))
     return means, tuple(sides)
 
 
-CELL_SELECT = {
-    "cc": hard_instance._cc_select,
-    "slope": hard_instance._slope_select,
-    "holdout": hard_instance._holdout_select,
-}
+CELL_SELECT = {name: select for name, (_, select) in ALGORITHMS.items()}
 
 
 def _thetas(policy):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from batchselect.env import (
     StateBatch,
@@ -20,10 +20,12 @@ from batchselect.features import (
     realizable_family,
     truncation_family,
 )
+from batchselect.env import rng_stream
+from batchselect.features import RepresentationMismatchError
 from batchselect.learner import (
     PessimisticLearner,
     PessimisticPolicy,
-    fit_pessimistic,
+    beta_coefficient,
 )
 from batchselect.linalg import CovarianceMatrix, RidgeFit, ridge_fit
 from batchselect.selection import (
@@ -31,6 +33,7 @@ from batchselect.selection import (
     SlopeInputs,
     complexity_coverage_policy,
     holdout_select,
+    holdout_split_sizes,
     row_split,
     slope_policy_select,
     slope_select,
@@ -139,49 +142,56 @@ def test_generic_slope_guarantee_sample():
 class TestComplexityCoverage:
     def _toy(self, seed=0, n_classes=2, n_actions=3, n_states=4):
         rng = np.random.default_rng(seed)
-        classes, learners = [], []
+        classes, fits = [], []
         for k in range(n_classes):
             d = k + 1
             table = rng.standard_normal((n_states, n_actions, d))
             classes.append(ModelClass(d, TabularMap(table)))
             g = rng.standard_normal((d, d))
             cov = CovarianceMatrix(g @ g.T + 0.5 * np.eye(d))
-            learners.append(
-                PessimisticLearner(RidgeFit(rng.standard_normal(d), cov, 50, 1.0), 0.3)
-            )
-        return learners, classes
+            fits.append(RidgeFit(rng.standard_normal(d), cov, 50, 1.0))
+        return fits, classes
+
+    def test_learners_run_at_delta_over_m(self):
+        fits, classes = self._toy(n_classes=3)
+        policy, _ = complexity_coverage_policy(fits, classes, 0.05, penalty_scale=0.3)
+        for learner, fit, mc in zip(policy.learners, fits, classes, strict=True):
+            assert learner.fit is fit
+            assert learner.beta == beta_coefficient(50, mc.dim, 1.0, 0.05 / 3)
+            assert learner.penalty_scale == 0.3
 
     def test_single_class_matches_pessimistic_policy(self):
-        learners, classes = self._toy(n_classes=1)
-        policy, _ = complexity_coverage_policy(learners, classes, 0.05)
-        single = PessimisticPolicy(learners[0], classes[0])
+        fits, classes = self._toy(n_classes=1)
+        policy, _ = complexity_coverage_policy(fits, classes, 0.05)
+        learner = PessimisticLearner(fits[0], beta_coefficient(50, 1, 1.0, 0.05))
+        single = PessimisticPolicy(learner, classes[0])
         states = StateBatch(indices=np.arange(4))
         assert np.array_equal(policy.actions(states), single.actions(states))
 
     def test_duplicate_class_idempotent(self):
-        learners, classes = self._toy()
+        # each class runs at delta/M, so hold delta/M at 0.025 while M grows
+        fits, classes = self._toy()
         states = StateBatch(indices=np.arange(4))
-        once, _ = complexity_coverage_policy(learners, classes, 0.05)
-        twice, _ = complexity_coverage_policy(
-            learners + [learners[-1]], classes + [classes[-1]], 0.05
-        )
+        once, _ = complexity_coverage_policy(fits, classes, 0.05)
+        twice, _ = complexity_coverage_policy(fits + [fits[-1]], classes + [classes[-1]], 0.075)
         assert np.array_equal(once.actions(states), twice.actions(states))
 
     def test_matches_exhaustive_enumeration(self):
-        learners, classes = self._toy(seed=3)
-        policy, _ = complexity_coverage_policy(learners, classes, 0.05)
+        fits, classes = self._toy(seed=3)
+        policy, _ = complexity_coverage_policy(fits, classes, 0.05)
         states = StateBatch(indices=np.arange(4))
         acts, ks = policy.actions_and_classes(states)
 
-        def value(lr, mc, x, a):
-            # phi theta - s * beta * |phi|_{V^{-1}}, V^{-1} applied by a dense inverse
+        def value(fit, mc, x, a):
+            # phi theta - beta(delta/M) * |phi|_{V^{-1}}, V^{-1} applied by a dense inverse
             phi = mc.map.table[x, a]
-            width = math.sqrt(phi @ np.linalg.inv(lr.fit.cov.entries) @ phi)
-            return float(phi @ lr.fit.theta_hat) - lr.penalty_scale * lr.beta * width
+            width = math.sqrt(phi @ np.linalg.inv(fit.cov.entries) @ phi)
+            beta = beta_coefficient(fit.n, mc.dim, fit.lam, 0.05 / len(classes))
+            return float(phi @ fit.theta_hat) - beta * width
 
         for x in range(4):
             grid = np.array(
-                [[value(lr, mc, x, a) for a in range(3)] for lr, mc in zip(learners, classes)]
+                [[value(fit, mc, x, a) for a in range(3)] for fit, mc in zip(fits, classes)]
             )
             best = grid.max()
             # lowest action achieving the max, then lowest class at that action
@@ -191,10 +201,11 @@ class TestComplexityCoverage:
             assert acts[x] == a_star and ks[x] == k_star
 
     def test_adding_classes_never_lowers_objective(self):
-        learners, classes = self._toy(seed=5, n_classes=3)
+        # each class runs at delta/M, so hold delta/M at 0.025 while M grows
+        fits, classes = self._toy(seed=5, n_classes=3)
         states = StateBatch(indices=np.arange(4))
-        small = complexity_coverage_policy(learners[:2], classes[:2], 0.05)[0]
-        large = complexity_coverage_policy(learners, classes, 0.05)[0]
+        small = complexity_coverage_policy(fits[:2], classes[:2], 0.05)[0]
+        large = complexity_coverage_policy(fits, classes, 0.075)[0]
         obj_small = small.value_stack(states).max(axis=0).max(axis=1)
         obj_large = large.value_stack(states).max(axis=0).max(axis=1)
         assert np.all(obj_small <= obj_large + 1e-15)
@@ -244,6 +255,24 @@ class TestSlopePolicySelect:
         fits = _fit_truncation(inst, data, [2, 4])
         with pytest.raises(ValueError):
             slope_policy_select(fits, None, 0.05)
+
+    @pytest.mark.parametrize(
+        "states, error, match",
+        [
+            (StateBatch(indices=np.zeros(5, dtype=int)), RepresentationMismatchError, "feature"),
+            (StateBatch(features=np.zeros((5, 3, 6))), RepresentationMismatchError, "6-wide"),
+            (StateBatch(features=np.full((5, 3, 4), np.nan)), ValueError, "widths"),
+        ],
+        ids=["tabular", "wrong_width", "nan"],
+    )
+    def test_bad_validation_states_rejected(self, states, error, match):
+        # feature_source refuses states a truncation map cannot read, and
+        # SlopeInputs the NaN widths of NaN states
+        inst = make_gaussian_instance(4, 2, 3, 0)
+        data = sample_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
+        fits = _fit_truncation(inst, data, [2, 4])
+        with pytest.raises(error, match=match):
+            slope_policy_select(fits, states, 0.05)
 
     def test_width_monotone_in_class(self):
         inst = make_gaussian_instance(12, 4, 3, 1)
@@ -418,7 +447,6 @@ class TestCells:
         rng = np.random.default_rng(seed)
         predictions, rewards = rng.standard_normal(m), rng.standard_normal(m)
         row_loss = float(np.mean((predictions - rewards) ** 2))
-        assert Cells(rewards).mean_squared_error(predictions) == row_loss
         assert Cells(rewards, counts=np.ones(m)).mean_squared_error(predictions) == row_loss
 
     @settings(max_examples=100, deadline=None)
@@ -430,8 +458,9 @@ class TestCells:
         rng = np.random.default_rng(seed)
         predictions = rng.standard_normal(len(counts))
         rows = [rng.standard_normal(c) + rng.standard_normal() for c in counts]
-        means = np.array([r.mean() if r.size else 0.0 for r in rows])
-        within = float(sum(((r - m) ** 2).sum() for r, m in zip(rows, means)))
+        # an empty cell's mean is never read, whatever finite value it holds
+        means = np.array([r.mean() if r.size else rng.standard_normal() for r in rows])
+        within = float(sum(((r - m) ** 2).sum() for r, m in zip(rows, means) if r.size))
         cells = Cells(means, counts=counts, within=within)
         row_predictions = np.repeat(predictions, counts)
         row_loss = float(np.mean((row_predictions - np.concatenate(rows)) ** 2))
@@ -441,35 +470,72 @@ class TestCells:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"means": [np.nan]},
-            {"means": []},
+            {"means": [np.nan], "counts": [1]},
+            {"means": [], "counts": []},
             {"means": [1.0], "counts": [-1]},
             {"means": [1.0], "counts": [0.5]},
             {"means": [1.0], "counts": [np.inf]},
             {"means": [1.0], "counts": [0]},
             {"means": [1.0, 2.0], "counts": [1]},
-            {"means": [1.0, 2.0], "rows": [0]},
-            {"means": [1.0], "within": -1.0},
-            {"means": [1.0], "within": np.inf},
+            {"means": [[1.0, 2.0]], "counts": [1, 1]},
+            {"means": [1.0], "counts": [1], "within": -1.0},
+            {"means": [1.0], "counts": [1], "within": np.inf},
         ],
     )
     def test_bad_cells_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Cells(**kwargs)
 
-    @pytest.mark.parametrize("rows", [[0, -1], [0, 3]], ids=["negative", "past_the_end"])
-    def test_cell_rows_must_lie_in_the_designs(self, rows):
-        # np.take would wrap a negative row and fail on one past the end
-        classes = truncation_family(3, [3])
-        fit_on = Cells([1.0, 2.0], rows=np.array(rows), counts=[1, 1])
-        with pytest.raises(ValueError, match="rows must lie"):
-            holdout_select([np.eye(3)], fit_on, Cells([3.0], rows=np.array([1])), classes, 1.0)
-
     def test_cells_without_rows_need_one_per_design_row(self):
         classes = truncation_family(3, [3])
-        designs = [np.eye(3)]
-        with pytest.raises(ValueError, match="one cell per row"):
-            holdout_select(designs, Cells([1.0, 2.0]), Cells([1.0, 2.0, 3.0]), classes, 1.0)
+        for fit_cells, score_cells in ((2, 3), (3, 2), (4, 4)):
+            fit_on = Cells(np.arange(fit_cells, dtype=float), counts=np.ones(fit_cells))
+            score_on = Cells(np.arange(score_cells, dtype=float), counts=np.ones(score_cells))
+            with pytest.raises(ValueError, match="cells on each side"):
+                holdout_select([np.eye(3)], fit_on, score_on, classes, 1.0)
+
+
+def row_subset_holdout_losses(designs, rewards, split_fraction, rng_seed, lam):
+    """Hold-out's losses as it computed them on logged rows before it took
+    counted cells: each class fit on the split's fit rows, gathered by
+    np.take, and scored by its mean squared residual on the held-out rows."""
+    n_in, _ = holdout_split_sizes(len(rewards), split_fraction)
+    perm = rng_stream(rng_seed, "holdout-split").permutation(len(rewards))
+    rows_in, rows_out = perm[:n_in], perm[n_in:]
+    losses = []
+    for phi in designs:
+        fit = ridge_fit(np.take(phi, rows_in, axis=0), np.take(rewards, rows_in), lam)
+        residual = np.take(phi, rows_out, axis=0) @ fit.theta_hat - np.take(rewards, rows_out)
+        losses.append(np.mean(residual**2))
+    return np.array(losses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 400),
+    dims=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
+    split_fraction=st.sampled_from([0.3, 0.5, 0.8, 0.95]),
+    lam=st.sampled_from([0.1, 1.0]),
+)
+def test_counted_holdout_reorders_the_row_subset_arithmetic(seed, n, dims, split_fraction, lam):
+    # counted cells over every design row sum the same terms as the row
+    # subset in another order: losses agree to 1e-12 relative, and so does
+    # the choice wherever the two lowest losses are not within 1e-9
+    n_in = math.ceil(split_fraction * n)
+    assume(1 <= n_in < n)
+    rng = np.random.default_rng(seed)
+    ambient = rng.standard_normal((n, dims[-1]))
+    rewards = ambient @ rng.standard_normal(dims[-1]) + rng.standard_normal(n)
+    designs = [ambient[:, :d] for d in dims]
+    classes = truncation_family(dims[-1], dims)
+    want = row_subset_holdout_losses(designs, rewards, split_fraction, seed, lam)
+    _, report = holdout_select(designs, *row_split(rewards, split_fraction, seed), classes, lam)
+    got = report.audit["losses"]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    lowest = np.sort(want)[:2]
+    if len(lowest) == 1 or lowest[1] - lowest[0] > 1e-9 * lowest[0]:
+        assert report.chosen == int(np.argmin(want))
 
 
 def test_selection_report_json_round_trip():
