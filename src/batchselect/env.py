@@ -3,8 +3,10 @@
 States are represented uniformly as a columnar StateBatch (state indices or
 per-action feature vectors) so the same pipeline runs on finite tabular
 problems and on infinite state spaces with per-action Gaussian feature
-vectors.  All sampling takes explicit seeds and derives independent
-sub-streams, so trials can run concurrently.
+vectors.  A logged dataset over feature states keeps only each row's logged
+action's feature vector, the one a fit can read.  All sampling takes
+explicit seeds and derives independent sub-streams, so trials can run
+concurrently.
 """
 from __future__ import annotations
 
@@ -45,6 +47,13 @@ class StateBatch:
         self.features = None if features is None else np.asarray(features, dtype=float)
         if self.indices is not None and self.indices.size and self.indices.min() < 0:
             raise ValueError("state indices must be nonnegative")
+        if self.features is not None:
+            if self.features.ndim != 3:
+                raise ValueError(
+                    f"state features must be an (m, |A|, d) array, got shape {self.features.shape}"
+                )
+            if not np.all(np.isfinite(self.features)):
+                raise ValueError("state features must be finite")
 
     def __len__(self) -> int:
         arr = self.indices if self.indices is not None else self.features
@@ -93,7 +102,7 @@ class BanditInstance:
         chols = self.model.chol_factors
         z = rng.standard_normal((count, chols.shape[0], chols.shape[1]))
         # one GEMM per action, written in place: feature_source's truncation views
-        # and the reshape(-1, d) of the fits need a C-contiguous (count, |A|, d) array
+        # and the reshape(-1, d) of the evaluations need a C-contiguous (count, |A|, d) array
         feats = np.empty_like(z)
         for a, chol in enumerate(chols):
             np.matmul(z[:, a], chol.T, out=feats[:, a])
@@ -116,15 +125,34 @@ class BehaviorPolicy:
 
 
 class Dataset:
-    """Batch of logged (state, action, reward) rows, stored as arrays."""
+    """Batch of logged (state, action, reward) rows, stored as arrays.
 
-    def __init__(self, states: StateBatch, actions, rewards):
+    A tabular dataset keeps each row's state: `states` is a StateBatch of
+    state indices.  A feature dataset keeps only what a reader of a logged
+    row can use, the logged action's feature vector: `logged` is an (n, D)
+    array whose row i is phi(x_i, a_i) at the ambient dimension D, and
+    `states` is None.  Exactly one of the two is given.
+    """
+
+    def __init__(self, states: StateBatch | None, actions, rewards, logged=None):
+        if (states is None) == (logged is None):
+            raise ValueError("exactly one of states/logged must be given")
+        if states is not None and states.indices is None:
+            raise ValueError("a feature dataset holds its logged rows, not all-action states")
         self.states = states
+        self.logged = None if logged is None else np.asarray(logged, dtype=float)
+        if self.logged is not None:
+            if self.logged.ndim != 2:
+                raise ValueError(
+                    f"logged rows must be an (n, D) array, got shape {self.logged.shape}"
+                )
+            if not np.all(np.isfinite(self.logged)):
+                raise ValueError("logged rows must be finite")
         self.actions = np.asarray(actions, dtype=int)
         self.rewards = np.asarray(rewards, dtype=float)
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
-        n = len(states)
+        n = len(self.logged if states is None else states)
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("actions/rewards must have one entry per state")
         if n and self.actions.min() < 0:
@@ -132,7 +160,7 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return len(self.states)
+        return len(self.actions)
 
 
 def dirichlet_behavior(action_count: int, rng_seed: int) -> BehaviorPolicy:
@@ -198,15 +226,33 @@ def sample_dataset(
     """Draw n logged rows: x ~ D, a ~ mu independent of rewards, y = f + noise.
 
     States, actions, and reward noise consume three disjoint sub-streams, so
-    the conditional-independence contract holds by construction.
+    the conditional-independence contract holds by construction.  A tabular
+    dataset draws n state indices.  A feature dataset draws one (n, D) normal
+    block z from the states stream and keeps row i = z_i @ L_{a_i}^T, one
+    matrix product per action on that action's rows: the features of the
+    actions not logged are independent of these and never read, so leaving
+    them out keeps the law of every row.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    states = instance.sample_state_batch(n, rng_stream(rng_seed, "dataset-states"))
-    action_rng = rng_stream(rng_seed, "dataset-actions")
-    actions = action_rng.choice(instance.action_count, size=n, p=mu.action_probs)
-    noise_rng = rng_stream(rng_seed, "dataset-noise")
-    means = instance.mean_rewards(states)[np.arange(n), actions]
-    rewards = means + instance.noise_scale * noise_rng.standard_normal(n)
-    return Dataset(states, actions, rewards)
-
+    probs = mu.action_probs
+    if probs.shape != (instance.action_count,):
+        raise ValueError(
+            f"behavior policy over {probs.size} actions given an instance with "
+            f"{instance.action_count}"
+        )
+    state_rng = rng_stream(rng_seed, "dataset-states")
+    actions = rng_stream(rng_seed, "dataset-actions").choice(
+        instance.action_count, size=n, p=probs
+    )
+    noise = instance.noise_scale * rng_stream(rng_seed, "dataset-noise").standard_normal(n)
+    if instance.is_tabular:
+        states = instance.sample_state_batch(n, state_rng)
+        return Dataset(states, actions, instance.model.means[states.indices, actions] + noise)
+    chols = instance.model.chol_factors
+    z = state_rng.standard_normal((n, chols.shape[1]))
+    logged = np.empty_like(z)
+    for a, chol in enumerate(chols):
+        rows = np.flatnonzero(actions == a)
+        logged[rows] = z[rows] @ chol.T
+    return Dataset(None, actions, logged @ instance.model.theta_true + noise, logged=logged)

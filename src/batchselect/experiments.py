@@ -297,8 +297,8 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     optimal = OptimalPolicy(instance)
 
     rows, reports = [], []
-    # each class's design, built once for its greedy fit and for hold-out
-    designs = [design_matrix(mc, dataset.states, dataset.actions) for mc in classes]
+    # each class's design, a view of the logged rows read by its greedy fit and by hold-out
+    designs = [design_matrix(mc, dataset.logged, dataset.actions) for mc in classes]
     fits = []
     for mc, phi in zip(classes, designs):
         fit = ridge_fit(phi, dataset.rewards, config.lam)

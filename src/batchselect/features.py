@@ -49,6 +49,17 @@ class ModelClass:
             )
 
 
+def _prefix(model_class: ModelClass, features: np.ndarray) -> np.ndarray:
+    """The first d_k coordinates of ambient feature vectors (last axis), as a view."""
+    width = features.shape[-1]
+    if width != model_class.map.ambient_dim:
+        raise RepresentationMismatchError(
+            f"truncation map over {model_class.map.ambient_dim} ambient coordinates given "
+            f"{width}-wide features"
+        )
+    return features[..., : model_class.dim]
+
+
 def feature_source(model_class: ModelClass, states: StateBatch):
     """The (rows, |A|, d_k) array a batch reads its features from, and each
     state's row in it.
@@ -72,12 +83,7 @@ def feature_source(model_class: ModelClass, states: StateBatch):
         return m.table, idx
     if states.features is None:
         raise RepresentationMismatchError("truncation map needs feature states")
-    width = states.features.shape[-1]
-    if width != m.ambient_dim:
-        raise RepresentationMismatchError(
-            f"truncation map over {m.ambient_dim} ambient coordinates given {width}-wide features"
-        )
-    return states.features[:, :, : model_class.dim], slice(None)
+    return _prefix(model_class, states.features), slice(None)
 
 
 def features_all_actions(model_class: ModelClass, states: StateBatch) -> np.ndarray:
@@ -86,20 +92,34 @@ def features_all_actions(model_class: ModelClass, states: StateBatch) -> np.ndar
     return source[rows]
 
 
-def design_matrix(model_class: ModelClass, states: StateBatch, actions: np.ndarray) -> np.ndarray:
-    """Feature rows phi_k(x_i, a_i), shape (n, d_k)."""
-    source, rows = feature_source(model_class, states)
+def design_matrix(model_class: ModelClass, states, actions: np.ndarray) -> np.ndarray:
+    """Feature rows phi_k(x_i, a_i), shape (n, d_k).
+
+    A tabular map reads `states` as a StateBatch of state indices and gathers
+    each (state, action) row from its table.  A truncation map reads `states`
+    as logged rows, an (n, D) array whose row i is phi(x_i, a_i) at the
+    ambient dimension D (a feature dataset's `logged`), and returns the view
+    of their first d_k columns, so every class of a nested family shares the
+    dataset's memory; it reads `actions` only to check their count.
+    """
     actions = np.asarray(actions, dtype=int)
-    n_act = source.shape[1]
     if actions.shape != (len(states),):
         raise ValueError("design_matrix needs one action per state")
+    if isinstance(model_class.map, TruncationMap):
+        if isinstance(states, StateBatch) or np.ndim(states) != 2:
+            raise RepresentationMismatchError(
+                "truncation map reads its design from logged rows, an (n, D) array"
+            )
+        return _prefix(model_class, np.asarray(states, dtype=float))
+    if not isinstance(states, StateBatch):
+        raise RepresentationMismatchError("tabular map needs tabular states")
+    table, rows = feature_source(model_class, states)
+    n_act = table.shape[1]
     if actions.size and (actions.min() < 0 or actions.max() >= n_act):
         raise ValueError(f"action out of range for {n_act} actions")
-    if isinstance(rows, slice):  # pairing state i with action i needs explicit rows
-        return source[np.arange(len(states)), actions]
     # one gather from the flattened (|X| * |A|, d_k) table copies the same
-    # rows as source[rows, actions], faster than two-index fancy indexing
-    return np.take(source.reshape(-1, model_class.dim), rows * n_act + actions, axis=0)
+    # rows as table[rows, actions], faster than two-index fancy indexing
+    return np.take(table.reshape(-1, model_class.dim), rows * n_act + actions, axis=0)
 
 
 def realizable_family(

@@ -45,7 +45,8 @@ def fit_pessimistic(
     penalty_scale: float = 1.0,
 ) -> PessimisticLearner:
     """Ridge-fit one class and attach its beta coefficient."""
-    phi = design_matrix(model_class, dataset.states, dataset.actions)
+    source = dataset.states if dataset.logged is None else dataset.logged
+    phi = design_matrix(model_class, source, dataset.actions)
     fit = ridge_fit(phi, dataset.rewards, lam)
     beta = beta_coefficient(dataset.n, model_class.dim, lam, delta)
     return PessimisticLearner(fit, beta, penalty_scale)

@@ -85,7 +85,7 @@ def test_acceptance_2_schur_and_nestedness_monotonicity():
         data = sample_dataset(inst, dirichlet_behavior(3, seed), 300, seed)
         fits = []
         for mc in truncation_family(10, [2, 5, 10]):
-            phi = design_matrix(mc, data.states, data.actions)
+            phi = design_matrix(mc, data.logged, data.actions)
             fits.append((ridge_fit(phi, data.rewards, 1.0), mc))
         probe = sample_states(inst, 50, seed + 1)
         _, rep = slope_policy_select(fits, probe, 0.05)

@@ -13,10 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 import batchselect.experiments as experiments
-import batchselect.features as features_module
 import batchselect.learner as learner_module
 from batchselect.cli import main
-from batchselect.env import BanditInstance, StateBatch
 from batchselect.hard_instance import ratio_results_to_csv
 from batchselect.learner import fit_pessimistic
 from batchselect.experiments import (
@@ -29,6 +27,7 @@ from batchselect.experiments import (
     run_cc,
     run_lower_bound,
 )
+from test_env import all_action_dataset
 
 
 class TestParseConfig:
@@ -172,9 +171,12 @@ class TestRunLowerBound:
 # sha256 of results.csv for the acceptance-8 configs at threads=1, computed
 # before the per-trial context and the table-gather path existed.  A change
 # here is a change of output bits and needs equivalence evidence.  The ac
-# hash was re-pinned (from 157f4ebd...) when Gaussian states moved from one
-# einsum to one GEMM per action; test_ac_matches_the_einsum_sampler holds the
-# evidence.  The lower_bound and lower_bound_slope hashes were re-pinned (from
+# hash was re-pinned from 157f4ebd... when Gaussian states moved from one
+# einsum to one GEMM per action, and again from ff610c47... to 2e0d262a...
+# when feature datasets began to draw only the logged action's features;
+# tests/test_env.py keeps the all-action draw, which still gives ff610c47...
+# (test_ac_all_action_reference_gives_the_previous_hash), and
+# scripts/compare_cell_draws.py compares the two in distribution.  The lower_bound and lower_bound_slope hashes were re-pinned (from
 # 8472da8b... and 39ac615e...) when hard-pair trials moved from reward rows
 # to drawn per-cell statistics; tests/test_hard_instance.py keeps the row
 # path, which still gives those hashes, and scripts/compare_cell_draws.py
@@ -190,7 +192,7 @@ GOLDEN = {
         {"experiment": "ac", "trials": 2, "n_grid": [150], "seed": 3},
         run_ac,
         results_to_csv,
-        "ff610c4701b17e3d51555599396b5c237faf1fe6939367591bc3a8ab5d2af2bf",
+        "2e0d262a434697b1a87f81b78cea6e45c2caae382eeadd5b90194abeb2beefe0",
     ),
     "lower_bound": (
         {
@@ -226,26 +228,15 @@ def test_golden_results_hash(study):
     assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
-def _einsum_state_batch(self, count, rng):
-    """The Gaussian state sampler as it was before the per-action GEMM."""
-    chols = self.model.chol_factors
-    z = rng.standard_normal((count, chols.shape[0], chols.shape[1]))
-    return StateBatch(features=np.einsum("adk,mak->mad", chols, z))
-
-
-def test_ac_matches_the_einsum_sampler(monkeypatch):
-    # The GEMM sampler moves only the last bits of each feature: every
-    # regret stays within 1e-12 relative and every selection is the same.
-    config = parse_config(GOLDEN["ac"][0])
-    rows, reports = run_ac(config, audit=True)
-    monkeypatch.setattr(BanditInstance, "sample_state_batch", _einsum_state_batch)
-    ref_rows, ref_reports = run_ac(config, audit=True)
-    assert [(r.n, r.method, r.trial) for r in rows] == [
-        (r.n, r.method, r.trial) for r in ref_rows
-    ]
-    for row, ref in zip(rows, ref_rows):
-        assert row.regret == pytest.approx(ref.regret, rel=1e-12, abs=0)
-    assert [r["report"]["chosen"] for r in reports] == [r["report"]["chosen"] for r in ref_reports]
+def test_ac_all_action_reference_gives_the_previous_hash(monkeypatch):
+    # Only the dataset draw moved: with the all-action sampler it replaced,
+    # ac still writes the bytes pinned before the change.
+    doc, runner, serialize, _ = GOLDEN["ac"]
+    monkeypatch.setattr(experiments, "sample_dataset", all_action_dataset)
+    text = serialize(runner(parse_config(doc), threads=1)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ff610c4701b17e3d51555599396b5c237faf1fe6939367591bc3a8ab5d2af2bf"
+    )
 
 
 def test_cells_run_largest_n_first(monkeypatch):
@@ -293,15 +284,17 @@ def test_lower_bound_cells_run_on_the_calling_thread(monkeypatch):
     assert threads == [threading.get_ident()] * 4
 
 
-def _count_calls(monkeypatch, module, name):
+def _record_calls(monkeypatch, module, name):
+    """Patch `module.name` to record each call's positional arguments and result."""
     calls = []
     original = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -403,15 +396,15 @@ class TestDuplicateWork:
     def test_cc_runs_no_eigendecomposition(self, monkeypatch):
         # the ridge-floor and singularity checks of every fit are settled by
         # Cholesky certificates at lambda = 1; cc reads no eigen-bound
-        calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+        calls = _record_calls(monkeypatch, np.linalg, "eigvalsh")
         run_cc(parse_config(SMALL_CC))
         assert calls == []
 
     def test_cc_builds_each_trial_once_and_fits_each_class_once(self, monkeypatch):
         config = parse_config(SMALL_CC)
-        instances = _count_calls(monkeypatch, experiments, "make_tabular_instance")
-        families = _count_calls(monkeypatch, experiments, "realizable_family")
-        fits = _count_calls(monkeypatch, learner_module, "ridge_fit")
+        instances = _record_calls(monkeypatch, experiments, "make_tabular_instance")
+        families = _record_calls(monkeypatch, experiments, "realizable_family")
+        fits = _record_calls(monkeypatch, learner_module, "ridge_fit")
         run_cc(config)
         m = len(config.cc.hidden_dims)
         assert (len(instances), len(families)) == (2, 2)
@@ -428,12 +421,13 @@ class TestDuplicateWork:
                 "ac": {"ambient_dim": 8, "true_dim": 3, "action_count": 3, "dims": [2, 4, 8]},
             }
         )
-        instances = _count_calls(monkeypatch, experiments, "make_gaussian_instance")
+        instances = _record_calls(monkeypatch, experiments, "make_gaussian_instance")
         run_ac(config, threads=2)
         assert len(instances) == 2
 
     def test_ac_builds_each_design_once_per_cell(self, monkeypatch):
-        # the greedy fits and hold-out read the same design of each class
+        # every class's design is a view of the cell's logged rows, and the
+        # greedy fits and hold-out read the same arrays
         config = parse_config(
             {
                 "experiment": "ac",
@@ -444,15 +438,17 @@ class TestDuplicateWork:
                 "ac": {"ambient_dim": 8, "true_dim": 3, "action_count": 3, "dims": [2, 4, 8]},
             }
         )
-        design_matrix = features_module.design_matrix
-        calls = [
-            _count_calls(monkeypatch, module, "design_matrix")
-            for name, module in list(sys.modules.items())
-            if name.startswith("batchselect.")
-            and getattr(module, "design_matrix", None) is design_matrix
-        ]
+        datasets = _record_calls(monkeypatch, experiments, "sample_dataset")
+        fits = _record_calls(monkeypatch, experiments, "ridge_fit")
+        holdouts = _record_calls(monkeypatch, experiments, "holdout_select")
         run_ac(config)
-        assert sum(len(c) for c in calls) == 2 * 2 * 3
+        assert len(datasets) == 2 * 2 and len(holdouts) == 2 * 2
+        greedy = [args[0] for args, _ in fits]
+        for i, (_, data) in enumerate(datasets):
+            designs = holdouts[i][0][0]
+            assert len(designs) == 3
+            assert all(np.shares_memory(phi, data.logged) for phi in designs)
+            assert all(a is b for a, b in zip(designs, greedy[3 * i : 3 * i + 3], strict=True))
 
     def test_selector_learner_equals_fresh_fit_at_delta_over_m(self, monkeypatch):
         config = parse_config({**SMALL_CC, "trials": 1, "n_grid": [50]})

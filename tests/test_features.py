@@ -28,20 +28,22 @@ from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms, ridge
 
 class TestEvaluateFeatures:
     states = StateBatch(features=np.array([[[3.0, 1.0, 4.0, 1.0], [5.0, 9.0, 2.0, 6.0]]]))
+    logged = np.array([[5.0, 9.0, 2.0, 6.0], [3.0, 1.0, 4.0, 1.0]])
 
     def test_truncation_identity_at_full_dim(self):
         mc = ModelClass(4, TruncationMap(4))
         assert np.array_equal(features_all_actions(mc, self.states), self.states.features)
-        assert np.array_equal(design_matrix(mc, self.states, [1]), [[5.0, 9.0, 2.0, 6.0]])
+        assert np.array_equal(design_matrix(mc, self.logged, [1, 0]), self.logged)
 
     def test_truncation_prefix(self):
         mc = ModelClass(2, TruncationMap(4))
         assert np.array_equal(features_all_actions(mc, self.states), [[[3.0, 1.0], [5.0, 9.0]]])
-        assert np.array_equal(design_matrix(mc, self.states, [0]), [[3.0, 1.0]])
+        assert np.array_equal(design_matrix(mc, self.logged, [1, 0]), [[5.0, 9.0], [3.0, 1.0]])
 
     def test_truncation_reads_a_view(self):
         mc = ModelClass(2, TruncationMap(4))
         assert np.shares_memory(features_all_actions(mc, self.states), self.states.features)
+        assert np.shares_memory(design_matrix(mc, self.logged, [1, 0]), self.logged)
 
     def test_tabular_lookup_bit_exact(self):
         table = np.arange(24, dtype=float).reshape(2, 3, 4)
@@ -56,25 +58,31 @@ class TestEvaluateFeatures:
             features_all_actions(mc, StateBatch(indices=[0]))
         with pytest.raises(RepresentationMismatchError):
             design_matrix(mc, StateBatch(indices=[0]), [0])
+        # a truncation design reads logged rows, never all-action states
+        with pytest.raises(RepresentationMismatchError, match="logged rows"):
+            design_matrix(mc, self.states, [0])
         tab = ModelClass(2, TabularMap(np.zeros((1, 1, 2))))
         feats = StateBatch(features=np.zeros((1, 1, 2)))
         with pytest.raises(RepresentationMismatchError):
             features_all_actions(tab, feats)
         with pytest.raises(RepresentationMismatchError):
             design_matrix(tab, feats, [0])
+        with pytest.raises(RepresentationMismatchError, match="tabular states"):
+            design_matrix(tab, np.zeros((1, 2)), [0])
 
     def test_truncation_width_mismatch(self):
         # a class over 100 ambient coordinates must not read 30-wide features
         # (a d=50 fit would otherwise get 30 columns and a beta for d=50)
         mc = ModelClass(50, TruncationMap(100))
         states = StateBatch(features=np.ones((5, 3, 30)))
+        logged = np.ones((5, 30))
         actions = np.zeros(5, dtype=int)
         with pytest.raises(RepresentationMismatchError, match="30-wide"):
             features_all_actions(mc, states)
-        with pytest.raises(RepresentationMismatchError):
-            design_matrix(mc, states, actions)
-        with pytest.raises(RepresentationMismatchError):
-            fit_pessimistic(Dataset(states, actions, np.zeros(5)), mc, 1.0, 0.05)
+        with pytest.raises(RepresentationMismatchError, match="30-wide"):
+            design_matrix(mc, logged, actions)
+        with pytest.raises(RepresentationMismatchError, match="30-wide"):
+            fit_pessimistic(Dataset(None, actions, np.zeros(5), logged=logged), mc, 1.0, 0.05)
 
 
 class TestRealizableFamily:
@@ -164,7 +172,7 @@ def test_coverage_monotone_on_nested_fits():
     probe = sample_states(inst, 50, 1)
     norms = []
     for mc in classes:
-        fit = ridge_fit(design_matrix(mc, data.states, data.actions), data.rewards, 1.0)
+        fit = ridge_fit(design_matrix(mc, data.logged, data.actions), data.rewards, 1.0)
         phi = features_all_actions(mc, probe).reshape(-1, mc.dim)
         norms.append(inv_quad_norms(fit.cov, phi))
     for small, large in zip(norms, norms[1:]):
@@ -197,21 +205,16 @@ class TestTableRangeChecks:
 
 
 class TestFeatureActionChecks:
-    states = StateBatch(features=np.arange(24, dtype=float).reshape(2, 4, 3))
+    logged = np.arange(6, dtype=float).reshape(2, 3)
     mc = ModelClass(2, TruncationMap(3))
-
-    def test_action_out_of_range(self):
-        with pytest.raises(ValueError, match="action"):
-            design_matrix(self.mc, self.states, [0, 4])
-
-    def test_negative_action(self):
-        # numpy would wrap -1 to the last arm
-        with pytest.raises(ValueError, match="action"):
-            design_matrix(self.mc, self.states, [0, -1])
 
     def test_one_action_per_state(self):
         with pytest.raises(ValueError, match="one action per state"):
-            design_matrix(self.mc, self.states, [0])
+            design_matrix(self.mc, self.logged, [0])
+
+    def test_logged_rows_are_two_dimensional(self):
+        with pytest.raises(RepresentationMismatchError, match="logged rows"):
+            design_matrix(self.mc, self.logged.reshape(2, 1, 3), [0, 0])
 
 
 def _random_class(data, n_actions):
@@ -233,10 +236,17 @@ def _random_class(data, n_actions):
 @settings(max_examples=80, deadline=None)
 @given(n_actions=st.integers(1, 5), data=st.data())
 def test_design_matrix_is_gather_of_all_actions(n_actions, data):
+    # a truncation design over the logged rows equals the all-action gather
     mc, states, rng = _random_class(data, n_actions)
     actions = rng.integers(n_actions, size=len(states))
-    got = design_matrix(mc, states, actions)
-    ref = features_all_actions(mc, states)[np.arange(len(states)), actions]
+    rows = np.arange(len(states))
+    if states.features is None:
+        got = design_matrix(mc, states, actions)
+    else:
+        logged = states.features[rows, actions]
+        got = design_matrix(mc, logged, actions)
+        assert np.shares_memory(got, logged)
+    ref = features_all_actions(mc, states)[rows, actions]
     assert got.shape == (len(states), mc.dim)
     assert np.array_equal(got, ref)
 

@@ -17,6 +17,7 @@ from batchselect.features import (
     ModelClass,
     TabularMap,
     design_matrix,
+    features_all_actions,
     realizable_family,
     truncation_family,
 )
@@ -218,7 +219,7 @@ class TestComplexityCoverage:
 def _fit_truncation(instance, data, dims, lam=1.0):
     out = []
     for mc in truncation_family(instance.model.chol_factors.shape[1], dims):
-        phi = design_matrix(mc, data.states, data.actions)
+        phi = design_matrix(mc, data.logged, data.actions)
         out.append((ridge_fit(phi, data.rewards, lam), mc))
     return out
 
@@ -257,22 +258,24 @@ class TestSlopePolicySelect:
             slope_policy_select(fits, None, 0.05)
 
     @pytest.mark.parametrize(
-        "states, error, match",
+        "make_states, error, match",
         [
-            (StateBatch(indices=np.zeros(5, dtype=int)), RepresentationMismatchError, "feature"),
-            (StateBatch(features=np.zeros((5, 3, 6))), RepresentationMismatchError, "6-wide"),
-            (StateBatch(features=np.full((5, 3, 4), np.nan)), ValueError, "widths"),
+            (lambda: StateBatch(indices=np.zeros(5, dtype=int)), RepresentationMismatchError,
+             "feature"),
+            (lambda: StateBatch(features=np.zeros((5, 3, 6))), RepresentationMismatchError,
+             "6-wide"),
+            (lambda: StateBatch(features=np.full((5, 3, 4), np.nan)), ValueError, "finite"),
         ],
         ids=["tabular", "wrong_width", "nan"],
     )
-    def test_bad_validation_states_rejected(self, states, error, match):
+    def test_bad_validation_states_rejected(self, make_states, error, match):
         # feature_source refuses states a truncation map cannot read, and
-        # SlopeInputs the NaN widths of NaN states
+        # StateBatch refuses NaN features before any width is computed
         inst = make_gaussian_instance(4, 2, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
         fits = _fit_truncation(inst, data, [2, 4])
         with pytest.raises(error, match=match):
-            slope_policy_select(fits, states, 0.05)
+            slope_policy_select(fits, make_states(), 0.05)
 
     def test_width_monotone_in_class(self):
         inst = make_gaussian_instance(12, 4, 3, 1)
@@ -312,17 +315,16 @@ class TestSlopePolicySelect:
         vhat = report.audit["vhat_per_policy"][chosen_l]
         # psi_k: population bias of each class's plug-in value for this policy
         psi = []
+        rows, acts = np.arange(len(big)), policy.actions(big)
         for fit, mc in fits:
-            from batchselect.features import design_matrix as dm
-
-            phi = dm(mc, big, policy.actions(big))
+            phi = features_all_actions(mc, big)[rows, acts]
             psi.append(abs((phi @ fit.theta_hat).mean() - true_value))
         assert abs(vhat - true_value) <= 5 * np.min(np.array(psi) + widths) + 0.02
 
 
 def _holdout(data, classes, split_fraction, lam, seed):
     """holdout_select on each class's design over the dataset's rows, split as ac splits them."""
-    designs = [design_matrix(mc, data.states, data.actions) for mc in classes]
+    designs = [design_matrix(mc, data.logged, data.actions) for mc in classes]
     fit_on, score_on = row_split(data.rewards, split_fraction, seed)
     return holdout_select(designs, fit_on, score_on, classes, lam)
 
@@ -359,8 +361,7 @@ class TestHoldoutSelect:
         n_in = math.ceil(0.8 * 1000)
         halves = []
         for rows in (perm[:n_in], perm[n_in:]):
-            states = StateBatch(features=data.states.features[rows])
-            halves.append((states, data.actions[rows], data.rewards[rows]))
+            halves.append((data.logged[rows], data.actions[rows], data.rewards[rows]))
         (s_in, a_in, r_in), (s_out, a_out, r_out) = halves
         for k, mc in enumerate(classes):
             fit = ridge_fit(design_matrix(mc, s_in, a_in), r_in, 1.0)
@@ -425,7 +426,7 @@ class TestHoldoutSelect:
         inst = make_gaussian_instance(4, 2, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 20, 0)
         classes = truncation_family(4, [2, 4])
-        designs = [design_matrix(mc, data.states, data.actions) for mc in classes]
+        designs = [design_matrix(mc, data.logged, data.actions) for mc in classes]
         with pytest.raises(ValueError, match="design"):
             holdout_select(mangle(designs), *row_split(data.rewards, 0.8, 0), classes, 1.0)
 
