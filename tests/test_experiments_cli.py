@@ -176,7 +176,8 @@ class TestRunLowerBound:
 # when feature datasets began to draw only the logged action's features;
 # tests/test_env.py keeps the all-action draw, which still gives ff610c47...
 # (test_ac_all_action_reference_gives_the_previous_hash), and
-# scripts/compare_cell_draws.py compares the two in distribution.  The lower_bound and lower_bound_slope hashes were re-pinned (from
+# scripts/compare_cell_draws.py compares the two in distribution.  The
+# lower_bound and lower_bound_slope hashes were re-pinned (from
 # 8472da8b... and 39ac615e...) when hard-pair trials moved from reward rows
 # to drawn per-cell statistics; tests/test_hard_instance.py keeps the row
 # path, which still gives those hashes, and scripts/compare_cell_draws.py
