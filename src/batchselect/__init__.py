@@ -1,6 +1,6 @@
 """Model selection for batch policy optimization in linear contextual bandits.
 
-Core surface: pessimistic single-class learning (`learner`), the three
+Core surface: pessimistic learning and policies (`learner`), the three
 selection methods (`selection`), synthetic environments (`env`, `features`),
 regret against the true means (`diagnostics`), the minimax hard pair
 (`hard_instance`), and the experiment harness (`experiments`, `cli`).
@@ -25,7 +25,6 @@ from .features import (
 )
 from .learner import (
     GreedyPolicy,
-    OptimalPolicy,
     PessimisticLearner,
     PessimisticPolicy,
     Policy,
@@ -55,7 +54,6 @@ __all__ = [
     "Dataset",
     "GreedyPolicy",
     "ModelClass",
-    "OptimalPolicy",
     "PessimisticLearner",
     "PessimisticPolicy",
     "Policy",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import BanditInstance, StateBatch
+from .env import StateBatch
 from .learner import Policy
 
 PINV_RCOND = 1e-10
@@ -28,15 +28,17 @@ def fixed_design_theta_star(features: np.ndarray, true_means: np.ndarray) -> np.
     return theta
 
 
-def regret_estimate(
-    instance: BanditInstance,
-    pi_comparator: Policy,
-    pi_hat: Policy,
-    test_states: StateBatch,
-) -> float:
-    """Mean of f(x, pi(x)) - f(x, pi_hat(x)) over the test states."""
-    means = instance.mean_rewards(test_states)
-    rows = np.arange(len(test_states))
-    comp = means[rows, pi_comparator.actions(test_states)]
-    hat = means[rows, pi_hat.actions(test_states)]
-    return float(np.mean(comp - hat))
+def regret_estimate(true_means: np.ndarray, pi_hat: Policy, test_states: StateBatch) -> float:
+    """Mean of max_a f(x, a) - f(x, pi_hat(x)) over the test states.
+
+    `true_means` is the (m, |A|) table of f over `test_states`
+    (`BanditInstance.mean_rewards`), computed once by the caller and shared
+    by every policy scored on those states.
+    """
+    if true_means.ndim != 2 or len(true_means) != len(test_states):
+        raise ValueError(
+            f"need an (m, |A|) mean table for the {len(test_states)} test states, "
+            f"got shape {true_means.shape}"
+        )
+    hat = true_means[np.arange(len(test_states)), pi_hat.actions(test_states)]
+    return float(np.mean(true_means.max(axis=1) - hat))

@@ -35,13 +35,7 @@ from .hard_instance import (
     csv_text,
     ratio_experiment,
 )
-from .learner import (
-    MAX_DELTA,
-    GreedyPolicy,
-    OptimalPolicy,
-    PessimisticPolicy,
-    fit_pessimistic,
-)
+from .learner import MAX_DELTA, GreedyPolicy, PessimisticPolicy, fit_pessimistic
 from .linalg import ridge_fit
 from .selection import (
     complexity_coverage_policy,
@@ -238,6 +232,7 @@ class _Trial:
     classes: list[ModelClass]
     mu: BehaviorPolicy
     test_states: StateBatch
+    test_means: np.ndarray  # f over the test states, shape (n_test, |A|), for regret_estimate
     validation: StateBatch | None = None
 
 
@@ -247,28 +242,30 @@ def _cc_trial(config: ExperimentConfig, trial: int) -> _Trial:
     instance = make_tabular_instance(
         s.state_count, s.action_count, derive_seed(seed, "cc-instance", trial)
     )
+    test_states = sample_states(instance, config.n_test, derive_seed(seed, "cc-test", trial))
     return _Trial(
         instance,
         realizable_family(instance, s.hidden_dims, derive_seed(seed, "cc-family", trial)),
         dirichlet_behavior(s.action_count, derive_seed(seed, "cc-behavior", trial)),
-        sample_states(instance, config.n_test, derive_seed(seed, "cc-test", trial)),
+        test_states,
+        instance.mean_rewards(test_states),
     )
 
 
 def _cc_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: bool):
-    instance, classes, test_states = ctx.instance, ctx.classes, ctx.test_states
-    dataset = sample_dataset(instance, ctx.mu, n, derive_seed(config.seed, f"cc-data-{n}", trial))
-    optimal = OptimalPolicy(instance)
+    seed = config.seed
+    classes, means, test_states = ctx.classes, ctx.test_means, ctx.test_states
+    dataset = sample_dataset(ctx.instance, ctx.mu, n, derive_seed(seed, f"cc-data-{n}", trial))
 
     rows, reports = [], []
     fits = []
     for d_hid, mc in zip(config.cc.hidden_dims, classes):
         learner = fit_pessimistic(dataset, mc, config.lam, config.delta, config.penalty_scale)
-        regret = regret_estimate(instance, optimal, PessimisticPolicy(learner, mc), test_states)
+        regret = regret_estimate(means, PessimisticPolicy([learner], [mc]), test_states)
         rows.append(ResultRow(n, f"class_{d_hid}", trial, regret))
         fits.append(learner.fit)
     policy, report = complexity_coverage_policy(fits, classes, config.delta, config.penalty_scale)
-    rows.append(ResultRow(n, "cc", trial, regret_estimate(instance, optimal, policy, test_states)))
+    rows.append(ResultRow(n, "cc", trial, regret_estimate(means, policy, test_states)))
     if audit:
         reports.append({"n": n, "trial": trial, "method": "cc", "report": json.loads(report.to_json())})
     return rows, reports
@@ -280,11 +277,13 @@ def _ac_trial(config: ExperimentConfig, trial: int) -> _Trial:
     instance = make_gaussian_instance(
         s.ambient_dim, s.true_dim, s.action_count, derive_seed(seed, "ac-instance", trial)
     )
+    test_states = sample_states(instance, config.n_test, derive_seed(seed, "ac-test", trial))
     return _Trial(
         instance,
         truncation_family(s.ambient_dim, s.dims),
         dirichlet_behavior(s.action_count, derive_seed(seed, "ac-behavior", trial)),
-        sample_states(instance, config.n_test, derive_seed(seed, "ac-test", trial)),
+        test_states,
+        instance.mean_rewards(test_states),
         sample_states(instance, config.n_validation, derive_seed(seed, "ac-validation", trial)),
     )
 
@@ -292,9 +291,8 @@ def _ac_trial(config: ExperimentConfig, trial: int) -> _Trial:
 def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: bool):
     s = config.ac
     seed = config.seed
-    instance, classes, test_states = ctx.instance, ctx.classes, ctx.test_states
-    dataset = sample_dataset(instance, ctx.mu, n, derive_seed(seed, f"ac-data-{n}", trial))
-    optimal = OptimalPolicy(instance)
+    classes, means, test_states = ctx.classes, ctx.test_means, ctx.test_states
+    dataset = sample_dataset(ctx.instance, ctx.mu, n, derive_seed(seed, f"ac-data-{n}", trial))
 
     rows, reports = [], []
     # each class's design, a view of the logged rows read by its greedy fit and by hold-out
@@ -303,22 +301,18 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     for mc, phi in zip(classes, designs):
         fit = ridge_fit(phi, dataset.rewards, config.lam)
         fits.append((fit, mc))
-        regret = regret_estimate(instance, optimal, GreedyPolicy(fit, mc), test_states)
+        regret = regret_estimate(means, GreedyPolicy(fit, mc), test_states)
         rows.append(ResultRow(n, f"class_{mc.dim}", trial, regret))
     slope_policy, slope_report = slope_policy_select(
         fits, ctx.validation, config.delta, config.penalty_scale
     )
-    rows.append(
-        ResultRow(n, "slope", trial, regret_estimate(instance, optimal, slope_policy, test_states))
-    )
+    rows.append(ResultRow(n, "slope", trial, regret_estimate(means, slope_policy, test_states)))
     fit_on, score_on = row_split(
         dataset.rewards, s.holdout_split, derive_seed(seed, f"ac-holdout-{n}", trial)
     )
     ho_policy, ho_report = holdout_select(designs, fit_on, score_on, classes, config.lam)
     ho_report.audit["split_fraction"] = s.holdout_split  # row_split, not holdout_select, reads it
-    rows.append(
-        ResultRow(n, "holdout", trial, regret_estimate(instance, optimal, ho_policy, test_states))
-    )
+    rows.append(ResultRow(n, "holdout", trial, regret_estimate(means, ho_policy, test_states)))
     if audit:
         for method, report in (("slope", slope_report), ("holdout", ho_report)):
             reports.append(

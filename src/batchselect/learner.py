@@ -1,4 +1,4 @@
-"""Single-class pessimistic linear learner and deterministic policies."""
+"""Pessimistic linear learner and the deterministic policies built on it."""
 from __future__ import annotations
 
 import math
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import BanditInstance, Dataset, StateBatch
+from .env import Dataset, StateBatch
 from .features import ModelClass, design_matrix, feature_source, features_all_actions
 from .linalg import RidgeFit, inv_quad_norms, ridge_fit
 
@@ -84,40 +84,17 @@ class Policy:
 
 
 class PessimisticPolicy(Policy):
-    """Greedy over pessimistic values of a single class (Algorithm 1 output)."""
-
-    def __init__(self, learner: PessimisticLearner, model_class: ModelClass):
-        self.learner = learner
-        self.model_class = model_class
-
-    def actions(self, states: StateBatch) -> np.ndarray:
-        return np.argmax(pessimistic_values(self.learner, self.model_class, states), axis=1)
-
-
-class GreedyPolicy(Policy):
-    """Greedy over the unpenalized ridge prediction of a single class."""
-
-    def __init__(self, fit: RidgeFit, model_class: ModelClass):
-        self.fit = fit
-        self.model_class = model_class
-
-    def values(self, states: StateBatch) -> np.ndarray:
-        phi = features_all_actions(self.model_class, states)
-        return phi @ self.fit.theta_hat
-
-    def actions(self, states: StateBatch) -> np.ndarray:
-        return np.argmax(self.values(states), axis=1)
-
-
-class CompositePessimisticPolicy(Policy):
     """Per-state argmax of pessimistic values over (action, class) pairs.
 
-    Ties break to the lowest action index, then the lowest class index.
+    One learner per class; with one class this is Algorithm 1's policy.  Ties
+    break to the lowest action index, then the lowest class index.
     """
 
     def __init__(self, learners, classes):
         if len(learners) == 0:
             raise ValueError("need at least one learner")
+        if len(learners) != len(classes):
+            raise ValueError(f"need one learner per class, got {len(learners)} and {len(classes)}")
         self.learners = list(learners)
         self.classes = list(classes)
 
@@ -139,11 +116,16 @@ class CompositePessimisticPolicy(Policy):
         return self.actions_and_classes(states)[0]
 
 
-class OptimalPolicy(Policy):
-    """argmax_a f(x, a) under the instance's true mean rewards."""
+class GreedyPolicy(Policy):
+    """Greedy over the unpenalized ridge prediction of a single class."""
 
-    def __init__(self, instance: BanditInstance):
-        self.instance = instance
+    def __init__(self, fit: RidgeFit, model_class: ModelClass):
+        self.fit = fit
+        self.model_class = model_class
+
+    def values(self, states: StateBatch) -> np.ndarray:
+        phi = features_all_actions(self.model_class, states)
+        return phi @ self.fit.theta_hat
 
     def actions(self, states: StateBatch) -> np.ndarray:
-        return np.argmax(self.instance.mean_rewards(states), axis=1)
+        return np.argmax(self.values(states), axis=1)

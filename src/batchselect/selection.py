@@ -11,9 +11,9 @@ from .env import StateBatch, rng_stream
 from .features import ModelClass, check_nested, features_all_actions
 from .learner import (
     MAX_DELTA,
-    CompositePessimisticPolicy,
     GreedyPolicy,
     PessimisticLearner,
+    PessimisticPolicy,
     Policy,
     beta_coefficient,
 )
@@ -30,22 +30,6 @@ from .linalg import (
 # Classes that fit the same values (nested classes on data that cannot tell
 # them apart) get losses that differ in their last bits only.
 HOLDOUT_TIE_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SlopeInputs:
-    values: np.ndarray
-    widths: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        widths = np.asarray(self.widths, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "widths", widths)
-        if values.shape != widths.shape or values.ndim != 1 or values.size == 0:
-            raise ValueError("values and widths must be nonempty vectors of equal length")
-        if not (np.all(np.isfinite(widths)) and np.all(widths >= 0)):
-            raise ValueError("widths must be finite and nonnegative")
 
 
 @dataclass
@@ -91,21 +75,33 @@ def zeta_coefficient(
     return math.sqrt(lam / n) + middle + tail
 
 
-def slope_select(inputs: SlopeInputs) -> tuple[int, float]:
-    """Smallest index whose interval family [v_j - 2w_j, v_j + 2w_j], j >= k,
-    has a common point (closed intervals; touching counts).  Returns the
-    0-based index and its value; the last index is always valid.
+def slope_select(values: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SLOPE's choice for each column of an (M, L) value matrix.
+
+    Column l holds M estimates of one quantity and `widths[k]` is estimate
+    k's width.  For each column, the smallest k whose interval family
+    [v_j - 2w_j, v_j + 2w_j], j >= k, has a common point (closed intervals;
+    touching counts); the last index is always valid.  Returns the 0-based
+    indices and the chosen values, each of shape (L,).
     """
-    values, widths = inputs.values, inputs.widths
-    m = len(values)
-    lowers = values - 2 * widths
-    uppers = values + 2 * widths
+    values = np.asarray(values, dtype=float)
+    widths = np.asarray(widths, dtype=float)
+    if values.ndim != 2 or values.shape[0] == 0 or widths.shape != values.shape[:1]:
+        raise ValueError(
+            f"need an (M, L) value matrix with M >= 1 and M widths, "
+            f"got values {values.shape} and widths {widths.shape}"
+        )
+    if not (np.all(np.isfinite(widths)) and np.all(widths >= 0)):
+        raise ValueError("widths must be finite and nonnegative")
+    lowers = values - 2 * widths[:, None]
+    uppers = values + 2 * widths[:, None]
     # suffix extrema: intersection from k is nonempty iff max lower <= min upper
-    max_lower = np.maximum.accumulate(lowers[::-1])[::-1]
-    min_upper = np.minimum.accumulate(uppers[::-1])[::-1]
-    feasible = np.flatnonzero(max_lower <= min_upper)
-    k = int(feasible[0]) if feasible.size else m - 1
-    return k, float(values[k])
+    max_lower = np.maximum.accumulate(lowers[::-1], axis=0)[::-1]
+    min_upper = np.minimum.accumulate(uppers[::-1], axis=0)[::-1]
+    feasible = max_lower <= min_upper
+    feasible[-1] = True
+    khat = np.argmax(feasible, axis=0)
+    return khat, values[khat, np.arange(values.shape[1])]
 
 
 def complexity_coverage_policy(
@@ -130,7 +126,7 @@ def complexity_coverage_policy(
         )
         for fit, mc in zip(fits, classes)
     ]
-    policy = CompositePessimisticPolicy(learners, classes)
+    policy = PessimisticPolicy(learners, classes)
     audit: dict = {"delta": delta, "dims": [mc.dim for mc in classes]}
     report = SelectionReport("ComplexityCoverage", "per-state", audit)
     return policy, report
@@ -160,26 +156,19 @@ def slope_policy_select(
     n_states = len(validation_states)
     weights = np.full(n_states, 1.0 / n_states)
 
-    policies = [GreedyPolicy(fit, mc) for fit, mc in learners_greedy]
-    policy_actions = [p.actions(validation_states) for p in policies]
-
     widths = np.empty(m_classes)
-    values = np.empty((m_classes, m_classes))  # values[k, l] = vhat_k(pi_l)
-    rows = np.arange(n_states)
+    preds = []
     for k, (fit, mc) in enumerate(learners_greedy):
         phi = features_all_actions(mc, validation_states)
-        flat = phi.reshape(-1, mc.dim)
-        norms = inv_quad_norms(fit.cov, flat).reshape(n_states, -1)
+        norms = inv_quad_norms(fit.cov, phi.reshape(-1, mc.dim)).reshape(n_states, -1)
         zeta = zeta_coefficient(fit.n, mc.dim, fit.lam, delta / m_classes, fit.cov)
         widths[k] = penalty_scale * zeta * float(weights @ norms.max(axis=1))
-        preds = (flat @ fit.theta_hat).reshape(n_states, -1)
-        for l in range(m_classes):
-            values[k, l] = float(weights @ preds[rows, policy_actions[l]])
-
-    khat = np.empty(m_classes, dtype=int)
-    vhat = np.empty(m_classes)
-    for l in range(m_classes):
-        khat[l], vhat[l] = slope_select(SlopeInputs(values[:, l], widths))
+        preds.append(phi @ fit.theta_hat)  # GreedyPolicy.values, so these are its actions
+    preds = np.stack(preds)  # (M, m, |A|)
+    actions = np.argmax(preds, axis=2)  # (M, m): each class's greedy actions
+    # values[k, l] = vhat_k(pi_l), class k's mean prediction at class l's actions
+    values = preds[:, np.arange(n_states), actions] @ weights
+    khat, vhat = slope_select(values, widths)
     chosen_l = int(np.argmax(vhat))
     report = SelectionReport(
         "Slope",
@@ -194,7 +183,7 @@ def slope_policy_select(
             "vhat_per_policy": vhat,
         },
     )
-    return policies[chosen_l], report
+    return GreedyPolicy(fits[chosen_l], classes[chosen_l]), report
 
 
 def holdout_split_sizes(n: int, split_fraction: float) -> tuple[int, int]:

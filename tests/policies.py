@@ -1,7 +1,7 @@
 """Test-only policies."""
 import numpy as np
 
-from batchselect.env import StateBatch
+from batchselect.env import BanditInstance, StateBatch
 from batchselect.learner import Policy
 
 
@@ -20,3 +20,13 @@ class FixedPolicy(Policy):
         if states.indices is None:
             raise ValueError("action table requires tabular states")
         return self.table[states.indices]
+
+
+class OptimalPolicy(Policy):
+    """argmax_a f(x, a) under the instance's true mean rewards."""
+
+    def __init__(self, instance: BanditInstance):
+        self.instance = instance
+
+    def actions(self, states: StateBatch) -> np.ndarray:
+        return np.argmax(self.instance.mean_rewards(states), axis=1)

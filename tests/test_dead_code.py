@@ -7,7 +7,9 @@ an attribute of a name the module defines, as click's `@main.command()`
 registers a subcommand with the group `main`.  A re-export from
 `__init__.py` is not a use.  A name allowed to stay test-only goes in
 ALLOWLIST with the ROADMAP item that decides whether it gains a caller or is
-deleted.  No module may import scipy, which only the tests depend on.
+deleted.  No module may import a name it never uses (a name listed in
+`__all__` counts as used), and no module may import scipy, which only the
+tests depend on.
 """
 import ast
 from pathlib import Path
@@ -64,6 +66,29 @@ def unreferenced(package: Path) -> set[str]:
     }
 
 
+def unused_imports(package: Path) -> set[str]:
+    """`module.name` of each name a module imports and never reads."""
+    unused = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused.update(f"{path.stem}.{name}" for name in imported if name not in used)
+    return unused
+
+
 def test_no_unreferenced_public_code():
     dead = unreferenced(PACKAGE)
     assert dead - ALLOWLIST == set(), "public code that no library module calls"
@@ -71,6 +96,10 @@ def test_no_unreferenced_public_code():
 
 def test_allowlist_is_current():
     assert ALLOWLIST - unreferenced(PACKAGE) == set(), "allowlisted names now have a caller"
+
+
+def test_no_unused_imports():
+    assert unused_imports(PACKAGE) == set()
 
 
 def test_no_module_imports_scipy():
@@ -102,3 +131,15 @@ def test_counts_registration_by_a_decorator(tmp_path):
         "@click.command()\ndef orphan():\n    pass\n"
     )
     assert unreferenced(tmp_path) == {"mod.orphan"}
+
+
+def test_detects_an_unused_import(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n\nimport os.path\nimport numpy as np\n"
+        "from math import pi, tau\nfrom .env import Dataset\n\n\n"
+        "def area(r: float, d: Dataset) -> float:\n    return pi * np.square(r)\n"
+    )
+    (tmp_path / "__init__.py").write_text(
+        "from .mod import area, pi\n\n__all__ = [\"area\"]\n"
+    )
+    assert unused_imports(tmp_path) == {"mod.os", "mod.tau", "__init__.pi"}

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from batchselect.env import BanditInstance, StateBatch, TabularModel, make_tabular_instance
-from batchselect.learner import OptimalPolicy
 from batchselect.diagnostics import (
     GroundTruthUnavailableError,
     fixed_design_theta_star,
     regret_estimate,
 )
-from policies import FixedPolicy
+from policies import FixedPolicy, OptimalPolicy
 
 
 class TestFixedDesignThetaStar:
@@ -39,26 +38,44 @@ class TestFixedDesignThetaStar:
 
 class TestRegretEstimate:
     def test_identical_policies(self):
+        # a policy that takes pi*'s actions has no regret
         inst = make_tabular_instance(4, 3, 0)
         states = StateBatch(indices=np.arange(4))
-        pi = FixedPolicy(action=1)
-        assert regret_estimate(inst, pi, pi, states) == 0.0
+        means = inst.mean_rewards(states)
+        pi = FixedPolicy(table=np.argmax(inst.model.means, axis=1))
+        assert regret_estimate(means, pi, states) == 0.0
+        assert regret_estimate(means, OptimalPolicy(inst), states) == 0.0
 
     def test_optimal_comparator_nonnegative(self):
         inst = make_tabular_instance(6, 4, 1)
         states = StateBatch(indices=np.arange(6))
-        optimal = OptimalPolicy(inst)
-        assert regret_estimate(inst, optimal, FixedPolicy(action=2), states) >= 0.0
+        means = inst.mean_rewards(states)
+        for action in range(4):
+            assert regret_estimate(means, FixedPolicy(action=action), states) >= 0.0
 
     def test_hand_instance(self):
         means = np.array([[1.0, 0.0], [0.0, 2.0]])
         inst = BanditInstance(2, TabularModel(np.array([0.5, 0.5]), means), 1.0)
-        states = StateBatch(indices=np.array([0, 1]))
-        got = regret_estimate(inst, FixedPolicy(action=0), FixedPolicy(action=1), states)
-        assert got == pytest.approx((1.0 - 0.0 + 0.0 - 2.0) / 2)
+        states = StateBatch(indices=np.array([0, 1, 1]))
+        got = regret_estimate(inst.mean_rewards(states), FixedPolicy(action=1), states)
+        assert got == pytest.approx((1.0 - 0.0 + 0.0 + 0.0) / 3)
 
     def test_antisymmetry(self):
+        # the gap between two policies' regrets is their mean value gap, either way round
         inst = make_tabular_instance(5, 3, 2)
         states = StateBatch(indices=np.arange(5))
+        means = inst.mean_rewards(states)
         a, b = FixedPolicy(action=0), FixedPolicy(action=2)
-        assert regret_estimate(inst, a, b, states) == -regret_estimate(inst, b, a, states)
+        gap = float(np.mean(means[:, 0] - means[:, 2]))
+        assert regret_estimate(means, b, states) - regret_estimate(means, a, states) == (
+            pytest.approx(gap)
+        )
+        assert regret_estimate(means, a, states) - regret_estimate(means, b, states) == (
+            pytest.approx(-gap)
+        )
+
+    @pytest.mark.parametrize("shape", [(4, 3), (6,), (5, 3, 1)], ids=["short", "flat", "3d"])
+    def test_mean_table_must_match_states(self, shape):
+        states = StateBatch(indices=np.arange(5))
+        with pytest.raises(ValueError, match="mean table"):
+            regret_estimate(np.zeros(shape), FixedPolicy(action=0), states)

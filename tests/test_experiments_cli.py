@@ -14,6 +14,15 @@ from click.testing import CliRunner
 
 import batchselect.experiments as experiments
 import batchselect.learner as learner_module
+import batchselect.selection as selection_module
+from batchselect.env import (
+    BanditInstance,
+    dirichlet_behavior,
+    make_gaussian_instance,
+    sample_dataset,
+    sample_states,
+)
+from batchselect.features import design_matrix, truncation_family
 from batchselect.cli import main
 from batchselect.hard_instance import ratio_results_to_csv
 from batchselect.learner import fit_pessimistic
@@ -307,6 +316,15 @@ SMALL_CC = {
     "cc": {"state_count": 4, "action_count": 3, "hidden_dims": [2, 5, 12]},
 }
 
+SMALL_AC = {
+    "experiment": "ac",
+    "trials": 2,
+    "n_grid": [60, 80],
+    "n_test": 20,
+    "n_validation": 20,
+    "ac": {"ambient_dim": 8, "true_dim": 3, "action_count": 3, "dims": [2, 4, 8]},
+}
+
 
 def test_shared_trial_context_under_thread_stress():
     # n-cells of one trial share its instance, family and test states across
@@ -450,6 +468,29 @@ class TestDuplicateWork:
             assert len(designs) == 3
             assert all(np.shares_memory(phi, data.logged) for phi in designs)
             assert all(a is b for a, b in zip(designs, greedy[3 * i : 3 * i + 3], strict=True))
+
+    @pytest.mark.parametrize("study", ["cc", "ac"])
+    def test_true_means_computed_once_per_trial(self, monkeypatch, study):
+        # every policy of a trial is scored against one table of the test
+        # states' true means
+        config = parse_config(SMALL_AC if study == "ac" else SMALL_CC)
+        calls = _record_calls(monkeypatch, BanditInstance, "mean_rewards")
+        (run_ac if study == "ac" else run_cc)(config, threads=2)
+        assert len(calls) == config.trials
+
+    def test_slope_builds_each_class_features_once(self, monkeypatch):
+        # one prediction table per class serves the candidates' greedy actions
+        # and every class's value estimates
+        inst = make_gaussian_instance(8, 3, 3, 0)
+        data = sample_dataset(inst, dirichlet_behavior(3, 0), 100, 0)
+        classes = truncation_family(8, [2, 4, 8])
+        designs = [design_matrix(mc, data.logged, data.actions) for mc in classes]
+        fits = [(experiments.ridge_fit(phi, data.rewards, 1.0), mc)
+                for phi, mc in zip(designs, classes)]
+        in_selection = _record_calls(monkeypatch, selection_module, "features_all_actions")
+        in_policies = _record_calls(monkeypatch, learner_module, "features_all_actions")
+        selection_module.slope_policy_select(fits, sample_states(inst, 20, 1), 0.05)
+        assert len(in_selection) + len(in_policies) == len(classes)
 
     def test_selector_learner_equals_fresh_fit_at_delta_over_m(self, monkeypatch):
         config = parse_config({**SMALL_CC, "trials": 1, "n_grid": [50]})

@@ -18,8 +18,6 @@ from batchselect.features import (
     realizable_family,
 )
 from batchselect.learner import (
-    CompositePessimisticPolicy,
-    OptimalPolicy,
     PessimisticLearner,
     PessimisticPolicy,
     beta_coefficient,
@@ -28,7 +26,7 @@ from batchselect.learner import (
 )
 from batchselect.diagnostics import regret_estimate
 from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms
-from policies import FixedPolicy
+from policies import FixedPolicy, OptimalPolicy
 
 
 class TestBetaCoefficient:
@@ -161,13 +159,13 @@ class TestExtractPessimisticPolicy:
     def test_single_action(self):
         mc = ModelClass(1, TabularMap(np.ones((2, 1, 1))))
         learner = _one_dim_learner(1.0, 1.0, 0.1)
-        policy = PessimisticPolicy(learner, mc)
+        policy = PessimisticPolicy([learner], [mc])
         assert _one_action(policy, 1) == 0
 
     def test_all_equal_ties_to_lowest(self):
         mc = ModelClass(1, TabularMap(np.ones((1, 3, 1))))
         learner = _one_dim_learner(1.0, 1.0, 0.1)
-        policy = PessimisticPolicy(learner, mc)
+        policy = PessimisticPolicy([learner], [mc])
         assert _one_action(policy, 0) == 0
 
     def test_matches_brute_force(self):
@@ -176,7 +174,7 @@ class TestExtractPessimisticPolicy:
         mc = ModelClass(2, TabularMap(table))
         cov = CovarianceMatrix(np.array([[1.5, -0.2], [-0.2, 0.8]]))
         learner = PessimisticLearner(RidgeFit(np.array([0.3, -1.1]), cov, 20, 1.0), 0.4)
-        policy = PessimisticPolicy(learner, mc)
+        policy = PessimisticPolicy([learner], [mc])
         for x in range(5):
             vals = [_hand_value(learner, table[x, a]) for a in range(3)]
             assert _one_action(policy, x) == int(np.argmax(vals))
@@ -194,19 +192,31 @@ class TestExtractPessimisticPolicy:
 
 
 class TestCompositePolicy:
-    def test_value_stack_shape(self):
-        rng = np.random.default_rng(1)
-        tables = [rng.standard_normal((2, 3, 1)), rng.standard_normal((2, 3, 2))]
-        classes = [ModelClass(t.shape[2], TabularMap(t)) for t in tables]
-        learners = [
+    @staticmethod
+    def _learners(classes):
+        return [
             PessimisticLearner(
                 RidgeFit(np.ones(mc.dim), CovarianceMatrix(np.eye(mc.dim)), 5, 1.0), 0.1
             )
             for mc in classes
         ]
-        policy = CompositePessimisticPolicy(learners, classes)
+
+    def test_value_stack_shape(self):
+        rng = np.random.default_rng(1)
+        tables = [rng.standard_normal((2, 3, 1)), rng.standard_normal((2, 3, 2))]
+        classes = [ModelClass(t.shape[2], TabularMap(t)) for t in tables]
+        policy = PessimisticPolicy(self._learners(classes), classes)
         stack = policy.value_stack(StateBatch(indices=[0, 1]))
         assert stack.shape == (2, 2, 3)
+
+    @pytest.mark.parametrize("n_learners, n_classes", [(2, 1), (1, 2), (0, 0)])
+    def test_one_learner_per_class_required(self, n_learners, n_classes):
+        # a zip over lists of different lengths would drop a class silently
+        rng = np.random.default_rng(2)
+        classes = [ModelClass(1, TabularMap(rng.standard_normal((2, 3, 1)))) for _ in range(2)]
+        learners = self._learners(classes)
+        with pytest.raises(ValueError, match="learner"):
+            PessimisticPolicy(learners[:n_learners], classes[:n_classes])
 
 
 class TestFixedAndOptimalPolicies:
@@ -233,10 +243,10 @@ def test_realizable_consistency_more_data_helps():
         mc = realizable_family(inst, [10], seed)[0]
         mu = dirichlet_behavior(10, seed)
         test = sample_states(inst, 500, seed + 1000)
-        optimal = OptimalPolicy(inst)
+        means = inst.mean_rewards(test)
         for n in (250, 4000):
             data = sample_dataset(inst, mu, n, seed + 31 * n)
             learner = fit_pessimistic(data, mc, 1.0, 0.05)
-            policy = PessimisticPolicy(learner, mc)
-            regrets[n].append(regret_estimate(inst, optimal, policy, test))
+            policy = PessimisticPolicy([learner], [mc])
+            regrets[n].append(regret_estimate(means, policy, test))
     assert np.mean(regrets[4000]) <= np.mean(regrets[250])

@@ -24,14 +24,14 @@ from batchselect.features import (
 from batchselect.env import rng_stream
 from batchselect.features import RepresentationMismatchError
 from batchselect.learner import (
+    GreedyPolicy,
     PessimisticLearner,
-    PessimisticPolicy,
     beta_coefficient,
+    pessimistic_values,
 )
 from batchselect.linalg import CovarianceMatrix, RidgeFit, ridge_fit
 from batchselect.selection import (
     Cells,
-    SlopeInputs,
     complexity_coverage_policy,
     holdout_select,
     holdout_split_sizes,
@@ -42,15 +42,30 @@ from batchselect.selection import (
 )
 
 
+def _one_column(values, widths):
+    """slope_select on a single column: (index, value)."""
+    k, v = slope_select(np.asarray(values, dtype=float)[:, None], widths)
+    return int(k[0]), float(v[0])
+
+
 class TestSlopeInputs:
+    """slope_select's input checks."""
+
     def test_shape_mismatch(self):
-        for values, widths in ((np.zeros(3), np.zeros(2)), ([], [])):
-            with pytest.raises(ValueError):
-                SlopeInputs(values, widths)
+        # unequal lengths, 2-D widths, a vector of values, and no estimates at all
+        for values, widths in (
+            (np.zeros((3, 2)), np.zeros(2)),
+            (np.zeros((2, 2)), np.zeros((2, 1))),
+            (np.zeros(3), np.zeros(3)),
+            (np.zeros((0, 2)), np.zeros(0)),
+        ):
+            with pytest.raises(ValueError, match="value matrix"):
+                slope_select(values, widths)
 
     def test_negative_width(self):
-        with pytest.raises(ValueError):
-            SlopeInputs(np.zeros(2), np.array([0.1, -0.1]))
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="widths"):
+                slope_select(np.zeros((2, 3)), np.array([0.1, bad]))
 
 
 class TestZetaCoefficient:
@@ -95,31 +110,57 @@ class TestZetaCoefficient:
 
 class TestSlopeSelect:
     def test_identical_intervals_pick_first(self):
-        k, v = slope_select(SlopeInputs(np.array([0.3, 0.3, 0.3]), np.array([0.1, 0.1, 0.1])))
+        k, v = _one_column([0.3, 0.3, 0.3], np.array([0.1, 0.1, 0.1]))
         assert k == 0 and v == 0.3
 
     def test_hand_enumeration(self):
-        k, v = slope_select(
-            SlopeInputs(np.array([-0.2, 0.5, 0.6]), np.array([0.05, 0.2, 0.3]))
-        )
+        k, v = _one_column([-0.2, 0.5, 0.6], np.array([0.05, 0.2, 0.3]))
         assert k == 1 and v == 0.5
 
     def test_degenerate_disjoint_forces_last(self):
-        k, v = slope_select(SlopeInputs(np.array([0.0, 10.0]), np.array([0.0, 0.0])))
+        k, v = _one_column([0.0, 10.0], np.array([0.0, 0.0]))
         assert k == 1 and v == 10.0
 
     def test_touching_endpoints_intersect(self):
         # [0,0] and [0, 2] touch at 0: closed intervals intersect
-        k, _ = slope_select(SlopeInputs(np.array([0.0, 1.0]), np.array([0.0, 0.5])))
+        k, _ = _one_column([0.0, 1.0], np.array([0.0, 0.5]))
         assert k == 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
     def test_always_returns_valid_index(self, m, seed):
         rng = np.random.default_rng(seed)
-        inputs = SlopeInputs(rng.uniform(-1, 1, m), rng.uniform(0, 0.5, m))
-        k, v = slope_select(inputs)
-        assert 0 <= k < m and v == inputs.values[k]
+        values = rng.uniform(-1, 1, m)
+        k, v = _one_column(values, rng.uniform(0, 0.5, m))
+        assert 0 <= k < m and v == values[k]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_columns_match_pairwise_definition(self, data):
+        # on a grid of dyadic values and widths, v - 2w and v + 2w are exact, so
+        # touching intervals and zero-width points come up often
+        m = data.draw(st.integers(min_value=1, max_value=6))
+        n_cols = data.draw(st.integers(min_value=1, max_value=4))
+        grid_value = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+        grid_width = st.sampled_from([0.0, 0.0, 0.125, 0.25, 0.5])
+        value = st.one_of(grid_value, st.floats(min_value=-10, max_value=10))
+        width = st.one_of(grid_width, st.floats(min_value=0, max_value=5))
+        values = np.array(
+            data.draw(st.lists(st.lists(value, min_size=n_cols, max_size=n_cols),
+                               min_size=m, max_size=m))
+        )
+        widths = np.array(data.draw(st.lists(width, min_size=m, max_size=m)))
+        khat, vhat = slope_select(values, widths)
+        assert khat.shape == vhat.shape == (n_cols,)
+        for col in range(n_cols):
+            lo = [v - 2 * w for v, w in zip(values[:, col], widths)]
+            hi = [v + 2 * w for v, w in zip(values[:, col], widths)]
+            # intervals on a line share a point iff every two of them meet
+            expected = next(
+                k for k in range(m)
+                if all(lo[i] <= hi[j] for i in range(k, m) for j in range(k, m))
+            )
+            assert khat[col] == expected and vhat[col] == values[expected, col]
 
 
 def _slope_guarantee_case(rng):
@@ -136,7 +177,7 @@ def test_generic_slope_guarantee_sample():
     rng = np.random.default_rng(99)
     for _ in range(200):
         v, psi, xi, vhat = _slope_guarantee_case(rng)
-        _, selected = slope_select(SlopeInputs(vhat, xi))
+        _, selected = _one_column(vhat, xi)
         assert abs(selected - v) <= 5 * np.min(psi + xi) + 1e-12
 
 
@@ -165,9 +206,9 @@ class TestComplexityCoverage:
         fits, classes = self._toy(n_classes=1)
         policy, _ = complexity_coverage_policy(fits, classes, 0.05)
         learner = PessimisticLearner(fits[0], beta_coefficient(50, 1, 1.0, 0.05))
-        single = PessimisticPolicy(learner, classes[0])
         states = StateBatch(indices=np.arange(4))
-        assert np.array_equal(policy.actions(states), single.actions(states))
+        single = np.argmax(pessimistic_values(learner, classes[0], states), axis=1)
+        assert np.array_equal(policy.actions(states), single)
 
     def test_duplicate_class_idempotent(self):
         # each class runs at delta/M, so hold delta/M at 0.025 while M grows
@@ -232,8 +273,6 @@ class TestSlopePolicySelect:
         states = sample_states(inst, 100, 1)
         policy, report = slope_policy_select(fits, states, 0.05)
         assert report.chosen == 0
-        from batchselect.learner import GreedyPolicy
-
         greedy = GreedyPolicy(fits[0][0], fits[0][1])
         assert np.array_equal(policy.actions(states), greedy.actions(states))
 
@@ -286,6 +325,21 @@ class TestSlopePolicySelect:
         widths = report.audit["widths"]
         assert np.all(np.diff(widths) >= -1e-9)
 
+    def test_values_match_each_greedy_policy(self):
+        # reference: each candidate's actions from its own GreedyPolicy, and
+        # each value a separate mean over the validation states
+        inst = make_gaussian_instance(8, 3, 4, 4)
+        data = sample_dataset(inst, dirichlet_behavior(4, 4), 300, 4)
+        fits = _fit_truncation(inst, data, [2, 5, 8])
+        states = sample_states(inst, 120, 5)
+        _, report = slope_policy_select(fits, states, 0.05)
+        rows = np.arange(len(states))
+        for l, (fit_l, mc_l) in enumerate(fits):
+            actions = GreedyPolicy(fit_l, mc_l).actions(states)
+            for k, (fit_k, mc_k) in enumerate(fits):
+                preds = features_all_actions(mc_k, states)[rows, actions] @ fit_k.theta_hat
+                assert report.audit["values"][k, l] == pytest.approx(preds.mean(), rel=1e-12)
+
     def test_audit_reproduces_selection(self):
         inst = make_gaussian_instance(8, 3, 4, 2)
         data = sample_dataset(inst, dirichlet_behavior(4, 2), 400, 2)
@@ -294,9 +348,9 @@ class TestSlopePolicySelect:
         _, report = slope_policy_select(fits, states, 0.05)
         values = report.audit["values"]
         widths = report.audit["widths"]
-        for l in range(3):
-            k, _ = slope_select(SlopeInputs(values[:, l], widths))
-            assert k == report.audit["khat_per_policy"][l]
+        khat, vhat = slope_select(values, widths)
+        assert np.array_equal(khat, report.audit["khat_per_policy"])
+        assert np.array_equal(vhat, report.audit["vhat_per_policy"])
         assert report.chosen == int(np.argmax(report.audit["vhat_per_policy"]))
 
     def test_estimate_close_to_true_value(self):
