@@ -9,6 +9,7 @@ regret against the true means (`diagnostics`), the minimax hard pair
 from .env import (
     BanditInstance,
     BehaviorPolicy,
+    Cells,
     Dataset,
     StateBatch,
     dirichlet_behavior,
@@ -33,7 +34,6 @@ from .learner import (
 )
 from .linalg import CovarianceMatrix, RidgeFit, SingularMatrixError, ridge_fit
 from .selection import (
-    Cells,
     SelectionReport,
     complexity_coverage_policy,
     holdout_select,

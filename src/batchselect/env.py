@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import checked_counts
+
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -124,13 +126,47 @@ class BehaviorPolicy:
             raise ValueError("behavior probabilities must sum to one")
 
 
+@dataclass(frozen=True)
+class Cells:
+    """Logged rows as per-cell reward statistics.
+
+    Cell j stands for `counts[j]` logged rows whose mean reward is
+    `means[j]`; a cell of count 0 adds nothing to a fit or a loss, whatever
+    finite mean it holds.  `within` is the sum over all those rows of the
+    squared deviation of each reward from its cell's mean.
+    """
+
+    means: np.ndarray
+    counts: np.ndarray
+    within: float = 0.0
+
+    def __post_init__(self):
+        means = np.asarray(self.means, dtype=float)
+        object.__setattr__(self, "means", means)
+        if means.ndim != 1 or not np.all(np.isfinite(means)):
+            raise ValueError("cell means must be a finite vector")
+        object.__setattr__(self, "counts", checked_counts(self.counts, len(means)))
+        if not (np.isfinite(self.within) and self.within >= 0):
+            raise ValueError("within-cell sum of squares must be finite and nonnegative")
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+    def mean_squared_error(self, predictions: np.ndarray) -> float:
+        """(sum_j c_j (p_j - ybar_j)^2 + within) / n: the mean squared error of
+        predicting p_j on every row of cell j."""
+        return float(np.sum(self.counts * (predictions - self.means) ** 2) + self.within) / self.n
+
+
 class Dataset:
     """Batch of logged (state, action, reward) rows, stored as arrays.
 
     A tabular dataset keeps each row's state: `states` is a StateBatch of
-    state indices.  A feature dataset keeps only what a reader of a logged
-    row can use, the logged action's feature vector: `logged` is an (n, D)
-    array whose row i is phi(x_i, a_i) at the ambient dimension D, and
+    state indices, and a fit reads the rows only through their per-(x, a)
+    cell statistics (`cells`).  A feature dataset keeps only what a reader of
+    a logged row can use, the logged action's feature vector: `logged` is an
+    (n, D) array whose row i is phi(x_i, a_i) at the ambient dimension D, and
     `states` is None.  Exactly one of the two is given.
     """
 
@@ -157,10 +193,29 @@ class Dataset:
             raise ValueError("actions/rewards must have one entry per state")
         if n and self.actions.min() < 0:
             raise ValueError("actions must be nonnegative")
+        self._cells = {}
 
     @property
     def n(self) -> int:
         return len(self.actions)
+
+    def cells(self, state_count: int, action_count: int) -> Cells:
+        """A tabular dataset's rows binned by (x, a) into cell x * |A| + a of
+        an |X| x |A| grid, counted once per grid and kept for every class fit
+        on the dataset.  A state or action outside the grid raises ValueError."""
+        grid = (state_count, action_count)
+        if grid not in self._cells:
+            if self.n and self.states.indices.max() >= state_count:
+                raise ValueError(f"state index out of range for a table of {state_count} states")
+            if self.n and self.actions.max() >= action_count:
+                raise ValueError(f"action out of range for {action_count} actions")
+            cell = self.states.indices * action_count + self.actions
+            counts = np.bincount(cell, minlength=state_count * action_count).astype(float)
+            sums = np.bincount(cell, weights=self.rewards, minlength=counts.size)
+            means = sums / np.maximum(counts, 1)
+            within = float(np.sum((self.rewards - means[cell]) ** 2))
+            self._cells[grid] = Cells(means, counts, within)
+        return self._cells[grid]
 
 
 def dirichlet_behavior(action_count: int, rng_seed: int) -> BehaviorPolicy:

@@ -92,34 +92,28 @@ def features_all_actions(model_class: ModelClass, states: StateBatch) -> np.ndar
     return source[rows]
 
 
-def design_matrix(model_class: ModelClass, states, actions: np.ndarray) -> np.ndarray:
-    """Feature rows phi_k(x_i, a_i), shape (n, d_k).
+def design_matrix(model_class: ModelClass, logged, actions: np.ndarray) -> np.ndarray:
+    """Feature rows phi_k(x_i, a_i) of logged rows, shape (n, d_k).
 
-    A tabular map reads `states` as a StateBatch of state indices and gathers
-    each (state, action) row from its table.  A truncation map reads `states`
-    as logged rows, an (n, D) array whose row i is phi(x_i, a_i) at the
-    ambient dimension D (a feature dataset's `logged`), and returns the view
-    of their first d_k columns, so every class of a nested family shares the
-    dataset's memory; it reads `actions` only to check their count.
+    `logged` is an (n, D) array whose row i is phi(x_i, a_i) at the ambient
+    dimension D (a feature dataset's `logged`); the design is the view of its
+    first d_k columns, so every class of a nested family shares the dataset's
+    memory.  `actions` is read only to check their count.  A tabular class
+    has no row design: it fits from a tabular dataset's per-cell statistics
+    (`Dataset.cells`).
     """
     actions = np.asarray(actions, dtype=int)
-    if actions.shape != (len(states),):
+    if actions.shape != (len(logged),):
         raise ValueError("design_matrix needs one action per state")
-    if isinstance(model_class.map, TruncationMap):
-        if isinstance(states, StateBatch) or np.ndim(states) != 2:
-            raise RepresentationMismatchError(
-                "truncation map reads its design from logged rows, an (n, D) array"
-            )
-        return _prefix(model_class, np.asarray(states, dtype=float))
-    if not isinstance(states, StateBatch):
-        raise RepresentationMismatchError("tabular map needs tabular states")
-    table, rows = feature_source(model_class, states)
-    n_act = table.shape[1]
-    if actions.size and (actions.min() < 0 or actions.max() >= n_act):
-        raise ValueError(f"action out of range for {n_act} actions")
-    # one gather from the flattened (|X| * |A|, d_k) table copies the same
-    # rows as table[rows, actions], faster than two-index fancy indexing
-    return np.take(table.reshape(-1, model_class.dim), rows * n_act + actions, axis=0)
+    if not isinstance(model_class.map, TruncationMap):
+        raise RepresentationMismatchError(
+            "tabular map needs tabular states: it fits from a tabular dataset's cells"
+        )
+    if isinstance(logged, StateBatch) or np.ndim(logged) != 2:
+        raise RepresentationMismatchError(
+            "truncation map reads its design from logged rows, an (n, D) array"
+        )
+    return _prefix(model_class, np.asarray(logged, dtype=float))
 
 
 def realizable_family(

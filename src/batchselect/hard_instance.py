@@ -31,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import BanditInstance, StateBatch, TabularModel, rng_stream
+from .env import BanditInstance, Cells, StateBatch, TabularModel, rng_stream
 from .features import ModelClass, TabularMap, check_nested
 from .diagnostics import fixed_design_theta_star
 from .learner import Policy
 from .linalg import ridge_covariance, ridge_fit
 from .selection import (
-    Cells,
     complexity_coverage_policy,
     holdout_select,
     holdout_split_sizes,

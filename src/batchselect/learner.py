@@ -8,7 +8,7 @@ import numpy as np
 
 from .env import Dataset, StateBatch
 from .features import ModelClass, design_matrix, feature_source, features_all_actions
-from .linalg import RidgeFit, inv_quad_norms, ridge_fit
+from .linalg import RidgeFit, ridge_fit
 
 MAX_DELTA = 1.0 / math.e
 
@@ -44,10 +44,20 @@ def fit_pessimistic(
     delta: float,
     penalty_scale: float = 1.0,
 ) -> PessimisticLearner:
-    """Ridge-fit one class and attach its beta coefficient."""
-    source = dataset.states if dataset.logged is None else dataset.logged
-    phi = design_matrix(model_class, source, dataset.actions)
-    fit = ridge_fit(phi, dataset.rewards, lam)
+    """Ridge-fit one class and attach its beta coefficient.
+
+    A feature dataset fits the class's design of its logged rows.  A tabular
+    dataset fits the class's |X| x |A| table with the dataset's per-cell
+    counts and mean rewards (`Dataset.cells`): the n-row fit up to rounding,
+    at a cost of |X| |A| d^2 whatever n is.
+    """
+    if dataset.states is None:
+        phi = design_matrix(model_class, dataset.logged, dataset.actions)
+        fit = ridge_fit(phi, dataset.rewards, lam)
+    else:
+        table, _ = feature_source(model_class, dataset.states)
+        cells = dataset.cells(*table.shape[:2])
+        fit = ridge_fit(table.reshape(-1, model_class.dim), cells.means, lam, counts=cells.counts)
     beta = beta_coefficient(dataset.n, model_class.dim, lam, delta)
     return PessimisticLearner(fit, beta, penalty_scale)
 
@@ -63,17 +73,8 @@ def pessimistic_values(
     function of its own feature row alone.
     """
     source, rows = feature_source(model_class, states)
-    return _penalized(learner, source)[rows]
-
-
-def _penalized(learner: PessimisticLearner, phi: np.ndarray) -> np.ndarray:
-    """Pessimistic values of a (rows, |A|, d) feature stack, shape (rows, |A|)."""
-    rows, n_act, d = phi.shape
-    flat = phi.reshape(-1, d)
-    plain = flat @ learner.fit.theta_hat
-    widths = inv_quad_norms(learner.fit.cov, flat)
-    values = plain - learner.penalty_scale * learner.beta * widths
-    return values.reshape(rows, n_act)
+    plain, widths = learner.fit.predictions_and_widths(source)
+    return (plain - learner.penalty_scale * learner.beta * widths)[rows]
 
 
 class Policy:

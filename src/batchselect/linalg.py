@@ -125,6 +125,19 @@ class RidgeFit:
         self.n = int(n)
         self.lam = float(lam)
         self.dim = cov.dim
+        self._scored = None  # (stack, predictions, widths) of the last stack scored
+
+    def predictions_and_widths(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """<phi, theta_hat> and |phi|_{V^{-1}} for each row phi of a (..., d)
+        stack, each of shape stack.shape[:-1].  The last stack's pair is kept
+        and returned again for the same array, such as a tabular class's table
+        scored by policies at two confidence levels."""
+        scored = self._scored
+        if scored is None or scored[0] is not stack:
+            flat, shape = stack.reshape(-1, self.dim), stack.shape[:-1]
+            widths = inv_quad_norms(self.cov, flat).reshape(shape)
+            scored = self._scored = (stack, (flat @ self.theta_hat).reshape(shape), widths)
+        return scored[1:]
 
 
 def _checked_design(features: np.ndarray, lam: float) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import StateBatch, rng_stream
+from .env import Cells, StateBatch, rng_stream
 from .features import ModelClass, check_nested, features_all_actions
 from .learner import (
     MAX_DELTA,
@@ -20,7 +20,6 @@ from .learner import (
 from .linalg import (
     CovarianceMatrix,
     RidgeFit,
-    checked_counts,
     inv_quad_norms,
     inv_sqrt_spectral_norm,
     ridge_fit,
@@ -196,40 +195,6 @@ def holdout_split_sizes(n: int, split_fraction: float) -> tuple[int, int]:
     if n_in < 1 or n_out < 1:
         raise ValueError("degenerate hold-out split")
     return n_in, n_out
-
-
-@dataclass(frozen=True)
-class Cells:
-    """One side of a hold-out split, as per-cell reward statistics.
-
-    Cell j is row j of every class's design and holds `counts[j]` logged
-    rows whose mean reward is `means[j]`; a cell of count 0 adds nothing to a
-    fit or a loss, whatever finite mean it holds.  `within` is the sum over
-    all those rows of the squared deviation of each reward from its cell's
-    mean.
-    """
-
-    means: np.ndarray
-    counts: np.ndarray
-    within: float = 0.0
-
-    def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        object.__setattr__(self, "means", means)
-        if means.ndim != 1 or not np.all(np.isfinite(means)):
-            raise ValueError("cell means must be a finite vector")
-        object.__setattr__(self, "counts", checked_counts(self.counts, len(means)))
-        if not (math.isfinite(self.within) and self.within >= 0):
-            raise ValueError("within-cell sum of squares must be finite and nonnegative")
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    def mean_squared_error(self, predictions: np.ndarray) -> float:
-        """(sum_j c_j (p_j - ybar_j)^2 + within) / n: the mean squared error of
-        predicting p_j on every row of cell j."""
-        return float(np.sum(self.counts * (predictions - self.means) ** 2) + self.within) / self.n
 
 
 def row_split(rewards: np.ndarray, split_fraction: float, rng_seed: int) -> tuple[Cells, Cells]:

@@ -31,6 +31,7 @@ from batchselect.experiments import (
     run_lower_bound,
 )
 from batchselect.hard_instance import ratio_results_to_csv
+from row_design import tabular_design
 
 
 def _report(num, ok, detail):
@@ -115,7 +116,7 @@ def test_acceptance_3_single_class_bound_validity():
         test = sample_states(inst, 500, seed + 10**6)
         means = inst.mean_rewards(test)
         regret = regret_estimate(means, PessimisticPolicy([learner], [mc]), test)
-        phi = design_matrix(mc, test, np.argmax(means, axis=1))
+        phi = tabular_design(mc, test, np.argmax(means, axis=1))
         coverage = inv_quad_norms(learner.fit.cov, phi).mean()
         if regret <= 2 * learner.beta * coverage + 0.05:
             holds += 1

@@ -13,7 +13,9 @@ import pytest
 from click.testing import CliRunner
 
 import batchselect.experiments as experiments
+import batchselect.features as features_module
 import batchselect.learner as learner_module
+import batchselect.linalg as linalg_module
 import batchselect.selection as selection_module
 from batchselect.env import (
     BanditInstance,
@@ -308,6 +310,26 @@ def _record_calls(monkeypatch, module, name):
     return calls
 
 
+def _record_at_every_alias(monkeypatch, module, name):
+    """`_record_calls` at every batchselect module that holds `module.name`,
+    all recording into one list."""
+    original = getattr(module, name)
+    holders = [
+        mod for key, mod in sorted(sys.modules.items())
+        if (key == "batchselect" or key.startswith("batchselect.")) and vars(mod).get(name) is original
+    ]
+    calls = []
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for mod in holders:
+        monkeypatch.setattr(mod, name, recorded)
+    return calls
+
+
 SMALL_CC = {
     "experiment": "cc",
     "trials": 2,
@@ -428,6 +450,28 @@ class TestDuplicateWork:
         m = len(config.cc.hidden_dims)
         assert (len(instances), len(families)) == (2, 2)
         assert len(fits) == 2 * 3 * m
+
+    def test_cc_fits_each_class_on_its_cells(self, monkeypatch):
+        # at every n, each class is fit on its |X| * |A| table with the
+        # dataset's cell counts; no n-row design is built
+        config = parse_config(SMALL_CC)
+        fits = _record_at_every_alias(monkeypatch, linalg_module, "ridge_fit")
+        designs = _record_at_every_alias(monkeypatch, features_module, "design_matrix")
+        run_cc(config)
+        cells = config.cc.state_count * config.cc.action_count
+        assert len(fits) == config.trials * len(config.n_grid) * len(config.cc.hidden_dims)
+        assert all(np.shape(args[0])[0] == cells for args, _ in fits)
+        assert sorted({fit.n for _, fit in fits}) == sorted(config.n_grid)
+        assert designs == []
+
+    def test_cc_scores_each_class_once_per_cell(self, monkeypatch):
+        # a class's own policy (beta at delta) and the cc policy (beta at
+        # delta / M) differ only in beta, so they share the class's
+        # predictions and widths over its table
+        config = parse_config(SMALL_CC)
+        widths = _record_at_every_alias(monkeypatch, linalg_module, "inv_quad_norms")
+        run_cc(config)
+        assert len(widths) == config.trials * len(config.n_grid) * len(config.cc.hidden_dims)
 
     def test_ac_builds_each_instance_once(self, monkeypatch):
         config = parse_config(

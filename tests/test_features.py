@@ -24,6 +24,7 @@ from batchselect.features import (
 )
 from batchselect.learner import PessimisticLearner, fit_pessimistic, pessimistic_values
 from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms, ridge_fit
+from row_design import tabular_design
 
 
 class TestEvaluateFeatures:
@@ -50,7 +51,7 @@ class TestEvaluateFeatures:
         mc = ModelClass(4, TabularMap(table))
         states = StateBatch(indices=[1, 0, 1])
         assert np.array_equal(features_all_actions(mc, states), table[[1, 0, 1]])
-        assert np.array_equal(design_matrix(mc, states, [2, 0, 1]), table[[1, 0, 1], [2, 0, 1]])
+        assert np.array_equal(tabular_design(mc, states, [2, 0, 1]), table[[1, 0, 1], [2, 0, 1]])
 
     def test_representation_mismatch(self):
         mc = ModelClass(2, TruncationMap(4))
@@ -187,20 +188,24 @@ class TestTableRangeChecks:
         with pytest.raises(ValueError, match="state index"):
             features_all_actions(self.mc, StateBatch(indices=[0, 3]))
 
-    def test_design_matrix_state_out_of_range(self):
-        with pytest.raises(ValueError, match="state index"):
-            design_matrix(self.mc, StateBatch(indices=[3]), [0])
+    # a tabular class fits from its dataset's cells, one per (state, action)
+    # of its table; a row outside the table must not land in another cell
+    def _fit(self, indices, actions):
+        data = Dataset(StateBatch(indices=indices), actions, np.zeros(len(actions)))
+        return fit_pessimistic(data, self.mc, 1.0, 0.05)
 
-    def test_design_matrix_action_out_of_range(self):
-        with pytest.raises(ValueError, match="action"):
-            design_matrix(self.mc, StateBatch(indices=[0, 1]), [0, 4])
+    def test_fit_state_out_of_range(self):
+        with pytest.raises(ValueError, match="state index out of range for a table of 3 states"):
+            self._fit([3], [0])
 
-    def test_design_matrix_negative_action(self):
-        with pytest.raises(ValueError, match="action"):
-            design_matrix(self.mc, StateBatch(indices=[0]), [-1])
+    def test_fit_action_out_of_range(self):
+        # action 4 at state 1 is cell 1 * 4 + 4, which a bare bincount would
+        # count as (state 2, action 0)
+        with pytest.raises(ValueError, match="action out of range for 4 actions"):
+            self._fit([0, 1], [0, 4])
 
     def test_in_range_gather_unchanged(self):
-        got = design_matrix(self.mc, StateBatch(indices=[2, 0]), [3, 1])
+        got = tabular_design(self.mc, StateBatch(indices=[2, 0]), [3, 1])
         assert np.array_equal(got, self.table[[2, 0], [3, 1]])
 
 
@@ -236,12 +241,15 @@ def _random_class(data, n_actions):
 @settings(max_examples=80, deadline=None)
 @given(n_actions=st.integers(1, 5), data=st.data())
 def test_design_matrix_is_gather_of_all_actions(n_actions, data):
-    # a truncation design over the logged rows equals the all-action gather
+    # a truncation design over the logged rows, and the tabular cell row of
+    # each logged row, equal the all-action gather
     mc, states, rng = _random_class(data, n_actions)
     actions = rng.integers(n_actions, size=len(states))
     rows = np.arange(len(states))
     if states.features is None:
-        got = design_matrix(mc, states, actions)
+        # the cell fit reads row x * |A| + a of the flattened table for a row
+        # logged at (x, a)
+        got = mc.map.table.reshape(-1, mc.dim)[states.indices * n_actions + actions]
     else:
         logged = states.features[rows, actions]
         got = design_matrix(mc, logged, actions)
@@ -280,15 +288,22 @@ def test_pessimistic_values_match_row_wise_formula(n_actions, scale, data):
     prefix=st.booleans(),
 )
 def test_tabular_design_matches_two_index_gather(seed, shape, n, prefix):
-    # design_matrix gathers from the flattened table; the reference indexes
-    # (state, action) pairs directly.  `prefix` reads a non-contiguous view,
-    # as nested tabular classes do.
+    # the cell fit reads row x * |A| + a of the flattened table for the rows
+    # logged at (x, a), and `Dataset.cells` counts them in that cell; the
+    # reference indexes (state, action) pairs directly.  `prefix` reads a
+    # non-contiguous view, as nested tabular classes do.
     rng = np.random.default_rng(seed)
     table = rng.standard_normal((*shape[:2], shape[2] + 1))
     table = table[:, :, : shape[2]] if prefix else table[:, :, 1:].copy()
     states = StateBatch(indices=rng.integers(0, shape[0], size=n))
     actions = rng.integers(0, shape[1], size=n)
-    got = design_matrix(ModelClass(shape[2], TabularMap(table)), states, actions)
+    cell = states.indices * shape[1] + actions
+    got = table.reshape(-1, shape[2])[cell]
     want = table[states.indices, actions]
     assert got.shape == want.shape == (n, shape[2])
     assert got.tobytes() == want.tobytes()
+    if n:
+        counts = np.zeros(shape[:2])
+        np.add.at(counts, (states.indices, actions), 1.0)
+        cells = Dataset(states, actions, rng.standard_normal(n)).cells(*shape[:2])
+        assert np.array_equal(cells.counts, counts.reshape(-1))

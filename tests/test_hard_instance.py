@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from batchselect import experiments, features, hard_instance, learner, linalg
-from batchselect.env import StateBatch, derive_seed, rng_stream
-from batchselect.features import check_nested, design_matrix
+from batchselect.env import Cells, StateBatch, derive_seed, rng_stream
+from batchselect.features import check_nested
 from batchselect.hard_instance import (
     ALGORITHMS,
     HOLDOUT_SPLIT,
@@ -20,7 +20,6 @@ from batchselect.hard_instance import (
 )
 from batchselect.linalg import inv_quad_norms, ridge_covariance, ridge_fit
 from batchselect.selection import (
-    Cells,
     complexity_coverage_policy,
     holdout_select,
     holdout_split_sizes,
@@ -28,6 +27,7 @@ from batchselect.selection import (
     slope_policy_select,
 )
 from policies import FixedPolicy
+from row_design import tabular_design
 
 
 class TestBuildHardPair:
@@ -74,7 +74,7 @@ class TestBuildHardPair:
         assert [t.tolist() for t in pair.tables] == [[[1.0], [0.0]], [[1.0, 0.0], [0.0, 1.0]]]
         assert pair.counts.tolist() == [7, 3]
         for table, mc in zip(pair.tables, pair.classes):  # row a is arm a's feature vector
-            assert np.array_equal(table, design_matrix(mc, StateBatch(indices=[0, 0]), [0, 1]))
+            assert np.array_equal(table, tabular_design(mc, StateBatch(indices=[0, 0]), [0, 1]))
 
     def test_hard_pair_arm_one_norm_bound(self):
         # n1 samples of arm 0: |phi_1(a_0)|_{V^{-1}} <= sqrt(n/n1)
@@ -82,10 +82,10 @@ class TestBuildHardPair:
         actions = np.repeat([0, 1], [pair.n1, pair.n2])
         states = StateBatch(indices=np.zeros(pair.n, dtype=int))
         mc1 = pair.classes[0]
-        phi = design_matrix(mc1, states, actions)
+        phi = tabular_design(mc1, states, actions)
         means = pair.instances[0].model.means[0][actions]
         fit = ridge_fit(phi, means, lam=1e-12)
-        arm_zero = design_matrix(mc1, StateBatch(indices=[0]), np.array([0]))
+        arm_zero = tabular_design(mc1, StateBatch(indices=[0]), np.array([0]))
         assert inv_quad_norms(fit.cov, arm_zero)[0] <= math.sqrt(pair.n / pair.n1) + 1e-9
 
 

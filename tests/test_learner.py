@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchselect.env import (
+    Dataset,
     StateBatch,
     dirichlet_behavior,
     make_tabular_instance,
@@ -27,6 +28,7 @@ from batchselect.learner import (
 from batchselect.diagnostics import regret_estimate
 from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms
 from policies import FixedPolicy, OptimalPolicy
+from row_design import row_design_fit
 
 
 class TestBetaCoefficient:
@@ -143,6 +145,39 @@ class TestTableGather:
         learner = _one_dim_learner(1.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="state index"):
             pessimistic_values(learner, mc, StateBatch(indices=[0, 2]))
+
+
+class TestCellFit:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_states=st.integers(1, 6),
+        n_actions=st.integers(1, 5),
+        d=st.integers(1, 8),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        prefix=st.booleans(),
+    )
+    def test_matches_row_design(self, n_states, n_actions, d, n, seed, prefix):
+        # the fit on a tabular dataset's cells, many of them empty at these
+        # sizes, against ridge_fit on its n-row design
+        rng = np.random.default_rng(seed)
+        table = rng.standard_normal((n_states, n_actions, d + 1))
+        # a nested class's table is a non-contiguous prefix view
+        mc = ModelClass(d, TabularMap(table[:, :, :d] if prefix else table[:, :, 1:].copy()))
+        states = StateBatch(indices=rng.integers(n_states, size=n))
+        data = Dataset(states, rng.integers(n_actions, size=n), rng.standard_normal(n))
+        learner = fit_pessimistic(data, mc, 1.0, 0.05, 0.5)
+        ref = row_design_fit(data, mc, 1.0)
+        got = learner.fit
+        assert got.n == ref.n == n
+        for a, b in ((got.theta_hat, ref.theta_hat), (got.cov.entries, ref.cov.entries)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(b))))
+        every_state = StateBatch(indices=np.arange(n_states))
+        same = PessimisticLearner(ref, learner.beta, learner.penalty_scale)
+        assert np.array_equal(
+            PessimisticPolicy([learner], [mc]).actions(every_state),
+            PessimisticPolicy([same], [mc]).actions(every_state),
+        )
 
 
 def _hand_value(learner, phi):

@@ -409,3 +409,18 @@ def test_counts_reject_a_covariance_of_other_counts():
     table, means = np.eye(2), np.array([1.0, 2.0])
     with pytest.raises(ValueError, match="does not match"):
         ridge_fit(table, means, 1.0, ridge_covariance(table, 1.0, [3, 3]), counts=[3, 4])
+
+
+def test_predictions_and_widths_follow_the_stack():
+    # a fit keeps the terms of the last stack it scored: asking again for the
+    # same array returns them, and another array of the same shape is scored
+    # afresh, with the bits of the direct products
+    rng = np.random.default_rng(0)
+    fit = ridge_fit(rng.standard_normal((30, 3)), rng.standard_normal(30), 1.0)
+    first, second = rng.standard_normal((2, 4, 2, 3))
+    for stack in (first, second, first):
+        flat = stack.reshape(-1, 3)
+        want = ((flat @ fit.theta_hat).reshape(4, 2), inv_quad_norms(fit.cov, flat).reshape(4, 2))
+        for _ in range(2):
+            got = fit.predictions_and_widths(stack)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from batchselect.env import (
+    Cells,
     StateBatch,
     dirichlet_behavior,
     make_gaussian_instance,
@@ -31,7 +32,6 @@ from batchselect.learner import (
 )
 from batchselect.linalg import CovarianceMatrix, RidgeFit, ridge_fit
 from batchselect.selection import (
-    Cells,
     complexity_coverage_policy,
     holdout_select,
     holdout_split_sizes,
@@ -40,6 +40,7 @@ from batchselect.selection import (
     slope_select,
     zeta_coefficient,
 )
+from row_design import row_design_fit
 
 
 def _one_column(values, widths):
@@ -282,7 +283,7 @@ class TestSlopePolicySelect:
         mu = dirichlet_behavior(3, 0)
         data = sample_dataset(inst, mu, 100, 0)
         fits = [
-            (ridge_fit(design_matrix(mc, data.states, data.actions), data.rewards, 1.0), mc)
+            (row_design_fit(data, mc, 1.0), mc)
             for mc in classes
         ]
         states = StateBatch(indices=np.zeros(10, dtype=int))
