@@ -203,6 +203,8 @@ class Dataset:
         """A tabular dataset's rows binned by (x, a) into cell x * |A| + a of
         an |X| x |A| grid, counted once per grid and kept for every class fit
         on the dataset.  A state or action outside the grid raises ValueError."""
+        if self.states is None:
+            raise ValueError("a feature dataset has no (state, action) cells")
         grid = (state_count, action_count)
         if grid not in self._cells:
             if self.n and self.states.indices.max() >= state_count:

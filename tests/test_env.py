@@ -312,6 +312,11 @@ class TestBadInputs:
         with pytest.raises(ValueError, match="logged rows"):
             Dataset(StateBatch(features=np.zeros((2, 2, 3))), [0, 1], [0.0, 0.0])
 
+    def test_feature_dataset_has_no_cells(self):
+        data = Dataset(None, [0, 1], [0.0, 0.0], logged=np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="feature dataset"):
+            data.cells(1, 2)
+
     @pytest.mark.parametrize(
         "logged, match",
         [(np.zeros((2, 2, 3)), "shape"), (np.array([[0.0, np.nan], [1.0, 2.0]]), "finite")],
