@@ -39,16 +39,29 @@ class InfiniteCoverageError(ValueError):
     """Behavior policy puts zero mass on some action."""
 
 
+def _index_vector(values, what: str) -> np.ndarray:
+    """`values` as a 1-D int array, refused unless each entry is a
+    nonnegative whole number (an integer, or a float with no fraction)."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu" and not (
+        arr.dtype.kind == "f" and np.all(np.isfinite(arr)) and np.all(arr % 1 == 0)
+    ):
+        raise ValueError(f"{what} must be whole numbers")
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return arr.astype(int, copy=False)
+
+
 class StateBatch:
     """A batch of i.i.d. states, stored columnar for vectorized evaluation."""
 
     def __init__(self, indices=None, features=None):
         if (indices is None) == (features is None):
             raise ValueError("exactly one of indices/features must be given")
-        self.indices = None if indices is None else np.asarray(indices, dtype=int)
+        self.indices = None if indices is None else _index_vector(indices, "state indices")
         self.features = None if features is None else np.asarray(features, dtype=float)
-        if self.indices is not None and self.indices.size and self.indices.min() < 0:
-            raise ValueError("state indices must be nonnegative")
         if self.features is not None:
             if self.features.ndim != 3:
                 raise ValueError(
@@ -72,7 +85,6 @@ class TabularModel:
 class GaussianModel:
     chol_factors: np.ndarray  # (|A|, d, d), lower Cholesky of each Sigma_a
     theta_true: np.ndarray  # (d,)
-    true_dim: int
 
 
 @dataclass(frozen=True)
@@ -120,6 +132,8 @@ class BehaviorPolicy:
     def __post_init__(self):
         probs = np.asarray(self.action_probs, dtype=float)
         object.__setattr__(self, "action_probs", probs)
+        if probs.ndim != 1 or not np.all(np.isfinite(probs)):
+            raise ValueError("behavior probabilities must be a finite vector")
         if np.any(probs <= 0):
             raise InfiniteCoverageError("behavior policy must be strictly positive")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -184,15 +198,13 @@ class Dataset:
                 )
             if not np.all(np.isfinite(self.logged)):
                 raise ValueError("logged rows must be finite")
-        self.actions = np.asarray(actions, dtype=int)
+        self.actions = _index_vector(actions, "actions")
         self.rewards = np.asarray(rewards, dtype=float)
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
         n = len(self.logged if states is None else states)
         if self.actions.shape != (n,) or self.rewards.shape != (n,):
             raise ValueError("actions/rewards must have one entry per state")
-        if n and self.actions.min() < 0:
-            raise ValueError("actions must be nonnegative")
         self._cells = {}
 
     @property
@@ -239,6 +251,16 @@ def make_tabular_instance(state_count: int, action_count: int, rng_seed: int) ->
     return BanditInstance(action_count, TabularModel(probs, means), noise_scale=1.0)
 
 
+def _logged_features(z: np.ndarray, actions: np.ndarray, chols: np.ndarray) -> np.ndarray:
+    """Row i = z_i @ L_{a_i}^T of an (n, D) normal block z: the features of
+    action a_i, one matrix product per action on that action's rows."""
+    feats = np.empty_like(z)
+    for a, chol in enumerate(chols):
+        rows = np.flatnonzero(actions == a)
+        feats[rows] = z[rows] @ chol.T
+    return feats
+
+
 def make_gaussian_instance(
     ambient_dim: int, true_dim: int, action_count: int, rng_seed: int
 ) -> BanditInstance:
@@ -261,14 +283,10 @@ def make_gaussian_instance(
 
     probe = 10_000
     z = rng.standard_normal((probe, ambient_dim))
-    arms = rng.integers(action_count, size=probe)
-    feats = np.empty((probe, ambient_dim))
-    for a in range(action_count):
-        mask = arms == a
-        feats[mask] = z[mask] @ chols[a].T
+    feats = _logged_features(z, rng.integers(action_count, size=probe), chols)
     q99 = np.quantile(np.abs(feats @ theta), 0.99)
     theta = theta / q99
-    return BanditInstance(action_count, GaussianModel(chols, theta, true_dim), noise_scale=1.0)
+    return BanditInstance(action_count, GaussianModel(chols, theta), noise_scale=1.0)
 
 
 def sample_states(instance: BanditInstance, count: int, rng_seed: int) -> StateBatch:
@@ -307,9 +325,5 @@ def sample_dataset(
         states = instance.sample_state_batch(n, state_rng)
         return Dataset(states, actions, instance.model.means[states.indices, actions] + noise)
     chols = instance.model.chol_factors
-    z = state_rng.standard_normal((n, chols.shape[1]))
-    logged = np.empty_like(z)
-    for a, chol in enumerate(chols):
-        rows = np.flatnonzero(actions == a)
-        logged[rows] = z[rows] @ chol.T
+    logged = _logged_features(state_rng.standard_normal((n, chols.shape[1])), actions, chols)
     return Dataset(None, actions, logged @ instance.model.theta_true + noise, logged=logged)

@@ -300,11 +300,11 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     fits = []
     for mc, phi in zip(classes, designs):
         fit = ridge_fit(phi, dataset.rewards, config.lam)
-        fits.append((fit, mc))
+        fits.append(fit)
         regret = regret_estimate(means, GreedyPolicy(fit, mc), test_states)
         rows.append(ResultRow(n, f"class_{mc.dim}", trial, regret))
     slope_policy, slope_report = slope_policy_select(
-        fits, ctx.validation, config.delta, config.penalty_scale
+        fits, classes, ctx.validation, config.delta, config.penalty_scale
     )
     rows.append(ResultRow(n, "slope", trial, regret_estimate(means, slope_policy, test_states)))
     fit_on, score_on = row_split(

@@ -155,6 +155,8 @@ def realizable_family(
 def truncation_family(ambient_dim: int, dims) -> list[ModelClass]:
     """Nested family of prefix-truncation maps."""
     dims = list(dims)
+    if not dims:
+        raise ValueError("need at least one dim")
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dims must be strictly ascending")
     if dims[-1] > ambient_dim:

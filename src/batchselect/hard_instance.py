@@ -160,8 +160,8 @@ def _cc_select(means, pair, covs, delta, lam, penalty_scale) -> Policy:
 
 
 def _slope_select(means, pair, covs, delta, lam, penalty_scale) -> Policy:
-    fits = list(zip(_fits(means, pair, covs, lam), pair.classes))
-    return slope_policy_select(fits, _STATE, delta, penalty_scale)[0]
+    fits = _fits(means, pair, covs, lam)
+    return slope_policy_select(fits, list(pair.classes), _STATE, delta, penalty_scale)[0]
 
 
 def _holdout_select(split, pair, covs, delta, lam, penalty_scale) -> Policy:

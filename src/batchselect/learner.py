@@ -125,8 +125,7 @@ class GreedyPolicy(Policy):
         self.model_class = model_class
 
     def values(self, states: StateBatch) -> np.ndarray:
-        phi = features_all_actions(self.model_class, states)
-        return phi @ self.fit.theta_hat
+        return self.fit.predictions(features_all_actions(self.model_class, states))
 
     def actions(self, states: StateBatch) -> np.ndarray:
         return np.argmax(self.values(states), axis=1)

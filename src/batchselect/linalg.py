@@ -127,16 +127,25 @@ class RidgeFit:
         self.dim = cov.dim
         self._scored = None  # (stack, predictions, widths) of the last stack scored
 
+    def predictions(self, stack) -> np.ndarray:
+        """<phi, theta_hat> for each row phi of a (..., d) stack, of shape
+        stack.shape[:-1], as one (rows, d) product: every prediction takes this
+        one floating-point form.  Another last-axis width raises ValueError."""
+        stack = np.asarray(stack, dtype=float)
+        if stack.ndim < 1 or stack.shape[-1] != self.dim:
+            raise ValueError(f"need a (..., {self.dim}) stack of feature rows, got {stack.shape}")
+        return (stack.reshape(-1, self.dim) @ self.theta_hat).reshape(stack.shape[:-1])
+
     def predictions_and_widths(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """<phi, theta_hat> and |phi|_{V^{-1}} for each row phi of a (..., d)
+        """`predictions` and |phi|_{V^{-1}} for each row phi of a (..., d)
         stack, each of shape stack.shape[:-1].  The last stack's pair is kept
         and returned again for the same array, such as a tabular class's table
         scored by policies at two confidence levels."""
         scored = self._scored
         if scored is None or scored[0] is not stack:
-            flat, shape = stack.reshape(-1, self.dim), stack.shape[:-1]
-            widths = inv_quad_norms(self.cov, flat).reshape(shape)
-            scored = self._scored = (stack, (flat @ self.theta_hat).reshape(shape), widths)
+            predictions = self.predictions(stack)
+            widths = inv_quad_norms(self.cov, stack.reshape(-1, self.dim))
+            scored = self._scored = (stack, predictions, widths.reshape(predictions.shape))
         return scored[1:]
 
 

@@ -17,13 +17,7 @@ from .learner import (
     Policy,
     beta_coefficient,
 )
-from .linalg import (
-    CovarianceMatrix,
-    RidgeFit,
-    inv_quad_norms,
-    inv_sqrt_spectral_norm,
-    ridge_fit,
-)
+from .linalg import CovarianceMatrix, RidgeFit, inv_sqrt_spectral_norm, ridge_fit
 
 # Hold-out losses this close to the minimum, relative to it, count as tied.
 # Classes that fit the same values (nested classes on data that cannot tell
@@ -132,23 +126,24 @@ def complexity_coverage_policy(
 
 
 def slope_policy_select(
-    learners_greedy: list[tuple],
+    fits: list[RidgeFit],
+    classes: list[ModelClass],
     validation_states: StateBatch,
     delta: float,
     penalty_scale: float = 1.0,
 ) -> tuple[Policy, SelectionReport]:
     """SLOPE selection over greedy per-class policies.
 
-    `learners_greedy` holds (RidgeFit, ModelClass) pairs fit on the same
-    dataset; classes must be nested.  Expectations over states are empirical
-    means over `validation_states`.
+    `fits` holds one ridge fit per class, all on the same dataset, as in
+    `complexity_coverage_policy`; classes must be nested.  Expectations over
+    states are empirical means over `validation_states`.
     """
-    if len(learners_greedy) == 0:
+    if len(fits) == 0:
         raise ValueError("need at least one fitted class")
+    if len(fits) != len(classes):
+        raise ValueError("one fit per class required")
     if validation_states is None or len(validation_states) == 0:
         raise ValueError("validation states must be nonempty")
-    fits = [fit for fit, _ in learners_greedy]
-    classes = [mc for _, mc in learners_greedy]
     if not check_nested(classes):
         raise ValueError("SLOPE requires a nested collection of model classes")
     m_classes = len(classes)
@@ -157,12 +152,12 @@ def slope_policy_select(
 
     widths = np.empty(m_classes)
     preds = []
-    for k, (fit, mc) in enumerate(learners_greedy):
-        phi = features_all_actions(mc, validation_states)
-        norms = inv_quad_norms(fit.cov, phi.reshape(-1, mc.dim)).reshape(n_states, -1)
+    for k, (fit, mc) in enumerate(zip(fits, classes)):
+        # the stack and predictions GreedyPolicy(fit, mc) reads, so these are its actions
+        plain, norms = fit.predictions_and_widths(features_all_actions(mc, validation_states))
         zeta = zeta_coefficient(fit.n, mc.dim, fit.lam, delta / m_classes, fit.cov)
         widths[k] = penalty_scale * zeta * float(weights @ norms.max(axis=1))
-        preds.append(phi @ fit.theta_hat)  # GreedyPolicy.values, so these are its actions
+        preds.append(plain)
     preds = np.stack(preds)  # (M, m, |A|)
     actions = np.argmax(preds, axis=2)  # (M, m): each class's greedy actions
     # values[k, l] = vhat_k(pi_l), class k's mean prediction at class l's actions
@@ -239,7 +234,7 @@ def holdout_select(
     for k, phi in enumerate(designs):
         fit = ridge_fit(phi, fit_on.means, lam, counts=fit_on.counts)
         fits.append(fit)
-        losses[k] = score_on.mean_squared_error(phi @ fit.theta_hat)
+        losses[k] = score_on.mean_squared_error(fit.predictions(phi))
     chosen = int(np.flatnonzero(losses <= losses.min() * (1 + HOLDOUT_TIE_RTOL))[0])
     report = SelectionReport(
         "HoldOut",

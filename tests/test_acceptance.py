@@ -79,16 +79,17 @@ def test_acceptance_2_schur_and_nestedness_monotonicity():
     for seed in range(50):
         inst = make_gaussian_instance(10, 4, 3, seed)
         data = sample_dataset(inst, dirichlet_behavior(3, seed), 300, seed)
-        fits = []
-        for mc in truncation_family(10, [2, 5, 10]):
-            phi = design_matrix(mc, data.logged, data.actions)
-            fits.append((ridge_fit(phi, data.rewards, 1.0), mc))
+        classes = truncation_family(10, [2, 5, 10])
+        fits = [
+            ridge_fit(design_matrix(mc, data.logged, data.actions), data.rewards, 1.0)
+            for mc in classes
+        ]
         probe = sample_states(inst, 50, seed + 1)
-        _, rep = slope_policy_select(fits, probe, 0.05)
+        _, rep = slope_policy_select(fits, classes, probe, 0.05)
         if np.any(np.diff(rep.audit["widths"]) < -1e-9):
             width_ok = False
         norms = []
-        for fit, mc in fits:
+        for fit, mc in zip(fits, classes):
             from batchselect.features import features_all_actions
 
             flat = features_all_actions(mc, probe).reshape(-1, mc.dim)

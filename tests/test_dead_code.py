@@ -9,7 +9,8 @@ registers a subcommand with the group `main`.  A re-export from
 ALLOWLIST with the ROADMAP item that decides whether it gains a caller or is
 deleted.  No module may import a name it never uses (a name listed in
 `__all__` counts as used), and no module may import scipy, which only the
-tests depend on.
+tests depend on.  Only `linalg` (`RidgeFit.predictions`) may apply `@` to
+an attribute named `theta_hat`: every other module predicts through the fit.
 """
 import ast
 from pathlib import Path
@@ -89,6 +90,21 @@ def unused_imports(package: Path) -> set[str]:
     return unused
 
 
+def theta_hat_products(package: Path) -> set[str]:
+    """`module:line` of each `@` outside `linalg` with an operand `<expr>.theta_hat`."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) and any(
+                isinstance(side, ast.Attribute) and side.attr == "theta_hat"
+                for side in (node.left, node.right)
+            ):
+                found.add(f"{path.stem}:{node.lineno}")
+    return found
+
+
 def test_no_unreferenced_public_code():
     dead = unreferenced(PACKAGE)
     assert dead - ALLOWLIST == set(), "public code that no library module calls"
@@ -143,3 +159,17 @@ def test_detects_an_unused_import(tmp_path):
         "from .mod import area, pi\n\n__all__ = [\"area\"]\n"
     )
     assert unused_imports(tmp_path) == {"mod.os", "mod.tau", "__init__.pi"}
+
+
+def test_predictions_only_in_linalg():
+    assert theta_hat_products(PACKAGE) == set(), "predict through RidgeFit.predictions"
+
+
+def test_detects_a_theta_hat_product(tmp_path):
+    (tmp_path / "linalg.py").write_text("def predictions(self, x):\n    return x @ self.theta_hat\n")
+    (tmp_path / "mod.py").write_text(
+        "def values(phi, fit, theta_hat):\n"
+        "    plain = phi @ theta_hat\n"
+        "    return fit.theta_hat @ phi.T + (phi @ fit.theta_hat)\n"
+    )
+    assert theta_hat_products(tmp_path) == {"mod:3"}

@@ -173,7 +173,7 @@ class TestLoggedFeatureSampler:
     @example(actions=1, d=1, n=1, seed=1)
     def test_rows_are_the_logged_actions_transform(self, actions, d, n, seed):
         chols = np.tril(np.random.default_rng(seed).standard_normal((actions, d, d)))
-        instance = BanditInstance(actions, GaussianModel(chols, np.zeros(d), 1))
+        instance = BanditInstance(actions, GaussianModel(chols, np.zeros(d)))
         mu = BehaviorPolicy(np.full(actions, 1.0 / actions))
         streams = {}
 
@@ -242,7 +242,7 @@ class TestGaussianStateSampler:
     def test_matches_einsum_reference(self, actions, d, count, seed):
         factor_rng = np.random.default_rng(seed)
         chols = np.tril(factor_rng.standard_normal((actions, d, d)))
-        instance = BanditInstance(actions, GaussianModel(chols, np.zeros(d), 1))
+        instance = BanditInstance(actions, GaussianModel(chols, np.zeros(d)))
 
         rng, reference_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         feats = instance.sample_state_batch(count, rng).features
@@ -261,6 +261,12 @@ class TestBehaviorPolicy:
     def test_zero_mass_action(self):
         with pytest.raises(InfiniteCoverageError):
             BehaviorPolicy(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("probs", [[np.nan, 0.5], [np.inf, 0.5], [[0.5, 0.5]]],
+                             ids=["nan", "inf", "matrix"])
+    def test_probabilities_must_be_a_finite_vector(self, probs):
+        with pytest.raises(ValueError, match="finite vector"):
+            BehaviorPolicy(np.array(probs))
 
 
 class TestRngStreams:
@@ -288,6 +294,29 @@ class TestIndexValidation:
     def test_negative_action_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             Dataset(StateBatch(indices=[0, 1]), [0, -1], [0.5, 0.5])
+
+    def test_fractional_state_indices_rejected(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            StateBatch(indices=[0.7, 1.9])
+
+    def test_state_indices_must_be_a_vector(self):
+        # a 2-D batch would give mean_rewards of shape (2, 2, |A|), not (m, |A|)
+        with pytest.raises(ValueError, match="1-D"):
+            StateBatch(indices=[[0, 1], [1, 0]])
+
+    def test_fractional_actions_rejected(self):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Dataset(StateBatch(indices=[0, 1]), [0.9, 1.2], [0.5, 0.5])
+
+    def test_actions_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Dataset(StateBatch(indices=[0]), [[0]], [0.5])
+
+    def test_whole_floats_are_indices(self):
+        batch = StateBatch(indices=np.array([0.0, 2.0]))
+        data = Dataset(batch, np.array([1.0, 0.0]), [0.5, 0.5])
+        assert batch.indices.dtype.kind == data.actions.dtype.kind == "i"
+        assert batch.indices.tolist() == [0, 2] and data.actions.tolist() == [1, 0]
 
 
 class TestBadInputs:

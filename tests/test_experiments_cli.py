@@ -529,11 +529,10 @@ class TestDuplicateWork:
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 100, 0)
         classes = truncation_family(8, [2, 4, 8])
         designs = [design_matrix(mc, data.logged, data.actions) for mc in classes]
-        fits = [(experiments.ridge_fit(phi, data.rewards, 1.0), mc)
-                for phi, mc in zip(designs, classes)]
+        fits = [experiments.ridge_fit(phi, data.rewards, 1.0) for phi in designs]
         in_selection = _record_calls(monkeypatch, selection_module, "features_all_actions")
         in_policies = _record_calls(monkeypatch, learner_module, "features_all_actions")
-        selection_module.slope_policy_select(fits, sample_states(inst, 20, 1), 0.05)
+        selection_module.slope_policy_select(fits, classes, sample_states(inst, 20, 1), 0.05)
         assert len(in_selection) + len(in_policies) == len(classes)
 
     def test_selector_learner_equals_fresh_fit_at_delta_over_m(self, monkeypatch):

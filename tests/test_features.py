@@ -132,6 +132,10 @@ class TestTruncationFamily:
         classes = truncation_family(10, [10])
         assert len(classes) == 1 and check_nested(classes)
 
+    def test_rejects_no_dims(self):
+        with pytest.raises(ValueError, match="at least one dim"):
+            truncation_family(10, [])
+
     def test_rejects_non_ascending(self):
         with pytest.raises(ValueError):
             truncation_family(10, [5, 5])

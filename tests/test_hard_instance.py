@@ -214,8 +214,8 @@ def _row_cc(designs, covs, rewards, split_seed, classes, delta, lam, penalty_sca
 
 
 def _row_slope(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):
-    fits = list(zip(_row_fits(designs, covs, rewards, lam), classes))
-    return slope_policy_select(fits, StateBatch(indices=[0]), delta, penalty_scale)[0]
+    fits = _row_fits(designs, covs, rewards, lam)
+    return slope_policy_select(fits, classes, StateBatch(indices=[0]), delta, penalty_scale)[0]
 
 
 def _row_holdout(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):

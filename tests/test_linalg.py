@@ -424,3 +424,36 @@ def test_predictions_and_widths_follow_the_stack():
         for _ in range(2):
             got = fit.predictions_and_widths(stack)
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize(
+    "make_stack",
+    [
+        lambda rng: rng.standard_normal((40, 5)),
+        lambda rng: rng.standard_normal((6, 4, 5)),
+        lambda rng: rng.standard_normal((40, 12))[:, :5],
+        lambda rng: rng.standard_normal((50, 10, 12))[..., :5],
+    ],
+    ids=["design", "table", "design_prefix_view", "table_prefix_view"],
+)
+def test_predictions_are_those_of_predictions_and_widths(make_stack):
+    # one form, <phi, theta_hat> of the stack's rows as one matrix, bit for bit
+    rng = np.random.default_rng(3)
+    fit = ridge_fit(rng.standard_normal((30, 5)), rng.standard_normal(30), 1.0)
+    stack = make_stack(rng)
+    got = fit.predictions(stack)
+    assert got.shape == stack.shape[:-1]
+    assert got.tobytes() == fit.predictions_and_widths(stack)[0].tobytes()
+    want = (stack.reshape(-1, 5) @ fit.theta_hat).reshape(stack.shape[:-1])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 6), (2, 3, 4), (10,), ()], ids=["wider", "narrower",
+                                                                       "vector", "scalar"])
+def test_predictions_refuse_a_stack_of_another_width(shape):
+    rng = np.random.default_rng(4)
+    fit = ridge_fit(rng.standard_normal((30, 5)), rng.standard_normal(30), 1.0)
+    with pytest.raises(ValueError, match=r"\(\.\.\., 5\) stack"):
+        fit.predictions(np.ones(shape))
+    with pytest.raises(ValueError, match=r"\(\.\.\., 5\) stack"):
+        fit.predictions_and_widths(np.ones(shape))

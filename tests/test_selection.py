@@ -259,22 +259,24 @@ class TestComplexityCoverage:
 
 
 def _fit_truncation(instance, data, dims, lam=1.0):
-    out = []
-    for mc in truncation_family(instance.model.chol_factors.shape[1], dims):
-        phi = design_matrix(mc, data.logged, data.actions)
-        out.append((ridge_fit(phi, data.rewards, lam), mc))
-    return out
+    """(fits, classes) of a truncation family on a feature dataset."""
+    classes = truncation_family(instance.model.chol_factors.shape[1], dims)
+    fits = [
+        ridge_fit(design_matrix(mc, data.logged, data.actions), data.rewards, lam)
+        for mc in classes
+    ]
+    return fits, classes
 
 
 class TestSlopePolicySelect:
     def test_single_class_returns_greedy(self):
         inst = make_gaussian_instance(4, 2, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 200, 0)
-        fits = _fit_truncation(inst, data, [4])
+        fits, classes = _fit_truncation(inst, data, [4])
         states = sample_states(inst, 100, 1)
-        policy, report = slope_policy_select(fits, states, 0.05)
+        policy, report = slope_policy_select(fits, classes, states, 0.05)
         assert report.chosen == 0
-        greedy = GreedyPolicy(fits[0][0], fits[0][1])
+        greedy = GreedyPolicy(fits[0], classes[0])
         assert np.array_equal(policy.actions(states), greedy.actions(states))
 
     def test_non_nested_rejected(self):
@@ -282,20 +284,28 @@ class TestSlopePolicySelect:
         classes = realizable_family(inst, [2, 3], 0)
         mu = dirichlet_behavior(3, 0)
         data = sample_dataset(inst, mu, 100, 0)
-        fits = [
-            (row_design_fit(data, mc, 1.0), mc)
-            for mc in classes
-        ]
+        fits = [row_design_fit(data, mc, 1.0) for mc in classes]
         states = StateBatch(indices=np.zeros(10, dtype=int))
         with pytest.raises(ValueError):
-            slope_policy_select(fits, states, 0.05)
+            slope_policy_select(fits, classes, states, 0.05)
+
+    @pytest.mark.parametrize("cut", [slice(1), slice(1, None)], ids=["fewer_fits", "fewer_classes"])
+    def test_fit_and_class_counts_must_match(self, cut):
+        inst = make_gaussian_instance(4, 2, 3, 0)
+        data = sample_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
+        fits, classes = _fit_truncation(inst, data, [2, 3, 4])
+        states = sample_states(inst, 10, 1)
+        with pytest.raises(ValueError, match="one fit per class"):
+            slope_policy_select(fits[cut], classes, states, 0.05)
+        with pytest.raises(ValueError, match="one fit per class"):
+            slope_policy_select(fits, classes[cut], states, 0.05)
 
     def test_empty_validation_rejected(self):
         inst = make_gaussian_instance(4, 2, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
-        fits = _fit_truncation(inst, data, [2, 4])
+        fits, classes = _fit_truncation(inst, data, [2, 4])
         with pytest.raises(ValueError):
-            slope_policy_select(fits, None, 0.05)
+            slope_policy_select(fits, classes, None, 0.05)
 
     @pytest.mark.parametrize(
         "make_states, error, match",
@@ -313,40 +323,52 @@ class TestSlopePolicySelect:
         # StateBatch refuses NaN features before any width is computed
         inst = make_gaussian_instance(4, 2, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
-        fits = _fit_truncation(inst, data, [2, 4])
+        fits, classes = _fit_truncation(inst, data, [2, 4])
         with pytest.raises(error, match=match):
-            slope_policy_select(fits, make_states(), 0.05)
+            slope_policy_select(fits, classes, make_states(), 0.05)
 
     def test_width_monotone_in_class(self):
         inst = make_gaussian_instance(12, 4, 3, 1)
         data = sample_dataset(inst, dirichlet_behavior(3, 1), 500, 1)
-        fits = _fit_truncation(inst, data, [3, 6, 9, 12])
+        fits, classes = _fit_truncation(inst, data, [3, 6, 9, 12])
         states = sample_states(inst, 200, 2)
-        _, report = slope_policy_select(fits, states, 0.05)
+        _, report = slope_policy_select(fits, classes, states, 0.05)
         widths = report.audit["widths"]
         assert np.all(np.diff(widths) >= -1e-9)
 
-    def test_values_match_each_greedy_policy(self):
+    def test_values_match_each_greedy_policy(self, monkeypatch):
         # reference: each candidate's actions from its own GreedyPolicy, and
         # each value a separate mean over the validation states
         inst = make_gaussian_instance(8, 3, 4, 4)
         data = sample_dataset(inst, dirichlet_behavior(4, 4), 300, 4)
-        fits = _fit_truncation(inst, data, [2, 5, 8])
+        fits, classes = _fit_truncation(inst, data, [2, 5, 8])
         states = sample_states(inst, 120, 5)
-        _, report = slope_policy_select(fits, states, 0.05)
+        tables = {}  # each fit's prediction table on the validation states, as SLOPE read it
+        scored = RidgeFit.predictions_and_widths
+
+        def recording(fit, stack):
+            tables[id(fit)] = scored(fit, stack)[0]
+            return scored(fit, stack)
+
+        monkeypatch.setattr(RidgeFit, "predictions_and_widths", recording)
+        _, report = slope_policy_select(fits, classes, states, 0.05)
         rows = np.arange(len(states))
-        for l, (fit_l, mc_l) in enumerate(fits):
-            actions = GreedyPolicy(fit_l, mc_l).actions(states)
-            for k, (fit_k, mc_k) in enumerate(fits):
+        for l, (fit_l, mc_l) in enumerate(zip(fits, classes)):
+            greedy = GreedyPolicy(fit_l, mc_l)
+            actions = greedy.actions(states)
+            # exact: SLOPE's candidate l is the argmax of the very table GreedyPolicy l reads
+            assert np.array_equal(tables[id(fit_l)], greedy.values(states))
+            assert np.array_equal(np.argmax(tables[id(fit_l)], axis=1), actions)
+            for k, (fit_k, mc_k) in enumerate(zip(fits, classes)):
                 preds = features_all_actions(mc_k, states)[rows, actions] @ fit_k.theta_hat
                 assert report.audit["values"][k, l] == pytest.approx(preds.mean(), rel=1e-12)
 
     def test_audit_reproduces_selection(self):
         inst = make_gaussian_instance(8, 3, 4, 2)
         data = sample_dataset(inst, dirichlet_behavior(4, 2), 400, 2)
-        fits = _fit_truncation(inst, data, [2, 5, 8])
+        fits, classes = _fit_truncation(inst, data, [2, 5, 8])
         states = sample_states(inst, 150, 3)
-        _, report = slope_policy_select(fits, states, 0.05)
+        _, report = slope_policy_select(fits, classes, states, 0.05)
         values = report.audit["values"]
         widths = report.audit["widths"]
         khat, vhat = slope_select(values, widths)
@@ -359,9 +381,9 @@ class TestSlopePolicySelect:
         # chosen policy, within the generic 5*(psi+xi) radius
         inst = make_gaussian_instance(4, 2, 3, 7)
         data = sample_dataset(inst, dirichlet_behavior(3, 7), 2000, 7)
-        fits = _fit_truncation(inst, data, [2, 4])
+        fits, classes = _fit_truncation(inst, data, [2, 4])
         states = sample_states(inst, 500, 8)
-        policy, report = slope_policy_select(fits, states, 0.05)
+        policy, report = slope_policy_select(fits, classes, states, 0.05)
         big = sample_states(inst, 50_000, 9)
         means = inst.mean_rewards(big)
         true_value = means[np.arange(len(big)), policy.actions(big)].mean()
@@ -371,7 +393,7 @@ class TestSlopePolicySelect:
         # psi_k: population bias of each class's plug-in value for this policy
         psi = []
         rows, acts = np.arange(len(big)), policy.actions(big)
-        for fit, mc in fits:
+        for fit, mc in zip(fits, classes):
             phi = features_all_actions(mc, big)[rows, acts]
             psi.append(abs((phi @ fit.theta_hat).mean() - true_value))
         assert abs(vhat - true_value) <= 5 * np.min(np.array(psi) + widths) + 0.02
@@ -597,9 +619,9 @@ def test_counted_holdout_reorders_the_row_subset_arithmetic(seed, n, dims, split
 def test_selection_report_json_round_trip():
     inst = make_gaussian_instance(4, 2, 3, 0)
     data = sample_dataset(inst, dirichlet_behavior(3, 0), 200, 0)
-    fits = _fit_truncation(inst, data, [2, 4])
+    fits, classes = _fit_truncation(inst, data, [2, 4])
     states = sample_states(inst, 100, 1)
-    _, report = slope_policy_select(fits, states, 0.05)
+    _, report = slope_policy_select(fits, classes, states, 0.05)
     doc = json.loads(report.to_json())
     assert doc["method"] == "Slope"
     assert len(doc["audit"]["widths"]) == 2
