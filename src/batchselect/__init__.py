@@ -26,7 +26,6 @@ from .features import (
 )
 from .learner import (
     GreedyPolicy,
-    PessimisticLearner,
     PessimisticPolicy,
     Policy,
     beta_coefficient,
@@ -54,7 +53,6 @@ __all__ = [
     "Dataset",
     "GreedyPolicy",
     "ModelClass",
-    "PessimisticLearner",
     "PessimisticPolicy",
     "Policy",
     "RidgeFit",

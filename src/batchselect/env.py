@@ -54,6 +54,14 @@ def _index_vector(values, what: str) -> np.ndarray:
     return arr.astype(int, copy=False)
 
 
+def _checked_state_indices(indices: np.ndarray, state_count: int) -> np.ndarray:
+    """A batch's state indices as rows of a table of `state_count` states,
+    refused with ValueError when one lies outside it."""
+    if indices.size and indices.max() >= state_count:
+        raise ValueError(f"state index out of range for a table of {state_count} states")
+    return indices
+
+
 class StateBatch:
     """A batch of i.i.d. states, stored columnar for vectorized evaluation."""
 
@@ -102,7 +110,7 @@ class BanditInstance:
         if self.is_tabular:
             if states.indices is None:
                 raise ValueError("tabular instance needs tabular states")
-            return self.model.means[states.indices]
+            return self.model.means[_checked_state_indices(states.indices, len(self.model.means))]
         if states.features is None:
             raise ValueError("feature instance needs feature states")
         return states.features @ self.model.theta_true
@@ -219,11 +227,10 @@ class Dataset:
             raise ValueError("a feature dataset has no (state, action) cells")
         grid = (state_count, action_count)
         if grid not in self._cells:
-            if self.n and self.states.indices.max() >= state_count:
-                raise ValueError(f"state index out of range for a table of {state_count} states")
+            states = _checked_state_indices(self.states.indices, state_count)
             if self.n and self.actions.max() >= action_count:
                 raise ValueError(f"action out of range for {action_count} actions")
-            cell = self.states.indices * action_count + self.actions
+            cell = states * action_count + self.actions
             counts = np.bincount(cell, minlength=state_count * action_count).astype(float)
             sums = np.bincount(cell, weights=self.rewards, minlength=counts.size)
             means = sums / np.maximum(counts, 1)
@@ -272,6 +279,8 @@ def make_gaussian_instance(
     """
     if not (1 <= true_dim <= ambient_dim):
         raise ValueError("need 1 <= true_dim <= ambient_dim")
+    if action_count < 1:
+        raise ValueError("action_count must be positive")
     rng = rng_stream(rng_seed, "gaussian-instance")
     chols = np.empty((action_count, ambient_dim, ambient_dim))
     for a in range(action_count):

@@ -35,7 +35,7 @@ from .hard_instance import (
     csv_text,
     ratio_experiment,
 )
-from .learner import MAX_DELTA, GreedyPolicy, PessimisticPolicy, fit_pessimistic
+from .learner import MAX_DELTA, GreedyPolicy, fit_pessimistic
 from .linalg import ridge_fit
 from .selection import (
     complexity_coverage_policy,
@@ -260,10 +260,10 @@ def _cc_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     rows, reports = [], []
     fits = []
     for d_hid, mc in zip(config.cc.hidden_dims, classes):
-        learner = fit_pessimistic(dataset, mc, config.lam, config.delta, config.penalty_scale)
-        regret = regret_estimate(means, PessimisticPolicy([learner], [mc]), test_states)
+        policy = fit_pessimistic(dataset, mc, config.lam, config.delta, config.penalty_scale)
+        regret = regret_estimate(means, policy, test_states)
         rows.append(ResultRow(n, f"class_{d_hid}", trial, regret))
-        fits.append(learner.fit)
+        fits.append(policy.fits[0])
     policy, report = complexity_coverage_policy(fits, classes, config.delta, config.penalty_scale)
     rows.append(ResultRow(n, "cc", trial, regret_estimate(means, policy, test_states)))
     if audit:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import BanditInstance, StateBatch, rng_stream
+from .env import BanditInstance, StateBatch, _checked_state_indices, rng_stream
 
 REALIZABILITY_TOL = 1e-8
 
@@ -77,10 +77,7 @@ def feature_source(model_class: ModelClass, states: StateBatch):
     if isinstance(m, TabularMap):
         if states.indices is None:
             raise RepresentationMismatchError("tabular map needs tabular states")
-        idx = states.indices
-        if idx.size and idx.max() >= m.table.shape[0]:
-            raise ValueError(f"state index out of range for a table of {m.table.shape[0]} states")
-        return m.table, idx
+        return m.table, _checked_state_indices(states.indices, m.table.shape[0])
     if states.features is None:
         raise RepresentationMismatchError("truncation map needs feature states")
     return _prefix(model_class, states.features), slice(None)

@@ -1,16 +1,26 @@
-"""Pessimistic linear learner and the deterministic policies built on it."""
+"""The pessimism width beta, Algorithm 1's fit, and the deterministic policies."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .env import Dataset, StateBatch
-from .features import ModelClass, design_matrix, feature_source, features_all_actions
+from .features import ModelClass, RepresentationMismatchError, feature_source, features_all_actions
 from .linalg import RidgeFit, ridge_fit
 
 MAX_DELTA = 1.0 / math.e
+
+
+def check_width_arguments(n: int, d: int, lam: float, delta: float) -> None:
+    """The domain shared by the beta and zeta width coefficients: n, d >= 1,
+    lambda >= 0 and delta in (0, 1/e].  Raises ValueError outside it."""
+    if n < 1 or d < 1:
+        raise ValueError("n and d must be positive")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if not (0 < delta <= MAX_DELTA + 1e-15):
+        raise ValueError("delta must lie in (0, 1/e]")
 
 
 def beta_coefficient(n: int, d: int, lam: float, delta: float) -> float:
@@ -18,23 +28,11 @@ def beta_coefficient(n: int, d: int, lam: float, delta: float) -> float:
 
     beta = sqrt(lam d / n) + sqrt((5d + 10 sqrt(d log(1/delta)) + 10 log(1/delta)) / n)
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if not (0 < delta <= MAX_DELTA + 1e-15):
-        raise ValueError("delta must lie in (0, 1/e]")
+    check_width_arguments(n, d, lam, delta)
     log_term = math.log(1.0 / delta)
     return math.sqrt(lam * d / n) + math.sqrt(
         (5 * d + 10 * math.sqrt(d * log_term) + 10 * log_term) / n
     )
-
-
-@dataclass(frozen=True)
-class PessimisticLearner:
-    fit: RidgeFit
-    beta: float
-    penalty_scale: float = 1.0
 
 
 def fit_pessimistic(
@@ -43,29 +41,27 @@ def fit_pessimistic(
     lam: float,
     delta: float,
     penalty_scale: float = 1.0,
-) -> PessimisticLearner:
-    """Ridge-fit one class and attach its beta coefficient.
+) -> PessimisticPolicy:
+    """Algorithm 1: ridge-fit one class on a tabular dataset and return its
+    pessimistic policy at confidence delta.
 
-    A feature dataset fits the class's design of its logged rows.  A tabular
-    dataset fits the class's |X| x |A| table with the dataset's per-cell
+    The fit reads the class's |X| x |A| table with the dataset's per-cell
     counts and mean rewards (`Dataset.cells`): the n-row fit up to rounding,
-    at a cost of |X| |A| d^2 whatever n is.
+    at a cost of |X| |A| d^2 whatever n is.  A feature dataset raises
+    RepresentationMismatchError; its classes fit their designs with `ridge_fit`.
     """
     if dataset.states is None:
-        phi = design_matrix(model_class, dataset.logged, dataset.actions)
-        fit = ridge_fit(phi, dataset.rewards, lam)
-    else:
-        table, _ = feature_source(model_class, dataset.states)
-        cells = dataset.cells(*table.shape[:2])
-        fit = ridge_fit(table.reshape(-1, model_class.dim), cells.means, lam, counts=cells.counts)
-    beta = beta_coefficient(dataset.n, model_class.dim, lam, delta)
-    return PessimisticLearner(fit, beta, penalty_scale)
+        raise RepresentationMismatchError("fit_pessimistic fits a tabular dataset's cells")
+    table, _ = feature_source(model_class, dataset.states)
+    cells = dataset.cells(*table.shape[:2])
+    fit = ridge_fit(table.reshape(-1, model_class.dim), cells.means, lam, counts=cells.counts)
+    return PessimisticPolicy([fit], [model_class], delta, penalty_scale)
 
 
 def pessimistic_values(
-    learner: PessimisticLearner, model_class: ModelClass, states: StateBatch
+    fit: RidgeFit, model_class: ModelClass, states: StateBatch, penalty: float
 ) -> np.ndarray:
-    """Penalized value <phi, theta_hat> - scale * beta * |phi|_{V^{-1}}, shape (m, |A|).
+    """Penalized value <phi, theta_hat> - penalty * |phi|_{V^{-1}}, shape (m, |A|).
 
     The values are computed once on the batch's feature source (see
     `feature_source`) and gathered by row.  For a tabular map that costs
@@ -73,8 +69,8 @@ def pessimistic_values(
     function of its own feature row alone.
     """
     source, rows = feature_source(model_class, states)
-    plain, widths = learner.fit.predictions_and_widths(source)
-    return (plain - learner.penalty_scale * learner.beta * widths)[rows]
+    plain, widths = fit.predictions_and_widths(source)
+    return (plain - penalty * widths)[rows]
 
 
 class Policy:
@@ -87,22 +83,33 @@ class Policy:
 class PessimisticPolicy(Policy):
     """Per-state argmax of pessimistic values over (action, class) pairs.
 
-    One learner per class; with one class this is Algorithm 1's policy.  Ties
-    break to the lowest action index, then the lowest class index.
+    One ridge fit per class, all on the same dataset.  Class k runs at
+    confidence delta/M, so its penalty is penalty_scale * beta_k with
+    beta_k = beta(n, d_k, lambda, delta/M); with one class this is
+    Algorithm 1's policy.  Ties break to the lowest action index, then the
+    lowest class index.
     """
 
-    def __init__(self, learners, classes):
-        if len(learners) == 0:
-            raise ValueError("need at least one learner")
-        if len(learners) != len(classes):
-            raise ValueError(f"need one learner per class, got {len(learners)} and {len(classes)}")
-        self.learners = list(learners)
+    def __init__(self, fits, classes, delta: float, penalty_scale: float):
+        if len(fits) == 0:
+            raise ValueError("need at least one fitted class")
+        if len(fits) != len(classes):
+            raise ValueError(f"need one fit per class, got {len(fits)} and {len(classes)}")
+        self.fits = list(fits)
         self.classes = list(classes)
+        self.betas = [
+            beta_coefficient(fit.n, mc.dim, fit.lam, delta / len(self.classes))
+            for fit, mc in zip(self.fits, self.classes)
+        ]
+        self.penalty_scale = penalty_scale
 
     def value_stack(self, states: StateBatch) -> np.ndarray:
         """Pessimistic values per class, shape (M, m, |A|)."""
         return np.stack(
-            [pessimistic_values(lr, mc, states) for lr, mc in zip(self.learners, self.classes)]
+            [
+                pessimistic_values(fit, mc, states, self.penalty_scale * beta)
+                for fit, mc, beta in zip(self.fits, self.classes, self.betas)
+            ]
         )
 
     def actions_and_classes(self, states: StateBatch):

@@ -9,14 +9,7 @@ import numpy as np
 
 from .env import Cells, StateBatch, rng_stream
 from .features import ModelClass, check_nested, features_all_actions
-from .learner import (
-    MAX_DELTA,
-    GreedyPolicy,
-    PessimisticLearner,
-    PessimisticPolicy,
-    Policy,
-    beta_coefficient,
-)
+from .learner import GreedyPolicy, PessimisticPolicy, Policy, check_width_arguments
 from .linalg import CovarianceMatrix, RidgeFit, inv_sqrt_spectral_norm, ridge_fit
 
 # Hold-out losses this close to the minimum, relative to it, count as tied.
@@ -56,12 +49,7 @@ def zeta_coefficient(
     zeta = sqrt(lam/n) + 192 sqrt(d/n) |V^{-1/2}| log(4d/delta)
          + sqrt((5d + 10 sqrt(d log(4d/delta)) + 10 log(4d/delta)) / n)
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if not (0 < delta <= MAX_DELTA + 1e-15):
-        raise ValueError("delta must lie in (0, 1/e]")
+    check_width_arguments(n, d, lam, delta)
     log_term = math.log(4 * d / delta)
     middle = 192.0 * math.sqrt(d / n) * inv_sqrt_spectral_norm(cov) * log_term
     tail = math.sqrt((5 * d + 10 * math.sqrt(d * log_term) + 10 * log_term) / n)
@@ -102,27 +90,16 @@ def complexity_coverage_policy(
     classes: list[ModelClass],
     delta: float,
     penalty_scale: float = 1.0,
-) -> tuple[Policy, SelectionReport]:
+) -> tuple[PessimisticPolicy, SelectionReport]:
     """Algorithm: pessimistic per (action, class), optimistic across classes.
 
-    `fits` holds one ridge fit per class, all on the same dataset; each class
-    runs at confidence delta/M, so its pessimism width is
-    penalty_scale * beta(n, d_k, lambda, delta/M).
+    `fits` holds one ridge fit per class, all on the same dataset; the policy
+    is `PessimisticPolicy(fits, classes, delta, penalty_scale)`, which runs
+    each class at confidence delta/M.
     """
-    if len(fits) == 0:
-        raise ValueError("need at least one fitted class")
-    if len(fits) != len(classes):
-        raise ValueError("one fit per class required")
-    learners = [
-        PessimisticLearner(
-            fit, beta_coefficient(fit.n, mc.dim, fit.lam, delta / len(classes)), penalty_scale
-        )
-        for fit, mc in zip(fits, classes)
-    ]
-    policy = PessimisticPolicy(learners, classes)
+    policy = PessimisticPolicy(fits, classes, delta, penalty_scale)
     audit: dict = {"delta": delta, "dims": [mc.dim for mc in classes]}
-    report = SelectionReport("ComplexityCoverage", "per-state", audit)
-    return policy, report
+    return policy, SelectionReport("ComplexityCoverage", "per-state", audit)
 
 
 def slope_policy_select(

@@ -17,7 +17,7 @@ from batchselect.env import (
     sample_states,
 )
 from batchselect.features import design_matrix, realizable_family, truncation_family
-from batchselect.learner import PessimisticPolicy, beta_coefficient, fit_pessimistic
+from batchselect.learner import beta_coefficient, fit_pessimistic
 from batchselect.linalg import CovarianceMatrix, inv_quad_norms, ridge_fit
 from batchselect.selection import slope_policy_select, slope_select, zeta_coefficient
 from batchselect.diagnostics import regret_estimate
@@ -113,13 +113,13 @@ def test_acceptance_3_single_class_bound_validity():
         inst = make_tabular_instance(20, 10, seed)
         mc = realizable_family(inst, [10], seed)[0]
         data = sample_dataset(inst, dirichlet_behavior(10, seed), 1000, seed)
-        learner = fit_pessimistic(data, mc, 1.0, 0.05, penalty_scale=1.0)
+        policy = fit_pessimistic(data, mc, 1.0, 0.05, penalty_scale=1.0)
         test = sample_states(inst, 500, seed + 10**6)
         means = inst.mean_rewards(test)
-        regret = regret_estimate(means, PessimisticPolicy([learner], [mc]), test)
+        regret = regret_estimate(means, policy, test)
         phi = tabular_design(mc, test, np.argmax(means, axis=1))
-        coverage = inv_quad_norms(learner.fit.cov, phi).mean()
-        if regret <= 2 * learner.beta * coverage + 0.05:
+        coverage = inv_quad_norms(policy.fits[0].cov, phi).mean()
+        if regret <= 2 * policy.betas[0] * coverage + 0.05:
             holds += 1
     elapsed = time.time() - start
     _report(

@@ -11,6 +11,8 @@ deleted.  No module may import a name it never uses (a name listed in
 `__all__` counts as used), and no module may import scipy, which only the
 tests depend on.  Only `linalg` (`RidgeFit.predictions`) may apply `@` to
 an attribute named `theta_hat`: every other module predicts through the fit.
+`beta_coefficient` has one caller, `PessimisticPolicy`, so every class's
+pessimism width follows one rule.
 """
 import ast
 from pathlib import Path
@@ -105,6 +107,19 @@ def theta_hat_products(package: Path) -> set[str]:
     return found
 
 
+def call_sites(package: Path, name: str) -> list[str]:
+    """`module:line` of each call of `name`, bare or as an attribute, once per call."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                found.append(f"{path.stem}:{node.lineno}")
+    return sorted(found)
+
+
 def test_no_unreferenced_public_code():
     dead = unreferenced(PACKAGE)
     assert dead - ALLOWLIST == set(), "public code that no library module calls"
@@ -173,3 +188,20 @@ def test_detects_a_theta_hat_product(tmp_path):
         "    return fit.theta_hat @ phi.T + (phi @ fit.theta_hat)\n"
     )
     assert theta_hat_products(tmp_path) == {"mod:3"}
+
+
+def test_beta_has_one_call_site():
+    sites = call_sites(PACKAGE, "beta_coefficient")
+    assert len(sites) == 1 and sites[0].startswith("learner:"), "form beta in PessimisticPolicy"
+
+
+def test_detects_call_sites(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from . import learner\nfrom .learner import beta_coefficient\n\n\n"
+        "def widths(n, d):\n"
+        "    alias = beta_coefficient\n"
+        "    return beta_coefficient(n, d, 1.0, 0.05), learner.beta_coefficient(n, d, 0.0, 0.1)\n"
+    )
+    assert call_sites(tmp_path, "beta_coefficient") == ["mod:7", "mod:7"]
+    (tmp_path / "other.py").write_text("x = beta_coefficient(\n    1, 1, 0.0, 0.05)\n")
+    assert call_sites(tmp_path, "beta_coefficient") == ["mod:7", "mod:7", "other:1"]

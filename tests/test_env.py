@@ -78,6 +78,15 @@ class TestMakeGaussianInstance:
         with pytest.raises(ValueError):
             make_gaussian_instance(5, 6, 2, 0)
 
+    def test_no_actions_refused_before_any_draw(self, monkeypatch):
+        # numpy's probe draw used to fail with "high <= 0" after every factor was drawn
+        def no_draws(*args):
+            raise AssertionError("drew before checking action_count")
+
+        monkeypatch.setattr(env, "rng_stream", no_draws)
+        with pytest.raises(ValueError, match="action_count"):
+            make_gaussian_instance(4, 2, 0, 0)
+
 
 class TestSampleDataset:
     def test_zero_noise_rewards_equal_means(self):
@@ -311,6 +320,11 @@ class TestIndexValidation:
     def test_actions_must_be_a_vector(self):
         with pytest.raises(ValueError, match="1-D"):
             Dataset(StateBatch(indices=[0]), [[0]], [0.5])
+
+    def test_mean_rewards_state_out_of_range(self):
+        # the rule feature_source and Dataset.cells apply, not numpy's IndexError
+        with pytest.raises(ValueError, match="state index out of range for a table of 3 states"):
+            make_tabular_instance(3, 2, 0).mean_rewards(StateBatch(indices=[5]))
 
     def test_whole_floats_are_indices(self):
         batch = StateBatch(indices=np.array([0.0, 2.0]))

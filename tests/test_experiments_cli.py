@@ -554,14 +554,14 @@ class TestDuplicateWork:
         ((policy, _),) = captured
         (dataset,) = datasets
         m = len(policy.classes)
-        for shared, mc in zip(policy.learners, policy.classes, strict=True):
+        for shared, beta, mc in zip(policy.fits, policy.betas, policy.classes, strict=True):
             fresh = fit_pessimistic(
                 dataset, mc, config.lam, config.delta / m, config.penalty_scale
             )
-            assert np.array_equal(shared.fit.theta_hat, fresh.fit.theta_hat)
-            assert np.array_equal(shared.fit.cov.entries, fresh.fit.cov.entries)
-            assert shared.beta == fresh.beta
-            assert shared.penalty_scale == fresh.penalty_scale
+            assert np.array_equal(shared.theta_hat, fresh.fits[0].theta_hat)
+            assert np.array_equal(shared.cov.entries, fresh.fits[0].cov.entries)
+            assert beta == fresh.betas[0]
+            assert policy.penalty_scale == fresh.penalty_scale
 
 
 class TestAggregate:

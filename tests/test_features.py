@@ -22,7 +22,7 @@ from batchselect.features import (
     realizable_family,
     truncation_family,
 )
-from batchselect.learner import PessimisticLearner, fit_pessimistic, pessimistic_values
+from batchselect.learner import fit_pessimistic, pessimistic_values
 from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms, ridge_fit
 from row_design import tabular_design
 
@@ -82,7 +82,8 @@ class TestEvaluateFeatures:
             features_all_actions(mc, states)
         with pytest.raises(RepresentationMismatchError, match="30-wide"):
             design_matrix(mc, logged, actions)
-        with pytest.raises(RepresentationMismatchError, match="30-wide"):
+        # fit_pessimistic fits tabular cells only, so it refuses the feature dataset outright
+        with pytest.raises(RepresentationMismatchError, match="tabular dataset"):
             fit_pessimistic(Dataset(None, actions, np.zeros(5), logged=logged), mc, 1.0, 0.05)
 
 
@@ -270,8 +271,8 @@ def test_pessimistic_values_match_row_wise_formula(n_actions, scale, data):
     d = mc.dim
     g = rng.standard_normal((d, d))
     cov = CovarianceMatrix(g @ g.T + 0.5 * np.eye(d))
-    learner = PessimisticLearner(RidgeFit(rng.standard_normal(d), cov, 10, 1.0), 0.7, scale)
-    got = pessimistic_values(learner, mc, states)
+    fit = RidgeFit(rng.standard_normal(d), cov, 10, 1.0)
+    got = pessimistic_values(fit, mc, states, scale * 0.7)
     inv = np.linalg.inv(cov.entries)
     phi = features_all_actions(mc, states)
     ref = np.empty(got.shape)
@@ -279,7 +280,7 @@ def test_pessimistic_values_match_row_wise_formula(n_actions, scale, data):
         for a in range(n_actions):
             row = phi[i, a]
             width = np.sqrt(row @ inv @ row)
-            ref[i, a] = row @ learner.fit.theta_hat - scale * 0.7 * width
+            ref[i, a] = row @ fit.theta_hat - scale * 0.7 * width
     tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=tol)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from batchselect import experiments, features, hard_instance, learner, linalg
+from batchselect import experiments, features, hard_instance, linalg
 from batchselect.env import Cells, StateBatch, derive_seed, rng_stream
 from batchselect.features import check_nested
 from batchselect.hard_instance import (
@@ -273,8 +273,8 @@ CELL_SELECT = {name: select for name, (_, select) in ALGORITHMS.items()}
 
 
 def _thetas(policy):
-    learners = getattr(policy, "learners", None)
-    return [lr.fit.theta_hat for lr in learners] if learners else [policy.fit.theta_hat]
+    fits = getattr(policy, "fits", None)
+    return [fit.theta_hat for fit in fits] if fits else [policy.fit.theta_hat]
 
 
 def assert_cells_reorder_rows(algorithm, pair, i, t, rng_seed, penalty_scale):
@@ -359,7 +359,7 @@ def _count_builds(monkeypatch):
         return design(*args, **kwargs)
 
     monkeypatch.setattr(linalg.CovarianceMatrix, "__init__", counting_init)
-    for module in (features, learner, experiments):
+    for module in (features, experiments):
         monkeypatch.setattr(module, "design_matrix", counting_design)
     return counts
 

@@ -19,7 +19,6 @@ from batchselect.features import (
     realizable_family,
 )
 from batchselect.learner import (
-    PessimisticLearner,
     PessimisticPolicy,
     beta_coefficient,
     fit_pessimistic,
@@ -57,33 +56,29 @@ class TestBetaCoefficient:
             assert beta_coefficient(n, d, lam, 0.05) >= math.sqrt(lam * d / n)
 
 
-def _one_dim_learner(v, theta, beta, scale=1.0):
+def _one_dim_fit(v, theta):
     cov = CovarianceMatrix(np.array([[v]]))
-    fit = RidgeFit(np.array([theta]), cov, n=1, lam=0.0)
-    return PessimisticLearner(fit, beta, scale)
+    return RidgeFit(np.array([theta]), cov, n=1, lam=0.0)
 
 
-def _one_value(learner, model_class, x, a):
+def _one_value(fit, model_class, x, a, penalty):
     """pessimistic_values of the one-state batch [x] at action a."""
-    return float(pessimistic_values(learner, model_class, StateBatch(indices=[x]))[0, a])
+    return float(pessimistic_values(fit, model_class, StateBatch(indices=[x]), penalty)[0, a])
 
 
 class TestPessimisticValue:
     def test_zero_feature(self):
         mc = ModelClass(1, TabularMap(np.zeros((1, 1, 1))))
-        learner = _one_dim_learner(2.0, 1.0, 0.5)
-        assert _one_value(learner, mc, 0, 0) == 0.0
+        assert _one_value(_one_dim_fit(2.0, 1.0), mc, 0, 0, 0.5) == 0.0
 
     def test_zero_beta_is_plain_prediction(self):
         mc = ModelClass(1, TabularMap(np.array([[[3.0]]])))
-        learner = _one_dim_learner(2.0, 1.5, 0.0)
-        assert _one_value(learner, mc, 0, 0) == pytest.approx(4.5)
+        assert _one_value(_one_dim_fit(2.0, 1.5), mc, 0, 0, 0.0) == pytest.approx(4.5)
 
     def test_hand_value(self):
-        # V=[2], theta=1, phi=1, beta=0.5: 1 - 0.5/sqrt(2)
+        # V=[2], theta=1, phi=1, penalty=0.5: 1 - 0.5/sqrt(2)
         mc = ModelClass(1, TabularMap(np.array([[[1.0]]])))
-        learner = _one_dim_learner(2.0, 1.0, 0.5)
-        got = _one_value(learner, mc, 0, 0)
+        got = _one_value(_one_dim_fit(2.0, 1.0), mc, 0, 0, 0.5)
         assert got == pytest.approx(1 - 0.5 / math.sqrt(2), abs=1e-12)
         assert got == pytest.approx(0.64645, abs=1e-5)
 
@@ -92,21 +87,21 @@ class TestPessimisticValue:
         table = rng.standard_normal((3, 4, 2))
         mc = ModelClass(2, TabularMap(table))
         cov = CovarianceMatrix(np.array([[2.0, 0.3], [0.3, 1.0]]))
-        learner = PessimisticLearner(RidgeFit(rng.standard_normal(2), cov, 10, 1.0), 0.7)
+        fit = RidgeFit(rng.standard_normal(2), cov, 10, 1.0)
         states = StateBatch(indices=np.arange(3))
-        pess = pessimistic_values(learner, mc, states)
-        plain = table @ learner.fit.theta_hat
+        pess = pessimistic_values(fit, mc, states, 0.7)
+        plain = table @ fit.theta_hat
         assert np.all(pess <= plain + 1e-12)
 
 
-def _row_wise_values(learner, model_class, states):
+def _row_wise_values(fit, model_class, states, penalty):
     """Reference: evaluate every (state, action) row of the batch."""
     phi = features_all_actions(model_class, states)
     m, n_act, d = phi.shape
     flat = phi.reshape(-1, d)
-    widths = inv_quad_norms(learner.fit.cov, flat)
-    plain = flat @ learner.fit.theta_hat
-    return (plain - learner.penalty_scale * learner.beta * widths).reshape(m, n_act)
+    widths = inv_quad_norms(fit.cov, flat)
+    plain = flat @ fit.theta_hat
+    return (plain - penalty * widths).reshape(m, n_act)
 
 
 class TestTableGather:
@@ -131,10 +126,11 @@ class TestTableGather:
             StateBatch(indices=np.arange(n_states)[::-1].repeat(3)),
         ]
         for mc in classes:
-            learner = fit_pessimistic(dataset, mc, 1.0, 0.05, scale)
+            policy = fit_pessimistic(dataset, mc, 1.0, 0.05, scale)
+            fit, penalty = policy.fits[0], policy.penalty_scale * policy.betas[0]
             for states in batches:
-                got = pessimistic_values(learner, mc, states)
-                ref = _row_wise_values(learner, mc, states)
+                got = pessimistic_values(fit, mc, states, penalty)
+                ref = _row_wise_values(fit, mc, states, penalty)
                 assert got.shape == ref.shape
                 tol = 1e-12 * max(1.0, float(np.max(np.abs(ref))))
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=tol)
@@ -142,9 +138,8 @@ class TestTableGather:
 
     def test_out_of_range_state_rejected(self):
         mc = ModelClass(1, TabularMap(np.ones((2, 3, 1))))
-        learner = _one_dim_learner(1.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="state index"):
-            pessimistic_values(learner, mc, StateBatch(indices=[0, 2]))
+            pessimistic_values(_one_dim_fit(1.0, 1.0), mc, StateBatch(indices=[0, 2]), 0.1)
 
 
 class TestCellFit:
@@ -166,24 +161,23 @@ class TestCellFit:
         mc = ModelClass(d, TabularMap(table[:, :, :d] if prefix else table[:, :, 1:].copy()))
         states = StateBatch(indices=rng.integers(n_states, size=n))
         data = Dataset(states, rng.integers(n_actions, size=n), rng.standard_normal(n))
-        learner = fit_pessimistic(data, mc, 1.0, 0.05, 0.5)
+        policy = fit_pessimistic(data, mc, 1.0, 0.05, 0.5)
         ref = row_design_fit(data, mc, 1.0)
-        got = learner.fit
+        got = policy.fits[0]
         assert got.n == ref.n == n
         for a, b in ((got.theta_hat, ref.theta_hat), (got.cov.entries, ref.cov.entries)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(b))))
         every_state = StateBatch(indices=np.arange(n_states))
-        same = PessimisticLearner(ref, learner.beta, learner.penalty_scale)
-        assert np.array_equal(
-            PessimisticPolicy([learner], [mc]).actions(every_state),
-            PessimisticPolicy([same], [mc]).actions(every_state),
-        )
+        same = PessimisticPolicy([ref], [mc], 0.05, 0.5)
+        assert same.betas == policy.betas
+        assert np.array_equal(policy.actions(every_state), same.actions(every_state))
 
 
-def _hand_value(learner, phi):
-    """phi theta - s * beta * |phi|_{V^{-1}} with an explicit inverse."""
-    width = math.sqrt(phi @ np.linalg.inv(learner.fit.cov.entries) @ phi)
-    return float(phi @ learner.fit.theta_hat) - learner.penalty_scale * learner.beta * width
+def _hand_value(policy, phi):
+    """phi theta - s * beta * |phi|_{V^{-1}} of a one-class policy, with an explicit inverse."""
+    fit = policy.fits[0]
+    width = math.sqrt(phi @ np.linalg.inv(fit.cov.entries) @ phi)
+    return float(phi @ fit.theta_hat) - policy.penalty_scale * policy.betas[0] * width
 
 
 def _one_action(policy, x):
@@ -193,14 +187,12 @@ def _one_action(policy, x):
 class TestExtractPessimisticPolicy:
     def test_single_action(self):
         mc = ModelClass(1, TabularMap(np.ones((2, 1, 1))))
-        learner = _one_dim_learner(1.0, 1.0, 0.1)
-        policy = PessimisticPolicy([learner], [mc])
+        policy = PessimisticPolicy([_one_dim_fit(1.0, 1.0)], [mc], 0.05, 1.0)
         assert _one_action(policy, 1) == 0
 
     def test_all_equal_ties_to_lowest(self):
         mc = ModelClass(1, TabularMap(np.ones((1, 3, 1))))
-        learner = _one_dim_learner(1.0, 1.0, 0.1)
-        policy = PessimisticPolicy([learner], [mc])
+        policy = PessimisticPolicy([_one_dim_fit(1.0, 1.0)], [mc], 0.05, 1.0)
         assert _one_action(policy, 0) == 0
 
     def test_matches_brute_force(self):
@@ -208,10 +200,10 @@ class TestExtractPessimisticPolicy:
         table = rng.standard_normal((5, 3, 2))
         mc = ModelClass(2, TabularMap(table))
         cov = CovarianceMatrix(np.array([[1.5, -0.2], [-0.2, 0.8]]))
-        learner = PessimisticLearner(RidgeFit(np.array([0.3, -1.1]), cov, 20, 1.0), 0.4)
-        policy = PessimisticPolicy([learner], [mc])
+        fit = RidgeFit(np.array([0.3, -1.1]), cov, 20, 1.0)
+        policy = PessimisticPolicy([fit], [mc], 0.05, 0.4)
         for x in range(5):
-            vals = [_hand_value(learner, table[x, a]) for a in range(3)]
+            vals = [_hand_value(policy, table[x, a]) for a in range(3)]
             assert _one_action(policy, x) == int(np.argmax(vals))
 
     def test_argmax_invariant_to_constant_shift(self):
@@ -219,28 +211,23 @@ class TestExtractPessimisticPolicy:
         table = rng.standard_normal((4, 3, 2))
         mc = ModelClass(2, TabularMap(table))
         cov = CovarianceMatrix(np.eye(2))
-        learner = PessimisticLearner(RidgeFit(np.array([1.0, -0.5]), cov, 10, 1.0), 0.0)
+        fit = RidgeFit(np.array([1.0, -0.5]), cov, 10, 1.0)
         states = StateBatch(indices=np.arange(4))
-        base = pessimistic_values(learner, mc, states)
+        base = pessimistic_values(fit, mc, states, 0.0)
         actions = np.argmax(base, axis=1)
         assert np.array_equal(np.argmax(base + rng.standard_normal((4, 1)), axis=1), actions)
 
 
 class TestCompositePolicy:
     @staticmethod
-    def _learners(classes):
-        return [
-            PessimisticLearner(
-                RidgeFit(np.ones(mc.dim), CovarianceMatrix(np.eye(mc.dim)), 5, 1.0), 0.1
-            )
-            for mc in classes
-        ]
+    def _fits(classes):
+        return [RidgeFit(np.ones(mc.dim), CovarianceMatrix(np.eye(mc.dim)), 5, 1.0) for mc in classes]
 
     def test_value_stack_shape(self):
         rng = np.random.default_rng(1)
         tables = [rng.standard_normal((2, 3, 1)), rng.standard_normal((2, 3, 2))]
         classes = [ModelClass(t.shape[2], TabularMap(t)) for t in tables]
-        policy = PessimisticPolicy(self._learners(classes), classes)
+        policy = PessimisticPolicy(self._fits(classes), classes, 0.05, 1.0)
         stack = policy.value_stack(StateBatch(indices=[0, 1]))
         assert stack.shape == (2, 2, 3)
 
@@ -249,9 +236,9 @@ class TestCompositePolicy:
         # a zip over lists of different lengths would drop a class silently
         rng = np.random.default_rng(2)
         classes = [ModelClass(1, TabularMap(rng.standard_normal((2, 3, 1)))) for _ in range(2)]
-        learners = self._learners(classes)
-        with pytest.raises(ValueError, match="learner"):
-            PessimisticPolicy(learners[:n_learners], classes[:n_classes])
+        fits = self._fits(classes)
+        with pytest.raises(ValueError, match="fit"):
+            PessimisticPolicy(fits[:n_learners], classes[:n_classes], 0.05, 1.0)
 
 
 class TestFixedAndOptimalPolicies:
@@ -281,7 +268,6 @@ def test_realizable_consistency_more_data_helps():
         means = inst.mean_rewards(test)
         for n in (250, 4000):
             data = sample_dataset(inst, mu, n, seed + 31 * n)
-            learner = fit_pessimistic(data, mc, 1.0, 0.05)
-            policy = PessimisticPolicy([learner], [mc])
+            policy = fit_pessimistic(data, mc, 1.0, 0.05)
             regrets[n].append(regret_estimate(means, policy, test))
     assert np.mean(regrets[4000]) <= np.mean(regrets[250])

@@ -24,12 +24,7 @@ from batchselect.features import (
 )
 from batchselect.env import rng_stream
 from batchselect.features import RepresentationMismatchError
-from batchselect.learner import (
-    GreedyPolicy,
-    PessimisticLearner,
-    beta_coefficient,
-    pessimistic_values,
-)
+from batchselect.learner import GreedyPolicy, beta_coefficient, fit_pessimistic, pessimistic_values
 from batchselect.linalg import CovarianceMatrix, RidgeFit, ridge_fit
 from batchselect.selection import (
     complexity_coverage_policy,
@@ -198,17 +193,17 @@ class TestComplexityCoverage:
     def test_learners_run_at_delta_over_m(self):
         fits, classes = self._toy(n_classes=3)
         policy, _ = complexity_coverage_policy(fits, classes, 0.05, penalty_scale=0.3)
-        for learner, fit, mc in zip(policy.learners, fits, classes, strict=True):
-            assert learner.fit is fit
-            assert learner.beta == beta_coefficient(50, mc.dim, 1.0, 0.05 / 3)
-            assert learner.penalty_scale == 0.3
+        for shared, beta, fit, mc in zip(policy.fits, policy.betas, fits, classes, strict=True):
+            assert shared is fit
+            assert beta == beta_coefficient(50, mc.dim, 1.0, 0.05 / 3)
+        assert policy.penalty_scale == 0.3
 
     def test_single_class_matches_pessimistic_policy(self):
         fits, classes = self._toy(n_classes=1)
         policy, _ = complexity_coverage_policy(fits, classes, 0.05)
-        learner = PessimisticLearner(fits[0], beta_coefficient(50, 1, 1.0, 0.05))
+        penalty = beta_coefficient(50, 1, 1.0, 0.05)
         states = StateBatch(indices=np.arange(4))
-        single = np.argmax(pessimistic_values(learner, classes[0], states), axis=1)
+        single = np.argmax(pessimistic_values(fits[0], classes[0], states, penalty), axis=1)
         assert np.array_equal(policy.actions(states), single)
 
     def test_duplicate_class_idempotent(self):
@@ -256,6 +251,19 @@ class TestComplexityCoverage:
     def test_empty_learners_rejected(self):
         with pytest.raises(ValueError):
             complexity_coverage_policy([], [], 0.05)
+
+    def test_one_class_is_fit_pessimistic_bit_for_bit(self):
+        # Algorithm 1 is the M = 1 case of the selector: the same beta, the
+        # same values and the same action on every state
+        inst = make_tabular_instance(20, 10, 7)
+        data = sample_dataset(inst, dirichlet_behavior(10, 7), 500, 8)
+        every_state = StateBatch(indices=np.arange(20))
+        for mc in realizable_family(inst, [2, 10, 50], 7):
+            single = fit_pessimistic(data, mc, 1.0, 0.05, 0.7)
+            cc = complexity_coverage_policy(single.fits, [mc], 0.05, 0.7)[0]
+            assert cc.betas == single.betas
+            assert np.array_equal(cc.value_stack(every_state), single.value_stack(every_state))
+            assert np.array_equal(cc.actions(every_state), single.actions(every_state))
 
 
 def _fit_truncation(instance, data, dims, lam=1.0):
