@@ -1,6 +1,10 @@
-"""Compare two studies' draws with the draws they replaced, in distribution.
+"""Compare two studies' draws with the draws they replaced, in distribution,
+or one study on two source trees.
 
     python3 scripts/compare_cell_draws.py
+    python3 scripts/compare_cell_draws.py --ref REV --study cc [--mode same|behaviour]
+
+With no arguments it runs the two comparisons below.
 
 lower_bound: runs the benchmark's lower_bound config (`WORKLOADS` in
 perfbench/run.py) at TRIALS trials per cell on each of SEEDS, once on the
@@ -20,11 +24,27 @@ seeds and trials and prints the same columns.
 
 It exits 1 when any difference in either study exceeds MAX_SE combined
 standard errors.
+
+--ref REV: checks the git revision REV out with `git worktree add` into a
+temporary directory, and runs the study's default config
+(`{"experiment": STUDY}`) through each tree's own `batchselect run` CLI on
+each of SEEDS: REV's tree and this working tree.  For every (n, method) of
+aggregate.csv it pools the seeds, the mean of the per-seed mean regrets with
+standard error sqrt(sum of se^2) / seeds, and prints both pooled means, their
+difference, the combined standard error and |diff| / se, then the largest.
+`--mode same`, for a change meant to keep results in distribution, exits 1
+when the largest exceeds MAX_SE; `--mode behaviour`, for a change of
+behaviour, prints the same before/after table with no gate.
 """
 from __future__ import annotations
 
+import argparse
+import csv
 import math
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,9 +55,6 @@ import batchselect.experiments as experiments  # noqa: E402
 from batchselect.env import derive_seed  # noqa: E402
 from batchselect.experiments import aggregate_rows, parse_config, run_ac  # noqa: E402
 from batchselect.hard_instance import ratio_experiment  # noqa: E402
-from run import WORKLOADS  # noqa: E402
-from test_env import all_action_dataset  # noqa: E402
-from test_hard_instance import row_ratio_experiment  # noqa: E402
 
 TRIALS = 100
 SEEDS = range(101, 121)
@@ -62,6 +79,9 @@ def zscore(ref: tuple[float, float], new: tuple[float, float]) -> tuple[float, f
 
 def compare_lower_bound() -> float:
     """Largest |diff| / combined se over the lower_bound cells."""
+    from run import WORKLOADS
+    from test_hard_instance import row_ratio_experiment
+
     config = parse_config({**WORKLOADS["lower_bound"], "trials": TRIALS})
     s = config.lower_bound
     print(f"lower_bound, {TRIALS} trials on seeds {SEEDS.start}-{SEEDS.stop - 1}")
@@ -88,6 +108,9 @@ def compare_lower_bound() -> float:
 
 def compare_ac(threads: int = 2) -> float:
     """Largest |diff| / combined se over the ac (n, method) cells."""
+    from run import WORKLOADS
+    from test_env import all_action_dataset
+
     rows = {"all_action": [], "logged": []}
     for seed in SEEDS:
         config = parse_config({**WORKLOADS["ac"], "trials": TRIALS, "seed": seed})
@@ -110,7 +133,86 @@ def compare_ac(threads: int = 2) -> float:
     return worst
 
 
-def main() -> int:
+def read_aggregate(path: Path) -> dict[tuple[int, str], tuple[float, float]]:
+    """aggregate.csv as {(n, method): (mean regret, standard error)}."""
+    with open(path, newline="") as fh:
+        return {
+            (int(r["n"]), r["method"]): (float(r["mean_regret"]), float(r["stderr"]))
+            for r in csv.DictReader(fh)
+        }
+
+
+def pool_seeds(tables: list[dict]) -> dict[tuple[int, str], tuple[float, float]]:
+    """Each (n, method)'s mean over equal-sized seeds and its standard error."""
+    keys = tables[0].keys()
+    if any(t.keys() != keys for t in tables):
+        raise ValueError("seeds report different (n, method) cells")
+    out = {}
+    for key in sorted(keys):
+        means, ses = zip(*(t[key] for t in tables))
+        out[key] = (sum(means) / len(means), math.sqrt(sum(se * se for se in ses)) / len(ses))
+    return out
+
+
+def run_tree(tree: Path, study: str, out: Path) -> dict[tuple[int, str], tuple[float, float]]:
+    """The study's default config on each of SEEDS through `tree`'s CLI, pooled."""
+    config = out / "config.json"
+    out.mkdir(parents=True)
+    config.write_text(f'{{"experiment": "{study}"}}\n')
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    tables = []
+    for seed in SEEDS:
+        seed_out = out / str(seed)
+        cmd = [sys.executable, "-m", "batchselect.cli", "run", "--config", str(config),
+               "--out", str(seed_out), "--seed", str(seed), "--threads", "2"]
+        subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
+        tables.append(read_aggregate(seed_out / "aggregate.csv"))
+    return pool_seeds(tables)
+
+
+def compare_pooled(ref: dict, new: dict, mode: str) -> int:
+    """Print the per-(n, method) table of two pooled runs and return the exit
+    code: 1 in `same` mode when a difference exceeds MAX_SE combined se."""
+    if ref.keys() != new.keys():
+        raise ValueError("the two trees report different (n, method) cells")
+    print("n     method     ref_mean  new_mean  diff      combined_se  diff/se")
+    worst = 0.0
+    for (n, method), a in ref.items():
+        b = new[n, method]
+        diff, se, z = zscore(a, b)
+        worst = max(worst, z)
+        print(f"{n:<5} {method:<10} {a[0]:<9.5f} {b[0]:<9.5f} {diff:<+9.5f} {se:<12.5f} {z:.2f}")
+    bound = f" (bound {MAX_SE})" if mode == "same" else ""
+    print(f"largest |diff| / combined se: {worst:.2f}{bound}")
+    return 1 if mode == "same" and worst > MAX_SE else 0
+
+
+def compare_trees(rev: str, study: str, mode: str) -> int:
+    """Run the study on git revision `rev` (ref) and on this working tree (new)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "ref"
+        git = ["git", "-C", str(ROOT), "worktree"]
+        subprocess.run([*git, "add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            ref = run_tree(tree, study, Path(tmp) / "ref-out")
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+        new = run_tree(ROOT, study, Path(tmp) / "new-out")
+    print(f"{study}, default config on seeds {SEEDS.start}-{SEEDS.stop - 1}: "
+          f"ref = {rev}, new = working tree ({mode})")
+    return compare_pooled(ref, new, mode)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ref", help="git revision to compare this working tree against")
+    parser.add_argument("--study", choices=("cc", "ac", "lower_bound"), help="default cc")
+    parser.add_argument("--mode", choices=("same", "behaviour"), help="default same")
+    args = parser.parse_args(argv)
+    if args.ref is not None:
+        return compare_trees(args.ref, args.study or "cc", args.mode or "same")
+    if args.study or args.mode:
+        parser.error("--study and --mode compare against --ref")
     worst = max(compare_lower_bound(), compare_ac())
     print(f"largest |diff| / combined se: {worst:.2f} (bound {MAX_SE})")
     return 0 if worst <= MAX_SE else 1

@@ -395,7 +395,7 @@ def _mapper(threads: int):
     """An ordered `map`, through a thread pool when threads > 1.
 
     BLAS runs single-threaded meanwhile, so `threads` is the run's only
-    parallelism: at d <= 200 OpenBLAS's own threads cost more than they give,
+    parallelism: at d <= 100 OpenBLAS's own threads cost more than they give,
     and under a pool they oversubscribe the cores.  The output bytes do not
     depend on the BLAS thread count."""
     with _ONE_BLAS_THREAD:

@@ -116,36 +116,33 @@ def design_matrix(model_class: ModelClass, logged, actions: np.ndarray) -> np.nd
 def realizable_family(
     instance: BanditInstance, hidden_dims, rng_seed: int
 ) -> list[ModelClass]:
-    """Random realizable feature maps for a tabular instance.
+    """Random realizable feature maps for a tabular instance, one class per
+    hidden dimension, each at its own dimension d_hid.
 
-    For each hidden dimension, d_hid - 1 random vectors over the (x, a) grid
-    are drawn and the last is solved so the all-ones combination equals the
-    flattened mean-reward table; the hidden map is then lifted to ambient
-    dimension |X||A| by a random Gaussian matrix.  Realizability is verified
-    by a least-squares fit at construction.
+    Class j's |X| x |A| x d_hid table draws d_hid - 1 random columns over the
+    (x, a) grid from `rng_stream(rng_seed, "realizable-family", j)` and solves
+    the last so the all-ones combination equals the flattened mean-reward
+    table.  Realizability is verified by a least-squares fit at construction.
     """
     if not instance.is_tabular:
         raise ValueError("realizable families require a tabular instance")
     means = instance.model.means
     n_states, n_actions = means.shape
     flat = means.reshape(-1)
-    ambient = n_states * n_actions
     classes = []
     for j, d_hid in enumerate(hidden_dims):
         if d_hid < 1:
             raise ValueError("hidden dimensions must be positive")
         rng = rng_stream(rng_seed, "realizable-family", j)
-        hidden = rng.standard_normal((ambient, d_hid))
+        hidden = rng.standard_normal((flat.size, d_hid))
         hidden[:, d_hid - 1] = flat - hidden[:, : d_hid - 1].sum(axis=1)
-        lift = rng.standard_normal((ambient, d_hid))
-        table = (hidden @ lift.T).reshape(n_states, n_actions, ambient)
-        theta, _, _, _ = np.linalg.lstsq(table.reshape(ambient, ambient), flat, rcond=None)
-        residual = np.linalg.norm(table.reshape(ambient, ambient) @ theta - flat)
+        theta, _, _, _ = np.linalg.lstsq(hidden, flat, rcond=None)
+        residual = np.linalg.norm(hidden @ theta - flat)
         if residual > REALIZABILITY_TOL:
             raise ConstructionError(
                 f"hidden dim {d_hid}: realizability residual {residual:.3e}"
             )
-        classes.append(ModelClass(ambient, TabularMap(table)))
+        classes.append(ModelClass(d_hid, TabularMap(hidden.reshape(n_states, n_actions, d_hid))))
     return classes
 
 

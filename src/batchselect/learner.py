@@ -95,6 +95,8 @@ class PessimisticPolicy(Policy):
             raise ValueError("need at least one fitted class")
         if len(fits) != len(classes):
             raise ValueError(f"need one fit per class, got {len(fits)} and {len(classes)}")
+        if not (math.isfinite(penalty_scale) and penalty_scale >= 0):
+            raise ValueError(f"penalty_scale must be finite and nonnegative, got {penalty_scale}")
         self.fits = list(fits)
         self.classes = list(classes)
         self.betas = [

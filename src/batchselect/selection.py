@@ -98,7 +98,7 @@ def complexity_coverage_policy(
     each class at confidence delta/M.
     """
     policy = PessimisticPolicy(fits, classes, delta, penalty_scale)
-    audit: dict = {"delta": delta, "dims": [mc.dim for mc in classes]}
+    audit: dict = {"delta": delta, "dims": [mc.dim for mc in classes], "betas": policy.betas}
     return policy, SelectionReport("ComplexityCoverage", "per-state", audit)
 
 

@@ -192,13 +192,17 @@ class TestRunLowerBound:
 # 8472da8b... and 39ac615e...) when hard-pair trials moved from reward rows
 # to drawn per-cell statistics; tests/test_hard_instance.py keeps the row
 # path, which still gives those hashes, and scripts/compare_cell_draws.py
-# compares the two in distribution.
+# compares the two in distribution.  The cc hash was re-pinned from
+# 7e662f7c... when realizable classes stopped being lifted to |X||A| = 200
+# dimensions and kept their own d_hid, a change of behaviour: each class's
+# beta now follows its dimension.  scripts/compare_cell_draws.py --ref
+# prints the per-(n, method) regrets of both paths.
 GOLDEN = {
     "cc": (
         {"experiment": "cc", "trials": 2, "n_grid": [100, 250], "seed": 3},
         run_cc,
         results_to_csv,
-        "7e662f7c427a4efeb04aa4a5c5cd2cea40cf1f4c6b5780c32cf5a719d7026c1f",
+        "90d646ae6d0d246d8751eaab8febf421a6ca643983ee160d354ed1e059a19482",
     ),
     "ac": (
         {"experiment": "ac", "trials": 2, "n_grid": [150], "seed": 3},
@@ -595,6 +599,18 @@ class TestCli:
         for name in ("results.csv", "aggregate.csv", "report.json"):
             assert (tmp_path / "out" / name).exists()
 
+    def test_audit_keeps_the_results_bytes(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        self._write_config(cfg, {"experiment": "cc", "trials": 2, "n_grid": [100], "seed": 1})
+        for out, extra in (("plain", []), ("audited", ["--audit"])):
+            args = ["run", "--config", str(cfg), "--out", str(tmp_path / out), *extra]
+            assert CliRunner().invoke(main, args).exit_code == 0
+        assert (tmp_path / "audited" / "report.json").exists()
+        assert not (tmp_path / "plain" / "report.json").exists()
+        for name in ("results.csv", "aggregate.csv"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "audited" / name).read_bytes() == plain
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         self._write_config(cfg, {"experiment": "cc", "trials": 1, "n_grid": [100], "seed": 1})
@@ -677,11 +693,19 @@ class TestCli:
         assert result.exit_code == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):
-        # lambda = 0 with rank-deficient 200-dim realizable features at n=100
+        # lambda = 0 with a 50-dim realizable class: 20 rows see at most 20
+        # cells, so the class's covariance is singular
         cfg = tmp_path / "cfg.json"
         self._write_config(
             cfg,
-            {"experiment": "cc", "trials": 1, "n_grid": [100], "seed": 1, "lambda": 0.0},
+            {
+                "experiment": "cc",
+                "trials": 1,
+                "n_grid": [20],
+                "seed": 1,
+                "lambda": 0.0,
+                "cc": {"hidden_dims": [50]},
+            },
         )
         result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert result.exit_code == 3

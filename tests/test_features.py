@@ -8,6 +8,7 @@ from batchselect.env import (
     dirichlet_behavior,
     make_gaussian_instance,
     make_tabular_instance,
+    rng_stream,
     sample_dataset,
     sample_states,
 )
@@ -96,8 +97,18 @@ class TestRealizableFamily:
     def test_paper_scale_ambient_dimension(self):
         inst = make_tabular_instance(20, 10, 1)
         classes = realizable_family(inst, [2, 5, 10, 25, 50], 1)
-        assert len(classes) == 5
-        assert all(mc.dim == 200 for mc in classes)
+        assert [mc.dim for mc in classes] == [2, 5, 10, 25, 50]
+        assert all(mc.map.table.shape == (20, 10, mc.dim) for mc in classes)
+
+    def test_tables_are_the_hidden_draws(self):
+        # class j's table is stream j's (|X||A|, d_hid) draw with its last
+        # column solved for realizability, bit for bit: no lift is drawn
+        inst = make_tabular_instance(5, 3, 4)
+        flat = inst.model.means.reshape(-1)
+        for j, mc in enumerate(realizable_family(inst, [1, 2, 6], 9)):
+            hidden = rng_stream(9, "realizable-family", j).standard_normal((15, mc.dim))
+            hidden[:, -1] = flat - hidden[:, :-1].sum(axis=1)
+            assert np.array_equal(mc.map.table, hidden.reshape(5, 3, mc.dim))
 
     def test_all_classes_realizable(self):
         inst = make_tabular_instance(6, 4, 2)

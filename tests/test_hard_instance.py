@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from batchselect import experiments, features, hard_instance, linalg
 from batchselect.env import Cells, StateBatch, derive_seed, rng_stream
@@ -279,7 +279,13 @@ def _thetas(policy):
 
 def assert_cells_reorder_rows(algorithm, pair, i, t, rng_seed, penalty_scale):
     """The cell selector on the reduced row trial picks the row selector's
-    action, with theta within 1e-12 relative to its largest entry."""
+    action, with theta within 1e-12 relative to the largest reward.
+
+    Entry a of theta is a sum of arm a's rewards over n_a + lambda on both
+    paths, so each rounds it by at most about n_a eps sum|r_i| / (n_a + lambda)
+    <= n eps max|r|, under 3e-13 at n <= 1040.  The tolerance scales with the
+    rewards, not with theta, which a mean that nearly cancels makes arbitrarily
+    small."""
     actions, designs = row_designs(pair)
     covs = [ridge_covariance(phi, 1.0) for phi in designs]
     rewards, split_seed = row_trial(pair, actions, i, t, rng_seed)
@@ -291,8 +297,8 @@ def assert_cells_reorder_rows(algorithm, pair, i, t, rng_seed, penalty_scale):
     got = CELL_SELECT[algorithm](stats, pair, cell_covs, *args)
     state = StateBatch(indices=[0])
     assert got.actions(state).tolist() == want.actions(state).tolist()
+    scale = np.abs(rewards).max()
     for theta, ref in zip(_thetas(got), _thetas(want), strict=True):
-        scale = np.abs(ref).max()
         np.testing.assert_allclose(theta, ref, rtol=1e-12, atol=1e-12 * scale)
 
 
@@ -315,6 +321,8 @@ def test_fixed_design_cells_equal_per_trial_fits(algorithm, n1, n2, seed):
     instance=st.sampled_from([0, 1]),
     penalty_scale=st.sampled_from([0.1, 1.0]),
 )
+# theta is 8.9e-6 here, and the paths differ by 3.3e-17 in its rounding
+@example(algorithm="cc", n1=132, n2=132, seed=11115813, instance=1, penalty_scale=0.1)
 def test_cell_selectors_reorder_the_row_arithmetic(
     algorithm, n1, n2, seed, instance, penalty_scale
 ):

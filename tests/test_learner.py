@@ -240,6 +240,18 @@ class TestCompositePolicy:
         with pytest.raises(ValueError, match="fit"):
             PessimisticPolicy(fits[:n_learners], classes[:n_classes], 0.05, 1.0)
 
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+    def test_penalty_scale_must_be_finite_and_nonnegative(self, scale):
+        # a negative scale would reward uncertainty, and NaN would make every action 0
+        inst = make_tabular_instance(3, 2, 0)
+        data = sample_dataset(inst, dirichlet_behavior(2, 0), 50, 1)
+        mc = realizable_family(inst, [2], 0)[0]
+        fit = fit_pessimistic(data, mc, 1.0, 0.05).fits[0]
+        with pytest.raises(ValueError, match="penalty_scale"):
+            PessimisticPolicy([fit], [mc], 0.05, scale)
+        with pytest.raises(ValueError, match="penalty_scale"):
+            fit_pessimistic(data, mc, 1.0, 0.05, scale)
+
 
 class TestFixedAndOptimalPolicies:
     def test_fixed_constant(self):

@@ -173,7 +173,7 @@ def _gram_plus_ridge(rng, n, d, lam):
     n=st.integers(1, 400),
     lam=st.floats(0.05, 10.0),
 )
-@example(seed=7, d=200, n=150, lam=1.0)  # cc's d: the triangle is halved three times
+@example(seed=7, d=200, n=150, lam=1.0)  # the triangle is halved three times
 @example(seed=8, d=200, n=400, lam=0.05)
 @example(seed=9, d=131, n=90, lam=2.0)  # odd orders split into unequal halves
 def test_solve_and_norms_match_dense_solve(seed, d, n, lam):

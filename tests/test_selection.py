@@ -252,6 +252,23 @@ class TestComplexityCoverage:
         with pytest.raises(ValueError):
             complexity_coverage_policy([], [], 0.05)
 
+    def test_negative_penalty_scale_rejected(self):
+        fits, classes = self._toy()
+        with pytest.raises(ValueError, match="penalty_scale"):
+            complexity_coverage_policy(fits, classes, 0.05, penalty_scale=-0.1)
+
+    def test_betas_grow_with_class_dimension(self):
+        # cc's classes keep their own dimensions, so at one n beta_k follows d_k,
+        # and the report shows the betas the policy penalizes with
+        inst = make_tabular_instance(20, 10, 7)
+        data = sample_dataset(inst, dirichlet_behavior(10, 7), 500, 8)
+        classes = realizable_family(inst, [2, 5, 10, 25, 50], 7)
+        fits = [fit_pessimistic(data, mc, 1.0, 0.05).fits[0] for mc in classes]
+        policy, report = complexity_coverage_policy(fits, classes, 0.05, 0.1)
+        assert [mc.dim for mc in classes] == [2, 5, 10, 25, 50]
+        assert np.all(np.diff(policy.betas) > 0)
+        assert json.loads(report.to_json())["audit"]["betas"] == policy.betas
+
     def test_one_class_is_fit_pessimistic_bit_for_bit(self):
         # Algorithm 1 is the M = 1 case of the selector: the same beta, the
         # same values and the same action on every state
