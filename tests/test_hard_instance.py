@@ -283,9 +283,9 @@ def assert_cells_reorder_rows(algorithm, pair, i, t, rng_seed, penalty_scale):
 
     Entry a of theta is a sum of arm a's rewards over n_a + lambda on both
     paths, so each rounds it by at most about n_a eps sum|r_i| / (n_a + lambda)
-    <= n eps max|r|, under 3e-13 at n <= 1040.  The tolerance scales with the
-    rewards, not with theta, which a mean that nearly cancels makes arbitrarily
-    small."""
+    <= n eps max|r|, and n eps < 2.4e-13 at the n <= 1040 tested here.  The
+    tolerance scales with the rewards, not with theta, which a mean that
+    nearly cancels makes arbitrarily small."""
     actions, designs = row_designs(pair)
     covs = [ridge_covariance(phi, 1.0) for phi in designs]
     rewards, split_seed = row_trial(pair, actions, i, t, rng_seed)
