@@ -155,30 +155,40 @@ class Cells:
     Cell j stands for `counts[j]` logged rows whose mean reward is
     `means[j]`; a cell of count 0 adds nothing to a fit or a loss, whatever
     finite mean it holds.  `within` is the sum over all those rows of the
-    squared deviation of each reward from its cell's mean.
+    squared deviation of each reward from its cell's mean.  T trials stack as
+    columns: `means` and `counts` of shape (cells, T) and `within` of shape
+    (T,), checked once for all of them.
     """
 
     means: np.ndarray
     counts: np.ndarray
-    within: float = 0.0
+    within: float | np.ndarray = 0.0
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
         object.__setattr__(self, "means", means)
-        if means.ndim != 1 or not np.all(np.isfinite(means)):
-            raise ValueError("cell means must be a finite vector")
-        object.__setattr__(self, "counts", checked_counts(self.counts, len(means)))
-        if not (np.isfinite(self.within) and self.within >= 0):
+        if means.ndim not in (1, 2) or not np.all(np.isfinite(means)):
+            raise ValueError("cell means must be a finite vector, or one column per trial")
+        object.__setattr__(self, "counts", checked_counts(self.counts, means.shape))
+        within = np.asarray(self.within)
+        if within.shape not in ((), means.shape[1:]) or not (
+            np.all(np.isfinite(within)) and np.all(within >= 0)
+        ):
             raise ValueError("within-cell sum of squares must be finite and nonnegative")
 
     @property
-    def n(self) -> int:
-        return int(self.counts.sum())
+    def n(self):
+        """The row count, or each trial's for stacked trials."""
+        totals = self.counts.sum(axis=0)
+        return int(totals) if totals.ndim == 0 else totals.astype(int)
 
-    def mean_squared_error(self, predictions: np.ndarray) -> float:
+    def mean_squared_error(self, predictions: np.ndarray):
         """(sum_j c_j (p_j - ybar_j)^2 + within) / n: the mean squared error of
-        predicting p_j on every row of cell j."""
-        return float(np.sum(self.counts * (predictions - self.means) ** 2) + self.within) / self.n
+        predicting p_j on every row of cell j; one per trial for stacked
+        trials, whose predictions stack as the means do."""
+        squares = np.sum(self.counts * (predictions - self.means) ** 2, axis=0)
+        loss = (squares + self.within) / self.counts.sum(axis=0)
+        return float(loss) if loss.ndim == 0 else loss
 
 
 class Dataset:

@@ -21,6 +21,17 @@ this order:
   rows' squared deviations from their cell means.  A uniformly random
   permutation splits the rows with these counts, and given the counts the
   cell means and the deviations are independent.
+
+A `ratio_experiment` call draws all of its trials, instance 1's then
+instance 2's, into arrays with one column per trial, and selects for all of
+them at once.  The selection rules take the stacked trials as they take one
+dataset (one column), so every trial gets the choice a per-dataset call
+would give it:
+- cc and SLOPE fit each class once, on a (2, T) reward matrix at the
+  pair's fixed counts, and form their widths once, since the widths read
+  only the covariance and n;
+- hold-out's fit side has one covariance per arm-0 count, so its trials
+  are fit in groups of equal counts, at most n2 + 1 of them.
 """
 from __future__ import annotations
 
@@ -34,13 +45,13 @@ import numpy as np
 from .env import BanditInstance, Cells, StateBatch, TabularModel, rng_stream
 from .features import ModelClass, TabularMap, check_nested
 from .diagnostics import fixed_design_theta_star
-from .learner import Policy
+from .learner import check_penalty_scale, check_width_arguments
 from .linalg import ridge_covariance, ridge_fit
 from .selection import (
     complexity_coverage_policy,
-    holdout_select,
+    holdout_choice,
     holdout_split_sizes,
-    slope_policy_select,
+    slope_choice,
 )
 
 THETA_TOL = 1e-10
@@ -48,7 +59,6 @@ THETA_TOL = 1e-10
 HOLDOUT_SPLIT = 0.8
 # numpy's hypergeometric draw takes fewer than 10**9 rows of each arm.
 MAX_HOLDOUT_ROWS = 10**9
-_STATE = StateBatch(indices=[0])  # the pair's one state
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,7 @@ class HardInstancePair:
     instances: tuple[BanditInstance, BanditInstance]
     classes: tuple[ModelClass, ModelClass]
     tables: tuple[np.ndarray, np.ndarray]  # each class's (2, d_k) cell table, one row per arm
+    state: StateBatch  # the pair's one state, whose actions are the arms
 
     @property
     def n(self) -> int:
@@ -102,7 +113,7 @@ def build_hard_pair(n1: int, n2: int) -> HardInstancePair:
             raise AssertionError(f"theta_1* = {theta1[0]!r}, expected {-delta_gap!r}")
         if np.max(np.abs(theta2 - np.array(theta2_expect))) > THETA_TOL:
             raise AssertionError(f"theta_2* = {theta2!r}, expected {theta2_expect!r}")
-    return HardInstancePair(delta_gap, n1, n2, (nu1, nu2), classes, tables)
+    return HardInstancePair(delta_gap, n1, n2, (nu1, nu2), classes, tables, StateBatch(indices=[0]))
 
 
 def oracle_denominator(pair: HardInstancePair, which_instance: int) -> float:
@@ -123,54 +134,97 @@ def oracle_denominator(pair: HardInstancePair, which_instance: int) -> float:
     return min(terms)
 
 
-def _draw_means(rng: np.random.Generator, counts: np.ndarray, instance: BanditInstance):
-    """Each arm cell's mean reward over its counts[a] rows; 0.0 for an empty cell."""
-    noise = instance.noise_scale * rng.standard_normal(2) / np.sqrt(np.maximum(counts, 1))
-    return np.where(counts > 0, instance.model.means[0] + noise, 0.0)
+# A call's trials are instance 1's `trials` then instance 2's, as columns;
+# each generator is made when its trial is drawn and dropped after it.
+def _trial_rngs(rng_seed: int, trials: int):
+    return (rng_stream(rng_seed, f"lb-cells-nu{i + 1}", t) for i in (0, 1) for t in range(trials))
 
 
-def _draw_arms(rng: np.random.Generator, pair: HardInstancePair, instance: BanditInstance):
-    """Each arm cell's mean reward over all of the pair's rows."""
-    return _draw_means(rng, pair.counts, instance)
+def _trial_params(pair: HardInstancePair, trials: int):
+    """Each trial's arm means, shape (2, 2 trials), and noise scale."""
+    means = np.repeat(np.stack([inst.model.means[0] for inst in pair.instances], axis=1), trials, 1)
+    return means, np.repeat([inst.noise_scale for inst in pair.instances], trials)
 
 
-def _draw_split(rng: np.random.Generator, pair: HardInstancePair, instance: BanditInstance):
-    """Hold-out's (fit, held-out) cells of a shuffled prefix split of the rows."""
+def _cell_means(z: np.ndarray, counts: np.ndarray, means: np.ndarray, sigma: np.ndarray):
+    """Each arm cell's mean reward over its counts[a] rows, from standard
+    normals z; 0.0 for an empty cell."""
+    noise = sigma * z / np.sqrt(np.maximum(counts, 1))
+    return np.where(counts > 0, means + noise, 0.0)
+
+
+def _draw_arms(pair: HardInstancePair, rng_seed: int, trials: int) -> np.ndarray:
+    """Each trial's arm cell means over all of the pair's rows, shape (2, 2 trials)."""
+    z = np.empty((2, 2 * trials))
+    for j, rng in enumerate(_trial_rngs(rng_seed, trials)):
+        z[:, j] = rng.standard_normal(2)
+    return _cell_means(z, pair.counts[:, None], *_trial_params(pair, trials))
+
+
+def _draw_split(pair: HardInstancePair, rng_seed: int, trials: int) -> tuple[Cells, Cells]:
+    """Hold-out's (fit, held-out) cells of each trial's shuffled prefix split
+    of the rows, stacked as columns."""
     n_in, _ = holdout_split_sizes(pair.n, HOLDOUT_SPLIT)
-    arm_0 = int(rng.hypergeometric(pair.n1, pair.n2, n_in))
-    counts_in = np.array([arm_0, n_in - arm_0])
-    counts_out = pair.counts - counts_in
-    means_in = _draw_means(rng, counts_in, instance)
-    means_out = _draw_means(rng, counts_out, instance)
-    df = int(np.maximum(counts_out - 1, 0).sum())
-    within = instance.noise_scale**2 * float(rng.chisquare(df)) if df > 0 else 0.0
-    return Cells(means_in, counts_in), Cells(means_out, counts_out, within)
+    arm_0 = np.empty(2 * trials, dtype=int)
+    z = np.empty((4, 2 * trials))
+    chi = np.zeros(2 * trials)
+    for j, rng in enumerate(_trial_rngs(rng_seed, trials)):
+        arm_0[j] = rng.hypergeometric(pair.n1, pair.n2, n_in)
+        z[:, j] = rng.standard_normal(4)  # the fit side's two, then the held-out side's
+        df = max(pair.n1 - arm_0[j] - 1, 0) + max(pair.n2 - n_in + arm_0[j] - 1, 0)
+        if df > 0:
+            chi[j] = rng.chisquare(df)
+    counts_in = np.stack([arm_0, n_in - arm_0])
+    counts_out = pair.counts[:, None] - counts_in
+    means, sigma = _trial_params(pair, trials)
+    fit_on = Cells(_cell_means(z[:2], counts_in, means, sigma), counts_in)
+    score_on = Cells(_cell_means(z[2:], counts_out, means, sigma), counts_out, sigma**2 * chi)
+    return fit_on, score_on
 
 
-# Each selector maps one trial's draw to a policy.  `covs` holds each class's
-# ridge covariance at the pair's counts, built once per `ratio_experiment`
-# call; hold-out, whose split changes every trial, does not read it.
-def _fits(means, pair: HardInstancePair, covs, lam: float):
-    return [ridge_fit(table, means, lam, cov, pair.counts) for table, cov in zip(pair.tables, covs)]
+# Each selector maps a call's stacked draws to every trial's action, shape
+# (2 trials,), and each class's ridge estimates, shape (d_k, 2 trials).
+def _fits(means: np.ndarray, pair: HardInstancePair, lam: float):
+    """Each class fit on every trial at once, on its covariance at the pair's counts."""
+    return [
+        ridge_fit(table, means, lam, ridge_covariance(table, lam, pair.counts), pair.counts)
+        for table in pair.tables
+    ]
 
 
-def _cc_select(means, pair, covs, delta, lam, penalty_scale) -> Policy:
-    fits = _fits(means, pair, covs, lam)
-    return complexity_coverage_policy(fits, list(pair.classes), delta, penalty_scale)[0]
+def _cc_select(means, pair, delta, lam, penalty_scale):
+    fits = _fits(means, pair, lam)
+    policy = complexity_coverage_policy(fits, list(pair.classes), delta, penalty_scale)[0]
+    return policy.actions(pair.state)[0], [fit.theta_hat for fit in fits]
 
 
-def _slope_select(means, pair, covs, delta, lam, penalty_scale) -> Policy:
-    fits = _fits(means, pair, covs, lam)
-    return slope_policy_select(fits, list(pair.classes), _STATE, delta, penalty_scale)[0]
+def _slope_select(means, pair, delta, lam, penalty_scale):
+    fits = _fits(means, pair, lam)
+    chosen, actions, _ = slope_choice(fits, list(pair.classes), pair.state, delta, penalty_scale)
+    return actions[chosen, 0, np.arange(chosen.size)], [fit.theta_hat for fit in fits]
 
 
-def _holdout_select(split, pair, covs, delta, lam, penalty_scale) -> Policy:
+def _holdout_select(split, pair, delta, lam, penalty_scale):
+    """Hold-out on each trial's split; the trials of one fit-side count share
+    a covariance, so each class is fit once per count."""
     fit_on, score_on = split
-    return holdout_select(list(pair.tables), fit_on, score_on, list(pair.classes), lam)[0]
+    counts, group = np.unique(fit_on.counts, axis=1, return_inverse=True)
+    thetas = [np.empty((mc.dim, group.size)) for mc in pair.classes]
+    # each class's predicted arm means, which are its greedy values at the one state
+    values = np.empty((len(pair.classes), 2, group.size))
+    for g in range(counts.shape[1]):
+        cols = group == g
+        for k, table in enumerate(pair.tables):
+            fit = ridge_fit(table, fit_on.means[:, cols], lam, counts=counts[:, g])
+            thetas[k][:, cols] = fit.theta_hat
+            values[k][:, cols] = fit.predictions(table)
+    chosen = holdout_choice(np.stack([score_on.mean_squared_error(v) for v in values]))
+    trials = np.arange(group.size)
+    return np.argmax(values[chosen, :, trials], axis=1), thetas
 
 
-# Each algorithm's (draw, select): the draw takes one trial's statistics from
-# the trial's generator, in the order of the module docstring.
+# Each algorithm's (draw, select): the draw takes every trial's statistics
+# from the trial's generator, in the order of the module docstring.
 ALGORITHMS = {
     "cc": (_draw_arms, _cc_select),
     "slope": (_draw_arms, _slope_select),
@@ -216,9 +270,11 @@ def ratio_experiment(
 
     Each trial draws the per-arm cell statistics of n1 rows of arm 0 and n2
     of arm 1 (see the module docstring), so its cost does not depend on n1 or
-    n2; cc and SLOPE fit them on ridge covariances built once per call.  The
-    ratio divides the worse of the two mean regrets by the larger closed-form
-    denominator.
+    n2.  All 2 x `trials` trials are selected as one batch, each with the
+    action a per-dataset selection on its own draw would take.  delta, lam
+    and penalty_scale are checked for every algorithm before the first draw.
+    The ratio divides the worse of the two mean regrets by the larger
+    closed-form denominator.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -226,17 +282,14 @@ def ratio_experiment(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     draw, select = ALGORITHMS[algorithm]
     pair = build_hard_pair(n1, n2)
-    covs = [ridge_covariance(table, lam, pair.counts) for table in pair.tables]
-    mean_regrets, se_regrets = [], []
-    for i, inst in enumerate(pair.instances):
-        arm_means = inst.model.means[0]
-        regrets = np.empty(trials)
-        for t in range(trials):
-            rng = rng_stream(rng_seed, f"lb-cells-nu{i + 1}", t)
-            policy = select(draw(rng, pair, inst), pair, covs, delta, lam, penalty_scale)
-            regrets[t] = arm_means.max() - arm_means[int(policy.actions(_STATE)[0])]
-        mean_regrets.append(float(regrets.mean()))
-        se_regrets.append(float(regrets.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0)
+    check_width_arguments(pair.n, pair.classes[-1].dim, lam, delta)
+    check_penalty_scale(penalty_scale)
+    actions, _ = select(draw(pair, rng_seed, trials), pair, delta, lam, penalty_scale)
+    arm_means, _ = _trial_params(pair, trials)
+    columns = np.arange(2 * trials)
+    regrets = (arm_means.max(axis=0) - arm_means[actions, columns]).reshape(2, trials)
+    mean_regrets = [float(r.mean()) for r in regrets]
+    se_regrets = [float(r.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0 for r in regrets]
     denominator = max(oracle_denominator(pair, 0), oracle_denominator(pair, 1))
     return RatioResult(
         algorithm=algorithm,

@@ -61,7 +61,8 @@ def fit_pessimistic(
 def pessimistic_values(
     fit: RidgeFit, model_class: ModelClass, states: StateBatch, penalty: float
 ) -> np.ndarray:
-    """Penalized value <phi, theta_hat> - penalty * |phi|_{V^{-1}}, shape (m, |A|).
+    """Penalized value <phi, theta_hat> - penalty * |phi|_{V^{-1}}, shape (m, |A|),
+    or (m, |A|, T) for a fit of T stacked trials, which share the width.
 
     The values are computed once on the batch's feature source (see
     `feature_source`) and gathered by row.  For a tabular map that costs
@@ -70,7 +71,16 @@ def pessimistic_values(
     """
     source, rows = feature_source(model_class, states)
     plain, widths = fit.predictions_and_widths(source)
-    return (plain - penalty * widths)[rows]
+    penalties = penalty * widths
+    if plain.ndim > penalties.ndim:
+        penalties = penalties[..., None]
+    return (plain - penalties)[rows]
+
+
+def check_penalty_scale(penalty_scale: float) -> None:
+    """Raise ValueError unless the width multiplier is finite and nonnegative."""
+    if not (math.isfinite(penalty_scale) and penalty_scale >= 0):
+        raise ValueError(f"penalty_scale must be finite and nonnegative, got {penalty_scale}")
 
 
 class Policy:
@@ -87,7 +97,9 @@ class PessimisticPolicy(Policy):
     confidence delta/M, so its penalty is penalty_scale * beta_k with
     beta_k = beta(n, d_k, lambda, delta/M); with one class this is
     Algorithm 1's policy.  Ties break to the lowest action index, then the
-    lowest class index.
+    lowest class index.  Fits of T stacked trials (theta_hat of shape (d, T))
+    give every value and choice a last axis of T trials, so one policy
+    selects for all of them with the widths computed once.
     """
 
     def __init__(self, fits, classes, delta: float, penalty_scale: float):
@@ -95,8 +107,7 @@ class PessimisticPolicy(Policy):
             raise ValueError("need at least one fitted class")
         if len(fits) != len(classes):
             raise ValueError(f"need one fit per class, got {len(fits)} and {len(classes)}")
-        if not (math.isfinite(penalty_scale) and penalty_scale >= 0):
-            raise ValueError(f"penalty_scale must be finite and nonnegative, got {penalty_scale}")
+        check_penalty_scale(penalty_scale)
         self.fits = list(fits)
         self.classes = list(classes)
         self.betas = [
@@ -106,7 +117,7 @@ class PessimisticPolicy(Policy):
         self.penalty_scale = penalty_scale
 
     def value_stack(self, states: StateBatch) -> np.ndarray:
-        """Pessimistic values per class, shape (M, m, |A|)."""
+        """Pessimistic values per class, shape (M, m, |A|) or (M, m, |A|, T)."""
         return np.stack(
             [
                 pessimistic_values(fit, mc, states, self.penalty_scale * beta)
@@ -115,19 +126,20 @@ class PessimisticPolicy(Policy):
         )
 
     def actions_and_classes(self, states: StateBatch):
+        """Each state's action and the class that values it most, shape (m,)
+        or (m, T)."""
         stack = self.value_stack(states)
-        best = stack.max(axis=0)  # (m, |A|)
-        acts = np.argmax(best, axis=1)
-        rows = np.arange(len(states))
-        chosen_k = np.argmax(stack[:, rows, acts], axis=0)
-        return acts, chosen_k
+        acts = np.argmax(stack.max(axis=0), axis=1)
+        at_acts = np.take_along_axis(stack, acts[None, :, None], axis=2)[:, :, 0]
+        return acts, np.argmax(at_acts, axis=0)
 
     def actions(self, states: StateBatch) -> np.ndarray:
         return self.actions_and_classes(states)[0]
 
 
 class GreedyPolicy(Policy):
-    """Greedy over the unpenalized ridge prediction of a single class."""
+    """Greedy over the unpenalized ridge prediction of a single class; a fit
+    of T stacked trials gives actions of shape (m, T)."""
 
     def __init__(self, fit: RidgeFit, model_class: ModelClass):
         self.fit = fit

@@ -114,12 +114,16 @@ class CovarianceMatrix:
 
 
 class RidgeFit:
-    """Ridge solution theta_hat together with its covariance V."""
+    """Ridge solution theta_hat together with its covariance V.
+
+    theta_hat is a (d,) vector, or a (d, T) matrix of T stacked fits on one
+    design and V, one column per reward vector (see `ridge_fit`).
+    """
 
     def __init__(self, theta_hat, cov: CovarianceMatrix, n: int, lam: float):
         theta_hat = np.asarray(theta_hat, dtype=float)
-        if theta_hat.shape != (cov.dim,):
-            raise ValueError("theta_hat length must equal cov.dim")
+        if theta_hat.ndim not in (1, 2) or theta_hat.shape[0] != cov.dim:
+            raise ValueError("theta_hat must be a (d,) vector or (d, T) matrix with d = cov.dim")
         self.theta_hat = theta_hat
         self.cov = cov
         self.n = int(n)
@@ -129,23 +133,26 @@ class RidgeFit:
 
     def predictions(self, stack) -> np.ndarray:
         """<phi, theta_hat> for each row phi of a (..., d) stack, of shape
-        stack.shape[:-1], as one (rows, d) product: every prediction takes this
-        one floating-point form.  Another last-axis width raises ValueError."""
+        stack.shape[:-1], and (..., T) for T stacked fits, as one (rows, d)
+        product: every prediction takes this one floating-point form.  Another
+        last-axis width raises ValueError."""
         stack = np.asarray(stack, dtype=float)
         if stack.ndim < 1 or stack.shape[-1] != self.dim:
             raise ValueError(f"need a (..., {self.dim}) stack of feature rows, got {stack.shape}")
-        return (stack.reshape(-1, self.dim) @ self.theta_hat).reshape(stack.shape[:-1])
+        flat = stack.reshape(-1, self.dim) @ self.theta_hat
+        return flat.reshape(stack.shape[:-1] + self.theta_hat.shape[1:])
 
     def predictions_and_widths(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`predictions` and |phi|_{V^{-1}} for each row phi of a (..., d)
-        stack, each of shape stack.shape[:-1].  The last stack's pair is kept
-        and returned again for the same array, such as a tabular class's table
-        scored by policies at two confidence levels."""
+        stack; the widths have shape stack.shape[:-1] whatever the fit count.
+        The last stack's pair is kept and returned again for the same array,
+        such as a tabular class's table scored by policies at two confidence
+        levels."""
         scored = self._scored
         if scored is None or scored[0] is not stack:
             predictions = self.predictions(stack)
             widths = inv_quad_norms(self.cov, stack.reshape(-1, self.dim))
-            scored = self._scored = (stack, predictions, widths.reshape(predictions.shape))
+            scored = self._scored = (stack, predictions, widths.reshape(stack.shape[:-1]))
         return scored[1:]
 
 
@@ -162,15 +169,16 @@ def _checked_design(features: np.ndarray, lam: float) -> np.ndarray:
     return features
 
 
-def checked_counts(counts, cells: int) -> np.ndarray:
-    """`counts` as floats, refused unless it holds one whole, finite,
-    nonnegative row count per cell and totals at least one row."""
+def checked_counts(counts, shape: tuple) -> np.ndarray:
+    """`counts` as floats, refused unless it has `shape`, (cells,) or
+    (cells, T) for T stacked trials, and holds whole, finite, nonnegative
+    row counts of which each trial's total at least one row."""
     counts = np.asarray(counts, dtype=float)
-    if counts.shape != (cells,):
-        raise ValueError(f"need one count per cell, {cells} in all, got shape {counts.shape}")
+    if counts.shape != shape:
+        raise ValueError(f"need one count per cell, of shape {shape}, got shape {counts.shape}")
     if not (np.all(np.isfinite(counts)) and np.all(counts >= 0) and np.all(counts % 1 == 0)):
         raise ValueError("counts must be finite nonnegative whole numbers")
-    if counts.sum() < 1:
+    if np.any(counts.sum(axis=0) < 1):
         raise ValueError("counts must total at least one row")
     return counts
 
@@ -180,7 +188,7 @@ def _weighted(features: np.ndarray, counts) -> tuple[np.ndarray, float]:
     without `counts`."""
     if counts is None:
         return features.T, features.shape[0]
-    counts = checked_counts(counts, features.shape[0])
+    counts = checked_counts(counts, features.shape[:1])
     return features.T * counts, counts.sum()
 
 
@@ -210,6 +218,10 @@ def ridge_fit(
 ) -> RidgeFit:
     """Fit V = (lam/n)I + (1/n) Phi^T Phi and theta_hat = V^{-1}(1/n) Phi^T y.
 
+    `rewards` is one reward per row, or a (rows, T) matrix whose T columns
+    are fit at once on the design's one V: theta_hat is then (d, T), and
+    every column passes the same checks as a fit of its own.
+
     With `counts`, row j of `features` is a cell that stands for
     `counts[j]` logged rows of that feature vector, and `rewards[j]` is
     their mean reward: n = sum(counts), V = (lam/n)I + (1/n) Phi^T diag(c) Phi
@@ -226,8 +238,8 @@ def ridge_fit(
     features = _checked_design(features, lam)
     rewards = np.asarray(rewards, dtype=float)
     rows, d = features.shape
-    if rewards.shape != (rows,):
-        raise ValueError("rewards length must match feature rows")
+    if rewards.ndim not in (1, 2) or rewards.shape[0] != rows:
+        raise ValueError("rewards must hold one entry, or one row of columns, per feature row")
     if not np.all(np.isfinite(rewards)):
         raise ValueError("non-finite values in ridge inputs")
     weighted, n = _weighted(features, counts)
@@ -240,9 +252,10 @@ def ridge_fit(
         )
     target = weighted @ rewards / n
     theta = cov.solve(target)
-    residual = np.linalg.norm(cov.entries @ theta - target)
-    if residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(theta)):
-        raise ArithmeticError(f"normal-equation residual {residual:.3e} too large")
+    residual = np.linalg.norm(cov.entries @ theta - target, axis=0)
+    excess = residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(theta, axis=0))
+    if np.any(excess):
+        raise ArithmeticError(f"normal-equation residual {np.max(residual):.3e} too large")
     return RidgeFit(theta, cov, n, lam)
 
 

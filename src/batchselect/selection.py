@@ -63,26 +63,29 @@ def slope_select(values: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np
     k's width.  For each column, the smallest k whose interval family
     [v_j - 2w_j, v_j + 2w_j], j >= k, has a common point (closed intervals;
     touching counts); the last index is always valid.  Returns the 0-based
-    indices and the chosen values, each of shape (L,).
+    indices and the chosen values, each of shape (L,).  Values of shape
+    (M, L, T) hold T stacked trials as further columns, and the returns are
+    then (L, T).
     """
     values = np.asarray(values, dtype=float)
     widths = np.asarray(widths, dtype=float)
-    if values.ndim != 2 or values.shape[0] == 0 or widths.shape != values.shape[:1]:
+    if values.ndim not in (2, 3) or values.shape[0] == 0 or widths.shape != values.shape[:1]:
         raise ValueError(
             f"need an (M, L) value matrix with M >= 1 and M widths, "
             f"got values {values.shape} and widths {widths.shape}"
         )
     if not (np.all(np.isfinite(widths)) and np.all(widths >= 0)):
         raise ValueError("widths must be finite and nonnegative")
-    lowers = values - 2 * widths[:, None]
-    uppers = values + 2 * widths[:, None]
+    spans = 2 * widths.reshape(widths.shape + (1,) * (values.ndim - 1))
+    lowers = values - spans
+    uppers = values + spans
     # suffix extrema: intersection from k is nonempty iff max lower <= min upper
     max_lower = np.maximum.accumulate(lowers[::-1], axis=0)[::-1]
     min_upper = np.minimum.accumulate(uppers[::-1], axis=0)[::-1]
     feasible = max_lower <= min_upper
     feasible[-1] = True
     khat = np.argmax(feasible, axis=0)
-    return khat, values[khat, np.arange(values.shape[1])]
+    return khat, np.take_along_axis(values, khat[None], axis=0)[0]
 
 
 def complexity_coverage_policy(
@@ -102,18 +105,20 @@ def complexity_coverage_policy(
     return policy, SelectionReport("ComplexityCoverage", "per-state", audit)
 
 
-def slope_policy_select(
+def slope_choice(
     fits: list[RidgeFit],
     classes: list[ModelClass],
     validation_states: StateBatch,
     delta: float,
     penalty_scale: float = 1.0,
-) -> tuple[Policy, SelectionReport]:
-    """SLOPE selection over greedy per-class policies.
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """SLOPE over the greedy policies of one ridge fit per nested class.
 
-    `fits` holds one ridge fit per class, all on the same dataset, as in
-    `complexity_coverage_policy`; classes must be nested.  Expectations over
-    states are empirical means over `validation_states`.
+    Returns the index of the chosen policy, each class's greedy actions on
+    `validation_states`, shape (M, m), and the audit.  Fits of T stacked
+    trials (theta_hat of shape (d, T)) share their widths, which read only V
+    and n, and enter SLOPE's value matrix as T further columns, so the
+    choice has shape (T,) and the actions (M, m, T).
     """
     if len(fits) == 0:
         raise ValueError("need at least one fitted class")
@@ -135,26 +140,40 @@ def slope_policy_select(
         zeta = zeta_coefficient(fit.n, mc.dim, fit.lam, delta / m_classes, fit.cov)
         widths[k] = penalty_scale * zeta * float(weights @ norms.max(axis=1))
         preds.append(plain)
-    preds = np.stack(preds)  # (M, m, |A|)
-    actions = np.argmax(preds, axis=2)  # (M, m): each class's greedy actions
+    preds = np.stack(preds)  # (M, m, |A|[, T])
+    actions = np.argmax(preds, axis=2)  # (M, m[, T]): each class's greedy actions
     # values[k, l] = vhat_k(pi_l), class k's mean prediction at class l's actions
-    values = preds[:, np.arange(n_states), actions] @ weights
+    at_actions = np.take_along_axis(preds[:, None], actions[None, :, :, None], axis=3)[:, :, :, 0]
+    values = np.moveaxis(at_actions, 2, -1) @ weights
     khat, vhat = slope_select(values, widths)
-    chosen_l = int(np.argmax(vhat))
-    report = SelectionReport(
-        "Slope",
-        chosen_l,
-        {
-            "delta": delta,
-            "penalty_scale": penalty_scale,
-            "dims": [mc.dim for mc in classes],
-            "values": values,
-            "widths": widths,
-            "khat_per_policy": khat,
-            "vhat_per_policy": vhat,
-        },
-    )
-    return GreedyPolicy(fits[chosen_l], classes[chosen_l]), report
+    audit = {
+        "delta": delta,
+        "penalty_scale": penalty_scale,
+        "dims": [mc.dim for mc in classes],
+        "values": values,
+        "widths": widths,
+        "khat_per_policy": khat,
+        "vhat_per_policy": vhat,
+    }
+    return np.argmax(vhat, axis=0), actions, audit
+
+
+def slope_policy_select(
+    fits: list[RidgeFit],
+    classes: list[ModelClass],
+    validation_states: StateBatch,
+    delta: float,
+    penalty_scale: float = 1.0,
+) -> tuple[Policy, SelectionReport]:
+    """SLOPE selection over greedy per-class policies.
+
+    `fits` holds one ridge fit per class, all on the same dataset, as in
+    `complexity_coverage_policy`; classes must be nested.  Expectations over
+    states are empirical means over `validation_states`.
+    """
+    chosen, _, audit = slope_choice(fits, classes, validation_states, delta, penalty_scale)
+    chosen = int(chosen)
+    return GreedyPolicy(fits[chosen], classes[chosen]), SelectionReport("Slope", chosen, audit)
 
 
 def holdout_split_sizes(n: int, split_fraction: float) -> tuple[int, int]:
@@ -178,6 +197,13 @@ def row_split(rewards: np.ndarray, split_fraction: float, rng_seed: int) -> tupl
     counts_in = np.zeros(len(rewards))
     counts_in[perm[:n_in]] = 1.0
     return Cells(rewards, counts_in), Cells(rewards, 1.0 - counts_in)
+
+
+def holdout_choice(losses: np.ndarray) -> np.ndarray:
+    """Hold-out's class for each column of an (M,) or (M, T) loss array: the
+    lowest index whose loss lies within a relative HOLDOUT_TIE_RTOL of the
+    column's minimum."""
+    return np.argmax(losses <= losses.min(axis=0) * (1 + HOLDOUT_TIE_RTOL), axis=0)
 
 
 def holdout_select(
@@ -212,7 +238,7 @@ def holdout_select(
         fit = ridge_fit(phi, fit_on.means, lam, counts=fit_on.counts)
         fits.append(fit)
         losses[k] = score_on.mean_squared_error(fit.predictions(phi))
-    chosen = int(np.flatnonzero(losses <= losses.min() * (1 + HOLDOUT_TIE_RTOL))[0])
+    chosen = int(holdout_choice(losses))
     report = SelectionReport(
         "HoldOut",
         chosen,

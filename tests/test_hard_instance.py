@@ -26,7 +26,6 @@ from batchselect.selection import (
     row_split,
     slope_policy_select,
 )
-from policies import FixedPolicy
 from row_design import tabular_design
 
 
@@ -120,7 +119,10 @@ class TestRatioExperiment:
     def test_fixed_arm_zero_algorithm(self):
         # always playing arm 0 in nu_2 (means (-Delta, 0)) loses the exact
         # deterministic gap Delta per round, with zero variance
-        ALGORITHMS["const0"] = (lambda *args: None, lambda *args: FixedPolicy(action=0))
+        ALGORITHMS["const0"] = (
+            lambda pair, rng_seed, trials: 2 * trials,  # the call's trial count
+            lambda columns, *args: (np.zeros(columns, dtype=int), []),
+        )
         try:
             result = ratio_experiment("const0", 8, 4, trials=5, rng_seed=0)
         finally:
@@ -138,6 +140,22 @@ class TestRatioExperiment:
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             ratio_experiment("nope", 4, 4, 1, 0)
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @pytest.mark.parametrize(
+        "bad", [{"delta": 0.9}, {"delta": -3}, {"lam": -1.0}, {"penalty_scale": -1}]
+    )
+    def test_arguments_checked_for_every_algorithm_before_drawing(
+        self, monkeypatch, algorithm, bad
+    ):
+        # hold-out reads neither delta nor penalty_scale, but it is refused the
+        # same arguments as cc and SLOPE, and no trial is drawn first
+        def no_draws(*args):
+            raise AssertionError("drew a trial before checking the arguments")
+
+        monkeypatch.setattr(hard_instance, "rng_stream", no_draws)
+        with pytest.raises(ValueError, match="delta|lambda|penalty_scale"):
+            ratio_experiment(algorithm, 16, 16, trials=2, rng_seed=0, **bad)
 
     def test_deterministic(self):
         a = ratio_experiment("holdout", 16, 16, trials=10, rng_seed=3)
@@ -157,17 +175,16 @@ def test_ratio_csv_schema():
 def test_trial_draws_count_every_row():
     pair = build_hard_pair(40, 9)
     n_in, n_out = holdout_split_sizes(pair.n, HOLDOUT_SPLIT)
-    for t in range(50):
-        fit_on, score_on = hard_instance._draw_split(rng_stream(2, "t", t), pair, pair.instances[1])
-        assert (fit_on.n, score_on.n) == (n_in, n_out)
-        assert np.array_equal(fit_on.counts + score_on.counts, pair.counts)
-        assert fit_on.within == 0.0
-        empty = np.concatenate([fit_on.counts, score_on.counts]) == 0
-        assert np.all(np.concatenate([fit_on.means, score_on.means])[empty] == 0.0)
+    fit_on, score_on = hard_instance._draw_split(pair, 2, 50)
+    assert fit_on.n.tolist() == [n_in] * 100 and score_on.n.tolist() == [n_out] * 100
+    assert np.array_equal(fit_on.counts + score_on.counts, np.repeat(pair.counts[:, None], 100, 1))
+    assert np.all(fit_on.within == 0.0)
+    empty = np.concatenate([fit_on.counts, score_on.counts]) == 0
+    assert np.all(np.concatenate([fit_on.means, score_on.means])[empty] == 0.0)
     # a held-out side of one row per arm has no within-cell spread
     small = build_hard_pair(4, 4)
-    _, score_on = hard_instance._draw_split(rng_stream(0, "t"), small, small.instances[0])
-    assert score_on.n == 1 and score_on.within == 0.0
+    _, score_on = hard_instance._draw_split(small, 0, 1)
+    assert score_on.n.tolist() == [1, 1] and np.all(score_on.within == 0.0)
 
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
@@ -182,6 +199,20 @@ def test_trial_memory_does_not_grow_with_n1(algorithm):
         tracemalloc.stop()
     assert peak < 2**20
     assert result.denominator > 0
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_batch_memory_is_a_few_arrays_per_trial(algorithm):
+    # 4000 trials stack as a few (2, 4000) arrays of 64 KB; holding every
+    # trial's generator at once would take over 4 MB
+    ratio_experiment(algorithm, 16, 16, trials=1, rng_seed=0)
+    tracemalloc.start()
+    try:
+        ratio_experiment(algorithm, 1024, 16, trials=2000, rng_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 # The row-level hard pair, as the study ran before trials drew per-cell
@@ -269,7 +300,52 @@ def reduce_rows(pair, actions, rewards, split_seed):
     return means, tuple(sides)
 
 
-CELL_SELECT = {name: select for name, (_, select) in ALGORITHMS.items()}
+# The per-dataset reference for the batch: one trial's cell statistics,
+# drawn as the module docstring orders them, selected by the per-dataset
+# entry points.  `ratio_experiment` ran every trial this way before its
+# trials were selected as one batch.
+def _draw_means(rng, counts, instance):
+    noise = instance.noise_scale * rng.standard_normal(2) / np.sqrt(np.maximum(counts, 1))
+    return np.where(counts > 0, instance.model.means[0] + noise, 0.0)
+
+
+def trial_draw(algorithm, pair, i, t, rng_seed):
+    """Trial t's draw on instance i: the arm cell means, or hold-out's split."""
+    rng = rng_stream(rng_seed, f"lb-cells-nu{i + 1}", t)
+    inst = pair.instances[i]
+    if algorithm != "holdout":
+        return _draw_means(rng, pair.counts, inst)
+    n_in, _ = holdout_split_sizes(pair.n, HOLDOUT_SPLIT)
+    arm_0 = int(rng.hypergeometric(pair.n1, pair.n2, n_in))
+    counts_in = np.array([arm_0, n_in - arm_0])
+    counts_out = pair.counts - counts_in
+    means_in = _draw_means(rng, counts_in, inst)
+    means_out = _draw_means(rng, counts_out, inst)
+    df = int(np.maximum(counts_out - 1, 0).sum())
+    within = inst.noise_scale**2 * float(rng.chisquare(df)) if df > 0 else 0.0
+    return Cells(means_in, counts_in), Cells(means_out, counts_out, within)
+
+
+def _cell_fits(means, pair, covs, lam):
+    return [ridge_fit(table, means, lam, cov, pair.counts) for table, cov in zip(pair.tables, covs)]
+
+
+def _cell_cc(means, pair, covs, delta, lam, penalty_scale):
+    fits = _cell_fits(means, pair, covs, lam)
+    return complexity_coverage_policy(fits, list(pair.classes), delta, penalty_scale)[0]
+
+
+def _cell_slope(means, pair, covs, delta, lam, penalty_scale):
+    fits = _cell_fits(means, pair, covs, lam)
+    return slope_policy_select(fits, list(pair.classes), pair.state, delta, penalty_scale)[0]
+
+
+def _cell_holdout(split, pair, covs, delta, lam, penalty_scale):
+    fit_on, score_on = split
+    return holdout_select(list(pair.tables), fit_on, score_on, list(pair.classes), lam)[0]
+
+
+CELL_SELECT = {"cc": _cell_cc, "slope": _cell_slope, "holdout": _cell_holdout}
 
 
 def _thetas(policy):
@@ -372,14 +448,76 @@ def _count_builds(monkeypatch):
     return counts
 
 
-# CovarianceMatrix builds per cell of 5 trials on each of 2 instances with 2
-# classes: each class's once per call, which cc and SLOPE reuse; hold-out also
-# fits each trial's split, 2 + 20 in all
-COVARIANCE_BUILDS = {"cc": 2, "slope": 2, "holdout": 22}
+# CovarianceMatrix builds per call of 5 trials on each of 2 instances with 2
+# classes: cc and SLOPE build each class's once and fit every trial on it;
+# hold-out builds each class's once per distinct fit-side count of its trials
+@pytest.mark.parametrize("algorithm", ["cc", "slope", "holdout"])
+def test_fixed_design_cell_builds_each_class_once(monkeypatch, algorithm):
+    fit_on, _ = hard_instance._draw_split(build_hard_pair(64, 16), 0, 5)
+    splits = np.unique(fit_on.counts, axis=1).shape[1]
+    builds = {"cc": 2, "slope": 2, "holdout": 2 * splits}
+    counts = _count_builds(monkeypatch)
+    ratio_experiment(algorithm, 64, 16, trials=5, rng_seed=0)
+    assert counts == {"cov": builds[algorithm], "design": 0}
+    assert 1 < splits < 10
 
 
 @pytest.mark.parametrize("algorithm", ["cc", "slope", "holdout"])
-def test_fixed_design_cell_builds_each_class_once(monkeypatch, algorithm):
-    counts = _count_builds(monkeypatch)
-    ratio_experiment(algorithm, 64, 16, trials=5, rng_seed=0)
-    assert counts == {"cov": COVARIANCE_BUILDS[algorithm], "design": 0}
+def test_ridge_fits_do_not_grow_with_trials(monkeypatch, algorithm):
+    # cc and SLOPE fit each class once per call; hold-out once per class and
+    # fit-side count, and the arm-1 count takes at most n2 + 1 values
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return ridge_fit(*args, **kwargs)
+
+    monkeypatch.setattr(hard_instance, "ridge_fit", counting_fit)
+    for trials in (1, 50):
+        calls.clear()
+        ratio_experiment(algorithm, 64, 4, trials=trials, rng_seed=0)
+        assert len(calls) == 2 if algorithm != "holdout" else 2 <= len(calls) <= 2 * (4 + 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    algorithm=st.sampled_from(sorted(CELL_SELECT)),
+    n1=st.integers(1, 2**20),
+    n2=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    instance=st.sampled_from([0, 1]),
+    penalty_scale=st.sampled_from([0.0, 0.1, 1.0, 3.0]),
+    trials=st.integers(1, 6),
+)
+def test_batch_selects_as_the_per_dataset_entry_points(
+    algorithm, n1, n2, seed, instance, penalty_scale, trials
+):
+    # every trial of the batch gets the draw, the action and the bits of each
+    # class's theta that its own per-dataset selection gives it
+    pair = build_hard_pair(n1, n2)
+    assume(algorithm != "holdout" or math.ceil(HOLDOUT_SPLIT * pair.n) < pair.n)
+    draw, select = ALGORITHMS[algorithm]
+    draws = draw(pair, seed, trials)
+    actions, thetas = select(draws, pair, 0.05, 1.0, penalty_scale)
+    covs = [ridge_covariance(table, 1.0, pair.counts) for table in pair.tables]
+    for t in range(trials):
+        col = instance * trials + t
+        one = trial_draw(algorithm, pair, instance, t, seed)
+        if algorithm == "holdout":
+            for side, ref in zip(draws, one):
+                assert side.means[:, col].tobytes() == ref.means.tobytes()
+                assert side.counts[:, col].tobytes() == ref.counts.tobytes()
+                assert np.broadcast_to(side.within, side.n.shape)[col] == ref.within
+        else:
+            assert draws[:, col].tobytes() == one.tobytes()
+        policy = CELL_SELECT[algorithm](one, pair, covs, 0.05, 1.0, penalty_scale)
+        assert policy.actions(pair.state).tolist() == [actions[col]]
+        # every class's per-dataset fit, of which the policy keeps the chosen ones
+        if algorithm == "holdout":
+            fit_on = one[0]
+            refs = [ridge_fit(t, fit_on.means, 1.0, counts=fit_on.counts) for t in pair.tables]
+        else:
+            refs = _cell_fits(one, pair, covs, 1.0)
+        refs = [ref.theta_hat.tobytes() for ref in refs]
+        assert {theta.tobytes() for theta in _thetas(policy)} <= set(refs)
+        assert [theta[:, col].tobytes() for theta in thetas] == refs
