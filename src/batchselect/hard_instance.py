@@ -46,7 +46,7 @@ from .env import BanditInstance, Cells, StateBatch, TabularModel, rng_stream
 from .features import ModelClass, TabularMap, check_nested
 from .diagnostics import fixed_design_theta_star
 from .learner import check_penalty_scale, check_width_arguments
-from .linalg import ridge_covariance, ridge_fit
+from .linalg import ridge_fit
 from .selection import (
     complexity_coverage_policy,
     holdout_choice,
@@ -182,45 +182,40 @@ def _draw_split(pair: HardInstancePair, rng_seed: int, trials: int) -> tuple[Cel
     return fit_on, score_on
 
 
-# Each selector maps a call's stacked draws to every trial's action, shape
-# (2 trials,), and each class's ridge estimates, shape (d_k, 2 trials).
+# Each selector maps a call's stacked draws to every trial's action, shape (2 trials,).
 def _fits(means: np.ndarray, pair: HardInstancePair, lam: float):
-    """Each class fit on every trial at once, on its covariance at the pair's counts."""
-    return [
-        ridge_fit(table, means, lam, ridge_covariance(table, lam, pair.counts), pair.counts)
-        for table in pair.tables
-    ]
+    """Each class fit on every trial at once, at the pair's counts."""
+    return [ridge_fit(table, means, lam, pair.counts) for table in pair.tables]
 
 
 def _cc_select(means, pair, delta, lam, penalty_scale):
     fits = _fits(means, pair, lam)
     policy = complexity_coverage_policy(fits, list(pair.classes), delta, penalty_scale)[0]
-    return policy.actions(pair.state)[0], [fit.theta_hat for fit in fits]
+    return policy.actions(pair.state)[0]
 
 
 def _slope_select(means, pair, delta, lam, penalty_scale):
     fits = _fits(means, pair, lam)
     chosen, actions, _ = slope_choice(fits, list(pair.classes), pair.state, delta, penalty_scale)
-    return actions[chosen, 0, np.arange(chosen.size)], [fit.theta_hat for fit in fits]
+    return actions[chosen, 0, np.arange(chosen.size)]
 
 
 def _holdout_select(split, pair, delta, lam, penalty_scale):
-    """Hold-out on each trial's split; the trials of one fit-side count share
-    a covariance, so each class is fit once per count."""
+    """Hold-out on each trial's split; the trials of one fit-side arm-0 count
+    share a covariance, so each class is fit once per count."""
     fit_on, score_on = split
-    counts, group = np.unique(fit_on.counts, axis=1, return_inverse=True)
-    thetas = [np.empty((mc.dim, group.size)) for mc in pair.classes]
+    n_in, _ = holdout_split_sizes(pair.n, HOLDOUT_SPLIT)
+    arm_0, group = np.unique(fit_on.counts[0], return_inverse=True)
     # each class's predicted arm means, which are its greedy values at the one state
     values = np.empty((len(pair.classes), 2, group.size))
-    for g in range(counts.shape[1]):
+    for g, a in enumerate(arm_0):
         cols = group == g
         for k, table in enumerate(pair.tables):
-            fit = ridge_fit(table, fit_on.means[:, cols], lam, counts=counts[:, g])
-            thetas[k][:, cols] = fit.theta_hat
+            fit = ridge_fit(table, fit_on.means[:, cols], lam, [a, n_in - a])
             values[k][:, cols] = fit.predictions(table)
     chosen = holdout_choice(np.stack([score_on.mean_squared_error(v) for v in values]))
     trials = np.arange(group.size)
-    return np.argmax(values[chosen, :, trials], axis=1), thetas
+    return np.argmax(values[chosen, :, trials], axis=1)
 
 
 # Each algorithm's (draw, select): the draw takes every trial's statistics
@@ -284,7 +279,7 @@ def ratio_experiment(
     pair = build_hard_pair(n1, n2)
     check_width_arguments(pair.n, pair.classes[-1].dim, lam, delta)
     check_penalty_scale(penalty_scale)
-    actions, _ = select(draw(pair, rng_seed, trials), pair, delta, lam, penalty_scale)
+    actions = select(draw(pair, rng_seed, trials), pair, delta, lam, penalty_scale)
     arm_means, _ = _trial_params(pair, trials)
     columns = np.arange(2 * trials)
     regrets = (arm_means.max(axis=0) - arm_means[actions, columns]).reshape(2, trials)

@@ -192,30 +192,7 @@ def _weighted(features: np.ndarray, counts) -> tuple[np.ndarray, float]:
     return features.T * counts, counts.sum()
 
 
-def _covariance(
-    features: np.ndarray, weighted: np.ndarray, n: float, lam: float
-) -> CovarianceMatrix:
-    gram = weighted @ features / n
-    return CovarianceMatrix(gram + (lam / n) * np.eye(features.shape[1]), ridge_floor=lam / n)
-
-
-def ridge_covariance(features: np.ndarray, lam: float, counts=None) -> CovarianceMatrix:
-    """V = (lam/n)I + (1/n) Phi^T diag(c) Phi of a design, as `ridge_fit` builds it.
-
-    A design fit against many reward vectors needs V once: pass it to
-    `ridge_fit` as `cov`.  `counts` is as in `ridge_fit`.
-    """
-    features = _checked_design(features, lam)
-    return _covariance(features, *_weighted(features, counts), lam)
-
-
-def ridge_fit(
-    features: np.ndarray,
-    rewards: np.ndarray,
-    lam: float,
-    cov: CovarianceMatrix | None = None,
-    counts=None,
-) -> RidgeFit:
+def ridge_fit(features: np.ndarray, rewards: np.ndarray, lam: float, counts=None) -> RidgeFit:
     """Fit V = (lam/n)I + (1/n) Phi^T Phi and theta_hat = V^{-1}(1/n) Phi^T y.
 
     `rewards` is one reward per row, or a (rows, T) matrix whose T columns
@@ -229,11 +206,8 @@ def ridge_fit(
     Without it every row counts once.  Counts that are negative, non-finite,
     fractional, of another shape or below one row in total raise ValueError.
 
-    `cov`, if given, is `ridge_covariance(features, lam, counts)` built
-    beforehand and is used in place of V; a `cov` of another width or ridge
-    floor raises ValueError.  Solved through the cached inverse Cholesky
-    factor of V; raises SingularMatrixError when lam = 0 and the Gram matrix
-    is rank deficient.
+    Solved through the cached inverse Cholesky factor of V; raises
+    SingularMatrixError when lam = 0 and the Gram matrix is rank deficient.
     """
     features = _checked_design(features, lam)
     rewards = np.asarray(rewards, dtype=float)
@@ -243,13 +217,8 @@ def ridge_fit(
     if not np.all(np.isfinite(rewards)):
         raise ValueError("non-finite values in ridge inputs")
     weighted, n = _weighted(features, counts)
-    if cov is None:
-        cov = _covariance(features, weighted, n, lam)
-    elif cov.dim != d or cov.ridge_floor != lam / n:
-        raise ValueError(
-            f"cov of dim {cov.dim} and ridge floor {cov.ridge_floor!r} does not match "
-            f"a {n:g}-row design of width {d} at lambda {lam!r}"
-        )
+    gram = weighted @ features / n
+    cov = CovarianceMatrix(gram + (lam / n) * np.eye(d), ridge_floor=lam / n)
     target = weighted @ rewards / n
     theta = cov.solve(target)
     residual = np.linalg.norm(cov.entries @ theta - target, axis=0)

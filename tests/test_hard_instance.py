@@ -18,7 +18,7 @@ from batchselect.hard_instance import (
     ratio_experiment,
     ratio_results_to_csv,
 )
-from batchselect.linalg import inv_quad_norms, ridge_covariance, ridge_fit
+from batchselect.linalg import inv_quad_norms, ridge_fit
 from batchselect.selection import (
     complexity_coverage_policy,
     holdout_select,
@@ -121,7 +121,7 @@ class TestRatioExperiment:
         # deterministic gap Delta per round, with zero variance
         ALGORITHMS["const0"] = (
             lambda pair, rng_seed, trials: 2 * trials,  # the call's trial count
-            lambda columns, *args: (np.zeros(columns, dtype=int), []),
+            lambda columns, *args: np.zeros(columns, dtype=int),
         )
         try:
             result = ratio_experiment("const0", 8, 4, trials=5, rng_seed=0)
@@ -235,21 +235,21 @@ def row_trial(pair, actions, i, t, rng_seed):
     return rewards, derive_seed(rng_seed, f"lb-algo-nu{i + 1}", t)
 
 
-def _row_fits(designs, covs, rewards, lam):
-    return [ridge_fit(phi, rewards, lam, cov) for phi, cov in zip(designs, covs)]
+def _row_fits(designs, rewards, lam):
+    return [ridge_fit(phi, rewards, lam) for phi in designs]
 
 
-def _row_cc(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):
-    fits = _row_fits(designs, covs, rewards, lam)
+def _row_cc(designs, rewards, split_seed, classes, delta, lam, penalty_scale):
+    fits = _row_fits(designs, rewards, lam)
     return complexity_coverage_policy(fits, classes, delta, penalty_scale)[0]
 
 
-def _row_slope(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):
-    fits = _row_fits(designs, covs, rewards, lam)
+def _row_slope(designs, rewards, split_seed, classes, delta, lam, penalty_scale):
+    fits = _row_fits(designs, rewards, lam)
     return slope_policy_select(fits, classes, StateBatch(indices=[0]), delta, penalty_scale)[0]
 
 
-def _row_holdout(designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale):
+def _row_holdout(designs, rewards, split_seed, classes, delta, lam, penalty_scale):
     fit_on, score_on = row_split(rewards, HOLDOUT_SPLIT, split_seed)
     return holdout_select(designs, fit_on, score_on, classes, lam)[0]
 
@@ -263,7 +263,6 @@ def row_ratio_experiment(
     """`ratio_experiment` on the row-level path."""
     pair = build_hard_pair(n1, n2)
     actions, designs = row_designs(pair)
-    covs = [ridge_covariance(phi, lam) for phi in designs]
     classes = list(pair.classes)
     mean_regrets, se_regrets = [], []
     for i, inst in enumerate(pair.instances):
@@ -272,7 +271,7 @@ def row_ratio_experiment(
         for t in range(trials):
             rewards, split_seed = row_trial(pair, actions, i, t, rng_seed)
             policy = ROW_SELECT[algorithm](
-                designs, covs, rewards, split_seed, classes, delta, lam, penalty_scale
+                designs, rewards, split_seed, classes, delta, lam, penalty_scale
             )
             act = int(policy.actions(StateBatch(indices=[0]))[0])
             regrets[t] = arm_means.max() - arm_means[act]
@@ -326,21 +325,21 @@ def trial_draw(algorithm, pair, i, t, rng_seed):
     return Cells(means_in, counts_in), Cells(means_out, counts_out, within)
 
 
-def _cell_fits(means, pair, covs, lam):
-    return [ridge_fit(table, means, lam, cov, pair.counts) for table, cov in zip(pair.tables, covs)]
+def _cell_fits(means, pair, lam):
+    return [ridge_fit(table, means, lam, pair.counts) for table in pair.tables]
 
 
-def _cell_cc(means, pair, covs, delta, lam, penalty_scale):
-    fits = _cell_fits(means, pair, covs, lam)
+def _cell_cc(means, pair, delta, lam, penalty_scale):
+    fits = _cell_fits(means, pair, lam)
     return complexity_coverage_policy(fits, list(pair.classes), delta, penalty_scale)[0]
 
 
-def _cell_slope(means, pair, covs, delta, lam, penalty_scale):
-    fits = _cell_fits(means, pair, covs, lam)
+def _cell_slope(means, pair, delta, lam, penalty_scale):
+    fits = _cell_fits(means, pair, lam)
     return slope_policy_select(fits, list(pair.classes), pair.state, delta, penalty_scale)[0]
 
 
-def _cell_holdout(split, pair, covs, delta, lam, penalty_scale):
+def _cell_holdout(split, pair, delta, lam, penalty_scale):
     fit_on, score_on = split
     return holdout_select(list(pair.tables), fit_on, score_on, list(pair.classes), lam)[0]
 
@@ -363,14 +362,12 @@ def assert_cells_reorder_rows(algorithm, pair, i, t, rng_seed, penalty_scale):
     tolerance scales with the rewards, not with theta, which a mean that
     nearly cancels makes arbitrarily small."""
     actions, designs = row_designs(pair)
-    covs = [ridge_covariance(phi, 1.0) for phi in designs]
     rewards, split_seed = row_trial(pair, actions, i, t, rng_seed)
     args = (0.05, 1.0, penalty_scale)
-    want = ROW_SELECT[algorithm](designs, covs, rewards, split_seed, list(pair.classes), *args)
+    want = ROW_SELECT[algorithm](designs, rewards, split_seed, list(pair.classes), *args)
     means, split = reduce_rows(pair, actions, rewards, split_seed)
-    cell_covs = [ridge_covariance(table, 1.0, pair.counts) for table in pair.tables]
     stats = split if algorithm == "holdout" else means
-    got = CELL_SELECT[algorithm](stats, pair, cell_covs, *args)
+    got = CELL_SELECT[algorithm](stats, pair, *args)
     state = StateBatch(indices=[0])
     assert got.actions(state).tolist() == want.actions(state).tolist()
     scale = np.abs(rewards).max()
@@ -454,7 +451,7 @@ def _count_builds(monkeypatch):
 @pytest.mark.parametrize("algorithm", ["cc", "slope", "holdout"])
 def test_fixed_design_cell_builds_each_class_once(monkeypatch, algorithm):
     fit_on, _ = hard_instance._draw_split(build_hard_pair(64, 16), 0, 5)
-    splits = np.unique(fit_on.counts, axis=1).shape[1]
+    splits = np.unique(fit_on.counts[0]).size
     builds = {"cc": 2, "slope": 2, "holdout": 2 * splits}
     counts = _count_builds(monkeypatch)
     ratio_experiment(algorithm, 64, 16, trials=5, rng_seed=0)
@@ -479,6 +476,21 @@ def test_ridge_fits_do_not_grow_with_trials(monkeypatch, algorithm):
         assert len(calls) == 2 if algorithm != "holdout" else 2 <= len(calls) <= 2 * (4 + 1)
 
 
+def batch_thetas(algorithm, draws, pair, lam):
+    """Each class's theta, shape (d_k, 2 trials), as the batch fits a call's
+    draws: cc and SLOPE all at once, hold-out once per fit-side arm-0 count."""
+    if algorithm != "holdout":
+        return [fit.theta_hat for fit in hard_instance._fits(draws, pair, lam)]
+    fit_on = draws[0]
+    thetas = [np.empty((mc.dim, fit_on.means.shape[1])) for mc in pair.classes]
+    for arm_0 in np.unique(fit_on.counts[0]):
+        cols = fit_on.counts[0] == arm_0
+        counts = fit_on.counts[:, np.argmax(cols)]
+        for theta, table in zip(thetas, pair.tables):
+            theta[:, cols] = ridge_fit(table, fit_on.means[:, cols], lam, counts).theta_hat
+    return thetas
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     algorithm=st.sampled_from(sorted(CELL_SELECT)),
@@ -498,8 +510,8 @@ def test_batch_selects_as_the_per_dataset_entry_points(
     assume(algorithm != "holdout" or math.ceil(HOLDOUT_SPLIT * pair.n) < pair.n)
     draw, select = ALGORITHMS[algorithm]
     draws = draw(pair, seed, trials)
-    actions, thetas = select(draws, pair, 0.05, 1.0, penalty_scale)
-    covs = [ridge_covariance(table, 1.0, pair.counts) for table in pair.tables]
+    actions = select(draws, pair, 0.05, 1.0, penalty_scale)
+    thetas = batch_thetas(algorithm, draws, pair, 1.0)
     for t in range(trials):
         col = instance * trials + t
         one = trial_draw(algorithm, pair, instance, t, seed)
@@ -510,14 +522,14 @@ def test_batch_selects_as_the_per_dataset_entry_points(
                 assert np.broadcast_to(side.within, side.n.shape)[col] == ref.within
         else:
             assert draws[:, col].tobytes() == one.tobytes()
-        policy = CELL_SELECT[algorithm](one, pair, covs, 0.05, 1.0, penalty_scale)
+        policy = CELL_SELECT[algorithm](one, pair, 0.05, 1.0, penalty_scale)
         assert policy.actions(pair.state).tolist() == [actions[col]]
         # every class's per-dataset fit, of which the policy keeps the chosen ones
         if algorithm == "holdout":
             fit_on = one[0]
             refs = [ridge_fit(t, fit_on.means, 1.0, counts=fit_on.counts) for t in pair.tables]
         else:
-            refs = _cell_fits(one, pair, covs, 1.0)
+            refs = _cell_fits(one, pair, 1.0)
         refs = [ref.theta_hat.tobytes() for ref in refs]
         assert {theta.tobytes() for theta in _thetas(policy)} <= set(refs)
         assert [theta[:, col].tobytes() for theta in thetas] == refs

@@ -7,7 +7,6 @@ from batchselect.linalg import (
     SingularMatrixError,
     inv_quad_norms,
     inv_sqrt_spectral_norm,
-    ridge_covariance,
     ridge_fit,
 )
 
@@ -285,15 +284,22 @@ class TestLazyEigenBounds:
             CovarianceMatrix(np.diag([1.0, 0.1]), ridge_floor=0.2)
 
 
-def _assert_same_fit(phi, y, lam):
-    """A fit on a covariance built beforehand equals the fit that builds its own."""
-    cov = ridge_covariance(phi, lam)
-    given_cov, own_cov = ridge_fit(phi, y, lam, cov), ridge_fit(phi, y, lam)
-    assert given_cov.cov is cov
-    assert given_cov.theta_hat.tobytes() == own_cov.theta_hat.tobytes()
-    assert cov.entries.tobytes() == own_cov.cov.entries.tobytes()
-    assert cov.inv_chol().tobytes() == own_cov.cov.inv_chol().tobytes()
-    assert (given_cov.n, given_cov.lam, given_cov.dim) == (own_cov.n, own_cov.lam, own_cov.dim)
+def _assert_stacked_fit_is_column_fits(features, rewards, lam, counts=None, exact=True):
+    """A (rows, T) reward matrix fit at once gives every column its own fit's
+    theta: the same bits when no two rows share a feature, as on the hard
+    pair's cell tables, where every entry of the target and of the solve is a
+    single product; else within rounding of the products' summation order."""
+    stacked = ridge_fit(features, rewards, lam, counts)
+    assert stacked.theta_hat.shape == (features.shape[1], rewards.shape[1])
+    for t in range(rewards.shape[1]):
+        own = ridge_fit(features, rewards[:, t], lam, counts)
+        if exact:
+            assert stacked.theta_hat[:, t].tobytes() == own.theta_hat.tobytes()
+        else:
+            scale = np.abs(own.theta_hat).max()
+            np.testing.assert_allclose(stacked.theta_hat[:, t], own.theta_hat, atol=1e-12 * scale)
+        assert stacked.cov.entries.tobytes() == own.cov.entries.tobytes()
+        assert (stacked.n, stacked.lam, stacked.dim) == (own.n, own.lam, own.dim)
 
 
 @settings(max_examples=150, deadline=None)
@@ -302,49 +308,44 @@ def _assert_same_fit(phi, y, lam):
     n=st.integers(1, 300),
     d=st.integers(1, 12),
     lam=st.floats(0.01, 10.0),
-    one_hot=st.booleans(),
+    cells=st.booleans(),
+    trials=st.integers(1, 6),
 )
-def test_fit_on_a_given_covariance_is_bit_identical(seed, n, d, lam, one_hot):
+def test_stacked_fit_equals_column_fits(seed, n, d, lam, cells, trials):
     rng = np.random.default_rng(seed)
-    if one_hot:  # 0/1 rows, as tabular classes and the hard pair build them
-        phi = np.eye(d)[rng.integers(0, d, size=n)]
+    if cells:  # one-hot cells of distinct features with row counts
+        phi = np.eye(d)[rng.permutation(d)[: min(n, d)]]
+        counts = rng.integers(1, 1000, size=len(phi))
     else:
         phi = rng.standard_normal((n, d)) * rng.uniform(0.2, 2.0, size=d)
-    y = rng.standard_normal(n)
-    _assert_same_fit(phi, y, lam)
-    cov = ridge_covariance(phi, lam)
-    wider = np.hstack([phi, rng.standard_normal((n, 1))])
-    for other in (
-        ridge_covariance(wider, lam),  # another width
-        ridge_covariance(phi, 2.0 * lam),  # another lambda
-        ridge_covariance(np.vstack([phi, phi[:1]]), lam),  # another n
-    ):
-        with pytest.raises(ValueError, match="does not match"):
-            ridge_fit(phi, y, lam, other)
-    with pytest.raises(ValueError, match="does not match"):
-        ridge_fit(wider, y, lam, cov)
+        counts = None
+    rewards = rng.standard_normal((len(phi), trials))
+    _assert_stacked_fit_is_column_fits(phi, rewards, lam, counts, exact=cells)
 
 
-def test_fit_on_a_given_covariance_at_hard_pair_scale():
-    # the lower-bound study's largest design: 65,536 rows of arm 0, 16 of arm 1
-    phi = np.eye(2)[np.repeat([0, 1], [65536, 16])]
-    y = np.random.default_rng(11).standard_normal(len(phi))
-    _assert_same_fit(phi, y, 1.0)
-    _assert_same_fit(phi[:, :1], y, 1.0)
+def test_stacked_fit_at_hard_pair_scale():
+    # the lower-bound study's largest cells: 65,536 rows of arm 0, 16 of arm 1
+    means = np.random.default_rng(11).standard_normal((2, 40))
+    for table in (np.eye(2), np.eye(2)[:, :1]):
+        _assert_stacked_fit_is_column_fits(table, means, 1.0, [65536, 16])
 
 
-def test_ridge_covariance_checks_its_design():
+def test_ridge_fit_checks_its_design():
     with pytest.raises(ValueError):
-        ridge_covariance(np.ones(3), 1.0)
+        ridge_fit(np.ones(3), np.ones(3), 1.0)
     with pytest.raises(ValueError):
-        ridge_covariance(np.ones((0, 2)), 1.0)
+        ridge_fit(np.ones((0, 2)), np.ones(0), 1.0)
     with pytest.raises(ValueError):
-        ridge_covariance(np.ones((3, 2)), -1.0)
+        ridge_fit(np.ones((3, 2)), np.ones(3), -1.0)
     with pytest.raises(ValueError):
-        ridge_covariance(np.array([[np.inf]]), 1.0)
-    cov = ridge_covariance(np.ones((4, 1)), 1.0)
-    with pytest.raises(ValueError):  # a given covariance does not excuse bad rewards
-        ridge_fit(np.ones((4, 1)), np.array([1.0, np.nan, 0.0, 0.0]), 1.0, cov)
+        ridge_fit(np.array([[np.inf]]), np.ones(1), 1.0)
+    rewards = np.zeros((4, 2))
+    rewards[1, 0] = np.nan
+    with pytest.raises(ValueError):  # one bad column fails the stacked fit
+        ridge_fit(np.ones((4, 1)), rewards, 1.0)
+    for rewards in (np.ones((3, 2)), np.ones((4, 2, 1))):
+        with pytest.raises(ValueError, match="rewards"):
+            ridge_fit(np.ones((4, 1)), rewards, 1.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -378,8 +379,6 @@ def test_fit_on_counted_cells_equals_fit_on_their_rows(seed, counts, d, lam, one
     np.testing.assert_allclose(
         counted.theta_hat, theta_want, rtol=rtol, atol=rtol * np.abs(theta_want).max()
     )
-    given_cov = ridge_fit(table, means, lam, ridge_covariance(table, lam, counts), counts)
-    assert given_cov.theta_hat.tobytes() == counted.theta_hat.tobytes()
 
 
 def test_empty_cell_adds_nothing():
@@ -401,14 +400,6 @@ def test_bad_counts_rejected(counts):
     table, means = np.eye(2), np.array([1.0, 2.0])
     with pytest.raises(ValueError, match="count"):
         ridge_fit(table, means, 1.0, counts=counts)
-    with pytest.raises(ValueError, match="count"):
-        ridge_covariance(table, 1.0, counts)
-
-
-def test_counts_reject_a_covariance_of_other_counts():
-    table, means = np.eye(2), np.array([1.0, 2.0])
-    with pytest.raises(ValueError, match="does not match"):
-        ridge_fit(table, means, 1.0, ridge_covariance(table, 1.0, [3, 3]), counts=[3, 4])
 
 
 def test_predictions_and_widths_follow_the_stack():
