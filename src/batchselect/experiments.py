@@ -295,12 +295,12 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     dataset = sample_dataset(ctx.instance, ctx.mu, n, derive_seed(seed, f"ac-data-{n}", trial))
 
     rows, reports = [], []
-    # each class's design, a view of the logged rows read by its greedy fit and by hold-out
-    designs = [design_matrix(mc, dataset.logged, dataset.actions) for mc in classes]
-    fits = []
-    for mc, phi in zip(classes, designs):
-        fit = ridge_fit(phi, dataset.rewards, config.lam)
-        fits.append(fit)
+    # the widest class's design, a view of the logged rows read by the greedy
+    # fits and by hold-out; the family is fit once and each class is its leading block
+    design = design_matrix(classes[-1], dataset.logged, dataset.actions)
+    family = ridge_fit(design, dataset.rewards, config.lam)
+    fits = [family.leading(mc.dim) for mc in classes]
+    for mc, fit in zip(classes, fits):
         regret = regret_estimate(means, GreedyPolicy(fit, mc), test_states)
         rows.append(ResultRow(n, f"class_{mc.dim}", trial, regret))
     slope_policy, slope_report = slope_policy_select(
@@ -310,7 +310,7 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     fit_on, score_on = row_split(
         dataset.rewards, s.holdout_split, derive_seed(seed, f"ac-holdout-{n}", trial)
     )
-    ho_policy, ho_report = holdout_select(designs, fit_on, score_on, classes, config.lam)
+    ho_policy, ho_report = holdout_select(design, fit_on, score_on, classes, config.lam)
     ho_report.audit["split_fraction"] = s.holdout_split  # row_split, not holdout_select, reads it
     rows.append(ResultRow(n, "holdout", trial, regret_estimate(means, ho_policy, test_states)))
     if audit:
@@ -426,7 +426,10 @@ def _run_cells(build_trial, cell_fn, config: ExperimentConfig, threads: int, aud
 
 
 def run_cc(config: ExperimentConfig, threads: int = 1, audit: bool = False):
-    return _run_cells(_cc_trial, _cc_cell, config, threads, audit)
+    """The cc study's cells, run one after another whatever `threads` is: at
+    their native dimension the classes make cells too small for a thread
+    pool, which only adds contention."""
+    return _run_cells(_cc_trial, _cc_cell, config, 1, audit)
 
 
 def run_ac(config: ExperimentConfig, threads: int = 1, audit: bool = False):

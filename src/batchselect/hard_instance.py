@@ -27,11 +27,12 @@ instance 2's, into arrays with one column per trial, and selects for all of
 them at once.  The selection rules take the stacked trials as they take one
 dataset (one column), so every trial gets the choice a per-dataset call
 would give it:
-- cc and SLOPE fit each class once, on a (2, T) reward matrix at the
-  pair's fixed counts, and form their widths once, since the widths read
-  only the covariance and n;
+- cc and SLOPE fit class 2 once, on a (2, T) reward matrix at the pair's
+  fixed counts, read class 1's fit off it as its leading block, and form
+  their widths once, since the widths read only the covariance and n;
 - hold-out's fit side has one covariance per arm-0 count, so its trials
-  are fit in groups of equal counts, at most n2 + 1 of them.
+  are fit in groups of equal counts, at most n2 + 1 of them, class 2 once
+  per group and class 1 as its leading block.
 """
 from __future__ import annotations
 
@@ -184,8 +185,10 @@ def _draw_split(pair: HardInstancePair, rng_seed: int, trials: int) -> tuple[Cel
 
 # Each selector maps a call's stacked draws to every trial's action, shape (2 trials,).
 def _fits(means: np.ndarray, pair: HardInstancePair, lam: float):
-    """Each class fit on every trial at once, at the pair's counts."""
-    return [ridge_fit(table, means, lam, pair.counts) for table in pair.tables]
+    """Each class fit on every trial at once, at the pair's counts: class 2
+    fit, class 1 its leading block."""
+    family = ridge_fit(pair.tables[-1], means, lam, pair.counts)
+    return [family.leading(mc.dim) for mc in pair.classes]
 
 
 def _cc_select(means, pair, delta, lam, penalty_scale):
@@ -202,7 +205,8 @@ def _slope_select(means, pair, delta, lam, penalty_scale):
 
 def _holdout_select(split, pair, delta, lam, penalty_scale):
     """Hold-out on each trial's split; the trials of one fit-side arm-0 count
-    share a covariance, so each class is fit once per count."""
+    share a covariance, so class 2 is fit once per count and class 1 is its
+    leading block."""
     fit_on, score_on = split
     n_in, _ = holdout_split_sizes(pair.n, HOLDOUT_SPLIT)
     arm_0, group = np.unique(fit_on.counts[0], return_inverse=True)
@@ -210,9 +214,9 @@ def _holdout_select(split, pair, delta, lam, penalty_scale):
     values = np.empty((len(pair.classes), 2, group.size))
     for g, a in enumerate(arm_0):
         cols = group == g
-        for k, table in enumerate(pair.tables):
-            fit = ridge_fit(table, fit_on.means[:, cols], lam, [a, n_in - a])
-            values[k][:, cols] = fit.predictions(table)
+        family = ridge_fit(pair.tables[-1], fit_on.means[:, cols], lam, [a, n_in - a])
+        for k, (mc, table) in enumerate(zip(pair.classes, pair.tables)):
+            values[k][:, cols] = family.leading(mc.dim).predictions(table)
     chosen = holdout_choice(np.stack([score_on.mean_squared_error(v) for v in values]))
     trials = np.arange(group.size)
     return np.argmax(values[chosen, :, trials], axis=1)

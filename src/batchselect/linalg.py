@@ -5,8 +5,22 @@ computed once per matrix: V^{-1} x = L^{-T} (L^{-1} x) and ||x||_{V^{-1}} =
 ||L^{-1} x||, one or two matrix products each.  The explicit triangular
 inverse is sound because every fit's V >= (lambda/n) I bounds the condition
 number of L (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14).
+
+A nested family is fit once.  When class k's features are the first d_k
+coordinates of the widest class's, its V_k is the leading d_k x d_k block
+of the widest V, its Cholesky factor is the leading block of L and its
+L_k^{-1} the leading block of L^{-1}, since the inverse of a lower triangle
+is lower triangular.  So `RidgeFit.leading` reads class k's fit off the
+widest one, and `inv_quad_norms` takes every prefix's width from one pass:
+||phi_{:d_k}||^2_{V_k^{-1}} is the sum of the first d_k squares of
+L^{-1} phi.  The widest V's verdicts hold for every block: by Cauchy
+interlacing a leading block's eigenvalues lie in [lambda_min(V),
+lambda_max(V)], so a block clears any floor V clears, and its ratio
+lambda_min / lambda_max is at least V's, so it is singular only if V is.
 """
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -112,15 +126,32 @@ class CovarianceMatrix:
         inv_chol = self.inv_chol()
         return inv_chol.T @ (inv_chol @ np.asarray(rhs, dtype=float))
 
+    def leading(self, dim: int) -> CovarianceMatrix:
+        """The covariance V[:dim, :dim] of the first `dim` coordinates, as views
+        of this one's entries and of its L^{-1}, with its floor and singularity
+        verdicts (see the module docstring); V itself for dim = self.dim.  Its
+        eigen-bounds are its own, computed on first read.  Raises
+        SingularMatrixError when V is singular."""
+        if not 1 <= dim <= self.dim:
+            raise ValueError(f"need 1 <= dim <= {self.dim}, got {dim}")
+        if dim == self.dim:
+            return self
+        block = copy.copy(self)
+        block._inv_chol = self.inv_chol()[:dim, :dim]
+        block.entries, block.dim, block._eigs = self.entries[:dim, :dim], dim, None
+        return block
+
 
 class RidgeFit:
     """Ridge solution theta_hat together with its covariance V.
 
     theta_hat is a (d,) vector, or a (d, T) matrix of T stacked fits on one
-    design and V, one column per reward vector (see `ridge_fit`).
+    design and V, one column per reward vector (see `ridge_fit`).  A fit by
+    `ridge_fit` keeps its target (1/n) Phi^T (c * y), of theta_hat's shape,
+    from which `leading` solves the fits of its leading coordinates.
     """
 
-    def __init__(self, theta_hat, cov: CovarianceMatrix, n: int, lam: float):
+    def __init__(self, theta_hat, cov: CovarianceMatrix, n: int, lam: float, target=None):
         theta_hat = np.asarray(theta_hat, dtype=float)
         if theta_hat.ndim not in (1, 2) or theta_hat.shape[0] != cov.dim:
             raise ValueError("theta_hat must be a (d,) vector or (d, T) matrix with d = cov.dim")
@@ -129,7 +160,21 @@ class RidgeFit:
         self.n = int(n)
         self.lam = float(lam)
         self.dim = cov.dim
+        self.target = target
         self._scored = None  # (stack, predictions, widths) of the last stack scored
+
+    def leading(self, dim: int) -> RidgeFit:
+        """The fit of the first `dim` feature coordinates on the same rows: V's
+        leading block (`CovarianceMatrix.leading`) and theta_hat solved from the
+        target's first `dim` entries, with its own residual check.  This fit
+        itself for dim = self.dim; a fit that keeps no target raises ValueError."""
+        if dim == self.dim:
+            return self
+        if self.target is None:
+            raise ValueError("a fit without its target has no leading fits")
+        cov = self.cov.leading(dim)
+        target = self.target[:dim]
+        return RidgeFit(_solved(cov, target), cov, self.n, self.lam, target)
 
     def predictions(self, stack) -> np.ndarray:
         """<phi, theta_hat> for each row phi of a (..., d) stack, of shape
@@ -220,21 +265,45 @@ def ridge_fit(features: np.ndarray, rewards: np.ndarray, lam: float, counts=None
     gram = weighted @ features / n
     cov = CovarianceMatrix(gram + (lam / n) * np.eye(d), ridge_floor=lam / n)
     target = weighted @ rewards / n
+    return RidgeFit(_solved(cov, target), cov, n, lam, target)
+
+
+def _solved(cov: CovarianceMatrix, target: np.ndarray) -> np.ndarray:
+    """V^{-1} target, refused when a column's normal-equation residual is too large."""
     theta = cov.solve(target)
     residual = np.linalg.norm(cov.entries @ theta - target, axis=0)
     excess = residual > RESIDUAL_TOL * (1.0 + np.linalg.norm(theta, axis=0))
     if np.any(excess):
         raise ArithmeticError(f"normal-equation residual {np.max(residual):.3e} too large")
-    return RidgeFit(theta, cov, n, lam)
+    return theta
 
 
-def inv_quad_norms(cov: CovarianceMatrix, rows: np.ndarray) -> np.ndarray:
-    """Row-wise Mahalanobis norms for a stack of vectors of shape (m, d)."""
+def inv_quad_norms(cov: CovarianceMatrix, rows: np.ndarray, dims=None) -> np.ndarray:
+    """Row-wise Mahalanobis norms |phi|_{V^{-1}} of a stack of vectors of
+    shape (m, d), shape (m,).
+
+    With `dims`, ascending prefix lengths d_1 < ... < d_K <= d, the norms
+    |phi_{:d_k}|_{V_k^{-1}} of each row's first d_k coordinates under V's
+    leading block V_k, shape (K, m), in one block-wise pass: block k
+    multiplies the rows' first d_k columns by L^{-1}[d_{k-1}:d_k, :d_k] and
+    adds the squares to a running sum (see the module docstring).  Without
+    `dims` this is the one block d_1 = d.
+    """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != cov.dim:
         raise ValueError("rows must have shape (m, dim)")
-    whitened = rows @ cov.inv_chol().T
-    return np.sqrt(np.einsum("md,md->m", whitened, whitened))
+    ends = [cov.dim] if dims is None else [int(d) for d in dims]
+    if not ends or ends[0] < 1 or ends[-1] > cov.dim or np.any(np.diff(ends) <= 0):
+        raise ValueError(f"need ascending prefix lengths in [1, {cov.dim}], got {dims}")
+    inv_chol = cov.inv_chol()
+    norms = np.empty((len(ends), len(rows)))
+    squares, start = 0.0, 0
+    for k, end in enumerate(ends):
+        whitened = rows[:, :end] @ inv_chol[start:end, :end].T
+        squares = squares + np.einsum("md,md->m", whitened, whitened)
+        norms[k] = np.sqrt(squares)
+        start = end
+    return norms[0] if dims is None else norms
 
 
 def inv_sqrt_spectral_norm(cov: CovarianceMatrix) -> float:

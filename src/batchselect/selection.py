@@ -10,7 +10,7 @@ import numpy as np
 from .env import Cells, StateBatch, rng_stream
 from .features import ModelClass, check_nested, features_all_actions
 from .learner import GreedyPolicy, PessimisticPolicy, Policy, check_width_arguments
-from .linalg import CovarianceMatrix, RidgeFit, inv_sqrt_spectral_norm, ridge_fit
+from .linalg import CovarianceMatrix, RidgeFit, inv_quad_norms, inv_sqrt_spectral_norm, ridge_fit
 
 # Hold-out losses this close to the minimum, relative to it, count as tied.
 # Classes that fit the same values (nested classes on data that cannot tell
@@ -114,7 +114,12 @@ def slope_choice(
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """SLOPE over the greedy policies of one ridge fit per nested class.
 
-    Returns the index of the chosen policy, each class's greedy actions on
+    The widest class's features on `validation_states` are built once, and
+    class k reads their first d_k coordinates.  Every class's norms
+    |phi_k|_{V_k^{-1}} come from the widest fit's covariance in one
+    block-wise pass (`inv_quad_norms` with the family's dims), since the fits
+    share one dataset and V_k is the widest V's leading block.  Returns the
+    index of the chosen policy, each class's greedy actions on
     `validation_states`, shape (M, m), and the audit.  Fits of T stacked
     trials (theta_hat of shape (d, T)) share their widths, which read only V
     and n, and enter SLOPE's value matrix as T further columns, so the
@@ -132,14 +137,17 @@ def slope_choice(
     n_states = len(validation_states)
     weights = np.full(n_states, 1.0 / n_states)
 
+    dims = [mc.dim for mc in classes]
+    stack = features_all_actions(classes[-1], validation_states)  # (m, |A|, d_M)
+    norms = inv_quad_norms(fits[-1].cov, stack.reshape(-1, dims[-1]), dims)
+    norms = norms.reshape((m_classes,) + stack.shape[:-1])
     widths = np.empty(m_classes)
     preds = []
-    for k, (fit, mc) in enumerate(zip(fits, classes)):
-        # the stack and predictions GreedyPolicy(fit, mc) reads, so these are its actions
-        plain, norms = fit.predictions_and_widths(features_all_actions(mc, validation_states))
-        zeta = zeta_coefficient(fit.n, mc.dim, fit.lam, delta / m_classes, fit.cov)
-        widths[k] = penalty_scale * zeta * float(weights @ norms.max(axis=1))
-        preds.append(plain)
+    for k, (fit, d) in enumerate(zip(fits, dims)):
+        # the values GreedyPolicy(fit, classes[k]) reads, so these are its actions
+        preds.append(fit.predictions(stack[..., :d]))
+        zeta = zeta_coefficient(fit.n, d, fit.lam, delta / m_classes, fit.cov)
+        widths[k] = penalty_scale * zeta * float(weights @ norms[k].max(axis=1))
     preds = np.stack(preds)  # (M, m, |A|[, T])
     actions = np.argmax(preds, axis=2)  # (M, m[, T]): each class's greedy actions
     # values[k, l] = vhat_k(pi_l), class k's mean prediction at class l's actions
@@ -149,7 +157,7 @@ def slope_choice(
     audit = {
         "delta": delta,
         "penalty_scale": penalty_scale,
-        "dims": [mc.dim for mc in classes],
+        "dims": dims,
         "values": values,
         "widths": widths,
         "khat_per_policy": khat,
@@ -207,37 +215,38 @@ def holdout_choice(losses: np.ndarray) -> np.ndarray:
 
 
 def holdout_select(
-    designs: list[np.ndarray],
+    design: np.ndarray,
     fit_on: Cells,
     score_on: Cells,
     classes: list[ModelClass],
     lam: float,
 ) -> tuple[Policy, SelectionReport]:
-    """Fit each class on `fit_on`'s cells, select by out-of-sample squared loss.
+    """Fit a nested family on `fit_on`'s cells, select by out-of-sample squared loss.
 
-    `designs[k]` is class k's design, shape (m, d_k), the same m for every
-    class, and each side holds one cell per design row.  Each class is
-    ridge-fit on its whole design weighted by `fit_on`'s counts and scored by
-    its mean squared error over `score_on`'s cells.  Returns the greedy
-    policy of the class minimizing that loss; losses within a relative
-    HOLDOUT_TIE_RTOL of the minimum tie, and ties break to the lowest class
-    index.
+    `design` is the widest class's design, shape (m, d_M), and class k's is
+    its first d_k columns; each side holds one cell per design row.  The
+    widest class is ridge-fit once on the whole design weighted by `fit_on`'s
+    counts, class k's fit is its leading block (`RidgeFit.leading`), and each
+    class is scored by its mean squared error over `score_on`'s cells.
+    Returns the greedy policy of the class minimizing that loss; losses
+    within a relative HOLDOUT_TIE_RTOL of the minimum tie, and ties break to
+    the lowest class index.
     """
-    shapes = [np.shape(phi) for phi in designs]
     m = len(fit_on.means)
-    if shapes != [(m, mc.dim) for mc in classes] or len(score_on.means) != m:
-        dims = [mc.dim for mc in classes]
+    dims = [mc.dim for mc in classes]
+    if not check_nested(classes):
+        raise ValueError("hold-out fits a nested collection of model classes")
+    if np.shape(design) != (m, dims[-1]) or len(score_on.means) != m:
         raise ValueError(
-            f"need one (m, d_k) design per class of dims {dims} and m cells on each side, "
-            f"got designs {shapes} and {m} + {len(score_on.means)} cells"
+            f"need the widest class's (m, {dims[-1]}) design and m cells on each side, "
+            f"got design {np.shape(design)} and {m} + {len(score_on.means)} cells"
         )
-
-    losses = np.empty(len(classes))
-    fits = []
-    for k, phi in enumerate(designs):
-        fit = ridge_fit(phi, fit_on.means, lam, counts=fit_on.counts)
-        fits.append(fit)
-        losses[k] = score_on.mean_squared_error(fit.predictions(phi))
+    design = np.asarray(design, dtype=float)
+    family = ridge_fit(design, fit_on.means, lam, counts=fit_on.counts)
+    fits = [family.leading(d) for d in dims]
+    losses = np.array(
+        [score_on.mean_squared_error(fit.predictions(design[:, : fit.dim])) for fit in fits]
+    )
     chosen = int(holdout_choice(losses))
     report = SelectionReport(
         "HoldOut",
@@ -246,7 +255,7 @@ def holdout_select(
             "losses": losses,
             "n_in": fit_on.n,
             "n_out": score_on.n,
-            "dims": [mc.dim for mc in classes],
+            "dims": dims,
         },
     )
     return GreedyPolicy(fits[chosen], classes[chosen]), report

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import batchselect.experiments as experiments
 import batchselect.features as features_module
@@ -38,6 +39,7 @@ from batchselect.experiments import (
     run_cc,
     run_lower_bound,
 )
+from per_class import per_class_ac_cell
 from test_env import all_action_dataset
 
 
@@ -353,17 +355,76 @@ SMALL_AC = {
 
 
 def test_shared_trial_context_under_thread_stress():
-    # n-cells of one trial share its instance, family and test states across
-    # pool threads; a short switch interval interleaves them as often as it can.
-    config = parse_config({**SMALL_CC, "n_grid": [40, 50, 60, 70, 80, 90]})
-    expected = results_to_csv(run_cc(config, threads=1)[0])
+    # n-cells of one trial share its instance, family and test and validation
+    # states across pool threads; a short switch interval interleaves them as
+    # often as it can.
+    config = parse_config({**SMALL_AC, "n_grid": [40, 50, 60, 70, 80, 90]})
+    expected = results_to_csv(run_ac(config, threads=1)[0])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = results_to_csv(run_cc(config, threads=6)[0])
+        got = results_to_csv(run_ac(config, threads=6)[0])
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ambient=st.integers(2, 12),
+    data=st.data(),
+    n=st.integers(20, 200),
+    lam=st.sampled_from([0.1, 1.0, 3.0]),
+    penalty_scale=st.sampled_from([1e-4, 1e-2, 0.1]),
+)
+def test_ac_family_fit_reorders_the_per_class_loop(seed, ambient, data, n, lam, penalty_scale):
+    # one fit per nested family, its classes read as leading blocks, writes
+    # the per-class loop's rows and makes its SLOPE and hold-out choices; the
+    # audit's values, widths and losses agree to rounding
+    dims = data.draw(st.lists(st.integers(1, ambient), min_size=1, max_size=4, unique=True))
+    config = parse_config(
+        {
+            "experiment": "ac",
+            "trials": 1,
+            "seed": seed,
+            "n_grid": [n],
+            "n_test": 30,
+            "n_validation": 25,
+            "lambda": lam,
+            "penalty_scale": penalty_scale,
+            "ac": {"ambient_dim": ambient, "true_dim": data.draw(st.integers(1, ambient)),
+                   "action_count": 3, "dims": sorted(dims)},
+        }
+    )
+    rows, reports = run_ac(config, audit=True)
+    want_rows, want_reports = experiments._run_cells(
+        experiments._ac_trial, per_class_ac_cell, config, 1, True
+    )
+    assert rows == want_rows
+    for got, want in zip(reports, want_reports, strict=True):
+        assert [got[key] for key in ("n", "trial", "method")] == [
+            want[key] for key in ("n", "trial", "method")
+        ]
+        assert got["report"]["chosen"] == want["report"]["chosen"]
+        for key, value in want["report"]["audit"].items():
+            value = np.asarray(value)
+            atol = 1e-12 * max(np.abs(value).max(), 1.0)
+            np.testing.assert_allclose(got["report"]["audit"][key], value, rtol=1e-9, atol=atol)
+
+
+def test_cc_cells_run_on_the_calling_thread(monkeypatch):
+    # a cc cell is too small for a pool, so cc runs serially whatever `threads` is
+    threads = []
+    cell = experiments._cc_cell
+
+    def recording_cell(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return cell(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_cc_cell", recording_cell)
+    run_cc(parse_config(SMALL_CC), threads=2)
+    assert threads == [threading.get_ident()] * (2 * len(SMALL_CC["n_grid"]))
 
 
 def _loaded_openblas():
@@ -492,9 +553,10 @@ class TestDuplicateWork:
         run_ac(config, threads=2)
         assert len(instances) == 2
 
-    def test_ac_builds_each_design_once_per_cell(self, monkeypatch):
-        # every class's design is a view of the cell's logged rows, and the
-        # greedy fits and hold-out read the same arrays
+    def test_ac_fits_each_family_once_per_cell(self, monkeypatch):
+        # the widest class's design is a view of the cell's logged rows, which
+        # the greedy fits and hold-out read; each fits the family once, and
+        # every narrower class is a leading block of that fit
         config = parse_config(
             {
                 "experiment": "ac",
@@ -506,16 +568,18 @@ class TestDuplicateWork:
             }
         )
         datasets = _record_calls(monkeypatch, experiments, "sample_dataset")
-        fits = _record_calls(monkeypatch, experiments, "ridge_fit")
+        designs = _record_calls(monkeypatch, experiments, "design_matrix")
+        fits = _record_at_every_alias(monkeypatch, linalg_module, "ridge_fit")
         holdouts = _record_calls(monkeypatch, experiments, "holdout_select")
         run_ac(config)
-        assert len(datasets) == 2 * 2 and len(holdouts) == 2 * 2
-        greedy = [args[0] for args, _ in fits]
+        cells = 2 * 2
+        assert len(datasets) == len(designs) == len(holdouts) == cells
+        assert len(fits) == 2 * cells
         for i, (_, data) in enumerate(datasets):
-            designs = holdouts[i][0][0]
-            assert len(designs) == 3
-            assert all(np.shares_memory(phi, data.logged) for phi in designs)
-            assert all(a is b for a, b in zip(designs, greedy[3 * i : 3 * i + 3], strict=True))
+            design = designs[i][1]
+            assert design.shape == (data.n, 8) and np.shares_memory(design, data.logged)
+            assert holdouts[i][0][0] is design
+            assert all(args[0] is design for args, _ in fits[2 * i : 2 * i + 2])
 
     @pytest.mark.parametrize("study", ["cc", "ac"])
     def test_true_means_computed_once_per_trial(self, monkeypatch, study):
@@ -526,9 +590,9 @@ class TestDuplicateWork:
         (run_ac if study == "ac" else run_cc)(config, threads=2)
         assert len(calls) == config.trials
 
-    def test_slope_builds_each_class_features_once(self, monkeypatch):
-        # one prediction table per class serves the candidates' greedy actions
-        # and every class's value estimates
+    def test_slope_builds_the_family_features_once(self, monkeypatch):
+        # the widest class's features serve every class as prefix views, for
+        # the candidates' greedy actions, every value estimate and the widths
         inst = make_gaussian_instance(8, 3, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 100, 0)
         classes = truncation_family(8, [2, 4, 8])
@@ -537,7 +601,8 @@ class TestDuplicateWork:
         in_selection = _record_calls(monkeypatch, selection_module, "features_all_actions")
         in_policies = _record_calls(monkeypatch, learner_module, "features_all_actions")
         selection_module.slope_policy_select(fits, classes, sample_states(inst, 20, 1), 0.05)
-        assert len(in_selection) + len(in_policies) == len(classes)
+        assert len(in_selection) + len(in_policies) == 1
+        assert in_selection[0][0][0] is classes[-1]
 
     def test_selector_learner_equals_fresh_fit_at_delta_over_m(self, monkeypatch):
         config = parse_config({**SMALL_CC, "trials": 1, "n_grid": [50]})

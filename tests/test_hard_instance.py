@@ -251,7 +251,7 @@ def _row_slope(designs, rewards, split_seed, classes, delta, lam, penalty_scale)
 
 def _row_holdout(designs, rewards, split_seed, classes, delta, lam, penalty_scale):
     fit_on, score_on = row_split(rewards, HOLDOUT_SPLIT, split_seed)
-    return holdout_select(designs, fit_on, score_on, classes, lam)[0]
+    return holdout_select(designs[-1], fit_on, score_on, classes, lam)[0]
 
 
 ROW_SELECT = {"cc": _row_cc, "slope": _row_slope, "holdout": _row_holdout}
@@ -341,7 +341,7 @@ def _cell_slope(means, pair, delta, lam, penalty_scale):
 
 def _cell_holdout(split, pair, delta, lam, penalty_scale):
     fit_on, score_on = split
-    return holdout_select(list(pair.tables), fit_on, score_on, list(pair.classes), lam)[0]
+    return holdout_select(pair.tables[-1], fit_on, score_on, list(pair.classes), lam)[0]
 
 
 CELL_SELECT = {"cc": _cell_cc, "slope": _cell_slope, "holdout": _cell_holdout}
@@ -446,13 +446,14 @@ def _count_builds(monkeypatch):
 
 
 # CovarianceMatrix builds per call of 5 trials on each of 2 instances with 2
-# classes: cc and SLOPE build each class's once and fit every trial on it;
-# hold-out builds each class's once per distinct fit-side count of its trials
+# nested classes: cc and SLOPE build class 2's once and fit every trial on it,
+# class 1's being its leading block; hold-out builds class 2's once per
+# distinct fit-side count of its trials
 @pytest.mark.parametrize("algorithm", ["cc", "slope", "holdout"])
-def test_fixed_design_cell_builds_each_class_once(monkeypatch, algorithm):
+def test_fixed_design_cell_builds_each_family_once(monkeypatch, algorithm):
     fit_on, _ = hard_instance._draw_split(build_hard_pair(64, 16), 0, 5)
     splits = np.unique(fit_on.counts[0]).size
-    builds = {"cc": 2, "slope": 2, "holdout": 2 * splits}
+    builds = {"cc": 1, "slope": 1, "holdout": splits}
     counts = _count_builds(monkeypatch)
     ratio_experiment(algorithm, 64, 16, trials=5, rng_seed=0)
     assert counts == {"cov": builds[algorithm], "design": 0}
@@ -461,8 +462,8 @@ def test_fixed_design_cell_builds_each_class_once(monkeypatch, algorithm):
 
 @pytest.mark.parametrize("algorithm", ["cc", "slope", "holdout"])
 def test_ridge_fits_do_not_grow_with_trials(monkeypatch, algorithm):
-    # cc and SLOPE fit each class once per call; hold-out once per class and
-    # fit-side count, and the arm-1 count takes at most n2 + 1 values
+    # cc and SLOPE fit the family once per call; hold-out once per fit-side
+    # count, and the arm-1 count takes at most n2 + 1 values
     calls = []
 
     def counting_fit(*args, **kwargs):
@@ -473,7 +474,7 @@ def test_ridge_fits_do_not_grow_with_trials(monkeypatch, algorithm):
     for trials in (1, 50):
         calls.clear()
         ratio_experiment(algorithm, 64, 4, trials=trials, rng_seed=0)
-        assert len(calls) == 2 if algorithm != "holdout" else 2 <= len(calls) <= 2 * (4 + 1)
+        assert len(calls) == 1 if algorithm != "holdout" else 1 <= len(calls) <= 4 + 1
 
 
 def batch_thetas(algorithm, draws, pair, lam):

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from batchselect.linalg import (
     CovarianceMatrix,
+    RidgeFit,
     SingularMatrixError,
     inv_quad_norms,
     inv_sqrt_spectral_norm,
@@ -448,3 +449,114 @@ def test_predictions_refuse_a_stack_of_another_width(shape):
         fit.predictions(np.ones(shape))
     with pytest.raises(ValueError, match=r"\(\.\.\., 5\) stack"):
         fit.predictions_and_widths(np.ones(shape))
+
+
+def _todays_widths(cov, rows):
+    """inv_quad_norms as it was before it took prefix dims: one whitening product."""
+    whitened = rows @ cov.inv_chol().T
+    return np.sqrt(np.einsum("md,md->m", whitened, whitened))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 120),
+    m=st.integers(1, 50),
+    strided=st.booleans(),
+)
+def test_one_prefix_widths_keep_their_bits(seed, d, m, strided):
+    # cc's widths: the one-block pass is today's product, bit for bit
+    rng = np.random.default_rng(seed)
+    cov = CovarianceMatrix(_gram_plus_ridge(rng, 2 * d, d, 1.0), ridge_floor=0.5 / d)
+    rows = rng.standard_normal((m, d + 3))[:, 1 : d + 1] if strided else rng.standard_normal((m, d))
+    want = _todays_widths(cov, rows).tobytes()
+    assert inv_quad_norms(cov, rows).tobytes() == want
+    assert inv_quad_norms(cov, rows, [d])[0].tobytes() == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    dims=st.lists(st.integers(1, 40), min_size=1, max_size=5, unique=True).map(sorted),
+    lam=st.sampled_from([0.0]) | st.floats(0.01, 10.0),
+    cells=st.booleans(),
+    trials=st.sampled_from([None, 1, 3]),
+)
+@example(seed=0, n=1, dims=[1, 40], lam=0.01, cells=False, trials=3)  # rank-one Gram
+def test_leading_fits_equal_prefix_fits(seed, n, dims, lam, cells, trials):
+    # every leading view of a family's fit is the standalone fit of the
+    # prefix design, up to rounding: both solves are backward stable, so
+    # they differ by a few ulps per coordinate times the condition number
+    rng = np.random.default_rng(seed)
+    width = dims[-1]
+    if lam == 0.0:  # a regular widest V; the singular one is refused (test below)
+        n = max(n, width + 5)
+    phi = rng.standard_normal((n, width)) * rng.uniform(0.2, 2.0, size=width)
+    counts = rng.integers(1 if lam == 0.0 else 0, 5, size=n) if cells else None
+    if cells:
+        counts[0] = max(counts[0], 1)
+    rewards = rng.standard_normal(n if trials is None else (n, trials))
+    family = ridge_fit(phi, rewards, lam, counts)
+    rounding = 4 * width * np.finfo(float).eps * max(np.linalg.cond(family.cov.entries), 100.0)
+    rows = rng.standard_normal((7, width))
+    widths = inv_quad_norms(family.cov, rows, dims)
+    assert widths.shape == (len(dims), 7)
+    assert np.all(np.diff(widths, axis=0) >= 0)  # running sums of squares
+    for k, d in enumerate(dims):
+        view = family.leading(d)
+        own = ridge_fit(phi[:, :d], rewards, lam, counts)
+        assert (view.dim, view.n, view.lam, view.theta_hat.shape) == (
+            own.dim, own.n, own.lam, own.theta_hat.shape
+        )
+        assert view.cov.ridge_floor == own.cov.ridge_floor
+        scale = np.abs(own.cov.entries).max()
+        np.testing.assert_allclose(view.cov.entries, own.cov.entries, rtol=0, atol=1e-14 * scale)
+        theta_scale = np.abs(own.theta_hat).max()
+        np.testing.assert_allclose(
+            view.theta_hat, own.theta_hat, rtol=rounding, atol=rounding * theta_scale
+        )
+        own_widths = inv_quad_norms(own.cov, rows[:, :d])
+        np.testing.assert_allclose(widths[k], own_widths, rtol=rounding)
+        np.testing.assert_allclose(inv_quad_norms(view.cov, rows[:, :d]), own_widths, rtol=rounding)
+        # the view's verdicts are the widest V's, and interlacing makes them its own
+        verdict = _eager_verdict(view.cov.entries, view.cov.ridge_floor)
+        assert verdict == _eager_verdict(own.cov.entries, own.cov.ridge_floor) == "accepted"
+        assert view.cov.min_eig >= family.cov.min_eig * (1 - 1e-12)
+        assert view.cov.max_eig <= family.cov.max_eig * (1 + 1e-12)
+
+
+def test_singular_family_is_refused():
+    # lambda = 0 with fewer rows than the widest class: V is singular, so
+    # neither the family nor any leading block is fit, although the blocks
+    # of order d <= n are regular
+    rng = np.random.default_rng(6)
+    phi, y = rng.standard_normal((5, 8)), rng.standard_normal(5)
+    with pytest.raises(SingularMatrixError):
+        ridge_fit(phi, y, 0.0)
+    cov = CovarianceMatrix(phi.T @ phi / 5)
+    for d in (1, 3, 5, 7):
+        with pytest.raises(SingularMatrixError):
+            cov.leading(d)
+    from batchselect.features import truncation_family
+    from batchselect.selection import holdout_select, row_split
+
+    with pytest.raises(SingularMatrixError):
+        holdout_select(phi, *row_split(y, 0.8, 0), truncation_family(8, [2, 8]), 0.0)
+
+
+def test_leading_arguments():
+    rng = np.random.default_rng(8)
+    fit = ridge_fit(rng.standard_normal((20, 4)), rng.standard_normal(20), 1.0)
+    assert fit.leading(4) is fit and fit.cov.leading(4) is fit.cov
+    for dim in (0, 5):
+        with pytest.raises(ValueError, match="dim"):
+            fit.cov.leading(dim)
+    bare = RidgeFit(fit.theta_hat, fit.cov, fit.n, fit.lam)
+    assert bare.leading(4) is bare
+    with pytest.raises(ValueError, match="target"):
+        bare.leading(2)
+    rows = rng.standard_normal((3, 4))
+    for dims in ([], [0, 2], [2, 5], [3, 2], [2, 2]):
+        with pytest.raises(ValueError, match="prefix"):
+            inv_quad_norms(fit.cov, rows, dims)

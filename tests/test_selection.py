@@ -369,14 +369,16 @@ class TestSlopePolicySelect:
         fits, classes = _fit_truncation(inst, data, [2, 5, 8])
         states = sample_states(inst, 120, 5)
         tables = {}  # each fit's prediction table on the validation states, as SLOPE read it
-        scored = RidgeFit.predictions_and_widths
+        predict = RidgeFit.predictions
 
         def recording(fit, stack):
-            tables[id(fit)] = scored(fit, stack)[0]
-            return scored(fit, stack)
+            tables[id(fit)] = predict(fit, stack)
+            return tables[id(fit)]
 
-        monkeypatch.setattr(RidgeFit, "predictions_and_widths", recording)
+        monkeypatch.setattr(RidgeFit, "predictions", recording)
         _, report = slope_policy_select(fits, classes, states, 0.05)
+        monkeypatch.undo()
+        assert len(tables) == len(fits)
         rows = np.arange(len(states))
         for l, (fit_l, mc_l) in enumerate(zip(fits, classes)):
             greedy = GreedyPolicy(fit_l, mc_l)
@@ -425,10 +427,11 @@ class TestSlopePolicySelect:
 
 
 def _holdout(data, classes, split_fraction, lam, seed):
-    """holdout_select on each class's design over the dataset's rows, split as ac splits them."""
-    designs = [design_matrix(mc, data.logged, data.actions) for mc in classes]
+    """holdout_select on the widest class's design over the dataset's rows,
+    split as ac splits them."""
+    design = design_matrix(classes[-1], data.logged, data.actions)
     fit_on, score_on = row_split(data.rewards, split_fraction, seed)
-    return holdout_select(designs, fit_on, score_on, classes, lam)
+    return holdout_select(design, fit_on, score_on, classes, lam)
 
 
 class TestHoldoutSelect:
@@ -473,25 +476,17 @@ class TestHoldoutSelect:
         assert report.chosen == int(np.argmin(report.audit["losses"]))
 
     def test_rounding_does_not_break_ties(self):
-        # Hard pair, n1 = 16, n2 = 3: when no arm-1 row is held out, both
-        # classes predict every held-out row by the same arm-0 ridge mean,
-        # so their losses agree up to rounding and class 0 must be chosen.
-        from batchselect.env import rng_stream
-        from batchselect.hard_instance import build_hard_pair
+        # Class 1 adds a coordinate of noise at 1e-8 scale, which moves its
+        # predictions in their last bits only: its loss rounds below class
+        # 0's, within HOLDOUT_TIE_RTOL, and class 0 must be chosen.
         from batchselect.selection import HOLDOUT_TIE_RTOL
 
-        pair = build_hard_pair(16, 3)
-        actions = np.repeat([0, 1], [16, 3])
-        means = pair.instances[0].model.means[0][actions]
-        noise = np.random.default_rng(1).standard_normal(pair.n)
-        perm = rng_stream(0, "holdout-split").permutation(pair.n)
-        assert not actions[perm[math.ceil(0.8 * pair.n):]].any()
-        designs = [table[actions] for table in pair.tables]
-        fit_on, score_on = row_split(means + noise, 0.8, 0)
-        _, report = holdout_select(designs, fit_on, score_on, list(pair.classes), 1.0)
+        rng = np.random.default_rng(1)
+        fit_on, score_on = row_split(rng.standard_normal(40) + 0.3, 0.8, 0)
+        design = np.column_stack([rng.standard_normal((40, 2)), 1e-8 * rng.standard_normal(40)])
+        _, report = holdout_select(design, fit_on, score_on, truncation_family(3, [2, 3]), 1.0)
         losses = report.audit["losses"]
-        assert losses[1] != losses[0]
-        assert abs(losses[1] - losses[0]) <= HOLDOUT_TIE_RTOL * losses.min()
+        assert 0 < losses[0] - losses[1] <= HOLDOUT_TIE_RTOL * losses.min()
         assert report.chosen == 0
 
     def test_split_validation(self):
@@ -504,33 +499,35 @@ class TestHoldoutSelect:
     @pytest.mark.parametrize(
         "mangle",
         [
-            lambda designs: designs[:1],
-            lambda designs: designs + designs[:1],
-            lambda designs: [designs[0], np.vstack([designs[1], designs[1][:1]])],
-            lambda designs: [designs[0], designs[1][:-1]],
-            lambda designs: [designs[0], designs[1][:, :-1]],
-            lambda designs: [np.vstack([phi, phi[:1]]) for phi in designs],
-            lambda designs: [phi[:-1] for phi in designs],
+            lambda phi: [phi],
+            lambda phi: np.vstack([phi, phi[:1]]),
+            lambda phi: phi[:-1],
+            lambda phi: phi[:, :-1],
+            lambda phi: np.hstack([phi, phi[:, :1]]),
+            lambda phi: phi[:, 0],
         ],
-        ids=[
-            "fewer_designs",
-            "more_designs",
-            "extra_row",
-            "missing_row",
-            "narrow_design",
-            "extra_row_all",
-            "missing_row_all",
-        ],
+        ids=["design_list", "extra_row", "missing_row", "narrow_design", "wide_design",
+             "vector"],
     )
     def test_mismatched_designs_rejected(self, mangle):
-        # an extra row would otherwise be cut off silently, an extra design
-        # dropped, and a missing one leave a class unscored
+        # an extra row would otherwise be cut off silently, an extra column
+        # fit as part of the widest class, and a missing one leave it short
         inst = make_gaussian_instance(4, 2, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 20, 0)
         classes = truncation_family(4, [2, 4])
-        designs = [design_matrix(mc, data.logged, data.actions) for mc in classes]
+        design = design_matrix(classes[-1], data.logged, data.actions)
         with pytest.raises(ValueError, match="design"):
-            holdout_select(mangle(designs), *row_split(data.rewards, 0.8, 0), classes, 1.0)
+            holdout_select(mangle(design), *row_split(data.rewards, 0.8, 0), classes, 1.0)
+
+    def test_non_nested_rejected(self):
+        # class k is fit as the leading block of the widest class's fit
+        design = np.random.default_rng(0).standard_normal((20, 4))
+        fit_on, score_on = row_split(np.zeros(20), 0.8, 0)
+        wide_first = truncation_family(4, [2, 4])[::-1]
+        two_ambients = truncation_family(5, [2]) + truncation_family(4, [4])
+        for classes in (wide_first, two_ambients):
+            with pytest.raises(ValueError, match="nested"):
+                holdout_select(design, fit_on, score_on, classes, 1.0)
 
     def test_out_sample_loss_permutation_invariant(self):
         # the loss is a mean over D_out; row order inside D_out cannot matter
@@ -595,7 +592,7 @@ class TestCells:
             fit_on = Cells(np.arange(fit_cells, dtype=float), counts=np.ones(fit_cells))
             score_on = Cells(np.arange(score_cells, dtype=float), counts=np.ones(score_cells))
             with pytest.raises(ValueError, match="cells on each side"):
-                holdout_select([np.eye(3)], fit_on, score_on, classes, 1.0)
+                holdout_select(np.eye(3), fit_on, score_on, classes, 1.0)
 
 
 def row_subset_holdout_losses(designs, rewards, split_fraction, rng_seed, lam):
@@ -633,7 +630,7 @@ def test_counted_holdout_reorders_the_row_subset_arithmetic(seed, n, dims, split
     designs = [ambient[:, :d] for d in dims]
     classes = truncation_family(dims[-1], dims)
     want = row_subset_holdout_losses(designs, rewards, split_fraction, seed, lam)
-    _, report = holdout_select(designs, *row_split(rewards, split_fraction, seed), classes, lam)
+    _, report = holdout_select(ambient, *row_split(rewards, split_fraction, seed), classes, lam)
     got = report.audit["losses"]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     lowest = np.sort(want)[:2]
