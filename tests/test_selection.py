@@ -595,17 +595,20 @@ class TestCells:
                 holdout_select(np.eye(3), fit_on, score_on, classes, 1.0)
 
 
-def row_subset_holdout_losses(designs, rewards, split_fraction, rng_seed, lam):
+def row_subset_holdout_losses(design, dims, rewards, split_fraction, rng_seed, lam):
     """Hold-out's losses as it computed them on logged rows before it took
-    counted cells: each class fit on the split's fit rows, gathered by
-    np.take, and scored by its mean squared residual on the held-out rows."""
+    counted cells: the family fit on the split's fit rows, gathered by
+    np.take, each class read as its leading block and scored by its mean
+    squared residual on the held-out rows."""
     n_in, _ = holdout_split_sizes(len(rewards), split_fraction)
     perm = rng_stream(rng_seed, "holdout-split").permutation(len(rewards))
     rows_in, rows_out = perm[:n_in], perm[n_in:]
+    family = ridge_fit(np.take(design, rows_in, axis=0), np.take(rewards, rows_in), lam)
     losses = []
-    for phi in designs:
-        fit = ridge_fit(np.take(phi, rows_in, axis=0), np.take(rewards, rows_in), lam)
-        residual = np.take(phi, rows_out, axis=0) @ fit.theta_hat - np.take(rewards, rows_out)
+    for d in dims:
+        fit = family.leading(d)
+        phi_out = np.take(design[:, :d], rows_out, axis=0)
+        residual = phi_out @ fit.theta_hat - np.take(rewards, rows_out)
         losses.append(np.mean(residual**2))
     return np.array(losses)
 
@@ -627,9 +630,8 @@ def test_counted_holdout_reorders_the_row_subset_arithmetic(seed, n, dims, split
     rng = np.random.default_rng(seed)
     ambient = rng.standard_normal((n, dims[-1]))
     rewards = ambient @ rng.standard_normal(dims[-1]) + rng.standard_normal(n)
-    designs = [ambient[:, :d] for d in dims]
     classes = truncation_family(dims[-1], dims)
-    want = row_subset_holdout_losses(designs, rewards, split_fraction, seed, lam)
+    want = row_subset_holdout_losses(ambient, dims, rewards, split_fraction, seed, lam)
     _, report = holdout_select(ambient, *row_split(rewards, split_fraction, seed), classes, lam)
     got = report.audit["losses"]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
