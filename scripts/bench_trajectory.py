@@ -8,15 +8,17 @@ DIR is a checkout of one commit (for example `git archive SHA | tar -x -C DIR`).
 `run` alternates the two checkouts, which side goes first flipping every pair:
 `perfbench/run.py --trace 0` on every workload, pair i with seed SEED + i on
 both sides, each run as long as BENCHMARK.json's `run_seconds`; then one
-`--trace 1` run per workload and side, the in-process
-`run_cc`/`run_ac`/`run_lower_bound` times at threads 1 and 2, and the tier-1
+`--trace 1` run per workload and side, the in-process times of `run_cc`
+and `run_lower_bound` (which run their cells serially whatever `threads` is,
+so they are timed once) and of `run_ac` at threads 1 and 2, and the tier-1
 suite.  Each result is appended to the log as one JSON line, so an
 interrupted run loses nothing.  `summarize` reshapes the log into one file
 per side: per-workload medians and quartiles with the pair count, the
 change's wins over the parent, the results.csv sha256s by seed, the traced
 run's verdict, exit code and layer shares, the tier-1 wall time with its four
-slowest tests, and the thread timings.  It exits 1, after writing both files,
-when any perfbench run was not correct, naming its workload, side and seed.
+slowest tests, and the in-process timings with `run_ac`'s two-thread
+speedup.  It exits 1, after writing both files, when any perfbench run was
+not correct, naming its workload, side and seed.
 """
 from __future__ import annotations
 
@@ -38,20 +40,20 @@ INPROCESS_REPEATS = 6
 RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())[
     "run_seconds"]
 
-# argv: the thread counts in order ("12" or "21"), then the checkout's
+# argv: run_ac's thread counts in order ("12" or "21"), then the checkout's
 # perfbench/ directory, whose lower_bound workload is the benchmark's config.
 INPROCESS = """
 import json, sys, time
 sys.path.insert(0, sys.argv[2])
 from run import WORKLOADS
 from batchselect.experiments import parse_config, run_ac, run_cc, run_lower_bound
-studies = {"run_cc": (run_cc, {"experiment": "cc", "trials": 4}),
-           "run_ac": (run_ac, {"experiment": "ac", "trials": 1}),
-           "run_lower_bound": (run_lower_bound, WORKLOADS["lower_bound"])}
+studies = {"run_cc": (run_cc, {"experiment": "cc", "trials": 4}, "1"),
+           "run_ac": (run_ac, {"experiment": "ac", "trials": 1}, sys.argv[1]),
+           "run_lower_bound": (run_lower_bound, WORKLOADS["lower_bound"], "1")}
 run_cc(parse_config({"experiment": "cc", "trials": 1, "n_grid": [100]}))  # warm-up
 out = {}
-for name, (runner, doc) in studies.items():
-    for threads in sys.argv[1]:
+for name, (runner, doc, thread_counts) in studies.items():
+    for threads in thread_counts:
         t0 = time.perf_counter()
         runner(parse_config(doc), threads=int(threads))
         out[f"{name}.threads{threads}"] = time.perf_counter() - t0
@@ -185,11 +187,10 @@ def summarize(args):
                 for k, v in r["times"].items():
                     times.setdefault(k, []).append(v)
         doc["inprocess_threads"] = {k: _spread(v) for k, v in sorted(times.items())}
-        for study in ("run_cc", "run_ac", "run_lower_bound"):
-            t1, t2 = times.get(f"{study}.threads1"), times.get(f"{study}.threads2")
-            if t1 and t2:
-                doc["inprocess_threads"][f"{study}.speedup_threads2"] = (
-                    statistics.median(t1) / statistics.median(t2))
+        t1, t2 = times.get("run_ac.threads1"), times.get("run_ac.threads2")
+        if t1 and t2:
+            doc["inprocess_threads"]["run_ac.speedup_threads2"] = (
+                statistics.median(t1) / statistics.median(t2))
         doc["tier1"] = next(({k: v for k, v in r.items() if k not in ("kind", "side")}
                              for r in mine if r["kind"] == "tier1"), None)
         path = Path(args.out_dir) / f"BENCH_{label}.json"

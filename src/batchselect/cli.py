@@ -1,12 +1,18 @@
-"""Command-line experiment runner: reads a JSON config, writes CSV results."""
+"""Command-line experiment runner: reads a JSON config, writes CSV results.
+
+    batchselect run --config C --out O [--seed N] [--threads N] [--audit]
+
+Exit codes: 0 on success; 2 for a bad command line (checked before any study
+runs or any output directory is made) or a config error; 3 for a numerical
+failure.
+"""
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
 import sys
-
-import click
 
 from .experiments import (
     ConfigError,
@@ -27,36 +33,64 @@ EXIT_NUMERICAL_ERROR = 3
 RUNNERS = {"cc": run_cc, "ac": run_ac, "lower_bound": run_lower_bound}
 
 
-@click.group()
-def main():
-    """Batch policy-optimization model-selection experiments."""
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--threads", type=int, default=1, show_default=True)
-@click.option("--audit", is_flag=True, help="Also write per-trial selection reports.")
-def run(config_path, out_dir, seed, threads, audit):
-    """Run one experiment and write results.csv / aggregate.csv to OUT."""
-    if threads < 1:
-        click.echo("--threads must be positive", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+def _positive_int(text: str) -> int:
     try:
-        config = load_config(config_path)
-        if seed is not None:
-            config = dataclasses.replace(config, seed=seed)
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
+
+
+def _config_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"{path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
+
+
+def _out_dir(path: str) -> str:
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a file")
+    return path
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="batchselect", description="Batch policy-optimization model-selection experiments."
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    about = "Run one experiment and write results.csv / aggregate.csv to OUT."
+    run = commands.add_parser("run", help=about, description=about)
+    run.add_argument("--config", required=True, type=_config_file, help="JSON experiment config.")
+    run.add_argument("--out", required=True, type=_out_dir, help="Output directory.")
+    run.add_argument("--seed", type=int, default=None, help="Override the config seed.")
+    run.add_argument(
+        "--threads", type=_positive_int, default=1, help="Threads for ac's cells (default: 1)."
+    )
+    run.add_argument("--audit", action="store_true", help="Also write per-trial selection reports.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> None:
+    args = _parser().parse_args(argv)
+    try:
+        config = load_config(args.config)
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         sys.exit(EXIT_CONFIG_ERROR)
 
     try:
-        results, reports = RUNNERS[config.experiment](config, threads=threads, audit=audit)
+        results, reports = RUNNERS[config.experiment](config, threads=args.threads, audit=args.audit)
     except (SingularMatrixError, ArithmeticError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         sys.exit(EXIT_NUMERICAL_ERROR)
 
+    out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     if config.experiment == "lower_bound":
         results_text = ratio_results_to_csv(results)
@@ -68,11 +102,11 @@ def run(config_path, out_dir, seed, threads, audit):
         fh.write(results_text)
     with open(os.path.join(out_dir, "aggregate.csv"), "w") as fh:
         fh.write(aggregate_text)
-    if audit:
+    if args.audit:
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             json.dump({"experiment": config.experiment, "reports": reports}, fh, sort_keys=True)
             fh.write("\n")
-    click.echo(f"wrote {len(results)} result rows to {out_dir}")
+    print(f"wrote {len(results)} result rows to {out_dir}")
 
 
 if __name__ == "__main__":

@@ -93,6 +93,13 @@ class ExperimentConfig:
 # JSON config keys are the settings' field names, except these.
 _CONFIG_KEYS = {"lam": "lambda"}
 _BLOCKS = {"cc": CcSettings, "ac": AcSettings, "lower_bound": LowerBoundSettings}
+# The top-level JSON keys each experiment reads; any other key is an error.
+_COMMON_KEYS = {"experiment", "trials", "seed", "delta", "lambda", "penalty_scale"}
+_READS = {
+    "cc": _COMMON_KEYS | {"n_grid", "n_test", "cc"},
+    "ac": _COMMON_KEYS | {"n_grid", "n_test", "n_validation", "ac"},
+    "lower_bound": _COMMON_KEYS | {"lower_bound"},
+}
 
 
 def _check_type(value, default, key: str):
@@ -131,12 +138,19 @@ def _take(raw: dict, cls, where: str) -> dict:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Strict JSON-document parsing: unknown keys are errors, not warnings."""
+    """Strict JSON-document parsing: unknown keys, and keys the chosen
+    experiment never reads, are errors, not warnings."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     kwargs = _take(raw, ExperimentConfig, "config")
     if "experiment" not in kwargs:
         raise ConfigError("config must set 'experiment'")
+    experiment = kwargs["experiment"]
+    if not isinstance(experiment, str) or experiment not in _READS:
+        raise ConfigError(f"experiment must be cc, ac, or lower_bound, got {experiment!r}")
+    unread = set(raw) - _READS[experiment]
+    if unread:
+        raise ConfigError(f"the {experiment} experiment never reads key(s) {sorted(unread)}")
     for name, cls in _BLOCKS.items():
         if name in kwargs:
             if not isinstance(kwargs[name], dict):
@@ -157,8 +171,6 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _validate(c: ExperimentConfig):
-    if c.experiment not in ("cc", "ac", "lower_bound"):
-        raise ConfigError(f"experiment must be cc, ac, or lower_bound, got {c.experiment!r}")
     for name in ("trials", "n_test", "n_validation"):
         if getattr(c, name) < 1:
             raise ConfigError(f"{name} must be positive")

@@ -2,15 +2,13 @@
 
 Every public module-level function and class in src/batchselect must be
 referenced by some other top-level statement of the package (a function,
-class, or the CLI's `__main__` block), or registered by a decorator that is
-an attribute of a name the module defines, as click's `@main.command()`
-registers a subcommand with the group `main`.  A re-export from
-`__init__.py` is not a use.  A name allowed to stay test-only goes in
-ALLOWLIST with the ROADMAP item that decides whether it gains a caller or is
-deleted.  No module may import a name it never uses (a name listed in
-`__all__` counts as used), and no module may import scipy, which only the
-tests depend on.  Only `linalg` (`RidgeFit.predictions`) may apply `@` to
-an attribute named `theta_hat`: every other module predicts through the fit.
+class, or the CLI's `__main__` block).  A re-export from `__init__.py` is
+not a use.  A name allowed to stay test-only goes in ALLOWLIST with the
+ROADMAP item that decides whether it gains a caller or is deleted.  No
+module may import a name it never uses (a name listed in `__all__` counts as
+used), and no module may import scipy, which only the tests depend on.
+Only `linalg` (`RidgeFit.predictions`) may apply `@` to an attribute named
+`theta_hat`: every other module predicts through the fit.
 `beta_coefficient` has one caller, `PessimisticPolicy`, so every class's
 pessimism width follows one rule.
 """
@@ -36,29 +34,14 @@ def _referenced(node: ast.AST) -> set[str]:
     return names
 
 
-def _registered(stmt: ast.AST, module_names: set[str]) -> bool:
-    """True iff a decorator of `stmt` is `name.attr` or `name.attr(...)` for
-    a name the module defines."""
-    for decorator in getattr(stmt, "decorator_list", []):
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id in module_names
-        ):
-            return True
-    return False
-
-
 def unreferenced(package: Path) -> set[str]:
     """`module.name` of each public top-level def or class no other statement uses."""
     defined, uses = {}, []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         defs = [s for s in tree.body if isinstance(s, (ast.FunctionDef, ast.ClassDef))]
-        module_names = {stmt.name for stmt in defs}
         for stmt in defs:
-            if not stmt.name.startswith("_") and not _registered(stmt, module_names):
+            if not stmt.name.startswith("_"):
                 defined[f"{path.stem}.{stmt.name}"] = stmt
         if path.name != "__init__.py":
             uses.extend((stmt, _referenced(stmt)) for stmt in tree.body)
@@ -153,15 +136,6 @@ def test_detects_an_unused_function(tmp_path):
         "def used():\n    return 1\n\n\ndef unused():\n    return used()\n"
     )
     assert unreferenced(tmp_path) == {"mod.unused"}
-
-
-def test_counts_registration_by_a_decorator(tmp_path):
-    (tmp_path / "mod.py").write_text(
-        "import click\n\n\n@click.group()\ndef main():\n    pass\n\n\n"
-        "@main.command()\ndef run():\n    pass\n\n\n"
-        "@click.command()\ndef orphan():\n    pass\n"
-    )
-    assert unreferenced(tmp_path) == {"mod.orphan"}
 
 
 def test_detects_an_unused_import(tmp_path):

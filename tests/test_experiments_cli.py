@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import batchselect.cli as cli_module
 import batchselect.experiments as experiments
 import batchselect.features as features_module
 import batchselect.learner as learner_module
@@ -62,6 +62,24 @@ class TestParseConfig:
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigError, match="oops"):
             parse_config({"experiment": "ac", "ac": {"oops": 3}})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"experiment": "lower_bound", "n_grid": [100]},
+            {"experiment": "lower_bound", "n_test": 100},
+            {"experiment": "lower_bound", "ac": {}},
+            {"experiment": "ac", "cc": {"hidden_dims": [2]}},
+            {"experiment": "ac", "lower_bound": {"n2": 4}},
+            {"experiment": "cc", "n_validation": 100},
+            {"experiment": "cc", "ac": {"dims": [15]}},
+        ],
+        ids=["lb_n_grid", "lb_n_test", "lb_ac", "ac_cc", "ac_lower_bound", "cc_n_validation", "cc_ac"],
+    )
+    def test_key_the_experiment_never_reads(self, doc):
+        (unread,) = set(doc) - {"experiment"}
+        with pytest.raises(ConfigError, match=rf"never reads key\(s\) \['{unread}'\]"):
+            parse_config(doc)
 
     def test_lambda_is_the_only_renamed_key(self):
         assert parse_config({"experiment": "cc", "lambda": 2.5}).lam == 2.5
@@ -487,15 +505,19 @@ class TestBlasThreads:
         assert [get() for get in blas_at_two] == twos
 
 
-def test_cli_import_leaves_out_scipy():
+def test_cli_import_loads_only_stdlib_numpy_and_batchselect():
     src = str(Path(experiments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, batchselect.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    probe = (
+        "import sys; before = set(sys.modules); import batchselect.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names)))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "['batchselect', 'numpy']"
 
 
 class TestDuplicateWork:
@@ -648,51 +670,85 @@ class TestAggregate:
         assert aggregate_to_csv(rows).startswith("n,method,mean_regret,stderr\n")
 
 
+def run_cli(capsys, *args) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `batchselect ARGS`."""
+    try:
+        main(list(args))
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 class TestCli:
     def _write_config(self, path, doc):
         with open(path, "w") as fh:
             json.dump(doc, fh)
 
-    def test_run_writes_outputs(self, tmp_path):
+    def _run(self, capsys, cfg, out, *extra) -> tuple[int, str, str]:
+        return run_cli(capsys, "run", "--config", str(cfg), "--out", str(out), *extra)
+
+    def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         self._write_config(cfg, {"experiment": "cc", "trials": 1, "n_grid": [100], "seed": 1})
-        runner = CliRunner()
-        result = runner.invoke(
-            main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--audit"]
-        )
-        assert result.exit_code == 0, result.output
+        code, out, err = self._run(capsys, cfg, tmp_path / "out", "--audit")
+        assert code == 0, err
+        assert out == f"wrote 6 result rows to {tmp_path / 'out'}\n"
         for name in ("results.csv", "aggregate.csv", "report.json"):
             assert (tmp_path / "out" / name).exists()
 
-    def test_audit_keeps_the_results_bytes(self, tmp_path):
+    def test_audit_keeps_the_results_bytes(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         self._write_config(cfg, {"experiment": "cc", "trials": 2, "n_grid": [100], "seed": 1})
         for out, extra in (("plain", []), ("audited", ["--audit"])):
-            args = ["run", "--config", str(cfg), "--out", str(tmp_path / out), *extra]
-            assert CliRunner().invoke(main, args).exit_code == 0
+            assert self._run(capsys, cfg, tmp_path / out, *extra)[0] == 0
         assert (tmp_path / "audited" / "report.json").exists()
         assert not (tmp_path / "plain" / "report.json").exists()
         for name in ("results.csv", "aggregate.csv"):
             plain = (tmp_path / "plain" / name).read_bytes()
             assert (tmp_path / "audited" / name).read_bytes() == plain
 
-    def test_seed_override_changes_results(self, tmp_path):
+    def test_seed_override_changes_results(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         self._write_config(cfg, {"experiment": "cc", "trials": 1, "n_grid": [100], "seed": 1})
-        runner = CliRunner()
-        runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
-        runner.invoke(
-            main, ["run", "--config", str(cfg), "--out", str(tmp_path / "b"), "--seed", "2"]
-        )
+        self._run(capsys, cfg, tmp_path / "a")
+        self._run(capsys, cfg, tmp_path / "b", "--seed", "2")
         a = (tmp_path / "a" / "results.csv").read_text()
         b = (tmp_path / "b" / "results.csv").read_text()
         assert a != b
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         self._write_config(cfg, {"experiment": "cc", "bogus": True})
-        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 2
+        assert self._run(capsys, cfg, tmp_path / "o")[0] == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--config", "{missing}", "--out", "{out}"],
+            ["run", "--config", "{dir}", "--out", "{out}"],
+            ["run", "--config", "{cfg}", "--out", "{cfg}"],
+            ["run", "--config", "{cfg}", "--out", "{out}", "--threads", "x"],
+            ["run", "--config", "{cfg}", "--out", "{out}", "--threads", "0"],
+            ["run", "--config", "{cfg}", "--out", "{out}", "--bogus"],
+            [],
+        ],
+        ids=["missing_config", "directory_config", "file_out", "threads_x", "threads_0",
+             "unknown_option", "no_subcommand"],
+    )
+    def test_bad_command_line_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch, args):
+        cfg, directory = tmp_path / "cfg.json", tmp_path / "configs"
+        self._write_config(cfg, {"experiment": "cc", "trials": 1, "n_grid": [100], "seed": 1})
+        directory.mkdir()
+        studies = []
+        monkeypatch.setitem(cli_module.RUNNERS, "cc", lambda *a, **k: studies.append(a))
+        paths = {"missing": tmp_path / "nope.json", "dir": directory, "cfg": cfg, "out": tmp_path / "o"}
+        code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in args))
+        assert code == 2
+        assert "error" in err
+        assert studies == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "override",
@@ -706,18 +762,18 @@ class TestCli:
         ],
         ids=["float_trials", "float_n", "nan_lambda", "string_delta", "infinite_scale", "bool_trials"],
     )
-    def test_badly_typed_value_is_a_config_error(self, tmp_path, override):
-        self._refused(tmp_path, {"experiment": "cc", "trials": 1, "n_grid": [100], **override})
+    def test_badly_typed_value_is_a_config_error(self, tmp_path, capsys, override):
+        self._refused(tmp_path, capsys, {"experiment": "cc", "trials": 1, "n_grid": [100], **override})
 
-    def _refused(self, tmp_path, doc) -> str:
-        """Run `doc` through the CLI, expect a config error, return its output."""
+    def _refused(self, tmp_path, capsys, doc) -> str:
+        """Run `doc` through the CLI, expect a config error, return its stderr."""
         cfg = tmp_path / "bad.json"
         self._write_config(cfg, doc)
-        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 2, result.output
-        assert "config error" in result.output
+        code, _, err = self._run(capsys, cfg, tmp_path / "o")
+        assert code == 2, err
+        assert "config error" in err
         assert not (tmp_path / "o").exists()
-        return result.output
+        return err
 
     @pytest.mark.parametrize(
         "doc",
@@ -729,8 +785,8 @@ class TestCli:
         ],
         ids=["n_grid", "hidden_dims", "n1", "algorithms"],
     )
-    def test_duplicate_entry_is_a_config_error(self, tmp_path, doc):
-        assert "duplicate" in self._refused(tmp_path, {"trials": 1, **doc})
+    def test_duplicate_entry_is_a_config_error(self, tmp_path, capsys, doc):
+        assert "duplicate" in self._refused(tmp_path, capsys, {"trials": 1, **doc})
 
     @pytest.mark.parametrize(
         "doc",
@@ -741,23 +797,22 @@ class TestCli:
         ],
         ids=["ac_one_row", "ac_wide_split", "lower_bound_two_rows"],
     )
-    def test_degenerate_holdout_split_is_a_config_error(self, tmp_path, doc):
-        assert "degenerate hold-out split" in self._refused(tmp_path, {"trials": 1, **doc})
+    def test_degenerate_holdout_split_is_a_config_error(self, tmp_path, capsys, doc):
+        assert "degenerate hold-out split" in self._refused(tmp_path, capsys, {"trials": 1, **doc})
 
-    def test_holdout_beyond_the_hypergeometric_range_is_a_config_error(self, tmp_path):
+    def test_holdout_beyond_the_hypergeometric_range_is_a_config_error(self, tmp_path, capsys):
         # numpy's hypergeometric refuses 10**9 rows of an arm, which would
         # otherwise fail the run at its first hold-out trial
         lower_bound = {"n1": [16, 10**9 - 16], "n2": 16, "algorithms": ["cc", "holdout"]}
         doc = {"experiment": "lower_bound", "trials": 1, "lower_bound": lower_bound}
-        assert "n1 + n2 < 1000000000" in self._refused(tmp_path, doc)
+        assert "n1 + n2 < 1000000000" in self._refused(tmp_path, capsys, doc)
 
-    def test_invalid_json_exit_code(self, tmp_path):
+    def test_invalid_json_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
-        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 2
+        assert self._run(capsys, cfg, tmp_path / "o")[0] == 2
 
-    def test_numerical_failure_exit_code(self, tmp_path):
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # lambda = 0 with a 50-dim realizable class: 20 rows see at most 20
         # cells, so the class's covariance is singular
         cfg = tmp_path / "cfg.json"
@@ -772,10 +827,11 @@ class TestCli:
                 "cc": {"hidden_dims": [50]},
             },
         )
-        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert result.exit_code == 3
+        code, _, err = self._run(capsys, cfg, tmp_path / "o")
+        assert code == 3
+        assert "numerical failure" in err
 
-    def test_lower_bound_results_schema(self, tmp_path):
+    def test_lower_bound_results_schema(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         self._write_config(
             cfg,
@@ -787,8 +843,8 @@ class TestCli:
             },
         )
         out = tmp_path / "out"
-        result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        code, _, err = self._run(capsys, cfg, out)
+        assert code == 0, err
         header = (out / "results.csv").read_text().splitlines()[0]
         assert header == "algorithm,n1,n2,trials,mean_regret_nu1,mean_regret_nu2,denominator,ratio"
         assert (out / "aggregate.csv").read_text().splitlines()[0] == "n,method,mean_regret,stderr"
