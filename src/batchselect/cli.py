@@ -48,6 +48,8 @@ def _config_file(path: str) -> str:
         raise argparse.ArgumentTypeError(f"{path!r} does not exist")
     if os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"{path!r} is not readable")
     return path
 
 
@@ -59,11 +61,13 @@ def _out_dir(path: str) -> str:
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="batchselect", description="Batch policy-optimization model-selection experiments."
+        prog="batchselect",
+        description="Batch policy-optimization model-selection experiments.",
+        allow_abbrev=False,
     )
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
     about = "Run one experiment and write results.csv / aggregate.csv to OUT."
-    run = commands.add_parser("run", help=about, description=about)
+    run = commands.add_parser("run", help=about, description=about, allow_abbrev=False)
     run.add_argument("--config", required=True, type=_config_file, help="JSON experiment config.")
     run.add_argument("--out", required=True, type=_out_dir, help="Output directory.")
     run.add_argument("--seed", type=int, default=None, help="Override the config seed.")

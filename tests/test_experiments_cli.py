@@ -732,10 +732,11 @@ class TestCli:
             ["run", "--config", "{cfg}", "--out", "{out}", "--threads", "x"],
             ["run", "--config", "{cfg}", "--out", "{out}", "--threads", "0"],
             ["run", "--config", "{cfg}", "--out", "{out}", "--bogus"],
+            ["run", "--config", "{cfg}", "--out", "{out}", "--thread", "2"],
             [],
         ],
         ids=["missing_config", "directory_config", "file_out", "threads_x", "threads_0",
-             "unknown_option", "no_subcommand"],
+             "unknown_option", "abbreviated_option", "no_subcommand"],
     )
     def test_bad_command_line_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch, args):
         cfg, directory = tmp_path / "cfg.json", tmp_path / "configs"
@@ -748,6 +749,15 @@ class TestCli:
         assert code == 2
         assert "error" in err
         assert studies == []
+        assert not (tmp_path / "o").exists()
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        self._write_config(cfg, {"experiment": "cc", "trials": 1, "n_grid": [100], "seed": 1})
+        monkeypatch.setattr(cli_module.os, "access", lambda path, mode: False)
+        code, _, err = self._run(capsys, cfg, tmp_path / "o")
+        assert code == 2
+        assert "not readable" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

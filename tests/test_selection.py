@@ -624,8 +624,9 @@ def row_subset_holdout_losses(design, dims, rewards, split_fraction, rng_seed, l
 
 
 def losses_agree(got, want, scales) -> bool:
-    """Each loss within its rounding scale, floored at 1e-12, relative."""
-    return bool(np.all(np.abs(got - want) <= np.maximum(scales, 1e-12) * want))
+    """Each loss within its rounding scale, relative, held between 1e-12 and
+    the 1e-9 tie band the choice check uses."""
+    return bool(np.all(np.abs(got - want) <= np.clip(scales, 1e-12, 1e-9) * want))
 
 
 def _counted_and_row_subset_holdout(seed, n, dims, split_fraction, lam):
