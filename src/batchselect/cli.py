@@ -30,7 +30,12 @@ from .linalg import SingularMatrixError
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
-RUNNERS = {"cc": run_cc, "ac": run_ac, "lower_bound": run_lower_bound}
+# Each study's runner and its results.csv and aggregate.csv writers.
+STUDIES = {
+    "cc": (run_cc, results_to_csv, aggregate_to_csv),
+    "ac": (run_ac, results_to_csv, aggregate_to_csv),
+    "lower_bound": (run_lower_bound, ratio_results_to_csv, lower_bound_aggregate_to_csv),
+}
 
 
 def _positive_int(text: str) -> int:
@@ -54,8 +59,15 @@ def _config_file(path: str) -> str:
 
 
 def _out_dir(path: str) -> str:
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise argparse.ArgumentTypeError(f"{path!r} is a file")
+    """`path` if a run can make it or write into it: its nearest existing
+    ancestor must be a directory that this process may write and enter."""
+    ancestor = os.path.abspath(path)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise argparse.ArgumentTypeError(f"{ancestor!r} is not a directory")
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise argparse.ArgumentTypeError(f"{ancestor!r} is not writable")
     return path
 
 
@@ -88,24 +100,18 @@ def main(argv: list[str] | None = None) -> None:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(EXIT_CONFIG_ERROR)
 
+    run_study, write_results, write_aggregate = STUDIES[config.experiment]
     try:
-        results, reports = RUNNERS[config.experiment](config, threads=args.threads, audit=args.audit)
+        results, reports = run_study(config, threads=args.threads, audit=args.audit)
     except (SingularMatrixError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         sys.exit(EXIT_NUMERICAL_ERROR)
 
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    if config.experiment == "lower_bound":
-        results_text = ratio_results_to_csv(results)
-        aggregate_text = lower_bound_aggregate_to_csv(results)
-    else:
-        results_text = results_to_csv(results)
-        aggregate_text = aggregate_to_csv(results)
-    with open(os.path.join(out_dir, "results.csv"), "w") as fh:
-        fh.write(results_text)
-    with open(os.path.join(out_dir, "aggregate.csv"), "w") as fh:
-        fh.write(aggregate_text)
+    for name, write in (("results.csv", write_results), ("aggregate.csv", write_aggregate)):
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.write(write(results))
     if args.audit:
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
             json.dump({"experiment": config.experiment, "reports": reports}, fh, sort_keys=True)

@@ -9,7 +9,6 @@ import math
 import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .hard_instance import (
     csv_text,
     ratio_experiment,
 )
-from .learner import MAX_DELTA, GreedyPolicy, fit_pessimistic
+from .learner import GreedyPolicy, check_width_arguments, fit_pessimistic
 from .linalg import ridge_fit
 from .selection import (
     complexity_coverage_policy,
@@ -171,31 +170,30 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _validate(c: ExperimentConfig):
+    """Refuse a bad config; its delta, lambda, dims and split rules are the library's own."""
     for name in ("trials", "n_test", "n_validation"):
         if getattr(c, name) < 1:
             raise ConfigError(f"{name} must be positive")
-    if any(n < 1 for n in c.n_grid) or not c.n_grid:
+    if any(n < 1 for n in c.n_grid):
         raise ConfigError("n_grid entries must be positive")
-    if not (0 < c.delta <= MAX_DELTA + 1e-15):
-        raise ConfigError("delta must lie in (0, 1/e]")
-    if c.lam < 0:
-        raise ConfigError("lambda must be nonnegative")
+    try:
+        check_width_arguments(1, 1, c.lam, c.delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if c.penalty_scale <= 0:
         raise ConfigError("penalty_scale must be positive")
     if c.cc.state_count < 1 or c.cc.action_count < 2:
         raise ConfigError("cc needs state_count >= 1 and action_count >= 2")
-    if any(d < 1 for d in c.cc.hidden_dims) or not c.cc.hidden_dims:
+    if any(d < 1 for d in c.cc.hidden_dims):
         raise ConfigError("cc.hidden_dims must be positive")
     if not (1 <= c.ac.true_dim <= c.ac.ambient_dim):
         raise ConfigError("ac needs 1 <= true_dim <= ambient_dim")
     if c.ac.action_count < 2:
         raise ConfigError("ac.action_count must be >= 2")
-    if not (0 < c.ac.holdout_split < 1):
-        raise ConfigError("ac.holdout_split must lie in (0, 1)")
-    if any(b <= a for a, b in zip(c.ac.dims, c.ac.dims[1:])) or not c.ac.dims:
-        raise ConfigError("ac.dims must be strictly ascending")
-    if c.ac.dims[-1] > c.ac.ambient_dim:
-        raise ConfigError("ac.dims may not exceed ambient_dim")
+    try:
+        truncation_family(c.ac.ambient_dim, c.ac.dims)
+    except ValueError as exc:
+        raise ConfigError(f"ac.{exc}") from exc
     if any(v < 1 for v in c.lower_bound.n1) or c.lower_bound.n2 < 1:
         raise ConfigError("lower_bound sample counts must be positive")
     for algo in c.lower_bound.algorithms:
@@ -309,7 +307,7 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
     rows, reports = [], []
     # the widest class's design, a view of the logged rows read by the greedy
     # fits and by hold-out; the family is fit once and each class is its leading block
-    design = design_matrix(classes[-1], dataset.logged, dataset.actions)
+    design = design_matrix(classes[-1], dataset.logged)
     family = ridge_fit(design, dataset.rewards, config.lam)
     fits = [family.leading(mc.dim) for mc in classes]
     for mc, fit in zip(classes, fits):
@@ -402,31 +400,19 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-@contextmanager
-def _mapper(threads: int):
-    """An ordered `map`, through a thread pool when threads > 1.
-
-    BLAS runs single-threaded meanwhile, so `threads` is the run's only
-    parallelism: at d <= 100 OpenBLAS's own threads cost more than they give,
-    and under a pool they oversubscribe the cores.  The output bytes do not
-    depend on the BLAS thread count."""
-    with _ONE_BLAS_THREAD:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                yield pool.map
-        else:
-            yield map
-
-
 def _run_cells(build_trial, cell_fn, config: ExperimentConfig, threads: int, audit: bool):
     """Build each trial's context once, then run its n-cells, largest n first
     so that a pool's threads finish together, through a thread pool when
-    threads > 1.  Every seed is derived from (seed, purpose, trial), and rows
-    and reports are sorted afterwards, so the output does not depend on the
-    schedule."""
+    threads > 1.  BLAS runs single-threaded meanwhile, so `threads` is the
+    run's only parallelism: at d <= 100 OpenBLAS's own threads cost more than
+    they give, and under a pool they oversubscribe the cores.  Every seed is
+    derived from (seed, purpose, trial), and rows and reports are sorted
+    afterwards, so the output depends on neither thread count."""
     outputs = []
     n_order = sorted(config.n_grid, reverse=True)
-    with _mapper(threads) as mapper:
+    # a pool given no work starts no thread
+    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
+        mapper = pool.map if threads > 1 else map
         for t in range(config.trials):
             cell = functools.partial(cell_fn, config, build_trial(config, t), trial=t, audit=audit)
             outputs.extend(mapper(cell, n_order))

@@ -89,19 +89,15 @@ def features_all_actions(model_class: ModelClass, states: StateBatch) -> np.ndar
     return source[rows]
 
 
-def design_matrix(model_class: ModelClass, logged, actions: np.ndarray) -> np.ndarray:
+def design_matrix(model_class: ModelClass, logged) -> np.ndarray:
     """Feature rows phi_k(x_i, a_i) of logged rows, shape (n, d_k).
 
     `logged` is an (n, D) array whose row i is phi(x_i, a_i) at the ambient
     dimension D (a feature dataset's `logged`); the design is the view of its
     first d_k columns, so every class of a nested family shares the dataset's
-    memory.  `actions` is read only to check their count.  A tabular class
-    has no row design: it fits from a tabular dataset's per-cell statistics
-    (`Dataset.cells`).
+    memory.  A tabular class has no row design: it fits from a tabular
+    dataset's per-cell statistics (`Dataset.cells`).
     """
-    actions = np.asarray(actions, dtype=int)
-    if actions.shape != (len(logged),):
-        raise ValueError("design_matrix needs one action per state")
     if not isinstance(model_class.map, TruncationMap):
         raise RepresentationMismatchError(
             "tabular map needs tabular states: it fits from a tabular dataset's cells"

@@ -50,7 +50,7 @@ def per_class_ac_cell(config, ctx, n, trial, audit):
     """`experiments._ac_cell` with one ridge fit per class and design."""
     s, seed, classes = config.ac, config.seed, ctx.classes
     dataset = sample_dataset(ctx.instance, ctx.mu, n, derive_seed(seed, f"ac-data-{n}", trial))
-    designs = [design_matrix(mc, dataset.logged, dataset.actions) for mc in classes]
+    designs = [design_matrix(mc, dataset.logged) for mc in classes]
     fits = [ridge_fit(phi, dataset.rewards, config.lam) for phi in designs]
     rows, reports = [], []
     for mc, fit in zip(classes, fits):

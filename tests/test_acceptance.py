@@ -81,7 +81,7 @@ def test_acceptance_2_schur_and_nestedness_monotonicity():
         data = sample_dataset(inst, dirichlet_behavior(3, seed), 300, seed)
         classes = truncation_family(10, [2, 5, 10])
         fits = [
-            ridge_fit(design_matrix(mc, data.logged, data.actions), data.rewards, 1.0)
+            ridge_fit(design_matrix(mc, data.logged), data.rewards, 1.0)
             for mc in classes
         ]
         probe = sample_states(inst, 50, seed + 1)

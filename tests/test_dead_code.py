@@ -3,10 +3,9 @@
 Every public module-level function and class in src/batchselect must be
 referenced by some other top-level statement of the package (a function,
 class, or the CLI's `__main__` block).  A re-export from `__init__.py` is
-not a use.  A name allowed to stay test-only goes in ALLOWLIST with the
-ROADMAP item that decides whether it gains a caller or is deleted.  No
-module may import a name it never uses (a name listed in `__all__` counts as
-used), and no module may import scipy, which only the tests depend on.
+not a use.  No module may import a name it never uses (a name listed in
+`__all__` counts as used), and no module may import scipy, which only the
+tests depend on.
 Only `linalg` (`RidgeFit.predictions`) may apply `@` to an attribute named
 `theta_hat`: every other module predicts through the fit.
 `beta_coefficient` has one caller, `PessimisticPolicy`, so every class's
@@ -18,8 +17,6 @@ from pathlib import Path
 import batchselect
 
 PACKAGE = Path(batchselect.__file__).resolve().parent
-
-ALLOWLIST = set()
 
 
 def _referenced(node: ast.AST) -> set[str]:
@@ -104,12 +101,7 @@ def call_sites(package: Path, name: str) -> list[str]:
 
 
 def test_no_unreferenced_public_code():
-    dead = unreferenced(PACKAGE)
-    assert dead - ALLOWLIST == set(), "public code that no library module calls"
-
-
-def test_allowlist_is_current():
-    assert ALLOWLIST - unreferenced(PACKAGE) == set(), "allowlisted names now have a caller"
+    assert unreferenced(PACKAGE) == set(), "public code that no library module calls"
 
 
 def test_no_unused_imports():

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from batchselect.env import BanditInstance, StateBatch, TabularModel, make_tabular_instance
-from batchselect.diagnostics import (
-    GroundTruthUnavailableError,
-    fixed_design_theta_star,
-    regret_estimate,
-)
+from batchselect.diagnostics import fixed_design_theta_star, regret_estimate
 from policies import FixedPolicy, OptimalPolicy
 
 
@@ -30,10 +26,6 @@ class TestFixedDesignThetaStar:
     def test_sample_mean_case(self):
         theta = fixed_design_theta_star(np.ones((2, 1)), np.array([1.0, 3.0]))
         assert theta == pytest.approx([2.0])
-
-    def test_missing_ground_truth(self):
-        with pytest.raises(GroundTruthUnavailableError):
-            fixed_design_theta_star(np.ones((2, 1)), None)
 
 
 class TestRegretEstimate:

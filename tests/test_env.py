@@ -362,8 +362,12 @@ class TestBadInputs:
 
     @pytest.mark.parametrize(
         "logged, match",
-        [(np.zeros((2, 2, 3)), "shape"), (np.array([[0.0, np.nan], [1.0, 2.0]]), "finite")],
-        ids=["all_action_block", "nan"],
+        [
+            (np.zeros((2, 2, 3)), "shape"),
+            (np.array([[0.0, np.nan], [1.0, 2.0]]), "finite"),
+            (np.zeros((3, 3)), "one entry per state"),
+        ],
+        ids=["all_action_block", "nan", "three_rows_two_actions"],
     )
     def test_bad_logged_rows_rejected(self, logged, match):
         with pytest.raises(ValueError, match=match):

@@ -116,6 +116,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config({"experiment": "ac", "ac": {"dims": [20, 15]}})
 
+    def test_dims_beyond_ambient_dim(self):
+        with pytest.raises(ConfigError, match="ac.dims may not exceed"):
+            parse_config({"experiment": "ac", "ac": {"ambient_dim": 40, "dims": [15, 50]}})
+
     def test_unknown_lower_bound_algorithm(self):
         with pytest.raises(ConfigError):
             parse_config({"experiment": "lower_bound", "lower_bound": {"algorithms": ["x"]}})
@@ -262,6 +266,39 @@ def test_golden_results_hash(study):
     doc, runner, serialize, expected = GOLDEN[study]
     text = serialize(runner(parse_config(doc), threads=1)[0])
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+# sha256 of the other files `batchselect run --audit` writes for the golden
+# configs, computed when the CLI still chose each study's writers by a branch
+# on the experiment; the lower-bound studies write no reports.
+GOLDEN_CLI = {
+    "cc": {
+        "aggregate.csv": "7229a3b7eb09ec10e556a381fc523a6cfbcdc81a49ba553228f1acf70d59891e",
+        "report.json": "7903831a70a7e32e8642d654240b47974d9a59657f4b9dca712c2b20bc34f8c7",
+    },
+    "ac": {
+        "aggregate.csv": "b02e69e3305a9c31a44ff55fd5aec6fd3b0509fe19431cdc106e9e69f1b8f3e0",
+        "report.json": "09429a67dcf7bd57d86539ab2582e03bc0f836dd0442d16d11c90a2e95ab962f",
+    },
+    "lower_bound": {
+        "aggregate.csv": "6749557c33070fbfba43695f609d4d761c8d0dbf4b3a30277dfae7f250da0d99",
+    },
+    "lower_bound_slope": {
+        "aggregate.csv": "47ff8a7bbd4bd3511f13fe942e74ccd465602cb865bfb08d13cfc01639355856",
+    },
+}
+
+
+@pytest.mark.parametrize("study", sorted(GOLDEN))
+def test_golden_cli_output_hashes(study, tmp_path, capsys):
+    doc, _, _, results_hash = GOLDEN[study]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out), "--audit")
+    assert code == 0, err
+    expected = {"results.csv": results_hash, **GOLDEN_CLI[study]}
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
+    assert got == expected
 
 
 def test_ac_all_action_reference_gives_the_previous_hash(monkeypatch):
@@ -496,12 +533,12 @@ class TestBlasThreads:
 
     def test_overlapping_runs_restore_after_the_last(self, blas_at_two):
         ones, twos = [1] * len(blas_at_two), [2] * len(blas_at_two)
-        first, second = experiments._mapper(1), experiments._mapper(2)
-        first.__enter__()
-        second.__enter__()
-        first.__exit__(None, None, None)
+        guard = experiments._ONE_BLAS_THREAD
+        guard.__enter__()
+        guard.__enter__()
+        guard.__exit__(None, None, None)
         assert [get() for get in blas_at_two] == ones
-        second.__exit__(None, None, None)
+        guard.__exit__(None, None, None)
         assert [get() for get in blas_at_two] == twos
 
 
@@ -618,7 +655,7 @@ class TestDuplicateWork:
         inst = make_gaussian_instance(8, 3, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 100, 0)
         classes = truncation_family(8, [2, 4, 8])
-        designs = [design_matrix(mc, data.logged, data.actions) for mc in classes]
+        designs = [design_matrix(mc, data.logged) for mc in classes]
         fits = [experiments.ridge_fit(phi, data.rewards, 1.0) for phi in designs]
         in_selection = _record_calls(monkeypatch, selection_module, "features_all_actions")
         in_policies = _record_calls(monkeypatch, learner_module, "features_all_actions")
@@ -729,21 +766,23 @@ class TestCli:
             ["run", "--config", "{missing}", "--out", "{out}"],
             ["run", "--config", "{dir}", "--out", "{out}"],
             ["run", "--config", "{cfg}", "--out", "{cfg}"],
+            ["run", "--config", "{cfg}", "--out", "{cfg}/sub"],
             ["run", "--config", "{cfg}", "--out", "{out}", "--threads", "x"],
             ["run", "--config", "{cfg}", "--out", "{out}", "--threads", "0"],
             ["run", "--config", "{cfg}", "--out", "{out}", "--bogus"],
             ["run", "--config", "{cfg}", "--out", "{out}", "--thread", "2"],
             [],
         ],
-        ids=["missing_config", "directory_config", "file_out", "threads_x", "threads_0",
-             "unknown_option", "abbreviated_option", "no_subcommand"],
+        ids=["missing_config", "directory_config", "file_out", "under_file_out", "threads_x",
+             "threads_0", "unknown_option", "abbreviated_option", "no_subcommand"],
     )
     def test_bad_command_line_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch, args):
         cfg, directory = tmp_path / "cfg.json", tmp_path / "configs"
         self._write_config(cfg, {"experiment": "cc", "trials": 1, "n_grid": [100], "seed": 1})
         directory.mkdir()
         studies = []
-        monkeypatch.setitem(cli_module.RUNNERS, "cc", lambda *a, **k: studies.append(a))
+        _, *writers = cli_module.STUDIES["cc"]
+        monkeypatch.setitem(cli_module.STUDIES, "cc", (lambda *a, **k: studies.append(a), *writers))
         paths = {"missing": tmp_path / "nope.json", "dir": directory, "cfg": cfg, "out": tmp_path / "o"}
         code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in args))
         assert code == 2
@@ -758,6 +797,15 @@ class TestCli:
         code, _, err = self._run(capsys, cfg, tmp_path / "o")
         assert code == 2
         assert "not readable" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unwritable_out_ancestor_exits_2(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        self._write_config(cfg, {"experiment": "cc", "trials": 1, "n_grid": [100], "seed": 1})
+        monkeypatch.setattr(cli_module.os, "access", lambda path, mode: not mode & os.W_OK)
+        code, _, err = self._run(capsys, cfg, tmp_path / "o" / "sub")
+        assert code == 2
+        assert f"{str(tmp_path)!r} is not writable" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

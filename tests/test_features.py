@@ -35,17 +35,17 @@ class TestEvaluateFeatures:
     def test_truncation_identity_at_full_dim(self):
         mc = ModelClass(4, TruncationMap(4))
         assert np.array_equal(features_all_actions(mc, self.states), self.states.features)
-        assert np.array_equal(design_matrix(mc, self.logged, [1, 0]), self.logged)
+        assert np.array_equal(design_matrix(mc, self.logged), self.logged)
 
     def test_truncation_prefix(self):
         mc = ModelClass(2, TruncationMap(4))
         assert np.array_equal(features_all_actions(mc, self.states), [[[3.0, 1.0], [5.0, 9.0]]])
-        assert np.array_equal(design_matrix(mc, self.logged, [1, 0]), [[5.0, 9.0], [3.0, 1.0]])
+        assert np.array_equal(design_matrix(mc, self.logged), [[5.0, 9.0], [3.0, 1.0]])
 
     def test_truncation_reads_a_view(self):
         mc = ModelClass(2, TruncationMap(4))
         assert np.shares_memory(features_all_actions(mc, self.states), self.states.features)
-        assert np.shares_memory(design_matrix(mc, self.logged, [1, 0]), self.logged)
+        assert np.shares_memory(design_matrix(mc, self.logged), self.logged)
 
     def test_tabular_lookup_bit_exact(self):
         table = np.arange(24, dtype=float).reshape(2, 3, 4)
@@ -59,18 +59,18 @@ class TestEvaluateFeatures:
         with pytest.raises(RepresentationMismatchError):
             features_all_actions(mc, StateBatch(indices=[0]))
         with pytest.raises(RepresentationMismatchError):
-            design_matrix(mc, StateBatch(indices=[0]), [0])
+            design_matrix(mc, StateBatch(indices=[0]))
         # a truncation design reads logged rows, never all-action states
         with pytest.raises(RepresentationMismatchError, match="logged rows"):
-            design_matrix(mc, self.states, [0])
+            design_matrix(mc, self.states)
         tab = ModelClass(2, TabularMap(np.zeros((1, 1, 2))))
         feats = StateBatch(features=np.zeros((1, 1, 2)))
         with pytest.raises(RepresentationMismatchError):
             features_all_actions(tab, feats)
         with pytest.raises(RepresentationMismatchError):
-            design_matrix(tab, feats, [0])
+            design_matrix(tab, feats)
         with pytest.raises(RepresentationMismatchError, match="tabular states"):
-            design_matrix(tab, np.zeros((1, 2)), [0])
+            design_matrix(tab, np.zeros((1, 2)))
 
     def test_truncation_width_mismatch(self):
         # a class over 100 ambient coordinates must not read 30-wide features
@@ -82,7 +82,7 @@ class TestEvaluateFeatures:
         with pytest.raises(RepresentationMismatchError, match="30-wide"):
             features_all_actions(mc, states)
         with pytest.raises(RepresentationMismatchError, match="30-wide"):
-            design_matrix(mc, logged, actions)
+            design_matrix(mc, logged)
         # fit_pessimistic fits tabular cells only, so it refuses the feature dataset outright
         with pytest.raises(RepresentationMismatchError, match="tabular dataset"):
             fit_pessimistic(Dataset(None, actions, np.zeros(5), logged=logged), mc, 1.0, 0.05)
@@ -189,7 +189,7 @@ def test_coverage_monotone_on_nested_fits():
     probe = sample_states(inst, 50, 1)
     norms = []
     for mc in classes:
-        fit = ridge_fit(design_matrix(mc, data.logged, data.actions), data.rewards, 1.0)
+        fit = ridge_fit(design_matrix(mc, data.logged), data.rewards, 1.0)
         phi = features_all_actions(mc, probe).reshape(-1, mc.dim)
         norms.append(inv_quad_norms(fit.cov, phi))
     for small, large in zip(norms, norms[1:]):
@@ -229,13 +229,9 @@ class TestFeatureActionChecks:
     logged = np.arange(6, dtype=float).reshape(2, 3)
     mc = ModelClass(2, TruncationMap(3))
 
-    def test_one_action_per_state(self):
-        with pytest.raises(ValueError, match="one action per state"):
-            design_matrix(self.mc, self.logged, [0])
-
     def test_logged_rows_are_two_dimensional(self):
         with pytest.raises(RepresentationMismatchError, match="logged rows"):
-            design_matrix(self.mc, self.logged.reshape(2, 1, 3), [0, 0])
+            design_matrix(self.mc, self.logged.reshape(2, 1, 3))
 
 
 def _random_class(data, n_actions):
@@ -268,7 +264,7 @@ def test_design_matrix_is_gather_of_all_actions(n_actions, data):
         got = mc.map.table.reshape(-1, mc.dim)[states.indices * n_actions + actions]
     else:
         logged = states.features[rows, actions]
-        got = design_matrix(mc, logged, actions)
+        got = design_matrix(mc, logged)
         assert np.shares_memory(got, logged)
     ref = features_all_actions(mc, states)[rows, actions]
     assert got.shape == (len(states), mc.dim)

@@ -287,7 +287,7 @@ def _fit_truncation(instance, data, dims, lam=1.0):
     """(fits, classes) of a truncation family on a feature dataset."""
     classes = truncation_family(instance.model.chol_factors.shape[1], dims)
     fits = [
-        ridge_fit(design_matrix(mc, data.logged, data.actions), data.rewards, lam)
+        ridge_fit(design_matrix(mc, data.logged), data.rewards, lam)
         for mc in classes
     ]
     return fits, classes
@@ -429,7 +429,7 @@ class TestSlopePolicySelect:
 def _holdout(data, classes, split_fraction, lam, seed):
     """holdout_select on the widest class's design over the dataset's rows,
     split as ac splits them."""
-    design = design_matrix(classes[-1], data.logged, data.actions)
+    design = design_matrix(classes[-1], data.logged)
     fit_on, score_on = row_split(data.rewards, split_fraction, seed)
     return holdout_select(design, fit_on, score_on, classes, lam)
 
@@ -466,11 +466,11 @@ class TestHoldoutSelect:
         n_in = math.ceil(0.8 * 1000)
         halves = []
         for rows in (perm[:n_in], perm[n_in:]):
-            halves.append((data.logged[rows], data.actions[rows], data.rewards[rows]))
-        (s_in, a_in, r_in), (s_out, a_out, r_out) = halves
+            halves.append((data.logged[rows], data.rewards[rows]))
+        (s_in, r_in), (s_out, r_out) = halves
         for k, mc in enumerate(classes):
-            fit = ridge_fit(design_matrix(mc, s_in, a_in), r_in, 1.0)
-            pred = design_matrix(mc, s_out, a_out) @ fit.theta_hat
+            fit = ridge_fit(design_matrix(mc, s_in), r_in, 1.0)
+            pred = design_matrix(mc, s_out) @ fit.theta_hat
             loss = np.mean((pred - r_out) ** 2)
             assert report.audit["losses"][k] == pytest.approx(loss, rel=1e-12)
         assert report.chosen == int(np.argmin(report.audit["losses"]))
@@ -515,7 +515,7 @@ class TestHoldoutSelect:
         inst = make_gaussian_instance(4, 2, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 20, 0)
         classes = truncation_family(4, [2, 4])
-        design = design_matrix(classes[-1], data.logged, data.actions)
+        design = design_matrix(classes[-1], data.logged)
         with pytest.raises(ValueError, match="design"):
             holdout_select(mangle(design), *row_split(data.rewards, 0.8, 0), classes, 1.0)
 
