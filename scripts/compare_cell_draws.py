@@ -17,15 +17,17 @@ seeds and prints both mean regrets, their difference and the combined
 standard error sqrt(se_ref^2 + se_new^2).
 
 ac: runs the benchmark's ac config at TRIALS trials on each of SEEDS, once on
-the library's path, whose datasets draw only each row's logged action's
-features, and once with `sample_dataset` replaced by the all-action sampler
-kept in tests/test_env.py.  For every (n, method) it pools the regrets of all
+the library's path, whose cells draw each (side, action) group's statistics
+and whose instances draw their calibration probe's inner products, and once
+on the row reference kept in tests/feature_rows.py (`row_reference`), which
+draws every logged row, splits hold-out's rows by a permutation and probes
+with 10^4 feature rows.  For every (n, method) it pools the regrets of all
 seeds and trials and prints the same columns.
 
 It exits 1 when any difference in either study exceeds MAX_SE combined
 standard errors.
 
---ref REV: checks the git revision REV out with `git worktree add` into a
+--ref REV: extracts the git revision REV with `git archive` into a
 temporary directory, and runs the study's default config
 (`{"experiment": STUDY}`) through each tree's own `batchselect run` CLI on
 each of SEEDS: REV's tree and this working tree.  For every (n, method) of
@@ -51,7 +53,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/ or tests/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-import batchselect.experiments as experiments  # noqa: E402
 from batchselect.env import derive_seed  # noqa: E402
 from batchselect.experiments import aggregate_rows, parse_config, run_ac  # noqa: E402
 from batchselect.hard_instance import ratio_experiment  # noqa: E402
@@ -109,27 +110,23 @@ def compare_lower_bound() -> float:
 def compare_ac(threads: int = 2) -> float:
     """Largest |diff| / combined se over the ac (n, method) cells."""
     from run import WORKLOADS
-    from test_env import all_action_dataset
+    from feature_rows import row_reference
 
-    rows = {"all_action": [], "logged": []}
+    rows = {"row": [], "cell": []}
     for seed in SEEDS:
         config = parse_config({**WORKLOADS["ac"], "trials": TRIALS, "seed": seed})
-        rows["logged"] += run_ac(config, threads=threads)[0]
-        sample = experiments.sample_dataset
-        experiments.sample_dataset = all_action_dataset
-        try:
-            rows["all_action"] += run_ac(config, threads=threads)[0]
-        finally:
-            experiments.sample_dataset = sample
+        rows["cell"] += run_ac(config, threads=threads)[0]
+        with row_reference():
+            rows["row"] += run_ac(config, threads=threads)[0]
     print(f"ac, {TRIALS} trials on seeds {SEEDS.start}-{SEEDS.stop - 1}")
-    print("n     method    all_action_mean  logged_mean  diff      combined_se  diff/se")
+    print("n     method    row_mean  cell_mean  diff      combined_se  diff/se")
     worst = 0.0
-    ref, new = aggregate_rows(rows["all_action"]), aggregate_rows(rows["logged"])
+    ref, new = aggregate_rows(rows["row"]), aggregate_rows(rows["cell"])
     for (n, method, *a), (n2, method2, *b) in zip(ref, new, strict=True):
         assert (n, method) == (n2, method2)
         diff, se, z = zscore(a, b)
         worst = max(worst, z)
-        print(f"{n:<5} {method:<9} {a[0]:<16.5f} {b[0]:<12.5f} {diff:<+9.5f} {se:<12.5f} {z:.2f}")
+        print(f"{n:<5} {method:<9} {a[0]:<9.5f} {b[0]:<10.5f} {diff:<+9.5f} {se:<12.5f} {z:.2f}")
     return worst
 
 
@@ -191,12 +188,11 @@ def compare_trees(rev: str, study: str, mode: str) -> int:
     """Run the study on git revision `rev` (ref) and on this working tree (new)."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "ref"
-        git = ["git", "-C", str(ROOT), "worktree"]
-        subprocess.run([*git, "add", "--detach", "--quiet", str(tree), rev], check=True)
-        try:
-            ref = run_tree(tree, study, Path(tmp) / "ref-out")
-        finally:
-            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+        tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        ref = run_tree(tree, study, Path(tmp) / "ref-out")
         new = run_tree(ROOT, study, Path(tmp) / "new-out")
     print(f"{study}, default config on seeds {SEEDS.start}-{SEEDS.stop - 1}: "
           f"ref = {rev}, new = working tree ({mode})")

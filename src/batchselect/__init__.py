@@ -16,6 +16,7 @@ from .env import (
     make_gaussian_instance,
     make_tabular_instance,
     sample_dataset,
+    sample_split_cells,
     sample_states,
 )
 from .features import (
@@ -36,7 +37,6 @@ from .selection import (
     SelectionReport,
     complexity_coverage_policy,
     holdout_select,
-    row_split,
     slope_policy_select,
     slope_select,
     zeta_coefficient,
@@ -72,8 +72,8 @@ __all__ = [
     "ratio_experiment",
     "realizable_family",
     "ridge_fit",
-    "row_split",
     "sample_dataset",
+    "sample_split_cells",
     "sample_states",
     "slope_policy_select",
     "slope_select",

@@ -3,10 +3,12 @@
 States are represented uniformly as a columnar StateBatch (state indices or
 per-action feature vectors) so the same pipeline runs on finite tabular
 problems and on infinite state spaces with per-action Gaussian feature
-vectors.  A logged dataset over feature states keeps only each row's logged
-action's feature vector, the one a fit can read.  All sampling takes
-explicit seeds and derives independent sub-streams, so trials can run
-concurrently.
+vectors.  A tabular dataset holds its logged rows; a Gaussian-feature
+instance's logged data are drawn as the statistics their readers use, each
+(side of hold-out's split, action) group of rows as its Gram matrix, its
+feature-reward products and its residual sum of squares
+(`sample_split_cells`).  All sampling takes explicit seeds and derives
+independent sub-streams, so trials can run concurrently.
 """
 from __future__ import annotations
 
@@ -122,13 +124,14 @@ class BanditInstance:
             idx = rng.choice(len(self.model.state_probs), size=count, p=self.model.state_probs)
             return StateBatch(indices=idx)
         chols = self.model.chol_factors
+        # one GEMM per action, each action's slice overwritten by its transform,
+        # so the batch is one C-contiguous (count, |A|, d) array, as
+        # feature_source's truncation views and the reshape(-1, d) of the
+        # evaluations need
         z = rng.standard_normal((count, chols.shape[0], chols.shape[1]))
-        # one GEMM per action, written in place: feature_source's truncation views
-        # and the reshape(-1, d) of the evaluations need a C-contiguous (count, |A|, d) array
-        feats = np.empty_like(z)
         for a, chol in enumerate(chols):
-            np.matmul(z[:, a], chol.T, out=feats[:, a])
-        return StateBatch(features=feats)
+            z[:, a] = z[:, a] @ chol.T
+        return StateBatch(features=z)
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,9 @@ class Cells:
     Cell j stands for `counts[j]` logged rows whose mean reward is
     `means[j]`; a cell of count 0 adds nothing to a fit or a loss, whatever
     finite mean it holds.  `within` is the sum over all those rows of the
-    squared deviation of each reward from its cell's mean.  T trials stack as
+    squared deviation of each reward from its cell's mean.  A cell of zero
+    features is predicted 0 by every fit, so it may hold mean 0 and its rows'
+    whole sum of squares in `within` (`sample_split_cells`).  T trials stack as
     columns: `means` and `counts` of shape (cells, T) and `within` of shape
     (T,), checked once for all of them.
     """
@@ -192,36 +197,24 @@ class Cells:
 
 
 class Dataset:
-    """Batch of logged (state, action, reward) rows, stored as arrays.
+    """Batch of logged (state, action, reward) rows of a tabular instance,
+    stored as arrays.
 
-    A tabular dataset keeps each row's state: `states` is a StateBatch of
-    state indices, and a fit reads the rows only through their per-(x, a)
-    cell statistics (`cells`).  A feature dataset keeps only what a reader of
-    a logged row can use, the logged action's feature vector: `logged` is an
-    (n, D) array whose row i is phi(x_i, a_i) at the ambient dimension D, and
-    `states` is None.  Exactly one of the two is given.
+    `states` is a StateBatch of state indices, and a fit reads the rows only
+    through their per-(x, a) cell statistics (`cells`).
     """
 
-    def __init__(self, states: StateBatch | None, actions, rewards, logged=None):
-        if (states is None) == (logged is None):
-            raise ValueError("exactly one of states/logged must be given")
-        if states is not None and states.indices is None:
-            raise ValueError("a feature dataset holds its logged rows, not all-action states")
+    def __init__(self, states: StateBatch, actions, rewards):
+        if states.indices is None:
+            raise ValueError(
+                "a dataset holds tabular states; feature data are drawn as cell statistics"
+            )
         self.states = states
-        self.logged = None if logged is None else np.asarray(logged, dtype=float)
-        if self.logged is not None:
-            if self.logged.ndim != 2:
-                raise ValueError(
-                    f"logged rows must be an (n, D) array, got shape {self.logged.shape}"
-                )
-            if not np.all(np.isfinite(self.logged)):
-                raise ValueError("logged rows must be finite")
         self.actions = _index_vector(actions, "actions")
         self.rewards = np.asarray(rewards, dtype=float)
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
-        n = len(self.logged if states is None else states)
-        if self.actions.shape != (n,) or self.rewards.shape != (n,):
+        if self.actions.shape != (len(states),) or self.rewards.shape != (len(states),):
             raise ValueError("actions/rewards must have one entry per state")
         self._cells = {}
 
@@ -233,8 +226,6 @@ class Dataset:
         """A tabular dataset's rows binned by (x, a) into cell x * |A| + a of
         an |X| x |A| grid, counted once per grid and kept for every class fit
         on the dataset.  A state or action outside the grid raises ValueError."""
-        if self.states is None:
-            raise ValueError("a feature dataset has no (state, action) cells")
         grid = (state_count, action_count)
         if grid not in self._cells:
             states = _checked_state_indices(self.states.indices, state_count)
@@ -249,18 +240,39 @@ class Dataset:
         return self._cells[grid]
 
 
+def check_behavior_actions(action_count: int) -> None:
+    """Raise ValueError unless a behavior policy can be drawn over
+    `action_count` actions: at least two."""
+    if action_count < 2:
+        raise ValueError("action_count must be at least 2")
+
+
+def check_tabular_shape(state_count: int, action_count: int) -> None:
+    """Raise ValueError unless a tabular instance can have these sizes."""
+    if state_count < 1:
+        raise ValueError("state_count must be positive")
+    if action_count < 1:
+        raise ValueError("action_count must be positive")
+
+
+def check_gaussian_shape(ambient_dim: int, true_dim: int, action_count: int) -> None:
+    """Raise ValueError unless a Gaussian-feature instance can have these sizes."""
+    if not 1 <= true_dim <= ambient_dim:
+        raise ValueError("true_dim must lie in 1 ... ambient_dim")
+    if action_count < 1:
+        raise ValueError("action_count must be positive")
+
+
 def dirichlet_behavior(action_count: int, rng_seed: int) -> BehaviorPolicy:
     """Behavior probabilities drawn from Dirichlet(1, ..., 1)."""
-    if action_count < 2:
-        raise ValueError("need at least two actions")
+    check_behavior_actions(action_count)
     rng = rng_stream(rng_seed, "dirichlet-behavior")
     return BehaviorPolicy(rng.dirichlet(np.ones(action_count)))
 
 
 def make_tabular_instance(state_count: int, action_count: int, rng_seed: int) -> BanditInstance:
     """Random tabular instance: Gaussian mean table rescaled to max |f| = 1."""
-    if state_count < 1 or action_count < 1:
-        raise ValueError("state_count and action_count must be positive")
+    check_tabular_shape(state_count, action_count)
     rng = rng_stream(rng_seed, "tabular-instance")
     means = rng.standard_normal((state_count, action_count))
     means = means / np.max(np.abs(means))
@@ -268,14 +280,17 @@ def make_tabular_instance(state_count: int, action_count: int, rng_seed: int) ->
     return BanditInstance(action_count, TabularModel(probs, means), noise_scale=1.0)
 
 
-def _logged_features(z: np.ndarray, actions: np.ndarray, chols: np.ndarray) -> np.ndarray:
-    """Row i = z_i @ L_{a_i}^T of an (n, D) normal block z: the features of
-    action a_i, one matrix product per action on that action's rows."""
-    feats = np.empty_like(z)
-    for a, chol in enumerate(chols):
-        rows = np.flatnonzero(actions == a)
-        feats[rows] = z[rows] @ chol.T
-    return feats
+PROBE_PAIRS = 10_000
+
+
+def _probe_quantile(chols: np.ndarray, theta: np.ndarray, rng: np.random.Generator) -> float:
+    """The 99th percentile of |<phi, theta>| over PROBE_PAIRS (state, action)
+    pairs, each action uniform.  For phi = L_a z, <phi, theta> is
+    N(0, |L_a^T theta|^2), so each pair draws its action and then one
+    standard normal g, and reads |L_a^T theta| |g|."""
+    actions = rng.integers(len(chols), size=PROBE_PAIRS)
+    scales = np.linalg.norm(theta @ chols, axis=1)  # row a is (L_a^T theta)^T
+    return float(np.quantile(np.abs(scales[actions] * rng.standard_normal(PROBE_PAIRS)), 0.99))
 
 
 def make_gaussian_instance(
@@ -284,13 +299,14 @@ def make_gaussian_instance(
     """Gaussian-feature instance with sparse true parameter.
 
     Per-action covariances are G G^T / d + 0.1 I.  theta_true is supported on
-    the first `true_dim` coordinates and rescaled so the empirical 99th
-    percentile of |<phi, theta>| over 10^4 sampled (state, action) pairs is 1.
+    the first `true_dim` coordinates and rescaled so that the empirical 99th
+    percentile of |<phi, theta>| over 10^4 sampled (state, action) pairs is
+    1.  The probe draws each pair's action uniformly and <phi, theta> from
+    its law N(0, |L_a^T theta|^2), L_a the action's Cholesky factor, which
+    is the law of the inner product for phi = L_a z, so it draws no feature
+    rows (`_probe_quantile`).
     """
-    if not (1 <= true_dim <= ambient_dim):
-        raise ValueError("need 1 <= true_dim <= ambient_dim")
-    if action_count < 1:
-        raise ValueError("action_count must be positive")
+    check_gaussian_shape(ambient_dim, true_dim, action_count)
     rng = rng_stream(rng_seed, "gaussian-instance")
     chols = np.empty((action_count, ambient_dim, ambient_dim))
     for a in range(action_count):
@@ -299,12 +315,7 @@ def make_gaussian_instance(
         chols[a] = np.linalg.cholesky(sigma)
     theta = np.zeros(ambient_dim)
     theta[:true_dim] = rng.standard_normal(true_dim)
-
-    probe = 10_000
-    z = rng.standard_normal((probe, ambient_dim))
-    feats = _logged_features(z, rng.integers(action_count, size=probe), chols)
-    q99 = np.quantile(np.abs(feats @ theta), 0.99)
-    theta = theta / q99
+    theta = theta / _probe_quantile(chols, theta, rng)
     return BanditInstance(action_count, GaussianModel(chols, theta), noise_scale=1.0)
 
 
@@ -314,35 +325,120 @@ def sample_states(instance: BanditInstance, count: int, rng_seed: int) -> StateB
     return instance.sample_state_batch(count, rng)
 
 
-def sample_dataset(
-    instance: BanditInstance, mu: BehaviorPolicy, n: int, rng_seed: int
-) -> Dataset:
-    """Draw n logged rows: x ~ D, a ~ mu independent of rewards, y = f + noise.
-
-    States, actions, and reward noise consume three disjoint sub-streams, so
-    the conditional-independence contract holds by construction.  A tabular
-    dataset draws n state indices.  A feature dataset draws one (n, D) normal
-    block z from the states stream and keeps row i = z_i @ L_{a_i}^T, one
-    matrix product per action on that action's rows: the features of the
-    actions not logged are independent of these and never read, so leaving
-    them out keeps the law of every row.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
+def _behavior_probs(instance: BanditInstance, mu: BehaviorPolicy) -> np.ndarray:
+    """mu's probabilities, refused unless they cover the instance's actions."""
     probs = mu.action_probs
     if probs.shape != (instance.action_count,):
         raise ValueError(
             f"behavior policy over {probs.size} actions given an instance with "
             f"{instance.action_count}"
         )
-    state_rng = rng_stream(rng_seed, "dataset-states")
+    return probs
+
+
+def sample_dataset(
+    instance: BanditInstance, mu: BehaviorPolicy, n: int, rng_seed: int
+) -> Dataset:
+    """Draw n logged rows of a tabular instance: x ~ D, a ~ mu independent of
+    rewards, y = f + noise.
+
+    States, actions, and reward noise consume three disjoint sub-streams, so
+    the conditional-independence contract holds by construction.  A
+    Gaussian-feature instance's data are drawn by `sample_split_cells`.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not instance.is_tabular:
+        raise ValueError("a feature instance's logged data are drawn by sample_split_cells")
+    probs = _behavior_probs(instance, mu)
+    states = instance.sample_state_batch(n, rng_stream(rng_seed, "dataset-states"))
     actions = rng_stream(rng_seed, "dataset-actions").choice(
         instance.action_count, size=n, p=probs
     )
     noise = instance.noise_scale * rng_stream(rng_seed, "dataset-noise").standard_normal(n)
+    return Dataset(states, actions, instance.model.means[states.indices, actions] + noise)
+
+
+def _group_rows(chol, theta, sigma, count, state_rng, noise_rng):
+    """(rows, rewards, counts, residual) standing for `count` logged rows
+    phi = L z of one action, L = `chol`: the rows themselves, each of count
+    one, when count < D; else the D rows F^T, F = L A with A from Bartlett's
+    decomposition, their rewards F^T theta + sigma g, and for count > D one
+    zero row of count count - D and mean 0, with residual
+    sigma^2 chi2(count - D).  See `sample_split_cells`."""
+    dim = len(chol)
+    if count < dim:
+        rows = state_rng.standard_normal((count, dim)) @ chol.T
+        return rows, rows @ theta + sigma * noise_rng.standard_normal(count), np.ones(count), 0.0
+    factor = np.zeros((dim, dim))
+    factor[np.tril_indices(dim, -1)] = state_rng.standard_normal(dim * (dim - 1) // 2)
+    factor[np.diag_indices(dim)] = np.sqrt(state_rng.chisquare(count - np.arange(dim)))
+    rows = (chol @ factor).T
+    rewards = rows @ theta + sigma * noise_rng.standard_normal(dim)
+    if count == dim:
+        return rows, rewards, np.ones(dim), 0.0
+    residual = sigma**2 * noise_rng.chisquare(count - dim)
+    counts = np.append(np.ones(dim), count - dim)
+    return np.vstack([rows, np.zeros(dim)]), np.append(rewards, 0.0), counts, residual
+
+
+def sample_split_cells(
+    instance: BanditInstance, mu: BehaviorPolicy, n: int, n_in: int, rng_seed: int
+) -> tuple[np.ndarray, Cells, Cells]:
+    """n logged rows of a Gaussian-feature instance, split uniformly at random
+    into `n_in` rows that hold-out fits on and n - n_in it holds out, drawn as
+    the statistics their readers use.
+
+    A logged row is x ~ D, a ~ mu, phi = L_a z and y = <phi, theta> + sigma e.
+    The per-action counts are Multinomial(n, mu) and the fit side's are
+    multivariate hypergeometric (counts, n_in), which is how a uniformly
+    random split of the rows falls.  Given its count c, each (side, action)
+    group of rows is drawn on its own, side by side and action by action:
+    - when c < D, its c rows and rewards themselves;
+    - else its QR-compressed form.  With Phi = Q R, Phi^T Phi = R^T R,
+      Phi^T y = R^T Q^T y and |y - Phi t|^2 = |Q^T y - R t|^2 plus the
+      residual of y off Phi's columns, for every t.  In law, Phi^T Phi is
+      F F^T with F = L_a A, A lower triangular with A_ii^2 ~ chi2(c - i),
+      i = 0 ... D - 1, and standard normals below the diagonal (Bartlett's
+      decomposition of Wishart(c, I); Odell & Feiveson 1966, JASA 61), so
+      R = F^T; given Phi, Q^T e is D standard normals g and the residual is
+      sigma^2 chi2(c - D), independent of g.  The group enters as the D rows
+      F^T, each of count one, with rewards F^T theta + sigma g, and one zero
+      row of count c - D and mean 0; the residual joins its side's
+      within-cell sum of squares.
+    Every class's Gram, Phi^T y and row count, and every squared loss, on
+    either side or on both, is then the rows' own in law.
+
+    Returns (features, fit_on, score_on): the groups' ambient feature rows
+    stacked, (m, D) with m <= 2 |A| (D + 1) whatever n is, and each side's
+    Cells over them, its own groups' rows at their counts and the other
+    side's at count 0; the two sides hold one means array.  Counts, feature
+    draws and reward noise come from three disjoint sub-streams.
+    """
     if instance.is_tabular:
-        states = instance.sample_state_batch(n, state_rng)
-        return Dataset(states, actions, instance.model.means[states.indices, actions] + noise)
-    chols = instance.model.chol_factors
-    logged = _logged_features(state_rng.standard_normal((n, chols.shape[1])), actions, chols)
-    return Dataset(None, actions, logged @ instance.model.theta_true + noise, logged=logged)
+        raise ValueError("a tabular instance's logged rows are drawn by sample_dataset")
+    if not 0 < n_in < n:
+        raise ValueError("hold-out's split needs rows on both sides")
+    probs = _behavior_probs(instance, mu)
+    model = instance.model
+    count_rng = rng_stream(rng_seed, "dataset-actions")
+    counts = count_rng.multinomial(n, probs)
+    fit_counts = count_rng.multivariate_hypergeometric(counts, n_in)
+    state_rng = rng_stream(rng_seed, "dataset-states")
+    noise_rng = rng_stream(rng_seed, "dataset-noise")
+    groups, sides, within = [], [], [0.0, 0.0]
+    for side, side_counts in enumerate((fit_counts, counts - fit_counts)):
+        for chol, count in zip(model.chol_factors, side_counts):
+            if count == 0:
+                continue
+            *group, residual = _group_rows(
+                chol, model.theta_true, instance.noise_scale, int(count), state_rng, noise_rng
+            )
+            groups.append(group)
+            sides.append(np.full(len(group[0]), side))
+            within[side] += residual
+    features, means, row_counts = (np.concatenate(parts) for parts in zip(*groups))
+    side = np.concatenate(sides)
+    fit_on = Cells(means, np.where(side == 0, row_counts, 0.0), within[0])
+    score_on = Cells(means, np.where(side == 1, row_counts, 0.0), within[1])
+    return features, fit_on, score_on

@@ -18,18 +18,21 @@ from .env import (
     BanditInstance,
     BehaviorPolicy,
     StateBatch,
+    check_behavior_actions,
+    check_gaussian_shape,
+    check_tabular_shape,
     derive_seed,
     dirichlet_behavior,
     make_gaussian_instance,
     make_tabular_instance,
     sample_dataset,
+    sample_split_cells,
     sample_states,
 )
 from .features import ModelClass, design_matrix, realizable_family, truncation_family
 from .hard_instance import (
     ALGORITHMS,
     HOLDOUT_SPLIT,
-    MAX_HOLDOUT_ROWS,
     RatioResult,
     csv_text,
     ratio_experiment,
@@ -37,10 +40,10 @@ from .hard_instance import (
 from .learner import GreedyPolicy, check_width_arguments, fit_pessimistic
 from .linalg import ridge_fit
 from .selection import (
+    MAX_HOLDOUT_ROWS,
     complexity_coverage_policy,
     holdout_select,
     holdout_split_sizes,
-    row_split,
     slope_policy_select,
 )
 from .diagnostics import regret_estimate
@@ -170,7 +173,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _validate(c: ExperimentConfig):
-    """Refuse a bad config; its delta, lambda, dims and split rules are the library's own."""
+    """Refuse a bad config; its delta, lambda, instance-size, dims and split
+    rules are the library's own."""
     for name in ("trials", "n_test", "n_validation"):
         if getattr(c, name) < 1:
             raise ConfigError(f"{name} must be positive")
@@ -182,16 +186,18 @@ def _validate(c: ExperimentConfig):
         raise ConfigError(str(exc)) from exc
     if c.penalty_scale <= 0:
         raise ConfigError("penalty_scale must be positive")
-    if c.cc.state_count < 1 or c.cc.action_count < 2:
-        raise ConfigError("cc needs state_count >= 1 and action_count >= 2")
     if any(d < 1 for d in c.cc.hidden_dims):
         raise ConfigError("cc.hidden_dims must be positive")
-    if not (1 <= c.ac.true_dim <= c.ac.ambient_dim):
-        raise ConfigError("ac needs 1 <= true_dim <= ambient_dim")
-    if c.ac.action_count < 2:
-        raise ConfigError("ac.action_count must be >= 2")
     try:
-        truncation_family(c.ac.ambient_dim, c.ac.dims)
+        check_tabular_shape(c.cc.state_count, c.cc.action_count)
+        check_behavior_actions(c.cc.action_count)
+    except ValueError as exc:
+        raise ConfigError(f"cc.{exc}") from exc
+    s = c.ac
+    try:
+        check_gaussian_shape(s.ambient_dim, s.true_dim, s.action_count)
+        check_behavior_actions(s.action_count)
+        truncation_family(s.ambient_dim, s.dims)
     except ValueError as exc:
         raise ConfigError(f"ac.{exc}") from exc
     if any(v < 1 for v in c.lower_bound.n1) or c.lower_bound.n2 < 1:
@@ -208,17 +214,20 @@ def _validate(c: ExperimentConfig):
     ):
         if len(set(values)) != len(values):
             raise ConfigError(f"{key} has duplicate entries")
-    # hold-out must leave rows on both sides of its split at every sample size
-    splits = []
+    # hold-out must leave rows on both sides of its split at every sample size,
+    # and draws the split from numpy's hypergeometric, which takes fewer than
+    # MAX_HOLDOUT_ROWS rows
+    total, splits = "", []
     if c.experiment == "ac":
-        splits = [(n, c.ac.holdout_split) for n in c.n_grid]
+        total, splits = "n", [(n, c.ac.holdout_split) for n in c.n_grid]
     elif c.experiment == "lower_bound" and "holdout" in c.lower_bound.algorithms:
+        total = "n1 + n2"
         splits = [(n1 + c.lower_bound.n2, HOLDOUT_SPLIT) for n1 in c.lower_bound.n1]
-        if max(n for n, _ in splits) >= MAX_HOLDOUT_ROWS:
-            raise ConfigError(
-                f"hold-out draws its split of the lower_bound rows from numpy's hypergeometric, "
-                f"which needs n1 + n2 < {MAX_HOLDOUT_ROWS}"
-            )
+    if splits and max(n for n, _ in splits) >= MAX_HOLDOUT_ROWS:
+        raise ConfigError(
+            f"hold-out draws its split of the {c.experiment} rows from numpy's hypergeometric, "
+            f"which needs {total} < {MAX_HOLDOUT_ROWS}"
+        )
     for n, split in splits:
         try:
             holdout_split_sizes(n, split)
@@ -300,15 +309,18 @@ def _ac_trial(config: ExperimentConfig, trial: int) -> _Trial:
 
 def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: bool):
     s = config.ac
-    seed = config.seed
     classes, means, test_states = ctx.classes, ctx.test_means, ctx.test_states
-    dataset = sample_dataset(ctx.instance, ctx.mu, n, derive_seed(seed, f"ac-data-{n}", trial))
+    n_in, _ = holdout_split_sizes(n, s.holdout_split)
+    features, fit_on, score_on = sample_split_cells(
+        ctx.instance, ctx.mu, n, n_in, derive_seed(config.seed, f"ac-data-{n}", trial)
+    )
 
     rows, reports = [], []
-    # the widest class's design, a view of the logged rows read by the greedy
-    # fits and by hold-out; the family is fit once and each class is its leading block
-    design = design_matrix(classes[-1], dataset.logged)
-    family = ridge_fit(design, dataset.rewards, config.lam)
+    # the widest class's design over both sides' cells, read by the greedy
+    # fits (all n rows: both sides' counts) and by hold-out; the family is fit
+    # once and each class is its leading block
+    design = design_matrix(classes[-1], features)
+    family = ridge_fit(design, fit_on.means, config.lam, counts=fit_on.counts + score_on.counts)
     fits = [family.leading(mc.dim) for mc in classes]
     for mc, fit in zip(classes, fits):
         regret = regret_estimate(means, GreedyPolicy(fit, mc), test_states)
@@ -317,11 +329,8 @@ def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: b
         fits, classes, ctx.validation, config.delta, config.penalty_scale
     )
     rows.append(ResultRow(n, "slope", trial, regret_estimate(means, slope_policy, test_states)))
-    fit_on, score_on = row_split(
-        dataset.rewards, s.holdout_split, derive_seed(seed, f"ac-holdout-{n}", trial)
-    )
     ho_policy, ho_report = holdout_select(design, fit_on, score_on, classes, config.lam)
-    ho_report.audit["split_fraction"] = s.holdout_split  # row_split, not holdout_select, reads it
+    ho_report.audit["split_fraction"] = s.holdout_split  # the draw, not holdout_select, reads it
     rows.append(ResultRow(n, "holdout", trial, regret_estimate(means, ho_policy, test_states)))
     if audit:
         for method, report in (("slope", slope_report), ("holdout", ho_report)):

@@ -90,12 +90,12 @@ def features_all_actions(model_class: ModelClass, states: StateBatch) -> np.ndar
 
 
 def design_matrix(model_class: ModelClass, logged) -> np.ndarray:
-    """Feature rows phi_k(x_i, a_i) of logged rows, shape (n, d_k).
+    """Feature rows phi_k of logged rows or cells, shape (n, d_k).
 
-    `logged` is an (n, D) array whose row i is phi(x_i, a_i) at the ambient
-    dimension D (a feature dataset's `logged`); the design is the view of its
-    first d_k columns, so every class of a nested family shares the dataset's
-    memory.  A tabular class has no row design: it fits from a tabular
+    `logged` is an (n, D) array of feature rows at the ambient dimension D,
+    such as the cell rows `env.sample_split_cells` draws; the design is the
+    view of its first d_k columns, so every class of a nested family shares
+    its memory.  A tabular class has no row design: it fits from a tabular
     dataset's per-cell statistics (`Dataset.cells`).
     """
     if not isinstance(model_class.map, TruncationMap):

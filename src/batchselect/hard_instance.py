@@ -58,8 +58,6 @@ from .selection import (
 THETA_TOL = 1e-10
 # Fraction of the hard pair's rows that hold-out fits on.
 HOLDOUT_SPLIT = 0.8
-# numpy's hypergeometric draw takes fewer than 10**9 rows of each arm.
-MAX_HOLDOUT_ROWS = 10**9
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .env import Dataset, StateBatch
-from .features import ModelClass, RepresentationMismatchError, feature_source, features_all_actions
+from .features import ModelClass, feature_source, features_all_actions
 from .linalg import RidgeFit, ridge_fit
 
 MAX_DELTA = 1.0 / math.e
@@ -47,11 +47,9 @@ def fit_pessimistic(
 
     The fit reads the class's |X| x |A| table with the dataset's per-cell
     counts and mean rewards (`Dataset.cells`): the n-row fit up to rounding,
-    at a cost of |X| |A| d^2 whatever n is.  A feature dataset raises
-    RepresentationMismatchError; its classes fit their designs with `ridge_fit`.
+    at a cost of |X| |A| d^2 whatever n is.  A truncation class raises
+    RepresentationMismatchError (`feature_source`): it reads feature states.
     """
-    if dataset.states is None:
-        raise RepresentationMismatchError("fit_pessimistic fits a tabular dataset's cells")
     table, _ = feature_source(model_class, dataset.states)
     cells = dataset.cells(*table.shape[:2])
     fit = ridge_fit(table.reshape(-1, model_class.dim), cells.means, lam, counts=cells.counts)

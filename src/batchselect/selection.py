@@ -7,11 +7,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import Cells, StateBatch, rng_stream
+from .env import Cells, StateBatch
 from .features import ModelClass, check_nested, features_all_actions
 from .learner import GreedyPolicy, PessimisticPolicy, Policy, check_width_arguments
 from .linalg import CovarianceMatrix, RidgeFit, inv_quad_norms, inv_sqrt_spectral_norm, ridge_fit
 
+# Hold-out's split is drawn by numpy's hypergeometric, which takes fewer than
+# this many rows in all.
+MAX_HOLDOUT_ROWS = 10**9
 # Hold-out losses this close to the minimum, relative to it, count as tied.
 # Classes that fit the same values (nested classes on data that cannot tell
 # them apart) get losses that differ in their last bits only.
@@ -194,17 +197,6 @@ def holdout_split_sizes(n: int, split_fraction: float) -> tuple[int, int]:
     if n_in < 1 or n_out < 1:
         raise ValueError("degenerate hold-out split")
     return n_in, n_out
-
-
-def row_split(rewards: np.ndarray, split_fraction: float, rng_seed: int) -> tuple[Cells, Cells]:
-    """Hold-out's (fit, held-out) split of logged rows by a seeded shuffle:
-    a prefix of `holdout_split_sizes` rows and the rest.  Each side has one
-    cell per row, of count 1 on its own rows and 0 on the other side's."""
-    n_in, _ = holdout_split_sizes(len(rewards), split_fraction)
-    perm = rng_stream(rng_seed, "holdout-split").permutation(len(rewards))
-    counts_in = np.zeros(len(rewards))
-    counts_in[perm[:n_in]] = 1.0
-    return Cells(rewards, counts_in), Cells(rewards, 1.0 - counts_in)
 
 
 def holdout_choice(losses: np.ndarray) -> np.ndarray:

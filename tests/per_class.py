@@ -8,13 +8,18 @@ reorders their arithmetic.
 """
 import numpy as np
 
-from batchselect.env import derive_seed, sample_dataset
+from batchselect.env import derive_seed, sample_split_cells
 from batchselect.experiments import ResultRow
 from batchselect.features import design_matrix, features_all_actions
 from batchselect.learner import GreedyPolicy
 from batchselect.linalg import inv_quad_norms, ridge_fit
 from batchselect.diagnostics import regret_estimate
-from batchselect.selection import holdout_choice, row_split, slope_select, zeta_coefficient
+from batchselect.selection import (
+    holdout_choice,
+    holdout_split_sizes,
+    slope_select,
+    zeta_coefficient,
+)
 
 
 def per_class_slope(fits, classes, validation_states, delta, penalty_scale):
@@ -48,10 +53,13 @@ def per_class_holdout(designs, fit_on, score_on, lam):
 
 def per_class_ac_cell(config, ctx, n, trial, audit):
     """`experiments._ac_cell` with one ridge fit per class and design."""
-    s, seed, classes = config.ac, config.seed, ctx.classes
-    dataset = sample_dataset(ctx.instance, ctx.mu, n, derive_seed(seed, f"ac-data-{n}", trial))
-    designs = [design_matrix(mc, dataset.logged) for mc in classes]
-    fits = [ridge_fit(phi, dataset.rewards, config.lam) for phi in designs]
+    classes = ctx.classes
+    n_in, _ = holdout_split_sizes(n, config.ac.holdout_split)
+    data_seed = derive_seed(config.seed, f"ac-data-{n}", trial)
+    features, fit_on, score_on = sample_split_cells(ctx.instance, ctx.mu, n, n_in, data_seed)
+    designs = [design_matrix(mc, features) for mc in classes]
+    counts = fit_on.counts + score_on.counts
+    fits = [ridge_fit(phi, fit_on.means, config.lam, counts=counts) for phi in designs]
     rows, reports = [], []
     for mc, fit in zip(classes, fits):
         regret = regret_estimate(ctx.test_means, GreedyPolicy(fit, mc), ctx.test_states)
@@ -59,9 +67,7 @@ def per_class_ac_cell(config, ctx, n, trial, audit):
     chosen, slope_audit = per_class_slope(
         fits, classes, ctx.validation, config.delta, config.penalty_scale
     )
-    split_seed = derive_seed(seed, f"ac-holdout-{n}", trial)
-    sides = row_split(dataset.rewards, s.holdout_split, split_seed)
-    ho_chosen, losses, ho_fits = per_class_holdout(designs, *sides, config.lam)
+    ho_chosen, losses, ho_fits = per_class_holdout(designs, fit_on, score_on, config.lam)
     for method, policy in (
         ("slope", GreedyPolicy(fits[chosen], classes[chosen])),
         ("holdout", GreedyPolicy(ho_fits[ho_chosen], classes[ho_chosen])),

@@ -31,6 +31,7 @@ from batchselect.experiments import (
     run_lower_bound,
 )
 from batchselect.hard_instance import ratio_results_to_csv
+from feature_rows import sample_feature_dataset
 from row_design import tabular_design
 
 
@@ -78,7 +79,7 @@ def test_acceptance_2_schur_and_nestedness_monotonicity():
     width_ok = True
     for seed in range(50):
         inst = make_gaussian_instance(10, 4, 3, seed)
-        data = sample_dataset(inst, dirichlet_behavior(3, seed), 300, seed)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, seed), 300, seed)
         classes = truncation_family(10, [2, 5, 10])
         fits = [
             ridge_fit(design_matrix(mc, data.logged), data.rewards, 1.0)

@@ -18,7 +18,18 @@ from batchselect.env import (
     make_tabular_instance,
     rng_stream,
     sample_dataset,
+    sample_split_cells,
     sample_states,
+)
+from batchselect.features import truncation_family
+from batchselect.linalg import ridge_fit
+from batchselect.selection import holdout_select
+from feature_rows import (
+    FeatureDataset,
+    qr_compressed,
+    row_probe_quantile,
+    row_split,
+    sample_feature_dataset,
 )
 
 
@@ -120,19 +131,10 @@ class TestSampleDataset:
         # recover noise by subtraction; equality only up to float round-off
         assert np.allclose(d1.rewards - m1, d2.rewards - m2, atol=1e-12)
 
-    def test_deterministic(self):
+    def test_feature_instance_refused(self):
         inst = make_gaussian_instance(6, 3, 2, 0)
-        mu = dirichlet_behavior(2, 0)
-        a = sample_dataset(inst, mu, 20, 4)
-        b = sample_dataset(inst, mu, 20, 4)
-        assert np.array_equal(a.rewards, b.rewards)
-        assert np.array_equal(a.logged, b.logged)
-        assert a.states is None and a.logged.shape == (20, 6)
-
-    def test_zero_noise_feature_rewards_equal_logged_means(self):
-        inst = dataclasses.replace(make_gaussian_instance(6, 3, 2, 0), noise_scale=0.0)
-        data = sample_dataset(inst, dirichlet_behavior(2, 0), 50, 1)
-        assert np.array_equal(data.rewards, data.logged @ inst.model.theta_true)
+        with pytest.raises(ValueError, match="sample_split_cells"):
+            sample_dataset(inst, dirichlet_behavior(2, 0), 20, 0)
 
     def test_tabular_matches_the_all_action_reference(self):
         # a tabular dataset keeps its form and its bytes
@@ -146,7 +148,9 @@ class TestSampleDataset:
     def test_behavior_over_another_action_count(self):
         inst = make_gaussian_instance(6, 3, 4, 0)
         with pytest.raises(ValueError, match="3 actions.* 4"):
-            sample_dataset(inst, dirichlet_behavior(3, 0), 20, 0)
+            sample_split_cells(inst, dirichlet_behavior(3, 0), 20, 16, 0)
+        with pytest.raises(ValueError, match="3 actions.* 4"):
+            sample_dataset(make_tabular_instance(2, 4, 0), dirichlet_behavior(3, 0), 20, 0)
 
 
 def all_action_dataset(instance, mu, n, rng_seed):
@@ -165,11 +169,12 @@ def all_action_dataset(instance, mu, n, rng_seed):
     rewards = means + instance.noise_scale * noise_rng.standard_normal(n)
     if instance.is_tabular:
         return Dataset(states, actions, rewards)
-    return Dataset(None, actions, rewards, logged=states.features[rows, actions])
+    return FeatureDataset(actions, rewards, states.features[rows, actions])
 
 
 class TestLoggedFeatureSampler:
-    """A feature dataset's rows against the one (n, D) normal block they come from."""
+    """The row reference's feature rows against the one (n, D) normal block
+    they come from."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -192,7 +197,7 @@ class TestLoggedFeatureSampler:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(env, "rng_stream", recording_stream)
-            data = sample_dataset(instance, mu, n, seed)
+            data = sample_feature_dataset(instance, mu, n, seed)
 
         reference_rng = rng_stream(seed, "dataset-states")
         z = reference_rng.standard_normal((n, d))
@@ -210,13 +215,123 @@ class TestLoggedFeatureSampler:
 
     def test_rows_of_each_action_have_its_covariance(self):
         inst = make_gaussian_instance(4, 2, 3, 0)
-        data = sample_dataset(inst, BehaviorPolicy(np.array([0.2, 0.3, 0.5])), 60_000, 1)
+        data = sample_feature_dataset(inst, BehaviorPolicy(np.array([0.2, 0.3, 0.5])), 60_000, 1)
         for a, chol in enumerate(inst.model.chol_factors):
             rows = data.logged[data.actions == a]
             sigma = chol @ chol.T
             scale = np.max(np.abs(sigma))
             assert np.max(np.abs(rows.mean(axis=0))) <= 0.05 * np.sqrt(scale)
             assert np.max(np.abs(rows.T @ rows / len(rows) - sigma)) <= 0.05 * scale
+
+
+class TestSplitCells:
+    """ac's logged data drawn as per-(side, action) statistics."""
+
+    def test_sides_and_sizes(self):
+        # at most |A| (D + 1) cell rows a side whatever n is; each side counts
+        # its own rows and holds the other side's at count 0
+        inst = make_gaussian_instance(12, 4, 3, 0)
+        mu = dirichlet_behavior(3, 0)
+        for n, n_in in ((20, 16), (200, 160), (10**6, 800_000)):
+            features, fit_on, score_on = sample_split_cells(inst, mu, n, n_in, 1)
+            assert features.shape[1] == 12 and len(features) <= 2 * 3 * (12 + 1)
+            assert (fit_on.n, score_on.n) == (n_in, n - n_in)
+            assert fit_on.means is score_on.means
+            assert np.all((fit_on.counts == 0) | (score_on.counts == 0))
+            zero = ~features.any(axis=1)  # the rows that carry counts beyond D
+            assert np.all(fit_on.means[zero] == 0)
+            again = sample_split_cells(inst, mu, n, n_in, 1)
+            assert np.array_equal(again[0], features)
+            assert np.array_equal(again[1].means, fit_on.means)
+            assert (again[1].within, again[2].within) == (fit_on.within, score_on.within)
+
+    def test_zero_noise_means_are_the_rows_values(self):
+        inst = dataclasses.replace(make_gaussian_instance(6, 3, 2, 0), noise_scale=0.0)
+        features, fit_on, score_on = sample_split_cells(inst, dirichlet_behavior(2, 0), 500, 400, 1)
+        want = features @ inst.model.theta_true
+        assert np.all(np.abs(fit_on.means - want) <= 1e-12 * np.max(np.abs(want)))
+        assert fit_on.within == score_on.within == 0.0
+
+    @pytest.mark.parametrize("n, n_in", [(10, 0), (10, 10), (10, 11)])
+    def test_both_sides_need_rows(self, n, n_in):
+        inst = make_gaussian_instance(4, 2, 2, 0)
+        with pytest.raises(ValueError, match="both sides"):
+            sample_split_cells(inst, dirichlet_behavior(2, 0), n, n_in, 0)
+
+    def test_tabular_instance_refused(self):
+        inst = make_tabular_instance(3, 2, 0)
+        with pytest.raises(ValueError, match="sample_dataset"):
+            sample_split_cells(inst, dirichlet_behavior(2, 0), 10, 8, 0)
+
+    def test_group_moments(self):
+        # one action: the fit side is one group of c = 5 >= D = 3 rows, drawn
+        # by Bartlett's decomposition, and the held-out side one of c = 2 < D,
+        # drawn as rows; each side's Gram G, Phi^T y and y^T y have the means
+        # c Sigma, c Sigma theta and c (theta^T Sigma theta + sigma^2)
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((3, 3))
+        sigma_matrix = g @ g.T / 3 + 0.1 * np.eye(3)
+        theta, sigma = rng.standard_normal(3), 0.7
+        model = GaussianModel(np.linalg.cholesky(sigma_matrix)[None], theta)
+        inst = BanditInstance(1, model, noise_scale=sigma)
+        mu = BehaviorPolicy(np.array([1.0]))
+        draws = 4000
+        sums = {0: [], 1: []}
+        for seed in range(draws):
+            features, *sides = sample_split_cells(inst, mu, 7, 5, seed)
+            for k, side in enumerate(sides):
+                weighted = features.T * side.counts
+                yy = side.counts @ side.means**2 + side.within
+                sums[k].append(np.concatenate([(weighted @ features).ravel(),
+                                               weighted @ side.means, [yy]]))
+        for k, c in ((0, 5), (1, 2)):
+            got = np.array(sums[k])
+            want = c * np.concatenate([sigma_matrix.ravel(), sigma_matrix @ theta,
+                                       [theta @ sigma_matrix @ theta + sigma**2]])
+            se = got.std(axis=0, ddof=1) / np.sqrt(draws)
+            assert np.all(np.abs(got.mean(axis=0) - want) <= 4 * se)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compressed_rows_fit_and_score_as_the_rows(self, seed):
+        # rows drawn the old way and compressed by QR into the form the
+        # sampler draws give the rows' family fit, and their hold-out losses
+        # and choice; the groups straddle D = 8, so both forms enter
+        inst = make_gaussian_instance(8, 4, 3, seed)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, seed), 120, seed)
+        classes = truncation_family(8, [3, 5, 8])
+        fit_on, score_on = row_split(data.rewards, 0.8, seed)
+        features, *sides = qr_compressed(
+            data.logged, data.rewards, data.actions, fit_on.counts > 0, 3
+        )
+        assert len(features) < data.n
+
+        def close(got, want):
+            return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        rows = ridge_fit(data.logged, data.rewards, 1.0)
+        cells = ridge_fit(features, sides[0].means, 1.0, counts=sides[0].counts + sides[1].counts)
+        assert cells.n == rows.n
+        assert close(cells.theta_hat, rows.theta_hat)
+        assert close(cells.cov.entries, rows.cov.entries)
+        _, want = holdout_select(data.logged, fit_on, score_on, classes, 1.0)
+        _, got = holdout_select(features, *sides, classes, 1.0)
+        assert close(got.audit["losses"], want.audit["losses"])
+        assert got.chosen == want.chosen
+        assert (got.audit["n_in"], got.audit["n_out"]) == (want.audit["n_in"], want.audit["n_out"])
+
+
+def test_scalar_probe_matches_the_row_probe_in_law():
+    # the probe's q99 of |<phi, theta>| from one normal per pair against the
+    # q99 from 10^4 transformed normal rows, at one instance's factors
+    inst = make_gaussian_instance(10, 4, 4, 0)
+    chols, theta = inst.model.chol_factors, inst.model.theta_true
+    draws = 500
+    scalar = [env._probe_quantile(chols, theta, np.random.default_rng([0, i]))
+              for i in range(draws)]
+    rows = [row_probe_quantile(chols, theta, np.random.default_rng([1, i])) for i in range(draws)]
+    assert stats.ks_2samp(scalar, rows).pvalue > 0.01
+    se = np.hypot(np.std(scalar, ddof=1), np.std(rows, ddof=1)) / np.sqrt(draws)
+    assert abs(np.mean(scalar) - np.mean(rows)) <= 3 * se
 
 
 class TestSampleStates:
@@ -347,28 +462,10 @@ class TestBadInputs:
         with pytest.raises(ValueError, match="finite"):
             StateBatch(features=feats)
 
-    def test_dataset_holds_states_or_logged_rows(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            Dataset(None, [0, 1], [0.0, 0.0])
-        with pytest.raises(ValueError, match="exactly one"):
-            Dataset(StateBatch(indices=[0, 1]), [0, 1], [0.0, 0.0], logged=np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="logged rows"):
+    def test_dataset_holds_tabular_states(self):
+        with pytest.raises(ValueError, match="tabular states"):
             Dataset(StateBatch(features=np.zeros((2, 2, 3))), [0, 1], [0.0, 0.0])
 
-    def test_feature_dataset_has_no_cells(self):
-        data = Dataset(None, [0, 1], [0.0, 0.0], logged=np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="feature dataset"):
-            data.cells(1, 2)
-
-    @pytest.mark.parametrize(
-        "logged, match",
-        [
-            (np.zeros((2, 2, 3)), "shape"),
-            (np.array([[0.0, np.nan], [1.0, 2.0]]), "finite"),
-            (np.zeros((3, 3)), "one entry per state"),
-        ],
-        ids=["all_action_block", "nan", "three_rows_two_actions"],
-    )
-    def test_bad_logged_rows_rejected(self, logged, match):
-        with pytest.raises(ValueError, match=match):
-            Dataset(None, [0, 1], [0.0, 0.0], logged=logged)
+    def test_one_entry_per_row(self):
+        with pytest.raises(ValueError, match="one entry per state"):
+            Dataset(StateBatch(indices=[0, 1, 0]), [0, 1], [0.0, 0.0])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from batchselect.env import (
     BanditInstance,
     dirichlet_behavior,
     make_gaussian_instance,
-    sample_dataset,
+    sample_split_cells,
     sample_states,
 )
 from batchselect.features import design_matrix, truncation_family
@@ -39,6 +40,8 @@ from batchselect.experiments import (
     run_cc,
     run_lower_bound,
 )
+import feature_rows
+from feature_rows import row_reference
 from per_class import per_class_ac_cell
 from test_env import all_action_dataset
 
@@ -220,7 +223,12 @@ class TestRunLowerBound:
 # 7e662f7c... when realizable classes stopped being lifted to |X||A| = 200
 # dimensions and kept their own d_hid, a change of behaviour: each class's
 # beta now follows its dimension.  scripts/compare_cell_draws.py --ref
-# prints the per-(n, method) regrets of both paths.
+# prints the per-(n, method) regrets of both paths.  The ac hash was
+# re-pinned again, from 2e0d262a... to c51beb4e..., when ac cells began to
+# draw each (side, action) group's statistics instead of its rows and the
+# instance's calibration probe its inner products instead of feature rows;
+# tests/feature_rows.py keeps the row path, which still gives 2e0d262a...
+# (test_ac_row_reference_gives_the_previous_pins).
 GOLDEN = {
     "cc": (
         {"experiment": "cc", "trials": 2, "n_grid": [100, 250], "seed": 3},
@@ -232,7 +240,7 @@ GOLDEN = {
         {"experiment": "ac", "trials": 2, "n_grid": [150], "seed": 3},
         run_ac,
         results_to_csv,
-        "2e0d262a434697b1a87f81b78cea6e45c2caae382eeadd5b90194abeb2beefe0",
+        "c51beb4ed9e58df304fb7cefe336f34718ebc215c13f3dc310fb3ba180d94392",
     ),
     "lower_bound": (
         {
@@ -270,15 +278,17 @@ def test_golden_results_hash(study):
 
 # sha256 of the other files `batchselect run --audit` writes for the golden
 # configs, computed when the CLI still chose each study's writers by a branch
-# on the experiment; the lower-bound studies write no reports.
+# on the experiment; the lower-bound studies write no reports.  The ac pins
+# moved with its results.csv pin (above): from b02e69e3... (aggregate.csv)
+# and 09429a67... (report.json), which the row path still gives.
 GOLDEN_CLI = {
     "cc": {
         "aggregate.csv": "7229a3b7eb09ec10e556a381fc523a6cfbcdc81a49ba553228f1acf70d59891e",
         "report.json": "7903831a70a7e32e8642d654240b47974d9a59657f4b9dca712c2b20bc34f8c7",
     },
     "ac": {
-        "aggregate.csv": "b02e69e3305a9c31a44ff55fd5aec6fd3b0509fe19431cdc106e9e69f1b8f3e0",
-        "report.json": "09429a67dcf7bd57d86539ab2582e03bc0f836dd0442d16d11c90a2e95ab962f",
+        "aggregate.csv": "475daf40fd9f7a62526db64d0fbb12e14091f4b0d03e6efb03ed57a24aeba66d",
+        "report.json": "1c36d5b28c31d671b9258eeb1cc6ac9ee0e93429b2d0633e84f88e02c661c0da",
     },
     "lower_bound": {
         "aggregate.csv": "6749557c33070fbfba43695f609d4d761c8d0dbf4b3a30277dfae7f250da0d99",
@@ -301,15 +311,51 @@ def test_golden_cli_output_hashes(study, tmp_path, capsys):
     assert got == expected
 
 
-def test_ac_all_action_reference_gives_the_previous_hash(monkeypatch):
-    # Only the dataset draw moved: with the all-action sampler it replaced,
-    # ac still writes the bytes pinned before the change.
+def test_ac_row_reference_gives_the_previous_pins(tmp_path, capsys):
+    # Only the draws moved: on the row path, with the row probe, ac still
+    # writes the three files pinned before cells drew their statistics.
+    doc, _, _, _ = GOLDEN["ac"]
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    with row_reference():
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out), "--audit")
+    assert code == 0, err
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in
+           ("results.csv", "aggregate.csv", "report.json")}
+    assert got == {
+        "results.csv": "2e0d262a434697b1a87f81b78cea6e45c2caae382eeadd5b90194abeb2beefe0",
+        "aggregate.csv": "b02e69e3305a9c31a44ff55fd5aec6fd3b0509fe19431cdc106e9e69f1b8f3e0",
+        "report.json": "09429a67dcf7bd57d86539ab2582e03bc0f836dd0442d16d11c90a2e95ab962f",
+    }
+
+
+def test_ac_all_action_reference_gives_the_previous_hash():
+    # On the row path with the all-action sampler it replaced, ac still
+    # writes the bytes pinned before datasets drew only the logged features.
     doc, runner, serialize, _ = GOLDEN["ac"]
-    monkeypatch.setattr(experiments, "sample_dataset", all_action_dataset)
-    text = serialize(runner(parse_config(doc), threads=1)[0])
+    with row_reference() as mp:
+        mp.setattr(feature_rows, "sample_feature_dataset", all_action_dataset)
+        text = serialize(runner(parse_config(doc), threads=1)[0])
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ff610c4701b17e3d51555599396b5c237faf1fe6939367591bc3a8ab5d2af2bf"
     )
+
+
+def test_ac_cell_memory_is_flat_in_n():
+    # an ac cell holds at most 2 |A| (D + 1) cell rows whatever n is; the
+    # rows themselves took about 2 KB of peak memory each at D = 100
+    config = parse_config({"experiment": "ac", "trials": 1, "seed": 5})
+    ctx = experiments._ac_trial(config, 0)
+    experiments._ac_cell(config, ctx, 4000, 0, False)  # first-call imports and caches
+    peaks = {}
+    for n in (4000, 128_000):
+        tracemalloc.start()
+        try:
+            experiments._ac_cell(config, ctx, n, 0, False)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[128_000] <= 1.5 * peaks[4000]
 
 
 def test_cells_run_largest_n_first(monkeypatch):
@@ -613,7 +659,7 @@ class TestDuplicateWork:
         assert len(instances) == 2
 
     def test_ac_fits_each_family_once_per_cell(self, monkeypatch):
-        # the widest class's design is a view of the cell's logged rows, which
+        # the widest class's design is a view of the cell's drawn rows, which
         # the greedy fits and hold-out read; each fits the family once, and
         # every narrower class is a leading block of that fit
         config = parse_config(
@@ -626,18 +672,18 @@ class TestDuplicateWork:
                 "ac": {"ambient_dim": 8, "true_dim": 3, "action_count": 3, "dims": [2, 4, 8]},
             }
         )
-        datasets = _record_calls(monkeypatch, experiments, "sample_dataset")
+        draws = _record_calls(monkeypatch, experiments, "sample_split_cells")
         designs = _record_calls(monkeypatch, experiments, "design_matrix")
         fits = _record_at_every_alias(monkeypatch, linalg_module, "ridge_fit")
         holdouts = _record_calls(monkeypatch, experiments, "holdout_select")
         run_ac(config)
         cells = 2 * 2
-        assert len(datasets) == len(designs) == len(holdouts) == cells
+        assert len(draws) == len(designs) == len(holdouts) == cells
         assert len(fits) == 2 * cells
-        for i, (_, data) in enumerate(datasets):
+        for i, (_, (features, fit_on, score_on)) in enumerate(draws):
             design = designs[i][1]
-            assert design.shape == (data.n, 8) and np.shares_memory(design, data.logged)
-            assert holdouts[i][0][0] is design
+            assert design.shape == (len(features), 8) and np.shares_memory(design, features)
+            assert all(a is b for a, b in zip(holdouts[i][0], (design, fit_on, score_on)))
             assert all(args[0] is design for args, _ in fits[2 * i : 2 * i + 2])
 
     @pytest.mark.parametrize("study", ["cc", "ac"])
@@ -653,10 +699,11 @@ class TestDuplicateWork:
         # the widest class's features serve every class as prefix views, for
         # the candidates' greedy actions, every value estimate and the widths
         inst = make_gaussian_instance(8, 3, 3, 0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 0), 100, 0)
+        features, fit_on, score_on = sample_split_cells(inst, dirichlet_behavior(3, 0), 100, 80, 0)
         classes = truncation_family(8, [2, 4, 8])
-        designs = [design_matrix(mc, data.logged) for mc in classes]
-        fits = [experiments.ridge_fit(phi, data.rewards, 1.0) for phi in designs]
+        counts = fit_on.counts + score_on.counts
+        fits = [experiments.ridge_fit(design_matrix(mc, features), fit_on.means, 1.0, counts=counts)
+                for mc in classes]
         in_selection = _record_calls(monkeypatch, selection_module, "features_all_actions")
         in_policies = _record_calls(monkeypatch, learner_module, "features_all_actions")
         selection_module.slope_policy_select(fits, classes, sample_states(inst, 20, 1), 0.05)
@@ -847,16 +894,21 @@ class TestCli:
         assert "duplicate" in self._refused(tmp_path, capsys, {"trials": 1, **doc})
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, reason",
         [
-            {"experiment": "ac", "n_grid": [1]},
-            {"experiment": "ac", "n_grid": [3], "ac": {"holdout_split": 0.9}},
-            {"experiment": "lower_bound", "lower_bound": {"n1": [1], "n2": 1}},
+            ({"experiment": "ac", "n_grid": [1]}, "degenerate hold-out split"),
+            ({"experiment": "ac", "n_grid": [3], "ac": {"holdout_split": 0.9}},
+             "degenerate hold-out split"),
+            ({"experiment": "lower_bound", "lower_bound": {"n1": [1], "n2": 1}},
+             "degenerate hold-out split"),
+            # numpy's hypergeometric refuses 10**9 rows, which would otherwise
+            # fail the run at its first cell
+            ({"experiment": "ac", "n_grid": [100, 10**9]}, "n < 1000000000"),
         ],
-        ids=["ac_one_row", "ac_wide_split", "lower_bound_two_rows"],
+        ids=["ac_one_row", "ac_wide_split", "lower_bound_two_rows", "ac_beyond_hypergeometric"],
     )
-    def test_degenerate_holdout_split_is_a_config_error(self, tmp_path, capsys, doc):
-        assert "degenerate hold-out split" in self._refused(tmp_path, capsys, {"trials": 1, **doc})
+    def test_degenerate_holdout_split_is_a_config_error(self, tmp_path, capsys, doc, reason):
+        assert reason in self._refused(tmp_path, capsys, {"trials": 1, **doc})
 
     def test_holdout_beyond_the_hypergeometric_range_is_a_config_error(self, tmp_path, capsys):
         # numpy's hypergeometric refuses 10**9 rows of an arm, which would

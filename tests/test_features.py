@@ -9,7 +9,6 @@ from batchselect.env import (
     make_gaussian_instance,
     make_tabular_instance,
     rng_stream,
-    sample_dataset,
     sample_states,
 )
 from batchselect.features import (
@@ -25,6 +24,7 @@ from batchselect.features import (
 )
 from batchselect.learner import fit_pessimistic, pessimistic_values
 from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms, ridge_fit
+from feature_rows import sample_feature_dataset
 from row_design import tabular_design
 
 
@@ -83,9 +83,10 @@ class TestEvaluateFeatures:
             features_all_actions(mc, states)
         with pytest.raises(RepresentationMismatchError, match="30-wide"):
             design_matrix(mc, logged)
-        # fit_pessimistic fits tabular cells only, so it refuses the feature dataset outright
-        with pytest.raises(RepresentationMismatchError, match="tabular dataset"):
-            fit_pessimistic(Dataset(None, actions, np.zeros(5), logged=logged), mc, 1.0, 0.05)
+        # fit_pessimistic fits a tabular dataset's cells, which a truncation class cannot read
+        tabular = Dataset(StateBatch(indices=np.zeros(5, dtype=int)), actions, np.zeros(5))
+        with pytest.raises(RepresentationMismatchError, match="feature states"):
+            fit_pessimistic(tabular, mc, 1.0, 0.05)
 
 
 class TestRealizableFamily:
@@ -184,7 +185,7 @@ def test_coverage_monotone_on_nested_fits():
     # |phi_k|_{V_k^{-1}} <= |phi_{k+1}|_{V_{k+1}^{-1}} pointwise for nested fits
     inst = make_gaussian_instance(12, 4, 3, 0)
     mu = dirichlet_behavior(3, 0)
-    data = sample_dataset(inst, mu, 400, 0)
+    data = sample_feature_dataset(inst, mu, 400, 0)
     classes = truncation_family(12, [3, 6, 12])
     probe = sample_states(inst, 50, 1)
     norms = []

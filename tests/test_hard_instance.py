@@ -23,9 +23,9 @@ from batchselect.selection import (
     complexity_coverage_policy,
     holdout_select,
     holdout_split_sizes,
-    row_split,
     slope_policy_select,
 )
+from feature_rows import row_split
 from row_design import tabular_design
 
 

@@ -544,7 +544,8 @@ def test_singular_family_is_refused():
         with pytest.raises(SingularMatrixError):
             cov.leading(d)
     from batchselect.features import truncation_family
-    from batchselect.selection import holdout_select, row_split
+    from batchselect.selection import holdout_select
+    from feature_rows import row_split
 
     with pytest.raises(SingularMatrixError):
         holdout_select(phi, *row_split(y, 0.8, 0), truncation_family(8, [2, 8]), 0.0)

@@ -30,11 +30,11 @@ from batchselect.selection import (
     complexity_coverage_policy,
     holdout_select,
     holdout_split_sizes,
-    row_split,
     slope_policy_select,
     slope_select,
     zeta_coefficient,
 )
+from feature_rows import row_split, sample_feature_dataset
 from row_design import row_design_fit
 
 
@@ -296,7 +296,7 @@ def _fit_truncation(instance, data, dims, lam=1.0):
 class TestSlopePolicySelect:
     def test_single_class_returns_greedy(self):
         inst = make_gaussian_instance(4, 2, 3, 0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 0), 200, 0)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 200, 0)
         fits, classes = _fit_truncation(inst, data, [4])
         states = sample_states(inst, 100, 1)
         policy, report = slope_policy_select(fits, classes, states, 0.05)
@@ -317,7 +317,7 @@ class TestSlopePolicySelect:
     @pytest.mark.parametrize("cut", [slice(1), slice(1, None)], ids=["fewer_fits", "fewer_classes"])
     def test_fit_and_class_counts_must_match(self, cut):
         inst = make_gaussian_instance(4, 2, 3, 0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
         fits, classes = _fit_truncation(inst, data, [2, 3, 4])
         states = sample_states(inst, 10, 1)
         with pytest.raises(ValueError, match="one fit per class"):
@@ -327,7 +327,7 @@ class TestSlopePolicySelect:
 
     def test_empty_validation_rejected(self):
         inst = make_gaussian_instance(4, 2, 3, 0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
         fits, classes = _fit_truncation(inst, data, [2, 4])
         with pytest.raises(ValueError):
             slope_policy_select(fits, classes, None, 0.05)
@@ -347,14 +347,14 @@ class TestSlopePolicySelect:
         # feature_source refuses states a truncation map cannot read, and
         # StateBatch refuses NaN features before any width is computed
         inst = make_gaussian_instance(4, 2, 3, 0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
         fits, classes = _fit_truncation(inst, data, [2, 4])
         with pytest.raises(error, match=match):
             slope_policy_select(fits, classes, make_states(), 0.05)
 
     def test_width_monotone_in_class(self):
         inst = make_gaussian_instance(12, 4, 3, 1)
-        data = sample_dataset(inst, dirichlet_behavior(3, 1), 500, 1)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 1), 500, 1)
         fits, classes = _fit_truncation(inst, data, [3, 6, 9, 12])
         states = sample_states(inst, 200, 2)
         _, report = slope_policy_select(fits, classes, states, 0.05)
@@ -365,7 +365,7 @@ class TestSlopePolicySelect:
         # reference: each candidate's actions from its own GreedyPolicy, and
         # each value a separate mean over the validation states
         inst = make_gaussian_instance(8, 3, 4, 4)
-        data = sample_dataset(inst, dirichlet_behavior(4, 4), 300, 4)
+        data = sample_feature_dataset(inst, dirichlet_behavior(4, 4), 300, 4)
         fits, classes = _fit_truncation(inst, data, [2, 5, 8])
         states = sample_states(inst, 120, 5)
         tables = {}  # each fit's prediction table on the validation states, as SLOPE read it
@@ -392,7 +392,7 @@ class TestSlopePolicySelect:
 
     def test_audit_reproduces_selection(self):
         inst = make_gaussian_instance(8, 3, 4, 2)
-        data = sample_dataset(inst, dirichlet_behavior(4, 2), 400, 2)
+        data = sample_feature_dataset(inst, dirichlet_behavior(4, 2), 400, 2)
         fits, classes = _fit_truncation(inst, data, [2, 5, 8])
         states = sample_states(inst, 150, 3)
         _, report = slope_policy_select(fits, classes, states, 0.05)
@@ -407,7 +407,7 @@ class TestSlopePolicySelect:
         # nested truncation toy: selected value near the true value of the
         # chosen policy, within the generic 5*(psi+xi) radius
         inst = make_gaussian_instance(4, 2, 3, 7)
-        data = sample_dataset(inst, dirichlet_behavior(3, 7), 2000, 7)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 7), 2000, 7)
         fits, classes = _fit_truncation(inst, data, [2, 4])
         states = sample_states(inst, 500, 8)
         policy, report = slope_policy_select(fits, classes, states, 0.05)
@@ -437,7 +437,7 @@ def _holdout(data, classes, split_fraction, lam, seed):
 class TestHoldoutSelect:
     def test_zero_rewards_tie_to_first(self):
         inst = make_gaussian_instance(6, 3, 3, 0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 0), 100, 0)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 100, 0)
         data.rewards[:] = 0.0
         classes = truncation_family(6, [2, 4, 6])
         _, report = _holdout(data, classes, 0.8, 1.0, 0)
@@ -448,7 +448,7 @@ class TestHoldoutSelect:
         import dataclasses
 
         inst = dataclasses.replace(make_gaussian_instance(6, 6, 3, 1), noise_scale=0.0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 1), 300, 1)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 1), 300, 1)
         classes = truncation_family(6, [2, 6])
         _, report = _holdout(data, classes, 0.8, 1e-8, 0)
         losses = report.audit["losses"]
@@ -457,7 +457,7 @@ class TestHoldoutSelect:
 
     def test_matches_independent_recomputation(self):
         inst = make_gaussian_instance(9, 4, 3, 2)
-        data = sample_dataset(inst, dirichlet_behavior(3, 2), 1000, 2)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 2), 1000, 2)
         classes = truncation_family(9, [3, 6, 9])
         _, report = _holdout(data, classes, 0.8, 1.0, 5)
         from batchselect.env import rng_stream
@@ -491,7 +491,7 @@ class TestHoldoutSelect:
 
     def test_split_validation(self):
         inst = make_gaussian_instance(4, 2, 2, 0)
-        data = sample_dataset(inst, dirichlet_behavior(2, 0), 10, 0)
+        data = sample_feature_dataset(inst, dirichlet_behavior(2, 0), 10, 0)
         classes = truncation_family(4, [4])
         with pytest.raises(ValueError):
             _holdout(data, classes, 1.0, 1.0, 0)
@@ -513,7 +513,7 @@ class TestHoldoutSelect:
         # an extra row would otherwise be cut off silently, an extra column
         # fit as part of the widest class, and a missing one leave it short
         inst = make_gaussian_instance(4, 2, 3, 0)
-        data = sample_dataset(inst, dirichlet_behavior(3, 0), 20, 0)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 20, 0)
         classes = truncation_family(4, [2, 4])
         design = design_matrix(classes[-1], data.logged)
         with pytest.raises(ValueError, match="design"):
@@ -532,7 +532,7 @@ class TestHoldoutSelect:
     def test_out_sample_loss_permutation_invariant(self):
         # the loss is a mean over D_out; row order inside D_out cannot matter
         inst = make_gaussian_instance(5, 2, 3, 4)
-        data = sample_dataset(inst, dirichlet_behavior(3, 4), 500, 4)
+        data = sample_feature_dataset(inst, dirichlet_behavior(3, 4), 500, 4)
         classes = truncation_family(5, [2, 5])
         _, r1 = _holdout(data, classes, 0.8, 1.0, 11)
         _, r2 = _holdout(data, classes, 0.8, 1.0, 11)
@@ -672,7 +672,7 @@ def test_holdout_rounding_bound_refuses_a_1e9_perturbation():
 
 def test_selection_report_json_round_trip():
     inst = make_gaussian_instance(4, 2, 3, 0)
-    data = sample_dataset(inst, dirichlet_behavior(3, 0), 200, 0)
+    data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 200, 0)
     fits, classes = _fit_truncation(inst, data, [2, 4])
     states = sample_states(inst, 100, 1)
     _, report = slope_policy_select(fits, classes, states, 0.05)
