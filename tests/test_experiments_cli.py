@@ -41,7 +41,6 @@ from batchselect.experiments import (
     run_lower_bound,
 )
 import feature_rows
-from feature_rows import row_reference
 from per_class import per_class_ac_cell
 from test_env import all_action_dataset
 
@@ -317,7 +316,7 @@ def test_ac_row_reference_gives_the_previous_pins(tmp_path, capsys):
     doc, _, _, _ = GOLDEN["ac"]
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))
-    with row_reference():
+    with feature_rows.row_reference():
         code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out), "--audit")
     assert code == 0, err
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in
@@ -333,7 +332,7 @@ def test_ac_all_action_reference_gives_the_previous_hash():
     # On the row path with the all-action sampler it replaced, ac still
     # writes the bytes pinned before datasets drew only the logged features.
     doc, runner, serialize, _ = GOLDEN["ac"]
-    with row_reference() as mp:
+    with feature_rows.row_reference() as mp:
         mp.setattr(feature_rows, "sample_feature_dataset", all_action_dataset)
         text = serialize(runner(parse_config(doc), threads=1)[0])
     assert hashlib.sha256(text.encode()).hexdigest() == (
