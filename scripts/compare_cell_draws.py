@@ -4,7 +4,7 @@ or one study on two source trees.
     python3 scripts/compare_cell_draws.py
     python3 scripts/compare_cell_draws.py --ref REV --study cc [--mode same|behaviour]
 
-With no arguments it runs the two comparisons below.
+With no arguments it runs the three comparisons below.
 
 lower_bound: runs the benchmark's lower_bound config (`WORKLOADS` in
 perfbench/run.py) at TRIALS trials per cell on each of SEEDS, once on the
@@ -24,7 +24,13 @@ draws every logged row, splits hold-out's rows by a permutation and probes
 with 10^4 feature rows.  For every (n, method) it pools the regrets of all
 seeds and trials and prints the same columns.
 
-It exits 1 when any difference in either study exceeds MAX_SE combined
+cc: runs the benchmark's cc config at TRIALS trials on each of SEEDS, once on
+the library's path, whose cells draw each (x, a) cell's count, mean reward
+and the within-cell sum of squares, and once on the row reference kept in
+tests/row_design.py (`row_reference`), which draws every logged row and
+bins it by (x, a).  It prints the same columns as for ac.
+
+It exits 1 when any difference in any study exceeds MAX_SE combined
 standard errors.
 
 --ref REV: extracts the git revision REV with `git archive` into a
@@ -54,7 +60,7 @@ sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/ or tests/
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from batchselect.env import derive_seed  # noqa: E402
-from batchselect.experiments import aggregate_rows, parse_config, run_ac  # noqa: E402
+from batchselect.experiments import aggregate_rows, parse_config, run_ac, run_cc  # noqa: E402
 from batchselect.hard_instance import ratio_experiment  # noqa: E402
 
 TRIALS = 100
@@ -107,18 +113,18 @@ def compare_lower_bound() -> float:
     return worst
 
 
-def compare_ac(threads: int = 2) -> float:
-    """Largest |diff| / combined se over the ac (n, method) cells."""
+def compare_rows(study: str, run, row_reference, threads: int = 2) -> float:
+    """Largest |diff| / combined se over a study's (n, method) cells, its
+    library path against its row reference."""
     from run import WORKLOADS
-    from feature_rows import row_reference
 
     rows = {"row": [], "cell": []}
     for seed in SEEDS:
-        config = parse_config({**WORKLOADS["ac"], "trials": TRIALS, "seed": seed})
-        rows["cell"] += run_ac(config, threads=threads)[0]
+        config = parse_config({**WORKLOADS[study], "trials": TRIALS, "seed": seed})
+        rows["cell"] += run(config, threads=threads)[0]
         with row_reference():
-            rows["row"] += run_ac(config, threads=threads)[0]
-    print(f"ac, {TRIALS} trials on seeds {SEEDS.start}-{SEEDS.stop - 1}")
+            rows["row"] += run(config, threads=threads)[0]
+    print(f"{study}, {TRIALS} trials on seeds {SEEDS.start}-{SEEDS.stop - 1}")
     print("n     method    row_mean  cell_mean  diff      combined_se  diff/se")
     worst = 0.0
     ref, new = aggregate_rows(rows["row"]), aggregate_rows(rows["cell"])
@@ -209,7 +215,14 @@ def main(argv=None) -> int:
         return compare_trees(args.ref, args.study or "cc", args.mode or "same")
     if args.study or args.mode:
         parser.error("--study and --mode compare against --ref")
-    worst = max(compare_lower_bound(), compare_ac())
+    import feature_rows
+    import row_design
+
+    worst = max(
+        compare_lower_bound(),
+        compare_rows("ac", run_ac, feature_rows.row_reference),
+        compare_rows("cc", run_cc, row_design.row_reference),
+    )
     print(f"largest |diff| / combined se: {worst:.2f} (bound {MAX_SE})")
     return 0 if worst <= MAX_SE else 1
 

@@ -10,7 +10,6 @@ from .env import (
     BanditInstance,
     BehaviorPolicy,
     Cells,
-    Dataset,
     StateBatch,
     dirichlet_behavior,
     make_gaussian_instance,
@@ -50,7 +49,6 @@ __all__ = [
     "BehaviorPolicy",
     "Cells",
     "CovarianceMatrix",
-    "Dataset",
     "GreedyPolicy",
     "ModelClass",
     "PessimisticPolicy",

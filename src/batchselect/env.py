@@ -3,12 +3,14 @@
 States are represented uniformly as a columnar StateBatch (state indices or
 per-action feature vectors) so the same pipeline runs on finite tabular
 problems and on infinite state spaces with per-action Gaussian feature
-vectors.  A tabular dataset holds its logged rows; a Gaussian-feature
-instance's logged data are drawn as the statistics their readers use, each
-(side of hold-out's split, action) group of rows as its Gram matrix, its
-feature-reward products and its residual sum of squares
-(`sample_split_cells`).  All sampling takes explicit seeds and derives
-independent sub-streams, so trials can run concurrently.
+vectors.  Logged data are drawn as the statistics their readers use, never
+as rows: a tabular instance's as each (x, a) cell's count and mean reward
+(`sample_dataset`), a Gaussian-feature instance's as each (side of
+hold-out's split, action) group's Gram matrix, feature-reward products and
+residual sum of squares (`sample_split_cells`).  Either draw has the law of
+the rows it stands for and costs the same whatever the row count n is.  All
+sampling takes explicit seeds and derives independent sub-streams, so
+trials can run concurrently.
 """
 from __future__ import annotations
 
@@ -41,18 +43,18 @@ class InfiniteCoverageError(ValueError):
     """Behavior policy puts zero mass on some action."""
 
 
-def _index_vector(values, what: str) -> np.ndarray:
-    """`values` as a 1-D int array, refused unless each entry is a
+def _index_vector(values) -> np.ndarray:
+    """State indices as a 1-D int array, refused unless each entry is a
     nonnegative whole number (an integer, or a float with no fraction)."""
     arr = np.asarray(values)
     if arr.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D array, got shape {arr.shape}")
+        raise ValueError(f"state indices must be a 1-D array, got shape {arr.shape}")
     if arr.dtype.kind not in "iu" and not (
         arr.dtype.kind == "f" and np.all(np.isfinite(arr)) and np.all(arr % 1 == 0)
     ):
-        raise ValueError(f"{what} must be whole numbers")
+        raise ValueError("state indices must be whole numbers")
     if arr.size and arr.min() < 0:
-        raise ValueError(f"{what} must be nonnegative")
+        raise ValueError("state indices must be nonnegative")
     return arr.astype(int, copy=False)
 
 
@@ -70,7 +72,7 @@ class StateBatch:
     def __init__(self, indices=None, features=None):
         if (indices is None) == (features is None):
             raise ValueError("exactly one of indices/features must be given")
-        self.indices = None if indices is None else _index_vector(indices, "state indices")
+        self.indices = None if indices is None else _index_vector(indices)
         self.features = None if features is None else np.asarray(features, dtype=float)
         if self.features is not None:
             if self.features.ndim != 3:
@@ -196,50 +198,6 @@ class Cells:
         return float(loss) if loss.ndim == 0 else loss
 
 
-class Dataset:
-    """Batch of logged (state, action, reward) rows of a tabular instance,
-    stored as arrays.
-
-    `states` is a StateBatch of state indices, and a fit reads the rows only
-    through their per-(x, a) cell statistics (`cells`).
-    """
-
-    def __init__(self, states: StateBatch, actions, rewards):
-        if states.indices is None:
-            raise ValueError(
-                "a dataset holds tabular states; feature data are drawn as cell statistics"
-            )
-        self.states = states
-        self.actions = _index_vector(actions, "actions")
-        self.rewards = np.asarray(rewards, dtype=float)
-        if not np.all(np.isfinite(self.rewards)):
-            raise ValueError("rewards must be finite")
-        if self.actions.shape != (len(states),) or self.rewards.shape != (len(states),):
-            raise ValueError("actions/rewards must have one entry per state")
-        self._cells = {}
-
-    @property
-    def n(self) -> int:
-        return len(self.actions)
-
-    def cells(self, state_count: int, action_count: int) -> Cells:
-        """A tabular dataset's rows binned by (x, a) into cell x * |A| + a of
-        an |X| x |A| grid, counted once per grid and kept for every class fit
-        on the dataset.  A state or action outside the grid raises ValueError."""
-        grid = (state_count, action_count)
-        if grid not in self._cells:
-            states = _checked_state_indices(self.states.indices, state_count)
-            if self.n and self.actions.max() >= action_count:
-                raise ValueError(f"action out of range for {action_count} actions")
-            cell = states * action_count + self.actions
-            counts = np.bincount(cell, minlength=state_count * action_count).astype(float)
-            sums = np.bincount(cell, weights=self.rewards, minlength=counts.size)
-            means = sums / np.maximum(counts, 1)
-            within = float(np.sum((self.rewards - means[cell]) ** 2))
-            self._cells[grid] = Cells(means, counts, within)
-        return self._cells[grid]
-
-
 def check_behavior_actions(action_count: int) -> None:
     """Raise ValueError unless a behavior policy can be drawn over
     `action_count` actions: at least two."""
@@ -336,14 +294,30 @@ def _behavior_probs(instance: BanditInstance, mu: BehaviorPolicy) -> np.ndarray:
     return probs
 
 
+def cell_means(z: np.ndarray, counts: np.ndarray, means: np.ndarray, sigma):
+    """Each cell's mean reward over its `counts` rows of mean reward `means`
+    and noise scale `sigma`, means + sigma z / sqrt(counts) from standard
+    normals z; 0.0 for an empty cell.  The arguments broadcast, so stacked
+    trials draw as columns."""
+    noise = sigma * z / np.sqrt(np.maximum(counts, 1))
+    return np.where(counts > 0, means + noise, 0.0)
+
+
 def sample_dataset(
     instance: BanditInstance, mu: BehaviorPolicy, n: int, rng_seed: int
-) -> Dataset:
-    """Draw n logged rows of a tabular instance: x ~ D, a ~ mu independent of
-    rewards, y = f + noise.
+) -> Cells:
+    """n logged rows of a tabular instance, x ~ D, a ~ mu independent of x and
+    y = f(x, a) + sigma e, drawn as the per-cell statistics a fit reads: cell
+    x * |A| + a of the |X| x |A| grid holds the count and the mean reward of
+    the rows logged at (x, a).
 
-    States, actions, and reward noise consume three disjoint sub-streams, so
-    the conditional-independence contract holds by construction.  A
+    The counts are Multinomial(n, D (x) mu) over the grid.  Given its count
+    c > 0, a cell's mean reward is f(x, a) + sigma z / sqrt(c) with z standard
+    normal (`cell_means`), and an empty cell's is 0.0.  The rows' squared
+    deviations from their cells' means sum to sigma^2 chi2(n - k), k the
+    number of non-empty cells, independent of the means.  That is the law of
+    n drawn rows binned by cell, and it costs |X| |A| draws whatever n is.
+    The counts come from one sub-stream and the noise from another.  A
     Gaussian-feature instance's data are drawn by `sample_split_cells`.
     """
     if n < 1:
@@ -351,12 +325,16 @@ def sample_dataset(
     if not instance.is_tabular:
         raise ValueError("a feature instance's logged data are drawn by sample_split_cells")
     probs = _behavior_probs(instance, mu)
-    states = instance.sample_state_batch(n, rng_stream(rng_seed, "dataset-states"))
-    actions = rng_stream(rng_seed, "dataset-actions").choice(
-        instance.action_count, size=n, p=probs
-    )
-    noise = instance.noise_scale * rng_stream(rng_seed, "dataset-noise").standard_normal(n)
-    return Dataset(states, actions, instance.model.means[states.indices, actions] + noise)
+    model = instance.model
+    grid = np.outer(model.state_probs, probs).reshape(-1)
+    counts = rng_stream(rng_seed, "dataset-cells").multinomial(n, grid)
+    noise_rng = rng_stream(rng_seed, "dataset-noise")
+    sigma = instance.noise_scale
+    z = noise_rng.standard_normal(counts.size)
+    means = cell_means(z, counts, model.means.reshape(-1), sigma)
+    df = n - np.count_nonzero(counts)
+    within = sigma**2 * noise_rng.chisquare(df) if df > 0 else 0.0
+    return Cells(means, counts, within)
 
 
 def _group_rows(chol, theta, sigma, count, state_rng, noise_rng):
@@ -416,7 +394,7 @@ def sample_split_cells(
     draws and reward noise come from three disjoint sub-streams.
     """
     if instance.is_tabular:
-        raise ValueError("a tabular instance's logged rows are drawn by sample_dataset")
+        raise ValueError("a tabular instance's logged data are drawn by sample_dataset")
     if not 0 < n_in < n:
         raise ValueError("hold-out's split needs rows on both sides")
     probs = _behavior_probs(instance, mu)

@@ -96,7 +96,8 @@ def design_matrix(model_class: ModelClass, logged) -> np.ndarray:
     such as the cell rows `env.sample_split_cells` draws; the design is the
     view of its first d_k columns, so every class of a nested family shares
     its memory.  A tabular class has no row design: it fits from a tabular
-    dataset's per-cell statistics (`Dataset.cells`).
+    dataset's per-cell statistics (`env.sample_dataset`), in
+    `learner.fit_pessimistic`.
     """
     if not isinstance(model_class.map, TruncationMap):
         raise RepresentationMismatchError(

@@ -11,7 +11,7 @@ exact in distribution, and a trial's work does not depend on n1 or n2.
 Trial t on instance i draws from rng_stream(seed, "lb-cells-nu<i>", t), in
 this order:
 - cc and SLOPE: two standard normals z, one per arm; arm a's mean reward is
-  mu_a + sigma z_a / sqrt(c_a).
+  mu_a + sigma z_a / sqrt(c_a) (`env.cell_means`).
 - hold-out: the fit side's arm-0 count, Hypergeometric(n1, n2, n_in) with
   n_in from `holdout_split_sizes`, the arm-1 count being the rest; two
   standard normals for the fit side's cell means and two for the held-out
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import BanditInstance, Cells, StateBatch, TabularModel, rng_stream
+from .env import BanditInstance, Cells, StateBatch, TabularModel, cell_means, rng_stream
 from .features import ModelClass, TabularMap, check_nested
 from .diagnostics import fixed_design_theta_star
 from .learner import check_penalty_scale, check_width_arguments
@@ -145,19 +145,12 @@ def _trial_params(pair: HardInstancePair, trials: int):
     return means, np.repeat([inst.noise_scale for inst in pair.instances], trials)
 
 
-def _cell_means(z: np.ndarray, counts: np.ndarray, means: np.ndarray, sigma: np.ndarray):
-    """Each arm cell's mean reward over its counts[a] rows, from standard
-    normals z; 0.0 for an empty cell."""
-    noise = sigma * z / np.sqrt(np.maximum(counts, 1))
-    return np.where(counts > 0, means + noise, 0.0)
-
-
 def _draw_arms(pair: HardInstancePair, rng_seed: int, trials: int) -> np.ndarray:
     """Each trial's arm cell means over all of the pair's rows, shape (2, 2 trials)."""
     z = np.empty((2, 2 * trials))
     for j, rng in enumerate(_trial_rngs(rng_seed, trials)):
         z[:, j] = rng.standard_normal(2)
-    return _cell_means(z, pair.counts[:, None], *_trial_params(pair, trials))
+    return cell_means(z, pair.counts[:, None], *_trial_params(pair, trials))
 
 
 def _draw_split(pair: HardInstancePair, rng_seed: int, trials: int) -> tuple[Cells, Cells]:
@@ -176,8 +169,8 @@ def _draw_split(pair: HardInstancePair, rng_seed: int, trials: int) -> tuple[Cel
     counts_in = np.stack([arm_0, n_in - arm_0])
     counts_out = pair.counts[:, None] - counts_in
     means, sigma = _trial_params(pair, trials)
-    fit_on = Cells(_cell_means(z[:2], counts_in, means, sigma), counts_in)
-    score_on = Cells(_cell_means(z[2:], counts_out, means, sigma), counts_out, sigma**2 * chi)
+    fit_on = Cells(cell_means(z[:2], counts_in, means, sigma), counts_in)
+    score_on = Cells(cell_means(z[2:], counts_out, means, sigma), counts_out, sigma**2 * chi)
     return fit_on, score_on
 
 

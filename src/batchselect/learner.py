@@ -5,8 +5,14 @@ import math
 
 import numpy as np
 
-from .env import Dataset, StateBatch
-from .features import ModelClass, feature_source, features_all_actions
+from .env import Cells, StateBatch
+from .features import (
+    ModelClass,
+    RepresentationMismatchError,
+    TabularMap,
+    feature_source,
+    features_all_actions,
+)
 from .linalg import RidgeFit, ridge_fit
 
 MAX_DELTA = 1.0 / math.e
@@ -36,23 +42,28 @@ def beta_coefficient(n: int, d: int, lam: float, delta: float) -> float:
 
 
 def fit_pessimistic(
-    dataset: Dataset,
+    cells: Cells,
     model_class: ModelClass,
     lam: float,
     delta: float,
     penalty_scale: float = 1.0,
 ) -> PessimisticPolicy:
-    """Algorithm 1: ridge-fit one class on a tabular dataset and return its
-    pessimistic policy at confidence delta.
+    """Algorithm 1: ridge-fit one tabular class on a tabular dataset and return
+    its pessimistic policy at confidence delta.
 
-    The fit reads the class's |X| x |A| table with the dataset's per-cell
-    counts and mean rewards (`Dataset.cells`): the n-row fit up to rounding,
-    at a cost of |X| |A| d^2 whatever n is.  A truncation class raises
-    RepresentationMismatchError (`feature_source`): it reads feature states.
+    `cells` holds the count and mean reward of the rows logged at each (x, a)
+    of the class's |X| x |A| table, in cell x * |A| + a, as
+    `env.sample_dataset` draws them.  The fit reads the table's rows at those
+    counts: the n-row fit up to rounding, at a cost of |X| |A| d^2 whatever n
+    is.  A truncation class raises RepresentationMismatchError: it fits from
+    feature rows (`design_matrix`).
     """
-    table, _ = feature_source(model_class, dataset.states)
-    cells = dataset.cells(*table.shape[:2])
-    fit = ridge_fit(table.reshape(-1, model_class.dim), cells.means, lam, counts=cells.counts)
+    if not isinstance(model_class.map, TabularMap):
+        raise RepresentationMismatchError(
+            "truncation map fits from feature rows, not from a tabular dataset's cells"
+        )
+    table = model_class.map.table.reshape(-1, model_class.dim)
+    fit = ridge_fit(table, cells.means, lam, counts=cells.counts)
     return PessimisticPolicy([fit], [model_class], delta, penalty_scale)
 
 

@@ -9,10 +9,10 @@ from batchselect import env
 from batchselect.env import (
     BanditInstance,
     BehaviorPolicy,
-    Dataset,
     GaussianModel,
     InfiniteCoverageError,
     StateBatch,
+    TabularModel,
     dirichlet_behavior,
     make_gaussian_instance,
     make_tabular_instance,
@@ -31,6 +31,7 @@ from feature_rows import (
     row_split,
     sample_feature_dataset,
 )
+from row_design import TabularRows, row_sample_dataset, sample_rows
 
 
 class TestDirichletBehavior:
@@ -100,47 +101,110 @@ class TestMakeGaussianInstance:
 
 
 class TestSampleDataset:
-    def test_zero_noise_rewards_equal_means(self):
-        inst = dataclasses.replace(make_tabular_instance(4, 3, 0), noise_scale=0.0)
-        mu = dirichlet_behavior(3, 0)
-        data = sample_dataset(inst, mu, 50, 1)
-        means = inst.mean_rewards(data.states)[np.arange(data.n), data.actions]
-        assert np.array_equal(data.rewards, means)
+    """The tabular draw: each (x, a) cell's count and mean reward, and the
+    within-cell sum of squares, drawn from their law."""
 
-    def test_action_frequencies_match_mu(self):
-        inst = make_tabular_instance(3, 4, 0)
-        mu = dirichlet_behavior(4, 5)
-        data = sample_dataset(inst, mu, 100_000, 2)
-        freq = np.bincount(data.actions, minlength=4) / data.n
-        assert 0.5 * np.abs(freq - mu.action_probs).sum() < 0.01
+    def test_zero_noise_cell_means_equal_f(self):
+        # 100 rows over 200 cells leave most cells empty
+        inst = dataclasses.replace(make_tabular_instance(20, 10, 0), noise_scale=0.0)
+        cells = sample_dataset(inst, dirichlet_behavior(10, 0), 100, 1)
+        full = cells.counts > 0
+        assert 0 < np.count_nonzero(full) < full.size
+        assert cells.means[full].tobytes() == inst.model.means.reshape(-1)[full].tobytes()
+        assert np.all(cells.means[~full] == 0.0)
+        assert cells.within == 0.0
+
+    def test_count_marginals_match_state_law_and_mu(self):
+        # each marginal's total-variation distance from its law has standard
+        # deviation below 0.002 at n = 10^5, so 0.01 is over five of them
+        probs = np.array([0.5, 0.3, 0.15, 0.05])
+        inst = BanditInstance(3, TabularModel(probs, np.zeros((4, 3))))
+        mu = dirichlet_behavior(3, 5)
+        n = 100_000
+        counts = sample_dataset(inst, mu, n, 2).counts.reshape(4, 3)
+        assert counts.sum() == n
+        assert 0.5 * np.abs(counts.sum(axis=1) / n - probs).sum() < 0.01
+        assert 0.5 * np.abs(counts.sum(axis=0) / n - mu.action_probs).sum() < 0.01
 
     def test_row_count(self):
         inst = make_tabular_instance(3, 3, 0)
         data = sample_dataset(inst, dirichlet_behavior(3, 0), 17, 0)
         assert data.n == 17
 
+    def test_within_and_means_moments(self):
+        # given the counts, within - sigma^2 (n - k) has mean 0 and variance
+        # 2 sigma^4 (n - k), k the non-empty cells, and each non-empty cell's
+        # (mean - f) sqrt(c) / sigma is a standard normal
+        inst = dataclasses.replace(make_tabular_instance(4, 3, 0), noise_scale=0.7)
+        f = inst.model.means.reshape(-1)
+        mu, n, draws = dirichlet_behavior(3, 1), 40, 2000
+        gaps, variances, z = [], [], []
+        for seed in range(draws):
+            cells = sample_dataset(inst, mu, n, seed)
+            full = cells.counts > 0
+            df = n - np.count_nonzero(full)
+            gaps.append(cells.within - 0.49 * df)
+            variances.append(2 * 0.49**2 * df)
+            z.append((cells.means[full] - f[full]) * np.sqrt(cells.counts[full]) / 0.7)
+        assert abs(np.mean(gaps)) <= 4 * np.sqrt(np.sum(variances)) / draws
+        z = np.concatenate(z)
+        assert abs(z.mean()) <= 4 / np.sqrt(z.size)
+        assert stats.kstest(z, "norm").pvalue > 1e-3
+
+    def test_matches_binned_rows_in_law(self):
+        # the draw against n rows drawn and binned (tests/row_design.py), on
+        # 2000 seeds each, disjoint so that the two samples are independent:
+        # a cell's count, its mean reward (0.0 when empty) and the within-cell
+        # sum of squares
+        inst = dataclasses.replace(make_tabular_instance(2, 2, 0), noise_scale=0.5)
+        mu, n = dirichlet_behavior(2, 3), 12
+        draws = {"cell": [], "row": []}
+        for seed in range(2000):
+            draws["cell"].append(sample_dataset(inst, mu, n, seed))
+            draws["row"].append(row_sample_dataset(inst, mu, n, seed + 10**6))
+        for statistic in (
+            lambda c: c.counts[1],
+            lambda c: c.means[1],
+            lambda c: c.within,
+        ):
+            cell, row = ([statistic(c) for c in draws[k]] for k in ("cell", "row"))
+            assert stats.ks_2samp(cell, row).pvalue > 1e-3
+
+    def test_deterministic(self):
+        inst = make_tabular_instance(4, 3, 0)
+        a, b = (sample_dataset(inst, dirichlet_behavior(3, 0), 60, 4) for _ in range(2))
+        assert a.counts.tobytes() == b.counts.tobytes()
+        assert a.means.tobytes() == b.means.tobytes() and a.within == b.within
+
+    def test_row_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            sample_dataset(make_tabular_instance(2, 2, 0), dirichlet_behavior(2, 0), 0, 0)
+
     def test_noise_independent_of_behavior_policy(self):
-        # action draws and reward noise consume disjoint substreams
+        # counts and reward noise consume disjoint substreams, so two behavior
+        # policies on one seed give each cell the same standard normal
         inst = make_tabular_instance(5, 4, 0)
         d1 = sample_dataset(inst, dirichlet_behavior(4, 1), 200, 9)
         d2 = sample_dataset(inst, dirichlet_behavior(4, 2), 200, 9)
-        assert np.array_equal(d1.states.indices, d2.states.indices)
-        rows = np.arange(200)
-        m1 = inst.mean_rewards(d1.states)[rows, d1.actions]
-        m2 = inst.mean_rewards(d2.states)[rows, d2.actions]
-        # recover noise by subtraction; equality only up to float round-off
-        assert np.allclose(d1.rewards - m1, d2.rewards - m2, atol=1e-12)
+        assert not np.array_equal(d1.counts, d2.counts)
+        f = inst.model.means.reshape(-1)
+        both = (d1.counts > 0) & (d2.counts > 0)
+        z1 = (d1.means - f)[both] * np.sqrt(d1.counts[both])
+        z2 = (d2.means - f)[both] * np.sqrt(d2.counts[both])
+        # equality only up to float round-off
+        assert np.allclose(z1, z2, atol=1e-12)
 
     def test_feature_instance_refused(self):
         inst = make_gaussian_instance(6, 3, 2, 0)
         with pytest.raises(ValueError, match="sample_split_cells"):
             sample_dataset(inst, dirichlet_behavior(2, 0), 20, 0)
 
-    def test_tabular_matches_the_all_action_reference(self):
-        # a tabular dataset keeps its form and its bytes
+    def test_row_reference_matches_the_all_action_reference(self):
+        # the tests' tabular rows keep the form and the bytes of the sampler
+        # that drew every action's means
         inst = make_tabular_instance(5, 4, 0)
         mu = dirichlet_behavior(4, 1)
-        got, ref = sample_dataset(inst, mu, 300, 3), all_action_dataset(inst, mu, 300, 3)
+        got, ref = sample_rows(inst, mu, 300, 3), all_action_dataset(inst, mu, 300, 3)
         assert np.array_equal(got.states.indices, ref.states.indices)
         assert np.array_equal(got.actions, ref.actions)
         assert got.rewards.tobytes() == ref.rewards.tobytes()
@@ -168,7 +232,7 @@ def all_action_dataset(instance, mu, n, rng_seed):
     means = instance.mean_rewards(states)[rows, actions]
     rewards = means + instance.noise_scale * noise_rng.standard_normal(n)
     if instance.is_tabular:
-        return Dataset(states, actions, rewards)
+        return TabularRows(states, actions, rewards)
     return FeatureDataset(actions, rewards, states.features[rows, actions])
 
 
@@ -415,10 +479,6 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             StateBatch(indices=[0, -1])
 
-    def test_negative_action_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            Dataset(StateBatch(indices=[0, 1]), [0, -1], [0.5, 0.5])
-
     def test_fractional_state_indices_rejected(self):
         with pytest.raises(ValueError, match="whole numbers"):
             StateBatch(indices=[0.7, 1.9])
@@ -428,24 +488,15 @@ class TestIndexValidation:
         with pytest.raises(ValueError, match="1-D"):
             StateBatch(indices=[[0, 1], [1, 0]])
 
-    def test_fractional_actions_rejected(self):
-        with pytest.raises(ValueError, match="whole numbers"):
-            Dataset(StateBatch(indices=[0, 1]), [0.9, 1.2], [0.5, 0.5])
-
-    def test_actions_must_be_a_vector(self):
-        with pytest.raises(ValueError, match="1-D"):
-            Dataset(StateBatch(indices=[0]), [[0]], [0.5])
-
     def test_mean_rewards_state_out_of_range(self):
-        # the rule feature_source and Dataset.cells apply, not numpy's IndexError
+        # the rule feature_source applies, not numpy's IndexError
         with pytest.raises(ValueError, match="state index out of range for a table of 3 states"):
             make_tabular_instance(3, 2, 0).mean_rewards(StateBatch(indices=[5]))
 
     def test_whole_floats_are_indices(self):
         batch = StateBatch(indices=np.array([0.0, 2.0]))
-        data = Dataset(batch, np.array([1.0, 0.0]), [0.5, 0.5])
-        assert batch.indices.dtype.kind == data.actions.dtype.kind == "i"
-        assert batch.indices.tolist() == [0, 2] and data.actions.tolist() == [1, 0]
+        assert batch.indices.dtype.kind == "i"
+        assert batch.indices.tolist() == [0, 2]
 
 
 class TestBadInputs:
@@ -461,11 +512,3 @@ class TestBadInputs:
         feats[1, 0, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             StateBatch(features=feats)
-
-    def test_dataset_holds_tabular_states(self):
-        with pytest.raises(ValueError, match="tabular states"):
-            Dataset(StateBatch(features=np.zeros((2, 2, 3))), [0, 1], [0.0, 0.0])
-
-    def test_one_entry_per_row(self):
-        with pytest.raises(ValueError, match="one entry per state"):
-            Dataset(StateBatch(indices=[0, 1, 0]), [0, 1], [0.0, 0.0])

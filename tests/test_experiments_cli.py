@@ -41,6 +41,7 @@ from batchselect.experiments import (
     run_lower_bound,
 )
 import feature_rows
+import row_design
 from per_class import per_class_ac_cell
 from test_env import all_action_dataset
 
@@ -227,13 +228,16 @@ class TestRunLowerBound:
 # draw each (side, action) group's statistics instead of its rows and the
 # instance's calibration probe its inner products instead of feature rows;
 # tests/feature_rows.py keeps the row path, which still gives 2e0d262a...
-# (test_ac_row_reference_gives_the_previous_pins).
+# (test_row_reference_gives_the_previous_pins).  The cc hash was re-pinned
+# again, from 90d646ae... to f82ec1a6..., when cc cells began to draw each
+# (x, a) cell's count and mean reward instead of rows; tests/row_design.py
+# keeps the row path, which still gives 90d646ae....
 GOLDEN = {
     "cc": (
         {"experiment": "cc", "trials": 2, "n_grid": [100, 250], "seed": 3},
         run_cc,
         results_to_csv,
-        "90d646ae6d0d246d8751eaab8febf421a6ca643983ee160d354ed1e059a19482",
+        "f82ec1a6318eccf0bfaeaab0fcb11d2f0c3c63fb4ae17b9f341a578382a3174a",
     ),
     "ac": (
         {"experiment": "ac", "trials": 2, "n_grid": [150], "seed": 3},
@@ -279,10 +283,13 @@ def test_golden_results_hash(study):
 # configs, computed when the CLI still chose each study's writers by a branch
 # on the experiment; the lower-bound studies write no reports.  The ac pins
 # moved with its results.csv pin (above): from b02e69e3... (aggregate.csv)
-# and 09429a67... (report.json), which the row path still gives.
+# and 09429a67... (report.json), which the row path still gives.  cc's
+# aggregate.csv pin moved with its results.csv pin, from 7229a3b7..., which
+# the row path still gives; its report.json holds, since cc's audit records
+# only each class's beta, a function of n and d_k, and its dimensions.
 GOLDEN_CLI = {
     "cc": {
-        "aggregate.csv": "7229a3b7eb09ec10e556a381fc523a6cfbcdc81a49ba553228f1acf70d59891e",
+        "aggregate.csv": "8073e9fa0fc8bae1f0dd967feb677368344efac41d649f841820d23568c07ca7",
         "report.json": "7903831a70a7e32e8642d654240b47974d9a59657f4b9dca712c2b20bc34f8c7",
     },
     "ac": {
@@ -310,22 +317,42 @@ def test_golden_cli_output_hashes(study, tmp_path, capsys):
     assert got == expected
 
 
-def test_ac_row_reference_gives_the_previous_pins(tmp_path, capsys):
-    # Only the draws moved: on the row path, with the row probe, ac still
-    # writes the three files pinned before cells drew their statistics.
-    doc, _, _, _ = GOLDEN["ac"]
+# Each study whose cells draw statistics instead of rows: its row reference
+# and the three files that reference still writes, pinned before the draw moved.
+ROW_PINS = {
+    "ac": (
+        feature_rows.row_reference,
+        {
+            "results.csv": "2e0d262a434697b1a87f81b78cea6e45c2caae382eeadd5b90194abeb2beefe0",
+            "aggregate.csv": "b02e69e3305a9c31a44ff55fd5aec6fd3b0509fe19431cdc106e9e69f1b8f3e0",
+            "report.json": "09429a67dcf7bd57d86539ab2582e03bc0f836dd0442d16d11c90a2e95ab962f",
+        },
+    ),
+    "cc": (
+        row_design.row_reference,
+        {
+            "results.csv": "90d646ae6d0d246d8751eaab8febf421a6ca643983ee160d354ed1e059a19482",
+            "aggregate.csv": "7229a3b7eb09ec10e556a381fc523a6cfbcdc81a49ba553228f1acf70d59891e",
+            "report.json": "7903831a70a7e32e8642d654240b47974d9a59657f4b9dca712c2b20bc34f8c7",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("study", sorted(ROW_PINS))
+def test_row_reference_gives_the_previous_pins(study, tmp_path, capsys):
+    # Only the draws moved: on the row path (for ac, with the row probe) the
+    # study still writes the three files pinned before its cells drew their
+    # statistics.
+    row_reference, expected = ROW_PINS[study]
+    doc, _, _, _ = GOLDEN[study]
     cfg, out = tmp_path / "cfg.json", tmp_path / "out"
     cfg.write_text(json.dumps(doc))
-    with feature_rows.row_reference():
+    with row_reference():
         code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out), "--audit")
     assert code == 0, err
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in
-           ("results.csv", "aggregate.csv", "report.json")}
-    assert got == {
-        "results.csv": "2e0d262a434697b1a87f81b78cea6e45c2caae382eeadd5b90194abeb2beefe0",
-        "aggregate.csv": "b02e69e3305a9c31a44ff55fd5aec6fd3b0509fe19431cdc106e9e69f1b8f3e0",
-        "report.json": "09429a67dcf7bd57d86539ab2582e03bc0f836dd0442d16d11c90a2e95ab962f",
-    }
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
+    assert got == expected
 
 
 def test_ac_all_action_reference_gives_the_previous_hash():
@@ -340,17 +367,24 @@ def test_ac_all_action_reference_gives_the_previous_hash():
     )
 
 
-def test_ac_cell_memory_is_flat_in_n():
-    # an ac cell holds at most 2 |A| (D + 1) cell rows whatever n is; the
-    # rows themselves took about 2 KB of peak memory each at D = 100
-    config = parse_config({"experiment": "ac", "trials": 1, "seed": 5})
-    ctx = experiments._ac_trial(config, 0)
-    experiments._ac_cell(config, ctx, 4000, 0, False)  # first-call imports and caches
+@pytest.mark.parametrize(
+    "study, build_trial, run_cell",
+    [("ac", experiments._ac_trial, experiments._ac_cell),
+     ("cc", experiments._cc_trial, experiments._cc_cell)],
+)
+def test_cell_memory_is_flat_in_n(study, build_trial, run_cell):
+    # an ac cell holds at most 2 |A| (D + 1) cell rows and a cc cell its
+    # |X| |A| cells, whatever n is; the rows themselves took about 2 KB of
+    # peak memory each on ac at D = 100, and their bins grew cc's peak 10x
+    # from n = 4000 to 128000
+    config = parse_config({"experiment": study, "trials": 1, "seed": 5})
+    ctx = build_trial(config, 0)
+    run_cell(config, ctx, 4000, 0, False)  # first-call imports and caches
     peaks = {}
     for n in (4000, 128_000):
         tracemalloc.start()
         try:
-            experiments._ac_cell(config, ctx, n, 0, False)
+            run_cell(config, ctx, n, 0, False)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchselect.env import (
-    Dataset,
+    Cells,
     StateBatch,
     dirichlet_behavior,
     make_gaussian_instance,
@@ -25,7 +25,7 @@ from batchselect.features import (
 from batchselect.learner import fit_pessimistic, pessimistic_values
 from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms, ridge_fit
 from feature_rows import sample_feature_dataset
-from row_design import tabular_design
+from row_design import TabularRows, binned_cells, tabular_design
 
 
 class TestEvaluateFeatures:
@@ -78,15 +78,13 @@ class TestEvaluateFeatures:
         mc = ModelClass(50, TruncationMap(100))
         states = StateBatch(features=np.ones((5, 3, 30)))
         logged = np.ones((5, 30))
-        actions = np.zeros(5, dtype=int)
         with pytest.raises(RepresentationMismatchError, match="30-wide"):
             features_all_actions(mc, states)
         with pytest.raises(RepresentationMismatchError, match="30-wide"):
             design_matrix(mc, logged)
         # fit_pessimistic fits a tabular dataset's cells, which a truncation class cannot read
-        tabular = Dataset(StateBatch(indices=np.zeros(5, dtype=int)), actions, np.zeros(5))
-        with pytest.raises(RepresentationMismatchError, match="feature states"):
-            fit_pessimistic(tabular, mc, 1.0, 0.05)
+        with pytest.raises(RepresentationMismatchError, match="feature rows"):
+            fit_pessimistic(Cells(np.zeros(5), np.ones(5)), mc, 1.0, 0.05)
 
 
 class TestRealizableFamily:
@@ -205,21 +203,10 @@ class TestTableRangeChecks:
         with pytest.raises(ValueError, match="state index"):
             features_all_actions(self.mc, StateBatch(indices=[0, 3]))
 
-    # a tabular class fits from its dataset's cells, one per (state, action)
-    # of its table; a row outside the table must not land in another cell
-    def _fit(self, indices, actions):
-        data = Dataset(StateBatch(indices=indices), actions, np.zeros(len(actions)))
-        return fit_pessimistic(data, self.mc, 1.0, 0.05)
-
-    def test_fit_state_out_of_range(self):
-        with pytest.raises(ValueError, match="state index out of range for a table of 3 states"):
-            self._fit([3], [0])
-
-    def test_fit_action_out_of_range(self):
-        # action 4 at state 1 is cell 1 * 4 + 4, which a bare bincount would
-        # count as (state 2, action 0)
-        with pytest.raises(ValueError, match="action out of range for 4 actions"):
-            self._fit([0, 1], [0, 4])
+    def test_fit_refuses_cells_of_another_grid(self):
+        # a tabular class fits from one cell per (state, action) of its table
+        with pytest.raises(ValueError, match="one entry.* per feature row"):
+            fit_pessimistic(Cells(np.zeros(11), np.ones(11)), self.mc, 1.0, 0.05)
 
     def test_in_range_gather_unchanged(self):
         got = tabular_design(self.mc, StateBatch(indices=[2, 0]), [3, 1])
@@ -302,7 +289,7 @@ def test_pessimistic_values_match_row_wise_formula(n_actions, scale, data):
 )
 def test_tabular_design_matches_two_index_gather(seed, shape, n, prefix):
     # the cell fit reads row x * |A| + a of the flattened table for the rows
-    # logged at (x, a), and `Dataset.cells` counts them in that cell; the
+    # logged at (x, a), and the binning counts them in that cell; the
     # reference indexes (state, action) pairs directly.  `prefix` reads a
     # non-contiguous view, as nested tabular classes do.
     rng = np.random.default_rng(seed)
@@ -318,5 +305,5 @@ def test_tabular_design_matches_two_index_gather(seed, shape, n, prefix):
     if n:
         counts = np.zeros(shape[:2])
         np.add.at(counts, (states.indices, actions), 1.0)
-        cells = Dataset(states, actions, rng.standard_normal(n)).cells(*shape[:2])
+        cells = binned_cells(TabularRows(states, actions, rng.standard_normal(n)), *shape[:2])
         assert np.array_equal(cells.counts, counts.reshape(-1))

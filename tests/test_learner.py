@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchselect.env import (
-    Dataset,
     StateBatch,
     dirichlet_behavior,
     make_tabular_instance,
@@ -27,7 +26,7 @@ from batchselect.learner import (
 from batchselect.diagnostics import regret_estimate
 from batchselect.linalg import CovarianceMatrix, RidgeFit, inv_quad_norms
 from policies import FixedPolicy, OptimalPolicy
-from row_design import row_design_fit
+from row_design import TabularRows, binned_cells, row_design_fit
 
 
 class TestBetaCoefficient:
@@ -160,9 +159,9 @@ class TestCellFit:
         # a nested class's table is a non-contiguous prefix view
         mc = ModelClass(d, TabularMap(table[:, :, :d] if prefix else table[:, :, 1:].copy()))
         states = StateBatch(indices=rng.integers(n_states, size=n))
-        data = Dataset(states, rng.integers(n_actions, size=n), rng.standard_normal(n))
-        policy = fit_pessimistic(data, mc, 1.0, 0.05, 0.5)
-        ref = row_design_fit(data, mc, 1.0)
+        rows = TabularRows(states, rng.integers(n_actions, size=n), rng.standard_normal(n))
+        policy = fit_pessimistic(binned_cells(rows, n_states, n_actions), mc, 1.0, 0.05, 0.5)
+        ref = row_design_fit(rows, mc, 1.0)
         got = policy.fits[0]
         assert got.n == ref.n == n
         for a, b in ((got.theta_hat, ref.theta_hat), (got.cov.entries, ref.cov.entries)):

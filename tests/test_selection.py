@@ -35,7 +35,7 @@ from batchselect.selection import (
     zeta_coefficient,
 )
 from feature_rows import row_split, sample_feature_dataset
-from row_design import row_design_fit
+from row_design import row_design_fit, sample_rows
 
 
 def _one_column(values, widths):
@@ -308,7 +308,7 @@ class TestSlopePolicySelect:
         inst = make_tabular_instance(4, 3, 0)
         classes = realizable_family(inst, [2, 3], 0)
         mu = dirichlet_behavior(3, 0)
-        data = sample_dataset(inst, mu, 100, 0)
+        data = sample_rows(inst, mu, 100, 0)
         fits = [row_design_fit(data, mc, 1.0) for mc in classes]
         states = StateBatch(indices=np.zeros(10, dtype=int))
         with pytest.raises(ValueError):
