@@ -374,9 +374,8 @@ def test_ac_all_action_reference_gives_the_previous_hash():
 )
 def test_cell_memory_is_flat_in_n(study, build_trial, run_cell):
     # an ac cell holds at most 2 |A| (D + 1) cell rows and a cc cell its
-    # |X| |A| cells, whatever n is; the rows themselves took about 2 KB of
-    # peak memory each on ac at D = 100, and their bins grew cc's peak 10x
-    # from n = 4000 to 128000
+    # |X| |A| cells, whatever n is; drawn rows took about 2 KB of peak
+    # memory each on ac at D = 100
     config = parse_config({"experiment": study, "trials": 1, "seed": 5})
     ctx = build_trial(config, 0)
     run_cell(config, ctx, 4000, 0, False)  # first-call imports and caches
