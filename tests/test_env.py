@@ -135,17 +135,17 @@ class TestSampleDataset:
         # given the counts, within - sigma^2 (n - k) has mean 0 and variance
         # 2 sigma^4 (n - k), k the non-empty cells, and each non-empty cell's
         # (mean - f) sqrt(c) / sigma is a standard normal
-        inst = dataclasses.replace(make_tabular_instance(4, 3, 0), noise_scale=0.7)
+        sigma, mu, n, draws = 0.7, dirichlet_behavior(3, 1), 40, 2000
+        inst = dataclasses.replace(make_tabular_instance(4, 3, 0), noise_scale=sigma)
         f = inst.model.means.reshape(-1)
-        mu, n, draws = dirichlet_behavior(3, 1), 40, 2000
         gaps, variances, z = [], [], []
         for seed in range(draws):
             cells = sample_dataset(inst, mu, n, seed)
             full = cells.counts > 0
             df = n - np.count_nonzero(full)
-            gaps.append(cells.within - 0.49 * df)
-            variances.append(2 * 0.49**2 * df)
-            z.append((cells.means[full] - f[full]) * np.sqrt(cells.counts[full]) / 0.7)
+            gaps.append(cells.within - sigma**2 * df)
+            variances.append(2 * sigma**4 * df)
+            z.append((cells.means[full] - f[full]) * np.sqrt(cells.counts[full]) / sigma)
         assert abs(np.mean(gaps)) <= 4 * np.sqrt(np.sum(variances)) / draws
         z = np.concatenate(z)
         assert abs(z.mean()) <= 4 / np.sqrt(z.size)
