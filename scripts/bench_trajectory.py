@@ -10,15 +10,17 @@ DIR is a checkout of one commit (for example `git archive SHA | tar -x -C DIR`).
 both sides, each run as long as BENCHMARK.json's `run_seconds`; then one
 `--trace 1` run per workload and side, the in-process times of `run_cc`
 and `run_lower_bound` (which run their cells serially whatever `threads` is,
-so they are timed once) and of `run_ac` at threads 1 and 2, and the tier-1
-suite.  Each result is appended to the log as one JSON line, so an
-interrupted run loses nothing.  `summarize` reshapes the log into one file
-per side: per-workload medians and quartiles with the pair count, the
-change's wins over the parent, the results.csv sha256s by seed, the traced
-run's verdict, exit code and layer shares, the tier-1 wall time with its four
-slowest tests, and the in-process timings with `run_ac`'s two-thread
-speedup.  It exits 1, after writing both files, when any perfbench run was
-not correct, naming its workload, side and seed.
+so they are timed once) and of `run_ac` at threads 1 and 2, one CLI run per
+side of the ac study past the grid (`PAST_GRID`), and the tier-1 suite.
+Each result is appended to the log as one JSON line, so an interrupted run
+loses nothing.  `summarize` reshapes the log into one file per side:
+per-workload medians and quartiles with the pair count, the change's wins
+over the parent, the results.csv sha256s by seed, the traced run's verdict,
+exit code and layer shares, the tier-1 wall time with its four slowest
+tests, the in-process timings with `run_ac`'s two-thread speedup, and the
+past-the-grid run's wall time and peak RSS.  It exits 1, after writing both
+files, when any perfbench run was not correct or the past-the-grid run
+failed, naming its workload, side and seed.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -61,6 +64,12 @@ print(json.dumps(out))
 """
 
 
+# The benchmark's ac workload (the default ac config at one trial) with ten
+# times the default 500 test and validation states: the memory past the grid,
+# where every state the trial holds shows.
+PAST_GRID = {"experiment": "ac", "trials": 1, "seed": SEED, "n_test": 5000, "n_validation": 5000}
+
+
 def _child_env(checkout: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(checkout / "src")}
 
@@ -90,6 +99,24 @@ def inprocess(checkout: Path, order: str) -> dict:
     out = subprocess.run(argv, env=_child_env(checkout),
                          capture_output=True, text=True, timeout=600, check=True)
     return json.loads(out.stdout)
+
+
+def past_grid(checkout: Path) -> dict:
+    """One `--threads 1` CLI run of PAST_GRID: its exit code, wall time from
+    spawn to reap and peak RSS, taken through os.wait4 as perfbench takes
+    them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(PAST_GRID))
+        argv = [sys.executable, "-m", "batchselect.cli", "run", "--config", str(config),
+                "--out", str(Path(tmp) / "out"), "--threads", "1"]
+        start = time.perf_counter()
+        proc = subprocess.Popen(argv, env=_child_env(checkout), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+    return {"config": PAST_GRID, "exit_code": os.waitstatus_to_exitcode(status), "wall_s": wall,
+            "peak_rss_mb": usage.ru_maxrss / 1024.0}
 
 
 def tier1(checkout: Path) -> dict:
@@ -129,6 +156,8 @@ def run(args):
             for side in order:
                 emit(kind="inprocess", side=side, repeat=i,
                      times=inprocess(sides[side], "12" if i % 2 == 0 else "21"))
+        for side in sides:
+            emit(kind="past_grid", side=side, **past_grid(sides[side]))
         for side in sides:
             emit(kind="tier1", side=side, **tier1(sides[side]))
 
@@ -191,8 +220,9 @@ def summarize(args):
         if t1 and t2:
             doc["inprocess_threads"]["run_ac.speedup_threads2"] = (
                 statistics.median(t1) / statistics.median(t2))
-        doc["tier1"] = next(({k: v for k, v in r.items() if k not in ("kind", "side")}
-                             for r in mine if r["kind"] == "tier1"), None)
+        for kind in ("past_grid", "tier1"):
+            doc[kind] = next(({k: v for k, v in r.items() if k not in ("kind", "side")}
+                              for r in mine if r["kind"] == kind), None)
         path = Path(args.out_dir) / f"BENCH_{label}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -201,7 +231,11 @@ def summarize(args):
     for r in failed:
         print(f"{r['kind']} run not correct: workload {r['workload']}, side {r['side']}, "
               f"seed {r['seed']}, exit code {r['exit_code']}", file=sys.stderr)
-    return 1 if failed else 0
+    past = [r for r in records if r["kind"] == "past_grid" and r["exit_code"] != 0]
+    for r in past:
+        print(f"past_grid run failed: workload ac, side {r['side']}, seed {SEED}, "
+              f"exit code {r['exit_code']}", file=sys.stderr)
+    return 1 if failed or past else 0
 
 
 def main(argv=None):

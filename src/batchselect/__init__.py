@@ -34,10 +34,12 @@ from .learner import (
 from .linalg import CovarianceMatrix, RidgeFit, SingularMatrixError, ridge_fit
 from .selection import (
     SelectionReport,
+    SlopeTerms,
     complexity_coverage_policy,
     holdout_select,
     slope_policy_select,
     slope_select,
+    slope_terms,
     zeta_coefficient,
 )
 from .hard_instance import build_hard_pair, oracle_denominator, ratio_experiment
@@ -56,6 +58,7 @@ __all__ = [
     "RidgeFit",
     "SelectionReport",
     "SingularMatrixError",
+    "SlopeTerms",
     "StateBatch",
     "beta_coefficient",
     "build_hard_pair",
@@ -75,6 +78,7 @@ __all__ = [
     "sample_states",
     "slope_policy_select",
     "slope_select",
+    "slope_terms",
     "truncation_family",
     "zeta_coefficient",
 ]

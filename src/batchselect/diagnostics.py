@@ -8,9 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import StateBatch
-from .learner import Policy
-
 PINV_RCOND = 1e-10
 
 
@@ -22,17 +19,19 @@ def fixed_design_theta_star(features: np.ndarray, true_means: np.ndarray) -> np.
     return theta
 
 
-def regret_estimate(true_means: np.ndarray, pi_hat: Policy, test_states: StateBatch) -> float:
+def regret_estimate(true_means: np.ndarray, actions: np.ndarray) -> float:
     """Mean of max_a f(x, a) - f(x, pi_hat(x)) over the test states.
 
-    `true_means` is the (m, |A|) table of f over `test_states`
+    `true_means` is the (m, |A|) table of f over the test states
     (`BanditInstance.mean_rewards`), computed once by the caller and shared
-    by every policy scored on those states.
+    by every policy scored on those states, and `actions` the (m,) actions
+    pi_hat takes on them (`Policy.actions`).
     """
-    if true_means.ndim != 2 or len(true_means) != len(test_states):
+    actions = np.asarray(actions)
+    if true_means.ndim != 2 or actions.shape != true_means.shape[:1]:
         raise ValueError(
-            f"need an (m, |A|) mean table for the {len(test_states)} test states, "
-            f"got shape {true_means.shape}"
+            f"need an (m, |A|) mean table and the m actions taken on its states, "
+            f"got shapes {true_means.shape} and {actions.shape}"
         )
-    hat = true_means[np.arange(len(test_states)), pi_hat.actions(test_states)]
+    hat = true_means[np.arange(len(actions)), actions]
     return float(np.mean(true_means.max(axis=1) - hat))

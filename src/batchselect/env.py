@@ -164,12 +164,16 @@ class Cells:
     features is predicted 0 by every fit, so it may hold mean 0 and its rows'
     whole sum of squares in `within` (`sample_split_cells`).  T trials stack as
     columns: `means` and `counts` of shape (cells, T) and `within` of shape
-    (T,), checked once for all of them.
+    (T,), checked once for all of them.  Cells of a tabular dataset carry
+    their `grid`, (|X|, |A|), cell x * |A| + a holding the rows logged at
+    (x, a) (`sample_dataset`), so that a fit can refuse a class over another
+    table.
     """
 
     means: np.ndarray
     counts: np.ndarray
     within: float | np.ndarray = 0.0
+    grid: tuple[int, int] | None = None
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
@@ -182,6 +186,10 @@ class Cells:
             np.all(np.isfinite(within)) and np.all(within >= 0)
         ):
             raise ValueError("within-cell sum of squares must be finite and nonnegative")
+        if self.grid is not None and (
+            len(self.grid) != 2 or min(self.grid) < 1 or self.grid[0] * self.grid[1] != len(means)
+        ):
+            raise ValueError(f"grid {self.grid} is not an |X| x |A| grid of {len(means)} cells")
 
     @property
     def n(self):
@@ -277,10 +285,47 @@ def make_gaussian_instance(
     return BanditInstance(action_count, GaussianModel(chols, theta), noise_scale=1.0)
 
 
-def sample_states(instance: BanditInstance, count: int, rng_seed: int) -> StateBatch:
-    """I.i.d. unlabeled states for test, validation, or Monte-Carlo means."""
+def sample_states(
+    instance: BanditInstance, count: int, rng_seed: int | np.random.Generator
+) -> StateBatch:
+    """I.i.d. unlabeled states for test, validation, or Monte-Carlo means,
+    drawn from the seed's "states" sub-stream, or from a generator that
+    `state_chunks` draws each of its chunks from."""
+    if not isinstance(rng_seed, np.random.Generator):
+        rng_seed = rng_stream(rng_seed, "states")
+    return instance.sample_state_batch(count, rng_seed)
+
+
+# The states in each chunk of `state_chunks` but the last: 1 MB of Gaussian
+# features at |A| = 10, D = 100.
+STATE_CHUNK = 128
+
+
+def state_chunks(instance: BanditInstance, count: int, rng_seed: int):
+    """The states `sample_states(instance, count, rng_seed)` draws, in
+    consecutive chunks of STATE_CHUNK states.  The last holds the rest, and a
+    rest under STATE_CHUNK / 2 joins the chunk before it, so a chunk holds
+    fewer than 1.5 STATE_CHUNK states and is small only as a whole batch.
+
+    The chunks draw one after another from the one stream, which gives the
+    whole batch's numbers.  Row-wise products of the states (the feature
+    transform, predictions, widths) round each row as the whole batch does
+    where BLAS treats a row by its place in its kernels' row blocks, on one
+    BLAS thread as the studies run: every chunk but the last holds a
+    multiple of 128 |A| rows, so the whole batch's blocks, and its final
+    partial block, fall on the same rows.  Near-equal chunks of 125 states
+    put each chunk's last rows in a partial block, which moved them in their
+    last bits.
+    """
+    if count < 1:
+        raise ValueError("count must be positive")
     rng = rng_stream(rng_seed, "states")
-    return instance.sample_state_batch(count, rng)
+    full, rest = divmod(count, STATE_CHUNK)
+    sizes = [STATE_CHUNK] * full + [rest] * (rest > 0)
+    if len(sizes) > 1 and rest < STATE_CHUNK // 2:
+        sizes[-2:] = [STATE_CHUNK + rest]
+    for size in sizes:
+        yield sample_states(instance, size, rng)
 
 
 def _behavior_probs(instance: BanditInstance, mu: BehaviorPolicy) -> np.ndarray:
@@ -334,7 +379,7 @@ def sample_dataset(
     means = cell_means(z, counts, model.means.reshape(-1), sigma)
     df = n - np.count_nonzero(counts)
     within = sigma**2 * noise_rng.chisquare(df) if df > 0 else 0.0
-    return Cells(means, counts, within)
+    return Cells(means, counts, within, model.means.shape)
 
 
 def _group_rows(chol, theta, sigma, count, state_rng, noise_rng):

@@ -8,7 +8,6 @@ import json
 import math
 import numbers
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -17,7 +16,6 @@ import numpy as np
 from .env import (
     BanditInstance,
     BehaviorPolicy,
-    StateBatch,
     check_behavior_actions,
     check_gaussian_shape,
     check_tabular_shape,
@@ -27,7 +25,7 @@ from .env import (
     make_tabular_instance,
     sample_dataset,
     sample_split_cells,
-    sample_states,
+    state_chunks,
 )
 from .features import ModelClass, design_matrix, realizable_family, truncation_family
 from .hard_instance import (
@@ -37,14 +35,17 @@ from .hard_instance import (
     csv_text,
     ratio_experiment,
 )
-from .learner import GreedyPolicy, check_width_arguments, fit_pessimistic
-from .linalg import ridge_fit
+from .learner import GreedyPolicy, Policy, check_width_arguments, fit_pessimistic
+from .linalg import RidgeFit, ridge_fit
 from .selection import (
     MAX_HOLDOUT_ROWS,
+    SelectionReport,
+    SlopeTerms,
     complexity_coverage_policy,
     holdout_select,
     holdout_split_sizes,
     slope_policy_select,
+    slope_terms,
 )
 from .diagnostics import regret_estimate
 
@@ -245,14 +246,30 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class _Trial:
-    """What a trial's n-cells share: everything whose seed does not depend on n."""
+    """What a trial's n-cells share: everything whose seed does not depend on
+    n.  The test states, and for ac the validation states, are drawn from
+    their seeds by the runner, one chunk at a time (`env.state_chunks`), so
+    no (m, |A|, D) state tensor outlives its chunk: two whole batches cost
+    16 KB per state at |A| = 10, D = 100."""
 
     instance: BanditInstance
     classes: list[ModelClass]
     mu: BehaviorPolicy
-    test_states: StateBatch
-    test_means: np.ndarray  # f over the test states, shape (n_test, |A|), for regret_estimate
-    validation: StateBatch | None = None
+    test_seed: int
+    validation_seed: int | None = None
+
+
+@dataclass
+class _Cell:
+    """One n-cell of a trial once its data are drawn and fit: the policy of
+    each method the cell writes a row for, and the selection reports.  An ac
+    cell also keeps its family's fits, whose SLOPE policy the runner adds
+    once it has the validation states."""
+
+    n: int
+    policies: dict[str, Policy]
+    reports: dict[str, SelectionReport]
+    fits: list[RidgeFit] | None = None
 
 
 def _cc_trial(config: ExperimentConfig, trial: int) -> _Trial:
@@ -261,33 +278,26 @@ def _cc_trial(config: ExperimentConfig, trial: int) -> _Trial:
     instance = make_tabular_instance(
         s.state_count, s.action_count, derive_seed(seed, "cc-instance", trial)
     )
-    test_states = sample_states(instance, config.n_test, derive_seed(seed, "cc-test", trial))
     return _Trial(
         instance,
         realizable_family(instance, s.hidden_dims, derive_seed(seed, "cc-family", trial)),
         dirichlet_behavior(s.action_count, derive_seed(seed, "cc-behavior", trial)),
-        test_states,
-        instance.mean_rewards(test_states),
+        derive_seed(seed, "cc-test", trial),
     )
 
 
-def _cc_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: bool):
-    seed = config.seed
-    classes, means, test_states = ctx.classes, ctx.test_means, ctx.test_states
-    dataset = sample_dataset(ctx.instance, ctx.mu, n, derive_seed(seed, f"cc-data-{n}", trial))
-
-    rows, reports = [], []
-    fits = []
-    for d_hid, mc in zip(config.cc.hidden_dims, classes):
+def _cc_fit(config: ExperimentConfig, ctx: _Trial, n: int, trial: int) -> _Cell:
+    seed = derive_seed(config.seed, f"cc-data-{n}", trial)
+    dataset = sample_dataset(ctx.instance, ctx.mu, n, seed)
+    policies, fits = {}, []
+    for d_hid, mc in zip(config.cc.hidden_dims, ctx.classes):
         policy = fit_pessimistic(dataset, mc, config.lam, config.delta, config.penalty_scale)
-        regret = regret_estimate(means, policy, test_states)
-        rows.append(ResultRow(n, f"class_{d_hid}", trial, regret))
+        policies[f"class_{d_hid}"] = policy
         fits.append(policy.fits[0])
-    policy, report = complexity_coverage_policy(fits, classes, config.delta, config.penalty_scale)
-    rows.append(ResultRow(n, "cc", trial, regret_estimate(means, policy, test_states)))
-    if audit:
-        reports.append({"n": n, "trial": trial, "method": "cc", "report": json.loads(report.to_json())})
-    return rows, reports
+    policies["cc"], report = complexity_coverage_policy(
+        fits, ctx.classes, config.delta, config.penalty_scale
+    )
+    return _Cell(n, policies, {"cc": report})
 
 
 def _ac_trial(config: ExperimentConfig, trial: int) -> _Trial:
@@ -296,48 +306,103 @@ def _ac_trial(config: ExperimentConfig, trial: int) -> _Trial:
     instance = make_gaussian_instance(
         s.ambient_dim, s.true_dim, s.action_count, derive_seed(seed, "ac-instance", trial)
     )
-    test_states = sample_states(instance, config.n_test, derive_seed(seed, "ac-test", trial))
     return _Trial(
         instance,
         truncation_family(s.ambient_dim, s.dims),
         dirichlet_behavior(s.action_count, derive_seed(seed, "ac-behavior", trial)),
-        test_states,
-        instance.mean_rewards(test_states),
-        sample_states(instance, config.n_validation, derive_seed(seed, "ac-validation", trial)),
+        derive_seed(seed, "ac-test", trial),
+        derive_seed(seed, "ac-validation", trial),
     )
 
 
-def _ac_cell(config: ExperimentConfig, ctx: _Trial, n: int, trial: int, audit: bool):
+def _ac_fit(config: ExperimentConfig, ctx: _Trial, n: int, trial: int) -> _Cell:
     s = config.ac
-    classes, means, test_states = ctx.classes, ctx.test_means, ctx.test_states
+    classes = ctx.classes
     n_in, _ = holdout_split_sizes(n, s.holdout_split)
     features, fit_on, score_on = sample_split_cells(
         ctx.instance, ctx.mu, n, n_in, derive_seed(config.seed, f"ac-data-{n}", trial)
     )
-
-    rows, reports = [], []
     # the widest class's design over both sides' cells, read by the greedy
     # fits (all n rows: both sides' counts) and by hold-out; the family is fit
     # once and each class is its leading block
     design = design_matrix(classes[-1], features)
     family = ridge_fit(design, fit_on.means, config.lam, counts=fit_on.counts + score_on.counts)
     fits = [family.leading(mc.dim) for mc in classes]
-    for mc, fit in zip(classes, fits):
-        regret = regret_estimate(means, GreedyPolicy(fit, mc), test_states)
-        rows.append(ResultRow(n, f"class_{mc.dim}", trial, regret))
-    slope_policy, slope_report = slope_policy_select(
-        fits, classes, ctx.validation, config.delta, config.penalty_scale
-    )
-    rows.append(ResultRow(n, "slope", trial, regret_estimate(means, slope_policy, test_states)))
-    ho_policy, ho_report = holdout_select(design, fit_on, score_on, classes, config.lam)
-    ho_report.audit["split_fraction"] = s.holdout_split  # the draw, not holdout_select, reads it
-    rows.append(ResultRow(n, "holdout", trial, regret_estimate(means, ho_policy, test_states)))
-    if audit:
-        for method, report in (("slope", slope_report), ("holdout", ho_report)):
-            reports.append(
-                {"n": n, "trial": trial, "method": method, "report": json.loads(report.to_json())}
-            )
-    return rows, reports
+    policies = {f"class_{mc.dim}": GreedyPolicy(fit, mc) for mc, fit in zip(classes, fits)}
+    policies["holdout"], report = holdout_select(design, fit_on, score_on, classes, config.lam)
+    report.audit["split_fraction"] = s.holdout_split  # the draw, not holdout_select, reads it
+    return _Cell(n, policies, {"holdout": report}, fits)
+
+
+def _map(pool, fn, *iterables) -> list:
+    """fn over the iterables, on the pool's threads if there is a pool."""
+    return list(pool.map(fn, *iterables) if pool else map(fn, *iterables))
+
+
+def _over_chunks(pool, fn, cells: list[_Cell], chunks) -> list[list]:
+    """fn(cell, chunk) for every cell and state chunk, one list per cell in
+    chunk order.  Without a pool each chunk is dropped before the next is
+    drawn, so one chunk is held at a time; under a pool the cells' calls on a
+    chunk run while the next is drawn, so two are."""
+    parts = [[] for _ in cells]
+    pending = []
+    for chunk in chunks:
+        if pool is None:
+            done = [fn(cell, chunk) for cell in cells]
+        else:
+            done = [future.result() for future in pending]
+            pending = [pool.submit(fn, cell, chunk) for cell in cells]
+        del chunk  # not held while the next chunk is drawn
+        for part, result in zip(parts, done):
+            part.append(result)
+    for part, future in zip(parts, pending):
+        part.append(future.result())
+    return parts
+
+
+def _select_slope(config: ExperimentConfig, ctx: _Trial, cells: list[_Cell], pool):
+    """Add SLOPE's policy and report to each cell.  Each chunk of validation
+    states is drawn once and given to every cell, which keeps its per-state
+    terms (`slope_terms`); SLOPE then reads each cell's terms over all the
+    states, in one array each, as it would read the whole batch's."""
+    chunks = state_chunks(ctx.instance, config.n_validation, ctx.validation_seed)
+    parts = _over_chunks(pool, lambda cell, chunk: slope_terms(cell.fits, ctx.classes, chunk),
+                         cells, chunks)
+
+    def select(cell, part):
+        terms = SlopeTerms.concatenate(part)
+        part.clear()
+        return slope_policy_select(
+            cell.fits, ctx.classes, terms, config.delta, config.penalty_scale
+        )
+
+    for cell, (policy, report) in zip(cells, _map(pool, select, cells, parts)):
+        cell.policies["slope"], cell.reports["slope"] = policy, report
+
+
+def _score(config: ExperimentConfig, ctx: _Trial, cells: list[_Cell], pool, trial: int):
+    """Each cell's rows: every policy's regret over the test states, drawn
+    chunk by chunk.  Each chunk's true-mean table and every policy's actions
+    on it are kept, and each regret reads them over all the states, in one
+    array each, as it would read the whole batch's."""
+    means = []
+
+    def chunks():
+        for chunk in state_chunks(ctx.instance, config.n_test, ctx.test_seed):
+            means.append(ctx.instance.mean_rewards(chunk))
+            yield chunk
+            del chunk  # not held while the next chunk is drawn
+
+    def take(cell, chunk):
+        return [policy.actions(chunk) for policy in cell.policies.values()]
+
+    taken = _over_chunks(pool, take, cells, chunks())
+    means = np.concatenate(means)
+    return [
+        ResultRow(cell.n, method, trial, regret_estimate(means, np.concatenate(actions)))
+        for cell, cell_taken in zip(cells, taken)
+        for method, actions in zip(cell.policies, zip(*cell_taken))
+    ]
 
 
 # The (get, set) thread-count symbols an OpenBLAS build may export.  numpy's
@@ -409,24 +474,43 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _run_cells(build_trial, cell_fn, config: ExperimentConfig, threads: int, audit: bool):
-    """Build each trial's context once, then run its n-cells, largest n first
-    so that a pool's threads finish together, through a thread pool when
-    threads > 1.  BLAS runs single-threaded meanwhile, so `threads` is the
-    run's only parallelism: at d <= 100 OpenBLAS's own threads cost more than
-    they give, and under a pool they oversubscribe the cores.  Every seed is
-    derived from (seed, purpose, trial), and rows and reports are sorted
-    afterwards, so the output depends on neither thread count."""
-    outputs = []
+def _run_cells(build_trial, fit_cell, config: ExperimentConfig, threads: int, audit: bool):
+    """Build each trial's context, fit its n-cells, largest n first so that
+    a pool's threads finish together, then select SLOPE (ac) and score every
+    policy on state chunks given to all the cells.  Each step maps over the
+    cells, through a thread pool when threads > 1.  BLAS runs single-threaded
+    meanwhile, so `threads` is the run's only parallelism: at d <= 100
+    OpenBLAS's own threads cost more than they give, and under a pool they
+    oversubscribe the cores.  Every seed is derived from (seed, purpose,
+    trial), and rows and reports are sorted afterwards, so the output depends
+    on neither thread count."""
+    rows, reports = [], []
     n_order = sorted(config.n_grid, reverse=True)
-    # a pool given no work starts no thread
-    with _ONE_BLAS_THREAD, ThreadPoolExecutor(max_workers=threads) as pool:
-        mapper = pool.map if threads > 1 else map
-        for t in range(config.trials):
-            cell = functools.partial(cell_fn, config, build_trial(config, t), trial=t, audit=audit)
-            outputs.extend(mapper(cell, n_order))
-    rows = [row for out, _ in outputs for row in out]
-    reports = [rep for _, out in outputs for rep in out]
+    pool = None
+    if threads > 1:
+        # imported here, so that a run without a pool skips its import (and logging's)
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=threads)
+
+    try:
+        with _ONE_BLAS_THREAD:
+            for t in range(config.trials):
+                ctx = build_trial(config, t)
+                cells = _map(pool, functools.partial(fit_cell, config, ctx, trial=t), n_order)
+                if ctx.validation_seed is not None:
+                    _select_slope(config, ctx, cells, pool)
+                rows.extend(_score(config, ctx, cells, pool, t))
+                if audit:
+                    reports.extend(
+                        {"n": cell.n, "trial": t, "method": method,
+                         "report": json.loads(report.to_json())}
+                        for cell in cells
+                        for method, report in cell.reports.items()
+                    )
+    finally:
+        if pool is not None:
+            pool.shutdown()
     rows.sort(key=lambda r: (r.n, r.method, r.trial))
     reports.sort(key=lambda r: (r["n"], r["method"], r["trial"]))
     return rows, reports
@@ -436,11 +520,11 @@ def run_cc(config: ExperimentConfig, threads: int = 1, audit: bool = False):
     """The cc study's cells, run one after another whatever `threads` is: at
     their native dimension the classes make cells too small for a thread
     pool, which only adds contention."""
-    return _run_cells(_cc_trial, _cc_cell, config, 1, audit)
+    return _run_cells(_cc_trial, _cc_fit, config, 1, audit)
 
 
 def run_ac(config: ExperimentConfig, threads: int = 1, audit: bool = False):
-    return _run_cells(_ac_trial, _ac_cell, config, threads, audit)
+    return _run_cells(_ac_trial, _ac_fit, config, threads, audit)
 
 
 def run_lower_bound(config: ExperimentConfig, threads: int = 1, audit: bool = False):

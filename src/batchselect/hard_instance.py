@@ -53,6 +53,7 @@ from .selection import (
     holdout_choice,
     holdout_split_sizes,
     slope_choice,
+    slope_terms,
 )
 
 THETA_TOL = 1e-10
@@ -189,9 +190,10 @@ def _cc_select(means, pair, delta, lam, penalty_scale):
 
 
 def _slope_select(means, pair, delta, lam, penalty_scale):
-    fits = _fits(means, pair, lam)
-    chosen, actions, _ = slope_choice(fits, list(pair.classes), pair.state, delta, penalty_scale)
-    return actions[chosen, 0, np.arange(chosen.size)]
+    fits, classes = _fits(means, pair, lam), list(pair.classes)
+    terms = slope_terms(fits, classes, pair.state)
+    chosen, _ = slope_choice(fits, classes, terms, delta, penalty_scale)
+    return terms.actions[chosen, 0, np.arange(chosen.size)]
 
 
 def _holdout_select(split, pair, delta, lam, penalty_scale):

@@ -55,13 +55,17 @@ def fit_pessimistic(
     of the class's |X| x |A| table, in cell x * |A| + a, as
     `env.sample_dataset` draws them.  The fit reads the table's rows at those
     counts: the n-row fit up to rounding, at a cost of |X| |A| d^2 whatever n
-    is.  A truncation class raises RepresentationMismatchError: it fits from
-    feature rows (`design_matrix`).
+    is.  Cells drawn on another |X| x |A| grid than the table's (`Cells.grid`)
+    raise ValueError.  A truncation class raises RepresentationMismatchError:
+    it fits from feature rows (`design_matrix`).
     """
     if not isinstance(model_class.map, TabularMap):
         raise RepresentationMismatchError(
             "truncation map fits from feature rows, not from a tabular dataset's cells"
         )
+    grid = model_class.map.table.shape[:2]
+    if cells.grid is not None and tuple(cells.grid) != grid:
+        raise ValueError(f"cells drawn on a {cells.grid} grid given a class over a {grid} table")
     table = model_class.map.table.reshape(-1, model_class.dim)
     fit = ridge_fit(table, cells.means, lam, counts=cells.counts)
     return PessimisticPolicy([fit], [model_class], delta, penalty_scale)

@@ -108,54 +108,88 @@ def complexity_coverage_policy(
     return policy, SelectionReport("ComplexityCoverage", "per-state", audit)
 
 
-def slope_choice(
-    fits: list[RidgeFit],
-    classes: list[ModelClass],
-    validation_states: StateBatch,
-    delta: float,
-    penalty_scale: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """SLOPE over the greedy policies of one ridge fit per nested class.
+@dataclass(frozen=True)
+class SlopeTerms:
+    """What SLOPE reads of a batch of m validation states, for one nested
+    family's fits: each class's widest norm max_a |phi_k(x, a)|_{V_k^{-1}}
+    at each state, shape (M, m); each class's greedy actions, (M, m); and
+    class k's prediction at class l's action, (M, M, m).  Fits of T stacked
+    trials add a last axis of T to the actions and the predictions.  Every
+    entry reads its own state alone, so the terms of consecutive batches,
+    concatenated (`concatenate`), are the terms of their union."""
 
-    The widest class's features on `validation_states` are built once, and
-    class k reads their first d_k coordinates.  Every class's norms
+    max_norms: np.ndarray
+    actions: np.ndarray
+    at_actions: np.ndarray
+
+    def __len__(self) -> int:
+        return self.max_norms.shape[1]
+
+    @staticmethod
+    def concatenate(parts) -> SlopeTerms:
+        """The terms of consecutive batches of states as the terms of their union."""
+        return SlopeTerms(
+            np.concatenate([p.max_norms for p in parts], axis=1),
+            np.concatenate([p.actions for p in parts], axis=1),
+            np.concatenate([p.at_actions for p in parts], axis=2),
+        )
+
+
+def slope_terms(fits: list[RidgeFit], classes: list[ModelClass], states: StateBatch) -> SlopeTerms:
+    """SLOPE's per-state terms of one ridge fit per nested class on `states`.
+
+    The widest class's features on the states are built once, and class k
+    reads their first d_k coordinates.  Every class's norms
     |phi_k|_{V_k^{-1}} come from the widest fit's covariance in one
     block-wise pass (`inv_quad_norms` with the family's dims), since the fits
-    share one dataset and V_k is the widest V's leading block.  Returns the
-    index of the chosen policy, each class's greedy actions on
-    `validation_states`, shape (M, m), and the audit.  Fits of T stacked
-    trials (theta_hat of shape (d, T)) share their widths, which read only V
-    and n, and enter SLOPE's value matrix as T further columns, so the
-    choice has shape (T,) and the actions (M, m, T).
+    share one dataset and V_k is the widest V's leading block.
     """
     if len(fits) == 0:
         raise ValueError("need at least one fitted class")
     if len(fits) != len(classes):
         raise ValueError("one fit per class required")
-    if validation_states is None or len(validation_states) == 0:
+    if states is None or len(states) == 0:
         raise ValueError("validation states must be nonempty")
     if not check_nested(classes):
         raise ValueError("SLOPE requires a nested collection of model classes")
-    m_classes = len(classes)
-    n_states = len(validation_states)
-    weights = np.full(n_states, 1.0 / n_states)
-
     dims = [mc.dim for mc in classes]
-    stack = features_all_actions(classes[-1], validation_states)  # (m, |A|, d_M)
+    stack = features_all_actions(classes[-1], states)  # (m, |A|, d_M)
     norms = inv_quad_norms(fits[-1].cov, stack.reshape(-1, dims[-1]), dims)
-    norms = norms.reshape((m_classes,) + stack.shape[:-1])
-    widths = np.empty(m_classes)
-    preds = []
-    for k, (fit, d) in enumerate(zip(fits, dims)):
-        # the values GreedyPolicy(fit, classes[k]) reads, so these are its actions
-        preds.append(fit.predictions(stack[..., :d]))
-        zeta = zeta_coefficient(fit.n, d, fit.lam, delta / m_classes, fit.cov)
-        widths[k] = penalty_scale * zeta * float(weights @ norms[k].max(axis=1))
-    preds = np.stack(preds)  # (M, m, |A|[, T])
-    actions = np.argmax(preds, axis=2)  # (M, m[, T]): each class's greedy actions
-    # values[k, l] = vhat_k(pi_l), class k's mean prediction at class l's actions
+    # the values GreedyPolicy(fit, classes[k]) reads, so these are its actions
+    preds = np.stack([fit.predictions(stack[..., :d]) for fit, d in zip(fits, dims)])
+    actions = np.argmax(preds, axis=2)  # (M, m[, T])
     at_actions = np.take_along_axis(preds[:, None], actions[None, :, :, None], axis=3)[:, :, :, 0]
-    values = np.moveaxis(at_actions, 2, -1) @ weights
+    max_norms = norms.reshape((len(dims),) + stack.shape[:-1]).max(axis=2)  # (M, m)
+    return SlopeTerms(max_norms, actions, at_actions)
+
+
+def slope_choice(
+    fits: list[RidgeFit],
+    classes: list[ModelClass],
+    terms: SlopeTerms,
+    delta: float,
+    penalty_scale: float = 1.0,
+) -> tuple[np.ndarray, dict]:
+    """SLOPE over the greedy policies of one ridge fit per nested class,
+    from their terms on the validation states (`slope_terms`), whose
+    expectations are empirical means.  Returns the index of the chosen policy
+    and the audit.  Fits of T stacked trials share their widths, which read
+    only V and n, and enter SLOPE's value matrix as T further columns, so the
+    choice has shape (T,).
+    """
+    if len(fits) != len(classes) or len(terms.max_norms) != len(fits):
+        raise ValueError(
+            f"need one fit and one row of terms per class, got {len(fits)} fits, "
+            f"{len(classes)} classes and {len(terms.max_norms)} rows"
+        )
+    m_classes, dims = len(classes), [mc.dim for mc in classes]
+    weights = np.full(len(terms), 1.0 / len(terms))
+    widths = np.empty(m_classes)
+    for k, (fit, d) in enumerate(zip(fits, dims)):
+        zeta = zeta_coefficient(fit.n, d, fit.lam, delta / m_classes, fit.cov)
+        widths[k] = penalty_scale * zeta * float(weights @ terms.max_norms[k])
+    # values[k, l] = vhat_k(pi_l), class k's mean prediction at class l's actions
+    values = np.moveaxis(terms.at_actions, 2, -1) @ weights
     khat, vhat = slope_select(values, widths)
     audit = {
         "delta": delta,
@@ -166,13 +200,13 @@ def slope_choice(
         "khat_per_policy": khat,
         "vhat_per_policy": vhat,
     }
-    return np.argmax(vhat, axis=0), actions, audit
+    return np.argmax(vhat, axis=0), audit
 
 
 def slope_policy_select(
     fits: list[RidgeFit],
     classes: list[ModelClass],
-    validation_states: StateBatch,
+    terms: SlopeTerms,
     delta: float,
     penalty_scale: float = 1.0,
 ) -> tuple[Policy, SelectionReport]:
@@ -180,9 +214,11 @@ def slope_policy_select(
 
     `fits` holds one ridge fit per class, all on the same dataset, as in
     `complexity_coverage_policy`; classes must be nested.  Expectations over
-    states are empirical means over `validation_states`.
+    states are empirical means over the validation states, read through the
+    fits' terms on them (`slope_terms`), which a run that draws the states in
+    chunks concatenates (`SlopeTerms.concatenate`).
     """
-    chosen, _, audit = slope_choice(fits, classes, validation_states, delta, penalty_scale)
+    chosen, audit = slope_choice(fits, classes, terms, delta, penalty_scale)
     chosen = int(chosen)
     return GreedyPolicy(fits[chosen], classes[chosen]), SelectionReport("Slope", chosen, audit)
 

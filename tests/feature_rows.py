@@ -13,19 +13,16 @@ scripts/compare_cell_draws.py compares the two paths in distribution.
 Tests that fit feature rows draw them here.
 """
 import contextlib
-import json
 
 import numpy as np
 import pytest
 
 from batchselect import env, experiments
-from batchselect.diagnostics import regret_estimate
 from batchselect.env import Cells, derive_seed
-from batchselect.experiments import ResultRow
 from batchselect.features import design_matrix
 from batchselect.learner import GreedyPolicy
 from batchselect.linalg import ridge_fit
-from batchselect.selection import holdout_select, holdout_split_sizes, slope_policy_select
+from batchselect.selection import holdout_select, holdout_split_sizes
 
 
 class FeatureDataset:
@@ -88,45 +85,32 @@ def row_probe_quantile(chols, theta, rng):
     return float(np.quantile(np.abs(feats @ theta), 0.99))
 
 
-def row_ac_cell(config, ctx, n, trial, audit):
-    """`experiments._ac_cell` on n drawn rows: the family fit on the rows'
+def row_ac_fit(config, ctx, n, trial):
+    """`experiments._ac_fit` on n drawn rows: the family fit on the rows'
     design, and hold-out on their permutation split."""
     s, seed = config.ac, config.seed
-    classes, means, test_states = ctx.classes, ctx.test_means, ctx.test_states
+    classes = ctx.classes
     data_seed = derive_seed(seed, f"ac-data-{n}", trial)
     dataset = sample_feature_dataset(ctx.instance, ctx.mu, n, data_seed)
-    rows, reports = [], []
     design = design_matrix(classes[-1], dataset.logged)
     family = ridge_fit(design, dataset.rewards, config.lam)
     fits = [family.leading(mc.dim) for mc in classes]
-    for mc, fit in zip(classes, fits):
-        regret = regret_estimate(means, GreedyPolicy(fit, mc), test_states)
-        rows.append(ResultRow(n, f"class_{mc.dim}", trial, regret))
-    slope_policy, slope_report = slope_policy_select(
-        fits, classes, ctx.validation, config.delta, config.penalty_scale
-    )
-    rows.append(ResultRow(n, "slope", trial, regret_estimate(means, slope_policy, test_states)))
+    policies = {f"class_{mc.dim}": GreedyPolicy(fit, mc) for mc, fit in zip(classes, fits)}
     fit_on, score_on = row_split(
         dataset.rewards, s.holdout_split, derive_seed(seed, f"ac-holdout-{n}", trial)
     )
-    ho_policy, ho_report = holdout_select(design, fit_on, score_on, classes, config.lam)
-    ho_report.audit["split_fraction"] = s.holdout_split
-    rows.append(ResultRow(n, "holdout", trial, regret_estimate(means, ho_policy, test_states)))
-    if audit:
-        for method, report in (("slope", slope_report), ("holdout", ho_report)):
-            reports.append(
-                {"n": n, "trial": trial, "method": method, "report": json.loads(report.to_json())}
-            )
-    return rows, reports
+    policies["holdout"], report = holdout_select(design, fit_on, score_on, classes, config.lam)
+    report.audit["split_fraction"] = s.holdout_split
+    return experiments._Cell(n, policies, {"holdout": report}, fits)
 
 
 @contextlib.contextmanager
 def row_reference():
     """The ac study on the row path while the context is open: the row probe
-    in `make_gaussian_instance` and `row_ac_cell` for every cell."""
+    in `make_gaussian_instance` and `row_ac_fit` for every cell."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(env, "_probe_quantile", row_probe_quantile)
-        mp.setattr(experiments, "_ac_cell", row_ac_cell)
+        mp.setattr(experiments, "_ac_fit", row_ac_fit)
         yield mp
 
 

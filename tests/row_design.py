@@ -57,7 +57,7 @@ def binned_cells(rows: TabularRows, state_count: int, action_count: int) -> Cell
     sums = np.bincount(cell, weights=rows.rewards, minlength=counts.size)
     means = sums / np.maximum(counts, 1)
     within = float(np.sum((rows.rewards - means[cell]) ** 2))
-    return Cells(means, counts, within)
+    return Cells(means, counts, within, (state_count, action_count))
 
 
 def row_sample_dataset(instance, mu, n, rng_seed) -> Cells:

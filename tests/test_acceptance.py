@@ -19,7 +19,12 @@ from batchselect.env import (
 from batchselect.features import design_matrix, realizable_family, truncation_family
 from batchselect.learner import beta_coefficient, fit_pessimistic
 from batchselect.linalg import CovarianceMatrix, inv_quad_norms, ridge_fit
-from batchselect.selection import slope_policy_select, slope_select, zeta_coefficient
+from batchselect.selection import (
+    slope_policy_select,
+    slope_select,
+    slope_terms,
+    zeta_coefficient,
+)
 from batchselect.diagnostics import regret_estimate
 from batchselect.hard_instance import build_hard_pair
 from batchselect.experiments import (
@@ -86,7 +91,7 @@ def test_acceptance_2_schur_and_nestedness_monotonicity():
             for mc in classes
         ]
         probe = sample_states(inst, 50, seed + 1)
-        _, rep = slope_policy_select(fits, classes, probe, 0.05)
+        _, rep = slope_policy_select(fits, classes, slope_terms(fits, classes, probe), 0.05)
         if np.any(np.diff(rep.audit["widths"]) < -1e-9):
             width_ok = False
         norms = []
@@ -117,7 +122,7 @@ def test_acceptance_3_single_class_bound_validity():
         policy = fit_pessimistic(data, mc, 1.0, 0.05, penalty_scale=1.0)
         test = sample_states(inst, 500, seed + 10**6)
         means = inst.mean_rewards(test)
-        regret = regret_estimate(means, policy, test)
+        regret = regret_estimate(means, policy.actions(test))
         phi = tabular_design(mc, test, np.argmax(means, axis=1))
         coverage = inv_quad_norms(policy.fits[0].cov, phi).mean()
         if regret <= 2 * policy.betas[0] * coverage + 0.05:

@@ -35,21 +35,21 @@ class TestRegretEstimate:
         states = StateBatch(indices=np.arange(4))
         means = inst.mean_rewards(states)
         pi = FixedPolicy(table=np.argmax(inst.model.means, axis=1))
-        assert regret_estimate(means, pi, states) == 0.0
-        assert regret_estimate(means, OptimalPolicy(inst), states) == 0.0
+        assert regret_estimate(means, pi.actions(states)) == 0.0
+        assert regret_estimate(means, OptimalPolicy(inst).actions(states)) == 0.0
 
     def test_optimal_comparator_nonnegative(self):
         inst = make_tabular_instance(6, 4, 1)
         states = StateBatch(indices=np.arange(6))
         means = inst.mean_rewards(states)
         for action in range(4):
-            assert regret_estimate(means, FixedPolicy(action=action), states) >= 0.0
+            assert regret_estimate(means, FixedPolicy(action=action).actions(states)) >= 0.0
 
     def test_hand_instance(self):
         means = np.array([[1.0, 0.0], [0.0, 2.0]])
         inst = BanditInstance(2, TabularModel(np.array([0.5, 0.5]), means), 1.0)
         states = StateBatch(indices=np.array([0, 1, 1]))
-        got = regret_estimate(inst.mean_rewards(states), FixedPolicy(action=1), states)
+        got = regret_estimate(inst.mean_rewards(states), FixedPolicy(action=1).actions(states))
         assert got == pytest.approx((1.0 - 0.0 + 0.0 + 0.0) / 3)
 
     def test_antisymmetry(self):
@@ -59,15 +59,13 @@ class TestRegretEstimate:
         means = inst.mean_rewards(states)
         a, b = FixedPolicy(action=0), FixedPolicy(action=2)
         gap = float(np.mean(means[:, 0] - means[:, 2]))
-        assert regret_estimate(means, b, states) - regret_estimate(means, a, states) == (
-            pytest.approx(gap)
-        )
-        assert regret_estimate(means, a, states) - regret_estimate(means, b, states) == (
-            pytest.approx(-gap)
-        )
+        regret_a = regret_estimate(means, a.actions(states))
+        regret_b = regret_estimate(means, b.actions(states))
+        assert regret_b - regret_a == pytest.approx(gap)
+        assert regret_a - regret_b == pytest.approx(-gap)
 
     @pytest.mark.parametrize("shape", [(4, 3), (6,), (5, 3, 1)], ids=["short", "flat", "3d"])
     def test_mean_table_must_match_states(self, shape):
         states = StateBatch(indices=np.arange(5))
         with pytest.raises(ValueError, match="mean table"):
-            regret_estimate(np.zeros(shape), FixedPolicy(action=0), states)
+            regret_estimate(np.zeros(shape), FixedPolicy(action=0).actions(states))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from batchselect import env
+from batchselect import env, experiments
 from batchselect.env import (
     BanditInstance,
     BehaviorPolicy,
@@ -20,6 +20,7 @@ from batchselect.env import (
     sample_dataset,
     sample_split_cells,
     sample_states,
+    state_chunks,
 )
 from batchselect.features import truncation_family
 from batchselect.linalg import ridge_fit
@@ -413,6 +414,40 @@ class TestSampleStates:
     def test_deterministic(self):
         inst = make_tabular_instance(6, 2, 0)
         assert np.array_equal(sample_states(inst, 50, 3).indices, sample_states(inst, 50, 3).indices)
+
+
+class TestStateChunks:
+    @pytest.mark.parametrize(
+        "count, sizes",
+        [(1, [1]), (128, [128]), (129, [129]), (191, [191]), (192, [128, 64]),
+         (259, [128, 131]), (301, [128, 173]), (500, [128, 128, 128, 116])],
+    )
+    def test_every_chunk_but_the_last_is_full(self, count, sizes):
+        # a rest under STATE_CHUNK / 2 joins the chunk before it
+        assert env.STATE_CHUNK == 128
+        assert [len(c) for c in state_chunks(make_tabular_instance(3, 2, 0), count, 0)] == sizes
+
+    @pytest.mark.parametrize("count", [1, 128, 129, 192, 259, 301, 500])
+    def test_chunks_are_the_whole_batch(self, count):
+        # one stream drawn chunk after chunk gives the whole batch's draws, and
+        # at the studies' dimensions and one BLAS thread, as the studies run,
+        # BLAS transforms them, and predicts from them, to the same bits
+        inst = make_gaussian_instance(100, 30, 10, 0)
+        theta = np.random.default_rng(0).standard_normal(100)
+        with experiments._ONE_BLAS_THREAD:
+            whole = sample_states(inst, count, 4)
+            chunks = list(state_chunks(inst, count, 4))
+            features = np.concatenate([c.features for c in chunks])
+            predictions = np.concatenate([c.features.reshape(-1, 100) @ theta for c in chunks])
+            assert predictions.tobytes() == (whole.features.reshape(-1, 100) @ theta).tobytes()
+        assert features.tobytes() == whole.features.tobytes()
+        tabular = make_tabular_instance(20, 10, 0)
+        indices = np.concatenate([c.indices for c in state_chunks(tabular, count, 4)])
+        assert np.array_equal(indices, sample_states(tabular, count, 4).indices)
+
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="count"):
+            next(state_chunks(make_tabular_instance(3, 2, 0), 0, 0))
 
 
 class TestGaussianStateSampler:

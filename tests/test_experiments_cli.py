@@ -42,7 +42,8 @@ from batchselect.experiments import (
 )
 import feature_rows
 import row_design
-from per_class import per_class_ac_cell
+import whole_batch
+from per_class import per_class_ac_fit, per_class_slope_terms
 from test_env import all_action_dataset
 
 
@@ -355,6 +356,47 @@ def test_row_reference_gives_the_previous_pins(study, tmp_path, capsys):
     assert got == expected
 
 
+def _cli_outputs(capsys, doc, out):
+    """The bytes of the three files `batchselect run --audit` writes for `doc`."""
+    cfg = out.with_suffix(".json")
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(out), "--audit")
+    assert code == 0, err
+    names = ("results.csv", "aggregate.csv", "report.json")
+    return {name: (out / name).read_bytes() for name in names}
+
+
+@pytest.mark.parametrize("study", ["ac", "cc"])
+def test_whole_batch_reference_gives_the_pins(study, tmp_path, capsys):
+    # scoring each trial's states in chunks only reorders the evaluation: on
+    # the whole batches the pinned configs write the same three files
+    doc, _, _, results_hash = GOLDEN[study]
+    with whole_batch.reference():
+        got = _cli_outputs(capsys, doc, tmp_path / "whole")
+    expected = {"results.csv": results_hash, **GOLDEN_CLI[study]}
+    assert {name: hashlib.sha256(got[name]).hexdigest() for name in expected} == expected
+
+
+# Configs whose states split into chunks of other sizes than the pins':
+# uneven ones (n_test 301 into 128 + 173 states, n_validation 259 into
+# 128 + 131), and the benchmark's ac config at 500 states into 128 x 3 + 116,
+# whose reports moved in their last bits under near-equal chunks of 125.
+CHUNKED = {
+    "ac_uneven": {"experiment": "ac", "trials": 2, "n_grid": [150, 4000], "n_test": 301,
+                  "n_validation": 259, "seed": 8},
+    "cc_uneven": {"experiment": "cc", "trials": 2, "n_grid": [150, 400], "n_test": 301, "seed": 8},
+    "ac_benchmark": {"experiment": "ac", "trials": 3, "seed": 21},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_chunks_write_the_whole_batch_bytes(name, tmp_path, capsys):
+    doc = CHUNKED[name]
+    chunked = _cli_outputs(capsys, doc, tmp_path / "chunked")
+    with whole_batch.reference():
+        assert _cli_outputs(capsys, doc, tmp_path / "whole") == chunked
+
+
 def test_ac_all_action_reference_gives_the_previous_hash():
     # On the row path with the all-action sampler it replaced, ac still
     # writes the bytes pinned before datasets drew only the logged features.
@@ -368,37 +410,62 @@ def test_ac_all_action_reference_gives_the_previous_hash():
 
 
 @pytest.mark.parametrize(
-    "study, build_trial, run_cell",
-    [("ac", experiments._ac_trial, experiments._ac_cell),
-     ("cc", experiments._cc_trial, experiments._cc_cell)],
+    "study, build_trial, fit_cell",
+    [("ac", experiments._ac_trial, experiments._ac_fit),
+     ("cc", experiments._cc_trial, experiments._cc_fit)],
 )
-def test_cell_memory_is_flat_in_n(study, build_trial, run_cell):
+def test_cell_memory_is_flat_in_n(study, build_trial, fit_cell):
     # an ac cell holds at most 2 |A| (D + 1) cell rows and a cc cell its
     # |X| |A| cells, whatever n is; drawn rows took about 2 KB of peak
     # memory each on ac at D = 100
     config = parse_config({"experiment": study, "trials": 1, "seed": 5})
     ctx = build_trial(config, 0)
-    run_cell(config, ctx, 4000, 0, False)  # first-call imports and caches
+    fit_cell(config, ctx, 4000, 0)  # first-call imports and caches
     peaks = {}
     for n in (4000, 128_000):
         tracemalloc.start()
         try:
-            run_cell(config, ctx, n, 0, False)
+            fit_cell(config, ctx, n, 0)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peaks[128_000] <= 1.5 * peaks[4000]
 
 
+# Above its chunks, an ac trial keeps per validation state each cell's SLOPE
+# terms, (M + M^2) floats and M actions, 2.3 KB at the default config's six
+# cells and six classes, and per test state less: the true means and each
+# policy's action.  Scored on whole batches, the trial's peak grew by 20.6 KB
+# per state (tracemalloc, seed 5, n_test = n_validation from 500 to 4000).
+AC_BYTES_PER_STATE = 4096
+
+
+def test_trial_memory_grows_only_by_the_per_state_terms():
+    # the states are drawn and scored in chunks of STATE_CHUNK, so no
+    # (m, |A|, D) tensor grows with n_test or n_validation
+    peaks = {}
+    for count in (500, 500, 4000):  # the first run pays first-call imports and caches
+        config = parse_config(
+            {"experiment": "ac", "trials": 1, "seed": 5, "n_test": count, "n_validation": count}
+        )
+        tracemalloc.start()
+        try:
+            run_ac(config)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] - peaks[500] <= AC_BYTES_PER_STATE * (4000 - 500)
+
+
 def test_cells_run_largest_n_first(monkeypatch):
     seen = []
-    cell = experiments._cc_cell
+    fit = experiments._cc_fit
 
-    def recording_cell(config, ctx, n, **kwargs):
+    def recording_fit(config, ctx, n, **kwargs):
         seen.append(n)
-        return cell(config, ctx, n, **kwargs)
+        return fit(config, ctx, n, **kwargs)
 
-    monkeypatch.setattr(experiments, "_cc_cell", recording_cell)
+    monkeypatch.setattr(experiments, "_cc_fit", recording_fit)
     run_cc(parse_config(SMALL_CC), threads=1)
     assert seen == [80, 60, 40] * 2
 
@@ -531,9 +598,11 @@ def test_ac_family_fit_reorders_the_per_class_loop(seed, ambient, data, n, lam, 
         }
     )
     rows, reports = run_ac(config, audit=True)
-    want_rows, want_reports = experiments._run_cells(
-        experiments._ac_trial, per_class_ac_cell, config, 1, True
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "slope_terms", per_class_slope_terms)
+        want_rows, want_reports = experiments._run_cells(
+            experiments._ac_trial, per_class_ac_fit, config, 1, True
+        )
     assert rows == want_rows
     for got, want in zip(reports, want_reports, strict=True):
         assert [got[key] for key in ("n", "trial", "method")] == [
@@ -549,13 +618,13 @@ def test_ac_family_fit_reorders_the_per_class_loop(seed, ambient, data, n, lam, 
 def test_cc_cells_run_on_the_calling_thread(monkeypatch):
     # a cc cell is too small for a pool, so cc runs serially whatever `threads` is
     threads = []
-    cell = experiments._cc_cell
+    fit = experiments._cc_fit
 
-    def recording_cell(*args, **kwargs):
+    def recording_fit(*args, **kwargs):
         threads.append(threading.get_ident())
-        return cell(*args, **kwargs)
+        return fit(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_cc_cell", recording_cell)
+    monkeypatch.setattr(experiments, "_cc_fit", recording_fit)
     run_cc(parse_config(SMALL_CC), threads=2)
     assert threads == [threading.get_ident()] * (2 * len(SMALL_CC["n_grid"]))
 
@@ -597,13 +666,13 @@ class TestBlasThreads:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cells_run_with_one_blas_thread(self, monkeypatch, blas_at_two, threads):
         seen = []
-        cell = experiments._cc_cell
+        fit = experiments._cc_fit
 
-        def recording_cell(*args, **kwargs):
+        def recording_fit(*args, **kwargs):
             seen.append([get() for get in blas_at_two])
-            return cell(*args, **kwargs)
+            return fit(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_cc_cell", recording_cell)
+        monkeypatch.setattr(experiments, "_cc_fit", recording_fit)
         run_cc(parse_config(SMALL_CC), threads=threads)
         assert len(seen) == 2 * len(SMALL_CC["n_grid"])
         assert all(counts == [1] * len(blas_at_two) for counts in seen)
@@ -633,6 +702,25 @@ def test_cli_import_loads_only_stdlib_numpy_and_batchselect():
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout.strip() == "['batchselect', 'numpy']"
+
+
+def test_serial_runs_never_import_the_thread_pool():
+    # concurrent.futures, and logging with it, cost about 4 ms of start-up;
+    # only a run at threads > 1 uses the pool
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, json; import batchselect.cli as cli; "
+        "from batchselect.experiments import parse_config; "
+        "[cli.STUDIES[doc['experiment']][0](parse_config(doc)) for doc in json.loads(sys.argv[1])]; "
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    )
+    docs = [SMALL_CC, SMALL_AC, {"experiment": "lower_bound", "trials": 2}]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(docs)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestDuplicateWork:
@@ -738,7 +826,7 @@ class TestDuplicateWork:
                 for mc in classes]
         in_selection = _record_calls(monkeypatch, selection_module, "features_all_actions")
         in_policies = _record_calls(monkeypatch, learner_module, "features_all_actions")
-        selection_module.slope_policy_select(fits, classes, sample_states(inst, 20, 1), 0.05)
+        selection_module.slope_terms(fits, classes, sample_states(inst, 20, 1))
         assert len(in_selection) + len(in_policies) == 1
         assert in_selection[0][0][0] is classes[-1]
 

@@ -24,6 +24,7 @@ from batchselect.selection import (
     holdout_select,
     holdout_split_sizes,
     slope_policy_select,
+    slope_terms,
 )
 from feature_rows import row_split
 from row_design import tabular_design
@@ -246,7 +247,8 @@ def _row_cc(designs, rewards, split_seed, classes, delta, lam, penalty_scale):
 
 def _row_slope(designs, rewards, split_seed, classes, delta, lam, penalty_scale):
     fits = _row_fits(designs, rewards, lam)
-    return slope_policy_select(fits, classes, StateBatch(indices=[0]), delta, penalty_scale)[0]
+    terms = slope_terms(fits, classes, StateBatch(indices=[0]))
+    return slope_policy_select(fits, classes, terms, delta, penalty_scale)[0]
 
 
 def _row_holdout(designs, rewards, split_seed, classes, delta, lam, penalty_scale):
@@ -336,7 +338,9 @@ def _cell_cc(means, pair, delta, lam, penalty_scale):
 
 def _cell_slope(means, pair, delta, lam, penalty_scale):
     fits = _cell_fits(means, pair, lam)
-    return slope_policy_select(fits, list(pair.classes), pair.state, delta, penalty_scale)[0]
+    classes = list(pair.classes)
+    terms = slope_terms(fits, classes, pair.state)
+    return slope_policy_select(fits, classes, terms, delta, penalty_scale)[0]
 
 
 def _cell_holdout(split, pair, delta, lam, penalty_scale):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from batchselect.env import (
+    Cells,
     StateBatch,
     dirichlet_behavior,
     make_tabular_instance,
@@ -252,6 +253,21 @@ class TestCompositePolicy:
             fit_pessimistic(data, mc, 1.0, 0.05, scale)
 
 
+class TestCellGrid:
+    def test_cells_of_another_grid_are_refused(self):
+        # both grids hold 12 cells, so only the grid the cells carry tells them apart
+        drawn = make_tabular_instance(2, 6, 0)
+        cells = sample_dataset(drawn, dirichlet_behavior(6, 0), 200, 1)
+        assert cells.grid == (2, 6)
+        mc = realizable_family(make_tabular_instance(3, 4, 0), [3], 0)[0]
+        with pytest.raises(ValueError, match=r"\(2, 6\) grid given a class over a \(3, 4\) table"):
+            fit_pessimistic(cells, mc, 1.0, 0.05)
+
+    def test_grid_must_cover_the_cells(self):
+        with pytest.raises(ValueError, match="grid"):
+            Cells(np.zeros(12), np.ones(12), grid=(3, 5))
+
+
 class TestFixedAndOptimalPolicies:
     def test_fixed_constant(self):
         policy = FixedPolicy(action=2)
@@ -280,5 +296,5 @@ def test_realizable_consistency_more_data_helps():
         for n in (250, 4000):
             data = sample_dataset(inst, mu, n, seed + 31 * n)
             policy = fit_pessimistic(data, mc, 1.0, 0.05)
-            regrets[n].append(regret_estimate(means, policy, test))
+            regrets[n].append(regret_estimate(means, policy.actions(test)))
     assert np.mean(regrets[4000]) <= np.mean(regrets[250])

@@ -32,6 +32,7 @@ from batchselect.selection import (
     holdout_split_sizes,
     slope_policy_select,
     slope_select,
+    slope_terms,
     zeta_coefficient,
 )
 from feature_rows import row_split, sample_feature_dataset
@@ -299,7 +300,8 @@ class TestSlopePolicySelect:
         data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 200, 0)
         fits, classes = _fit_truncation(inst, data, [4])
         states = sample_states(inst, 100, 1)
-        policy, report = slope_policy_select(fits, classes, states, 0.05)
+        terms = slope_terms(fits, classes, states)
+        policy, report = slope_policy_select(fits, classes, terms, 0.05)
         assert report.chosen == 0
         greedy = GreedyPolicy(fits[0], classes[0])
         assert np.array_equal(policy.actions(states), greedy.actions(states))
@@ -312,7 +314,7 @@ class TestSlopePolicySelect:
         fits = [row_design_fit(data, mc, 1.0) for mc in classes]
         states = StateBatch(indices=np.zeros(10, dtype=int))
         with pytest.raises(ValueError):
-            slope_policy_select(fits, classes, states, 0.05)
+            slope_terms(fits, classes, states)
 
     @pytest.mark.parametrize("cut", [slice(1), slice(1, None)], ids=["fewer_fits", "fewer_classes"])
     def test_fit_and_class_counts_must_match(self, cut):
@@ -321,16 +323,19 @@ class TestSlopePolicySelect:
         fits, classes = _fit_truncation(inst, data, [2, 3, 4])
         states = sample_states(inst, 10, 1)
         with pytest.raises(ValueError, match="one fit per class"):
-            slope_policy_select(fits[cut], classes, states, 0.05)
+            slope_terms(fits[cut], classes, states)
         with pytest.raises(ValueError, match="one fit per class"):
-            slope_policy_select(fits, classes[cut], states, 0.05)
+            slope_terms(fits, classes[cut], states)
+        terms = slope_terms(fits, classes, states)
+        with pytest.raises(ValueError, match="one fit and one row of terms per class"):
+            slope_policy_select(fits[cut], classes[cut], terms, 0.05)
 
     def test_empty_validation_rejected(self):
         inst = make_gaussian_instance(4, 2, 3, 0)
         data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
         fits, classes = _fit_truncation(inst, data, [2, 4])
         with pytest.raises(ValueError):
-            slope_policy_select(fits, classes, None, 0.05)
+            slope_terms(fits, classes, None)
 
     @pytest.mark.parametrize(
         "make_states, error, match",
@@ -350,14 +355,14 @@ class TestSlopePolicySelect:
         data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 50, 0)
         fits, classes = _fit_truncation(inst, data, [2, 4])
         with pytest.raises(error, match=match):
-            slope_policy_select(fits, classes, make_states(), 0.05)
+            slope_terms(fits, classes, make_states())
 
     def test_width_monotone_in_class(self):
         inst = make_gaussian_instance(12, 4, 3, 1)
         data = sample_feature_dataset(inst, dirichlet_behavior(3, 1), 500, 1)
         fits, classes = _fit_truncation(inst, data, [3, 6, 9, 12])
         states = sample_states(inst, 200, 2)
-        _, report = slope_policy_select(fits, classes, states, 0.05)
+        _, report = slope_policy_select(fits, classes, slope_terms(fits, classes, states), 0.05)
         widths = report.audit["widths"]
         assert np.all(np.diff(widths) >= -1e-9)
 
@@ -376,7 +381,7 @@ class TestSlopePolicySelect:
             return tables[id(fit)]
 
         monkeypatch.setattr(RidgeFit, "predictions", recording)
-        _, report = slope_policy_select(fits, classes, states, 0.05)
+        _, report = slope_policy_select(fits, classes, slope_terms(fits, classes, states), 0.05)
         monkeypatch.undo()
         assert len(tables) == len(fits)
         rows = np.arange(len(states))
@@ -395,7 +400,7 @@ class TestSlopePolicySelect:
         data = sample_feature_dataset(inst, dirichlet_behavior(4, 2), 400, 2)
         fits, classes = _fit_truncation(inst, data, [2, 5, 8])
         states = sample_states(inst, 150, 3)
-        _, report = slope_policy_select(fits, classes, states, 0.05)
+        _, report = slope_policy_select(fits, classes, slope_terms(fits, classes, states), 0.05)
         values = report.audit["values"]
         widths = report.audit["widths"]
         khat, vhat = slope_select(values, widths)
@@ -410,7 +415,8 @@ class TestSlopePolicySelect:
         data = sample_feature_dataset(inst, dirichlet_behavior(3, 7), 2000, 7)
         fits, classes = _fit_truncation(inst, data, [2, 4])
         states = sample_states(inst, 500, 8)
-        policy, report = slope_policy_select(fits, classes, states, 0.05)
+        terms = slope_terms(fits, classes, states)
+        policy, report = slope_policy_select(fits, classes, terms, 0.05)
         big = sample_states(inst, 50_000, 9)
         means = inst.mean_rewards(big)
         true_value = means[np.arange(len(big)), policy.actions(big)].mean()
@@ -675,7 +681,7 @@ def test_selection_report_json_round_trip():
     data = sample_feature_dataset(inst, dirichlet_behavior(3, 0), 200, 0)
     fits, classes = _fit_truncation(inst, data, [2, 4])
     states = sample_states(inst, 100, 1)
-    _, report = slope_policy_select(fits, classes, states, 0.05)
+    _, report = slope_policy_select(fits, classes, slope_terms(fits, classes, states), 0.05)
     doc = json.loads(report.to_json())
     assert doc["method"] == "Slope"
     assert len(doc["audit"]["widths"]) == 2
