@@ -334,53 +334,35 @@ def _ac_fit(config: ExperimentConfig, ctx: _Trial, n: int, trial: int) -> _Cell:
     return _Cell(n, policies, {"holdout": report}, fits)
 
 
-def _map(pool, fn, *iterables) -> list:
-    """fn over the iterables, on the pool's threads if there is a pool."""
-    return list(pool.map(fn, *iterables) if pool else map(fn, *iterables))
-
-
-def _over_chunks(pool, fn, cells: list[_Cell], chunks) -> list[list]:
+def _over_chunks(fn, cells: list[_Cell], chunks) -> list[list]:
     """fn(cell, chunk) for every cell and state chunk, one list per cell in
-    chunk order.  Without a pool each chunk is dropped before the next is
-    drawn, so one chunk is held at a time; under a pool the cells' calls on a
-    chunk run while the next is drawn, so two are."""
+    chunk order.  Each chunk is dropped before the next is drawn, so one
+    chunk is held at a time."""
     parts = [[] for _ in cells]
-    pending = []
     for chunk in chunks:
-        if pool is None:
-            done = [fn(cell, chunk) for cell in cells]
-        else:
-            done = [future.result() for future in pending]
-            pending = [pool.submit(fn, cell, chunk) for cell in cells]
+        for part, cell in zip(parts, cells):
+            part.append(fn(cell, chunk))
         del chunk  # not held while the next chunk is drawn
-        for part, result in zip(parts, done):
-            part.append(result)
-    for part, future in zip(parts, pending):
-        part.append(future.result())
     return parts
 
 
-def _select_slope(config: ExperimentConfig, ctx: _Trial, cells: list[_Cell], pool):
+def _select_slope(config: ExperimentConfig, ctx: _Trial, cells: list[_Cell]):
     """Add SLOPE's policy and report to each cell.  Each chunk of validation
     states is drawn once and given to every cell, which keeps its per-state
     terms (`slope_terms`); SLOPE then reads each cell's terms over all the
     states, in one array each, as it would read the whole batch's."""
     chunks = state_chunks(ctx.instance, config.n_validation, ctx.validation_seed)
-    parts = _over_chunks(pool, lambda cell, chunk: slope_terms(cell.fits, ctx.classes, chunk),
+    parts = _over_chunks(lambda cell, chunk: slope_terms(cell.fits, ctx.classes, chunk),
                          cells, chunks)
-
-    def select(cell, part):
+    for cell, part in zip(cells, parts):
         terms = SlopeTerms.concatenate(part)
         part.clear()
-        return slope_policy_select(
+        cell.policies["slope"], cell.reports["slope"] = slope_policy_select(
             cell.fits, ctx.classes, terms, config.delta, config.penalty_scale
         )
 
-    for cell, (policy, report) in zip(cells, _map(pool, select, cells, parts)):
-        cell.policies["slope"], cell.reports["slope"] = policy, report
 
-
-def _score(config: ExperimentConfig, ctx: _Trial, cells: list[_Cell], pool, trial: int):
+def _score(config: ExperimentConfig, ctx: _Trial, cells: list[_Cell], trial: int):
     """Each cell's rows: every policy's regret over the test states, drawn
     chunk by chunk.  Each chunk's true-mean table and every policy's actions
     on it are kept, and each regret reads them over all the states, in one
@@ -396,7 +378,7 @@ def _score(config: ExperimentConfig, ctx: _Trial, cells: list[_Cell], pool, tria
     def take(cell, chunk):
         return [policy.actions(chunk) for policy in cell.policies.values()]
 
-    taken = _over_chunks(pool, take, cells, chunks())
+    taken = _over_chunks(take, cells, chunks())
     means = np.concatenate(means)
     return [
         ResultRow(cell.n, method, trial, regret_estimate(means, np.concatenate(actions)))
@@ -477,11 +459,12 @@ _ONE_BLAS_THREAD = _OneBlasThread()
 def _run_cells(build_trial, fit_cell, config: ExperimentConfig, threads: int, audit: bool):
     """Build each trial's context, fit its n-cells, largest n first so that
     a pool's threads finish together, then select SLOPE (ac) and score every
-    policy on state chunks given to all the cells.  Each step maps over the
-    cells, through a thread pool when threads > 1.  BLAS runs single-threaded
-    meanwhile, so `threads` is the run's only parallelism: at d <= 100
-    OpenBLAS's own threads cost more than they give, and under a pool they
-    oversubscribe the cores.  Every seed is derived from (seed, purpose,
+    policy on state chunks given to all the cells.  The fits map over a
+    thread pool when threads > 1; the chunks are scored on the calling
+    thread, as their products are too small to overlap under the interpreter
+    lock.  BLAS runs single-threaded meanwhile, so `threads` is the run's
+    only parallelism: at d <= 100 OpenBLAS's own threads cost more than they
+    give, and under a pool they oversubscribe the cores.  Every seed is derived from (seed, purpose,
     trial), and rows and reports are sorted afterwards, so the output depends
     on neither thread count."""
     rows, reports = [], []
@@ -497,10 +480,11 @@ def _run_cells(build_trial, fit_cell, config: ExperimentConfig, threads: int, au
         with _ONE_BLAS_THREAD:
             for t in range(config.trials):
                 ctx = build_trial(config, t)
-                cells = _map(pool, functools.partial(fit_cell, config, ctx, trial=t), n_order)
+                fit = functools.partial(fit_cell, config, ctx, trial=t)
+                cells = list(pool.map(fit, n_order) if pool else map(fit, n_order))
                 if ctx.validation_seed is not None:
-                    _select_slope(config, ctx, cells, pool)
-                rows.extend(_score(config, ctx, cells, pool, t))
+                    _select_slope(config, ctx, cells)
+                rows.extend(_score(config, ctx, cells, t))
                 if audit:
                     reports.extend(
                         {"n": cell.n, "trial": t, "method": method,

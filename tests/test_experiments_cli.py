@@ -555,9 +555,9 @@ SMALL_AC = {
 
 
 def test_shared_trial_context_under_thread_stress():
-    # n-cells of one trial share its instance, family and test and validation
-    # states across pool threads; a short switch interval interleaves them as
-    # often as it can.
+    # n-cells of one trial share its instance, family and behavior policy
+    # across the pool threads that fit them; a short switch interval
+    # interleaves them as often as it can.
     config = parse_config({**SMALL_AC, "n_grid": [40, 50, 60, 70, 80, 90]})
     expected = results_to_csv(run_ac(config, threads=1)[0])
     interval = sys.getswitchinterval()
