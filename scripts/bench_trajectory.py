@@ -8,17 +8,18 @@ DIR is a checkout of one commit (for example `git archive SHA | tar -x -C DIR`).
 `run` alternates the two checkouts, which side goes first flipping every pair:
 `perfbench/run.py --trace 0` on every workload, pair i with seed SEED + i on
 both sides, each run as long as BENCHMARK.json's `run_seconds`; then one
-`--trace 1` run per workload and side, the in-process times of `run_cc`
-and `run_lower_bound` (which run their cells serially whatever `threads` is,
-so they are timed once) and of `run_ac` at threads 1 and 2, one CLI run per
-side of the ac study past the grid (`PAST_GRID`), and the tier-1 suite.
+`--trace 1` run per workload and side, the in-process times of `run_cc`,
+`run_ac` and `run_lower_bound` (every study runs its cells on the calling
+thread, so each is timed once), one CLI run per side of the ac study past the
+grid (`PAST_GRID`), and the tier-1 suite.
 Each result is appended to the log as one JSON line, so an interrupted run
 loses nothing.  `summarize` reshapes the log into one file per side:
 per-workload medians and quartiles with the pair count, the change's wins
 over the parent, the results.csv sha256s by seed, the traced run's verdict,
 exit code and layer shares, the tier-1 wall time with its four slowest
-tests, the in-process timings with `run_ac`'s two-thread speedup, and the
-past-the-grid run's wall time and peak RSS.  It exits 1, after writing both
+tests, the in-process timings under `inprocess_threads` (keyed
+`run_*.threads1`, as in earlier BENCH files), and the past-the-grid run's
+wall time and peak RSS.  It exits 1, after writing both
 files, when any perfbench run was not correct or the past-the-grid run
 failed, naming its workload, side and seed.
 """
@@ -43,23 +44,22 @@ INPROCESS_REPEATS = 6
 RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())[
     "run_seconds"]
 
-# argv: run_ac's thread counts in order ("12" or "21"), then the checkout's
-# perfbench/ directory, whose lower_bound workload is the benchmark's config.
+# argv: the checkout's perfbench/ directory, whose lower_bound workload is the
+# benchmark's config.
 INPROCESS = """
 import json, sys, time
-sys.path.insert(0, sys.argv[2])
+sys.path.insert(0, sys.argv[1])
 from run import WORKLOADS
 from batchselect.experiments import parse_config, run_ac, run_cc, run_lower_bound
-studies = {"run_cc": (run_cc, {"experiment": "cc", "trials": 4}, "1"),
-           "run_ac": (run_ac, {"experiment": "ac", "trials": 1}, sys.argv[1]),
-           "run_lower_bound": (run_lower_bound, WORKLOADS["lower_bound"], "1")}
+studies = {"run_cc": (run_cc, {"experiment": "cc", "trials": 4}),
+           "run_ac": (run_ac, {"experiment": "ac", "trials": 1}),
+           "run_lower_bound": (run_lower_bound, WORKLOADS["lower_bound"])}
 run_cc(parse_config({"experiment": "cc", "trials": 1, "n_grid": [100]}))  # warm-up
 out = {}
-for name, (runner, doc, thread_counts) in studies.items():
-    for threads in thread_counts:
-        t0 = time.perf_counter()
-        runner(parse_config(doc), threads=int(threads))
-        out[f"{name}.threads{threads}"] = time.perf_counter() - t0
+for name, (runner, doc) in studies.items():
+    t0 = time.perf_counter()
+    runner(parse_config(doc))
+    out[f"{name}.threads1"] = time.perf_counter() - t0
 print(json.dumps(out))
 """
 
@@ -94,8 +94,8 @@ def perfbench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return record
 
 
-def inprocess(checkout: Path, order: str) -> dict:
-    argv = [sys.executable, "-B", "-c", INPROCESS, order, str(checkout / "perfbench")]
+def inprocess(checkout: Path) -> dict:
+    argv = [sys.executable, "-B", "-c", INPROCESS, str(checkout / "perfbench")]
     out = subprocess.run(argv, env=_child_env(checkout),
                          capture_output=True, text=True, timeout=600, check=True)
     return json.loads(out.stdout)
@@ -154,8 +154,7 @@ def run(args):
         for i in range(INPROCESS_REPEATS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                emit(kind="inprocess", side=side, repeat=i,
-                     times=inprocess(sides[side], "12" if i % 2 == 0 else "21"))
+                emit(kind="inprocess", side=side, repeat=i, times=inprocess(sides[side]))
         for side in sides:
             emit(kind="past_grid", side=side, **past_grid(sides[side]))
         for side in sides:
@@ -216,10 +215,6 @@ def summarize(args):
                 for k, v in r["times"].items():
                     times.setdefault(k, []).append(v)
         doc["inprocess_threads"] = {k: _spread(v) for k, v in sorted(times.items())}
-        t1, t2 = times.get("run_ac.threads1"), times.get("run_ac.threads2")
-        if t1 and t2:
-            doc["inprocess_threads"]["run_ac.speedup_threads2"] = (
-                statistics.median(t1) / statistics.median(t2))
         for kind in ("past_grid", "tier1"):
             doc[kind] = next(({k: v for k, v in r.items() if k not in ("kind", "side")}
                               for r in mine if r["kind"] == kind), None)

@@ -36,7 +36,8 @@ standard errors.
 --ref REV: extracts the git revision REV with `git archive` into a
 temporary directory, and runs the study's default config
 (`{"experiment": STUDY}`) through each tree's own `batchselect run` CLI on
-each of SEEDS: REV's tree and this working tree.  For every (n, method) of
+each of SEEDS: REV's tree and this working tree, each at the CLI's default
+`--threads`, on which no output depends.  For every (n, method) of
 aggregate.csv it pools the seeds, the mean of the per-seed mean regrets with
 standard error sqrt(sum of se^2) / seeds, and prints both pooled means, their
 difference, the combined standard error and |diff| / se, then the largest.
@@ -113,7 +114,7 @@ def compare_lower_bound() -> float:
     return worst
 
 
-def compare_rows(study: str, run, row_reference, threads: int = 2) -> float:
+def compare_rows(study: str, run, row_reference) -> float:
     """Largest |diff| / combined se over a study's (n, method) cells, its
     library path against its row reference."""
     from run import WORKLOADS
@@ -121,9 +122,9 @@ def compare_rows(study: str, run, row_reference, threads: int = 2) -> float:
     rows = {"row": [], "cell": []}
     for seed in SEEDS:
         config = parse_config({**WORKLOADS[study], "trials": TRIALS, "seed": seed})
-        rows["cell"] += run(config, threads=threads)[0]
+        rows["cell"] += run(config)[0]
         with row_reference():
-            rows["row"] += run(config, threads=threads)[0]
+            rows["row"] += run(config)[0]
     print(f"{study}, {TRIALS} trials on seeds {SEEDS.start}-{SEEDS.stop - 1}")
     print("n     method    row_mean  cell_mean  diff      combined_se  diff/se")
     worst = 0.0
@@ -167,7 +168,7 @@ def run_tree(tree: Path, study: str, out: Path) -> dict[tuple[int, str], tuple[f
     for seed in SEEDS:
         seed_out = out / str(seed)
         cmd = [sys.executable, "-m", "batchselect.cli", "run", "--config", str(config),
-               "--out", str(seed_out), "--seed", str(seed), "--threads", "2"]
+               "--out", str(seed_out), "--seed", str(seed)]
         subprocess.run(cmd, env=env, check=True, stdout=subprocess.DEVNULL)
         tables.append(read_aggregate(seed_out / "aggregate.csv"))
     return pool_seeds(tables)

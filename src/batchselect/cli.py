@@ -2,9 +2,10 @@
 
     batchselect run --config C --out O [--seed N] [--threads N] [--audit]
 
+`--threads` is checked but changes nothing: every study runs on one thread.
 Exit codes: 0 on success; 2 for a bad command line (checked before any study
-runs or any output directory is made) or a config error; 3 for a numerical
-failure.
+runs or any output directory is made, a non-positive `--threads` included) or
+a config error; 3 for a numerical failure.
 """
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, type=_out_dir, help="Output directory.")
     run.add_argument("--seed", type=int, default=None, help="Override the config seed.")
     run.add_argument(
-        "--threads", type=_positive_int, default=1, help="Threads for ac's cells (default: 1)."
+        "--threads", type=_positive_int, default=1, help="Checked, but changes nothing."
     )
     run.add_argument("--audit", action="store_true", help="Also write per-trial selection reports.")
     return parser
@@ -102,7 +103,7 @@ def main(argv: list[str] | None = None) -> None:
 
     run_study, write_results, write_aggregate = STUDIES[config.experiment]
     try:
-        results, reports = run_study(config, threads=args.threads, audit=args.audit)
+        results, reports = run_study(config, audit=args.audit)
     except (SingularMatrixError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         sys.exit(EXIT_NUMERICAL_ERROR)

@@ -24,8 +24,8 @@ def regret_estimate(true_means: np.ndarray, actions: np.ndarray) -> float:
 
     `true_means` is the (m, |A|) table of f over the test states
     (`BanditInstance.mean_rewards`), computed once by the caller and shared
-    by every policy scored on those states, and `actions` the (m,) actions
-    pi_hat takes on them (`Policy.actions`).
+    by every policy scored on those states, and `actions` the (m,) integer
+    actions in 0 ... |A| - 1 that pi_hat takes on them (`Policy.actions`).
     """
     actions = np.asarray(actions)
     if true_means.ndim != 2 or actions.shape != true_means.shape[:1]:
@@ -33,5 +33,9 @@ def regret_estimate(true_means: np.ndarray, actions: np.ndarray) -> float:
             f"need an (m, |A|) mean table and the m actions taken on its states, "
             f"got shapes {true_means.shape} and {actions.shape}"
         )
+    if not np.issubdtype(actions.dtype, np.integer):
+        raise ValueError(f"actions must be integers, got dtype {actions.dtype}")
+    if np.any((actions < 0) | (actions >= true_means.shape[1])):
+        raise ValueError(f"actions must lie in 0 ... {true_means.shape[1] - 1}")
     hat = true_means[np.arange(len(actions)), actions]
     return float(np.mean(true_means.max(axis=1) - hat))

@@ -3,7 +3,6 @@ lower-bound ratio study, with deterministic seeded trials and CSV output."""
 from __future__ import annotations
 
 import ctypes
-import functools
 import json
 import math
 import numbers
@@ -456,65 +455,46 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
-def _run_cells(build_trial, fit_cell, config: ExperimentConfig, threads: int, audit: bool):
-    """Build each trial's context, fit its n-cells, largest n first so that
-    a pool's threads finish together, then select SLOPE (ac) and score every
-    policy on state chunks given to all the cells.  The fits map over a
-    thread pool when threads > 1; the chunks are scored on the calling
-    thread, as their products are too small to overlap under the interpreter
-    lock.  BLAS runs single-threaded meanwhile, so `threads` is the run's
-    only parallelism: at d <= 100 OpenBLAS's own threads cost more than they
-    give, and under a pool they oversubscribe the cores.  Every seed is derived from (seed, purpose,
-    trial), and rows and reports are sorted afterwards, so the output depends
-    on neither thread count."""
+def _run_cells(build_trial, fit_cell, config: ExperimentConfig, audit: bool):
+    """Build each trial's context, fit its n-cells, select SLOPE (ac) and
+    score every policy on state chunks given to all the cells, all on the
+    calling thread.  BLAS runs single-threaded meanwhile: at d <= 100
+    OpenBLAS's own threads cost more than they give.  Every seed is derived
+    from (seed, purpose, trial), and rows and reports are sorted afterwards,
+    so the output does not depend on the order the cells run in."""
     rows, reports = [], []
-    n_order = sorted(config.n_grid, reverse=True)
-    pool = None
-    if threads > 1:
-        # imported here, so that a run without a pool skips its import (and logging's)
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=threads)
-
-    try:
-        with _ONE_BLAS_THREAD:
-            for t in range(config.trials):
-                ctx = build_trial(config, t)
-                fit = functools.partial(fit_cell, config, ctx, trial=t)
-                cells = list(pool.map(fit, n_order) if pool else map(fit, n_order))
-                if ctx.validation_seed is not None:
-                    _select_slope(config, ctx, cells)
-                rows.extend(_score(config, ctx, cells, t))
-                if audit:
-                    reports.extend(
-                        {"n": cell.n, "trial": t, "method": method,
-                         "report": json.loads(report.to_json())}
-                        for cell in cells
-                        for method, report in cell.reports.items()
-                    )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with _ONE_BLAS_THREAD:
+        for t in range(config.trials):
+            ctx = build_trial(config, t)
+            cells = [fit_cell(config, ctx, n, t) for n in config.n_grid]
+            if ctx.validation_seed is not None:
+                _select_slope(config, ctx, cells)
+            rows.extend(_score(config, ctx, cells, t))
+            if audit:
+                reports.extend(
+                    {"n": cell.n, "trial": t, "method": method,
+                     "report": json.loads(report.to_json())}
+                    for cell in cells
+                    for method, report in cell.reports.items()
+                )
     rows.sort(key=lambda r: (r.n, r.method, r.trial))
     reports.sort(key=lambda r: (r["n"], r["method"], r["trial"]))
     return rows, reports
 
 
+# Every study runs its cells on the calling thread.  The runners still take a
+# `threads` keyword, which they ignore, because perfbench/run.py passes
+# `threads=1` to each of them.
 def run_cc(config: ExperimentConfig, threads: int = 1, audit: bool = False):
-    """The cc study's cells, run one after another whatever `threads` is: at
-    their native dimension the classes make cells too small for a thread
-    pool, which only adds contention."""
-    return _run_cells(_cc_trial, _cc_fit, config, 1, audit)
+    return _run_cells(_cc_trial, _cc_fit, config, audit)
 
 
 def run_ac(config: ExperimentConfig, threads: int = 1, audit: bool = False):
-    return _run_cells(_ac_trial, _ac_fit, config, threads, audit)
+    return _run_cells(_ac_trial, _ac_fit, config, audit)
 
 
 def run_lower_bound(config: ExperimentConfig, threads: int = 1, audit: bool = False):
-    """The ratio study's (algorithm, n1) cells, run one after another whatever
-    `threads` is: a cell's trials are short stretches of Python that hold the
-    interpreter lock, so a thread pool only adds contention."""
+    """The ratio study's (algorithm, n1) cells, one after another."""
     s = config.lower_bound
     with _ONE_BLAS_THREAD:
         results = [

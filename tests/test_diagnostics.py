@@ -69,3 +69,19 @@ class TestRegretEstimate:
         states = StateBatch(indices=np.arange(5))
         with pytest.raises(ValueError, match="mean table"):
             regret_estimate(np.zeros(shape), FixedPolicy(action=0).actions(states))
+
+    @pytest.mark.parametrize(
+        "actions, match",
+        [
+            (np.array([-1, -2]), "lie in"),
+            (np.array([0, 2]), "lie in"),
+            (np.array([True, False]), "integers"),
+            (np.array([0.0, 1.0]), "integers"),
+        ],
+        ids=["negative", "past_last", "bool", "float"],
+    )
+    def test_actions_must_be_arms(self, actions, match):
+        # negative actions would wrap to the last arms and booleans would
+        # mask, each scoring a regret for actions no policy took
+        with pytest.raises(ValueError, match=match):
+            regret_estimate(np.array([[0.0, 1.0], [2.0, 0.0]]), actions)

@@ -457,19 +457,6 @@ def test_trial_memory_grows_only_by_the_per_state_terms():
     assert peaks[4000] - peaks[500] <= AC_BYTES_PER_STATE * (4000 - 500)
 
 
-def test_cells_run_largest_n_first(monkeypatch):
-    seen = []
-    fit = experiments._cc_fit
-
-    def recording_fit(config, ctx, n, **kwargs):
-        seen.append(n)
-        return fit(config, ctx, n, **kwargs)
-
-    monkeypatch.setattr(experiments, "_cc_fit", recording_fit)
-    run_cc(parse_config(SMALL_CC), threads=1)
-    assert seen == [80, 60, 40] * 2
-
-
 def test_lower_bound_results_are_sorted(monkeypatch):
     seen = []
     ratio = experiments.ratio_experiment
@@ -484,22 +471,6 @@ def test_lower_bound_results_are_sorted(monkeypatch):
     results, _ = run_lower_bound(config, threads=2)
     assert [(r.algorithm, r.n1) for r in results] == sorted(seen)
     assert len(seen) == 6
-
-
-def test_lower_bound_cells_run_on_the_calling_thread(monkeypatch):
-    # a cell's trials hold the interpreter lock, so a pool would only contend
-    threads = []
-    ratio = experiments.ratio_experiment
-
-    def recording_ratio(*args, **kwargs):
-        threads.append(threading.get_ident())
-        return ratio(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "ratio_experiment", recording_ratio)
-    lower_bound = {"n1": [16, 32], "n2": 16, "algorithms": ["holdout", "cc"]}
-    config = parse_config({"experiment": "lower_bound", "trials": 2, "lower_bound": lower_bound})
-    run_lower_bound(config, threads=2)
-    assert threads == [threading.get_ident()] * 4
 
 
 def _record_calls(monkeypatch, module, name):
@@ -554,21 +525,6 @@ SMALL_AC = {
 }
 
 
-def test_shared_trial_context_under_thread_stress():
-    # n-cells of one trial share its instance, family and behavior policy
-    # across the pool threads that fit them; a short switch interval
-    # interleaves them as often as it can.
-    config = parse_config({**SMALL_AC, "n_grid": [40, 50, 60, 70, 80, 90]})
-    expected = results_to_csv(run_ac(config, threads=1)[0])
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = results_to_csv(run_ac(config, threads=6)[0])
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expected
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),
@@ -601,7 +557,7 @@ def test_ac_family_fit_reorders_the_per_class_loop(seed, ambient, data, n, lam, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "slope_terms", per_class_slope_terms)
         want_rows, want_reports = experiments._run_cells(
-            experiments._ac_trial, per_class_ac_fit, config, 1, True
+            experiments._ac_trial, per_class_ac_fit, config, True
         )
     assert rows == want_rows
     for got, want in zip(reports, want_reports, strict=True):
@@ -615,18 +571,34 @@ def test_ac_family_fit_reorders_the_per_class_loop(seed, ambient, data, n, lam, 
             np.testing.assert_allclose(got["report"]["audit"][key], value, rtol=1e-9, atol=atol)
 
 
-def test_cc_cells_run_on_the_calling_thread(monkeypatch):
-    # a cc cell is too small for a pool, so cc runs serially whatever `threads` is
+SMALL_LOWER_BOUND = {
+    "experiment": "lower_bound",
+    "trials": 2,
+    "lower_bound": {"n1": [16, 32], "n2": 16, "algorithms": ["holdout", "cc"]},
+}
+
+
+@pytest.mark.parametrize(
+    "study, hook, doc, cells",
+    [
+        ("cc", "_cc_fit", SMALL_CC, 2 * 3),
+        ("ac", "_ac_fit", SMALL_AC, 2 * 2),
+        ("lower_bound", "ratio_experiment", SMALL_LOWER_BOUND, 2 * 2),
+    ],
+    ids=["cc", "ac", "lower_bound"],
+)
+def test_cells_run_on_the_calling_thread(monkeypatch, study, hook, doc, cells):
+    # every study runs its cells serially whatever `threads` is
     threads = []
-    fit = experiments._cc_fit
+    fit = getattr(experiments, hook)
 
     def recording_fit(*args, **kwargs):
         threads.append(threading.get_ident())
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_cc_fit", recording_fit)
-    run_cc(parse_config(SMALL_CC), threads=2)
-    assert threads == [threading.get_ident()] * (2 * len(SMALL_CC["n_grid"]))
+    monkeypatch.setattr(experiments, hook, recording_fit)
+    cli_module.STUDIES[study][0](parse_config(doc), threads=2)
+    assert threads == [threading.get_ident()] * cells
 
 
 def _loaded_openblas():
@@ -704,20 +676,21 @@ def test_cli_import_loads_only_stdlib_numpy_and_batchselect():
     assert out.stdout.strip() == "['batchselect', 'numpy']"
 
 
-def test_serial_runs_never_import_the_thread_pool():
+def test_runs_never_import_the_thread_pool():
     # concurrent.futures, and logging with it, cost about 4 ms of start-up;
-    # only a run at threads > 1 uses the pool
+    # no study uses a pool, even at threads > 1
     src = str(Path(experiments.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = (
         "import sys, json; import batchselect.cli as cli; "
         "from batchselect.experiments import parse_config; "
-        "[cli.STUDIES[doc['experiment']][0](parse_config(doc)) for doc in json.loads(sys.argv[1])]; "
+        "[cli.STUDIES[doc['experiment']][0](parse_config(doc), threads=threads) "
+        "for doc, threads in json.loads(sys.argv[1])]; "
         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
     )
-    docs = [SMALL_CC, SMALL_AC, {"experiment": "lower_bound", "trials": 2}]
+    runs = [(SMALL_CC, 1), (SMALL_AC, 1), (SMALL_AC, 2), ({"experiment": "lower_bound", "trials": 2}, 1)]
     out = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(docs)],
+        [sys.executable, "-c", probe, json.dumps(runs)],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     assert out.stdout.strip() == "[]"

@@ -34,7 +34,7 @@ def whole_batch_run(build_trial, fit_cell, config, audit):
             validation = None
             if ctx.validation_seed is not None:
                 validation = sample_states(ctx.instance, config.n_validation, ctx.validation_seed)
-            for n in sorted(config.n_grid, reverse=True):
+            for n in config.n_grid:
                 cell = fit_cell(config, ctx, n, trial=t)
                 if validation is not None:
                     terms = slope_terms(cell.fits, ctx.classes, validation)
@@ -55,11 +55,11 @@ def whole_batch_run(build_trial, fit_cell, config, audit):
     return rows, reports
 
 
-def whole_batch_cc(config, threads=1, audit=False):
+def whole_batch_cc(config, audit=False):
     return whole_batch_run(experiments._cc_trial, experiments._cc_fit, config, audit)
 
 
-def whole_batch_ac(config, threads=1, audit=False):
+def whole_batch_ac(config, audit=False):
     return whole_batch_run(experiments._ac_trial, experiments._ac_fit, config, audit)
 
 
