@@ -688,7 +688,8 @@ def test_runs_never_import_the_thread_pool():
         "for doc, threads in json.loads(sys.argv[1])]; "
         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
     )
-    runs = [(SMALL_CC, 1), (SMALL_AC, 1), (SMALL_AC, 2), ({"experiment": "lower_bound", "trials": 2}, 1)]
+    lower_bound = {"experiment": "lower_bound", "trials": 2}
+    runs = [(SMALL_CC, 1), (SMALL_AC, 1), (SMALL_AC, 2), (lower_bound, 1)]
     out = subprocess.run(
         [sys.executable, "-c", probe, json.dumps(runs)],
         env=env, capture_output=True, text=True, timeout=60, check=True,
